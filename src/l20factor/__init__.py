@@ -29,8 +29,7 @@ from .sampling import (FullOperator, GaussianOperator, RestrictedEigEstimate,
                        SamplingOperator, UniformMaskOperator,
                        check_restricted_inner_product, estimate_restricted_eigs)
 from .solver import (DivergenceError, SolveTrace, SolverConfig, SolverState,
-                     estimate_step_constants, initial_point, solve,
-                     stopping_residuals)
+                     estimate_step_constants, initial_point, solve)
 
 __version__ = "0.1.0"
 
@@ -48,6 +47,6 @@ __all__ = [
     "objective_gap", "ones_counterexample", "ones_counterexample_point",
     "phi", "prox_dc_column", "prox_l20_column", "prox_matrix", "psi_star",
     "run_fig1", "run_fig2", "run_fig3", "smooth_gradient", "smooth_value",
-    "solve", "stopping_residuals", "subdiff_distance_psi",
+    "solve", "subdiff_distance_psi",
     "subdiff_distance_theta_upper", "theta", "theta_prime_plus",
 ]

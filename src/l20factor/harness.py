@@ -412,8 +412,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     else:
         M, op, b = instance
     spec = build_model_spec(cfg, op, b)
-    solver_cfg = SolverConfig(epsilon=cfg.epsilon, max_iters=cfg.max_iters,
-                              seed=cfg.seed)
+    solver_cfg = SolverConfig(epsilon=cfg.epsilon, max_iters=cfg.max_iters)
     W, trace, reason = solve(spec, solver_cfg, "auto", kappa=cfg.kappa)
     slope, r2 = convergence_fit(trace)
     summary = {

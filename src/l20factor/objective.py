@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +98,16 @@ class SmoothGradient:
     balance: Array = field(repr=False)
 
 
-def smooth_value(spec: ModelSpec, W: FactorPair) -> float:
-    """Scaled smooth part Phi(U, V) for the active model."""
+class _Evaluation(NamedTuple):
+    """One point's residual A(U V^T) - b, balance U^T U - V^T V and Phi(U, V)."""
+
+    residual: Array
+    balance: Array
+    value: float
+
+
+def _evaluate(spec: ModelSpec, W: FactorPair) -> _Evaluation:
+    """Residual, balance and smooth value at W, with one operator apply."""
     spec.check_shapes(W)
     r = spec.op.apply(W.product()) - spec.b
     bal = W.U.T @ W.U - W.V.T @ W.V
@@ -107,15 +116,13 @@ def smooth_value(spec: ModelSpec, W: FactorPair) -> float:
         val -= 0.25 * spec.params.tau * (
             float(np.sum(W.U * W.U)) + float(np.sum(W.V * W.V))
         )
-    return val
+    return _Evaluation(r, bal, val)
 
 
-def smooth_gradient(spec: ModelSpec, W: FactorPair) -> SmoothGradient:
-    """Gradients of smooth_value with respect to U and V."""
-    spec.check_shapes(W)
-    r = spec.op.apply(W.product()) - spec.b
-    R = spec.op.adjoint(r)
-    bal = W.U.T @ W.U - W.V.T @ W.V
+def _gradient(spec: ModelSpec, W: FactorPair, ev: _Evaluation) -> SmoothGradient:
+    """Smooth-part gradients at W from its evaluation, with one operator adjoint."""
+    R = spec.op.adjoint(ev.residual)
+    bal = ev.balance
     mu = spec.params.mu_tilde
     gU = R @ W.V + mu * (W.U @ bal)
     gV = R.T @ W.U - mu * (W.V @ bal)
@@ -123,7 +130,17 @@ def smooth_gradient(spec: ModelSpec, W: FactorPair) -> SmoothGradient:
         tau = spec.params.tau
         gU = gU - 0.5 * tau * W.U
         gV = gV - 0.5 * tau * W.V
-    return SmoothGradient(grad_u=gU, grad_v=gV, residual=r, balance=bal)
+    return SmoothGradient(grad_u=gU, grad_v=gV, residual=ev.residual, balance=bal)
+
+
+def smooth_value(spec: ModelSpec, W: FactorPair) -> float:
+    """Scaled smooth part Phi(U, V) for the active model."""
+    return _evaluate(spec, W).value
+
+
+def smooth_gradient(spec: ModelSpec, W: FactorPair) -> SmoothGradient:
+    """Gradients of smooth_value with respect to U and V."""
+    return _gradient(spec, W, _evaluate(spec, W))
 
 
 def column_penalty_value(spec: ModelSpec, W: FactorPair) -> float:

@@ -259,13 +259,18 @@ def _orthonormalize(F: Array) -> Array:
     return Q
 
 
-def _refine_factor(op: SamplingOperator, Q: Array, side: str, want_max: bool):
+def _refine_factor(op: SamplingOperator, Q: Array, side: str, want_max: bool,
+                   rng: np.random.Generator):
     """Exactly optimize ||A(X)||^2 over unit-Frobenius X with one factor fixed.
 
     side="right": X = R @ Q.T with Q (n x k) orthonormal, optimize R (m x k).
     side="left":  X = Q @ C.T with Q (m x k) orthonormal, optimize C (n x k).
     Returns (value, X) at the exact extremal eigenpair of the induced
-    quadratic form.
+    quadratic form. Large forms go to ARPACK, started from a vector drawn
+    from ``rng`` (uniform on [-1, 1], as ARPACK draws its own). If ARPACK
+    converges no eigenvalue, the start vector's Rayleigh quotient and its X
+    are returned: any rank-k X bounds alpha_k from above and beta_k from
+    below, so the one-sided brackets stay valid.
     """
     k = Q.shape[1]
     rows = op.m if side == "right" else op.n
@@ -297,31 +302,38 @@ def _refine_factor(op: SamplingOperator, Q: Array, side: str, want_max: bool):
         matvec=(lambda v: matvec(v)) if want_max else (lambda v: cap * v - matvec(v)),
         dtype=float,
     )
+    v0 = rng.uniform(-1.0, 1.0, dims)
     try:
-        w, vecs = scipy.sparse.linalg.eigsh(lin, k=1, which="LA", tol=1e-10)
+        w, vecs = scipy.sparse.linalg.eigsh(lin, k=1, which="LA", tol=1e-10, v0=v0)
     except scipy.sparse.linalg.ArpackNoConvergence as err:
         if err.eigenvalues.size == 0:
-            raise
+            v0 /= np.linalg.norm(v0)
+            return max(float(v0 @ matvec(v0)), 0.0), to_X(v0)
         w, vecs = err.eigenvalues, err.eigenvectors
     val = float(w[0]) if want_max else cap - float(w[0])
     return max(val, 0.0), to_X(vecs[:, 0])
 
 
 def _refined_rayleigh(op: SamplingOperator, R0: Array, L0: Array, want_max: bool,
-                      sweeps: int = 3) -> float:
-    """Alternating exact refinement of ||A(RL^T)||^2 / ||RL^T||_F^2."""
+                      rng: np.random.Generator, sweeps: int = 3) -> float:
+    """Alternating exact refinement of ||A(RL^T)||^2 / ||RL^T||_F^2.
+
+    Returns the best sweep value. Exact sweeps improve monotonically, so
+    that is the last one, unless a sweep fell back to its start vector.
+    """
     X = R0 @ L0.T
     fixed, side = L0, "right"
-    val = None
+    vals = []
     for _ in range(sweeps):
         Q = _orthonormalize(fixed)
-        val, X = _refine_factor(op, Q, side, want_max)
+        val, X = _refine_factor(op, Q, side, want_max, rng)
+        vals.append(val)
         if side == "right":
             # X = R Q^T: next sweep fixes the left factor of X.
             fixed, side = X @ Q, "left"
         else:
             fixed, side = X.T @ Q, "right"
-    return val
+    return max(vals) if want_max else min(vals)
 
 
 def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
@@ -333,6 +345,8 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     unrestricted). Otherwise Monte Carlo: each sample starts from a random
     rank-k factor pair and is refined by alternating exact single-factor
     eigenproblems, once toward the minimum and once toward the maximum.
+    Every random draw, ARPACK's start vectors included, comes from ``seed``,
+    so equal arguments give equal estimates.
     """
     if not 1 <= k <= min(op.m, op.n):
         raise ValueError(f"k must lie in [1, {min(op.m, op.n)}], got {k}")
@@ -349,12 +363,18 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     beta_upper = op.operator_norm() ** 2
     alpha_upper = np.inf
     beta_lower = 0.0
-    root = np.random.default_rng(seed)
+    # ARPACK start vectors get their own child stream, so the sample pairs
+    # drawn from root do not depend on how many factor problems use ARPACK.
+    seq = np.random.SeedSequence(seed)
+    root = np.random.default_rng(seq)
+    starts = np.random.default_rng(seq.spawn(1)[0])
     for _ in range(samples):
         R0 = root.standard_normal((op.m, k))
         L0 = root.standard_normal((op.n, k))
-        alpha_upper = min(alpha_upper, _refined_rayleigh(op, R0, L0, want_max=False))
-        beta_lower = max(beta_lower, _refined_rayleigh(op, R0, L0, want_max=True))
+        alpha_upper = min(alpha_upper,
+                          _refined_rayleigh(op, R0, L0, want_max=False, rng=starts))
+        beta_lower = max(beta_lower,
+                         _refined_rayleigh(op, R0, L0, want_max=True, rng=starts))
     beta_lower = min(beta_lower, beta_upper)
     alpha_upper = max(min(alpha_upper, beta_upper), 0.0)
     return RestrictedEigEstimate(k, 0.0, alpha_upper, beta_lower, beta_upper,

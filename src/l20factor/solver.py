@@ -7,6 +7,15 @@ spectral-norm upper estimate of the blockwise Lipschitz constants, guarded
 by a backtracking majorization check (the balance term is quartic, so no
 global constant exists). An optional restart retakes the step without
 extrapolation whenever the objective increases.
+
+Each point's residual A(U V^T) - b and balance U^T U - V^T V are computed
+once and reused for its value and its gradient. An iteration evaluates four
+points: (U~, V) and (U+, V) in the U-substep, (U+, V~) and (U+, V+) in the
+V-substep. The accepted (U+, V+) evaluation gives both the new objective
+and the gradient of the stopping residuals. So an iteration that neither
+backtracks nor restarts costs 4 operator applies and 3 adjoints; each
+backtrack adds one apply, and a restart repeats the 4 applies and the two
+substep adjoints.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .objective import FactorPair, ModelSpec, smooth_gradient, smooth_value, \
-    column_penalty_value
+from .objective import (FactorPair, ModelSpec, _evaluate, _gradient,
+                        column_penalty_value, smooth_value)
 from .prox import ProxRequest, prox_matrix
 
 _BACKTRACK_CAP = 2.0 ** 60
@@ -52,7 +61,6 @@ class SolverConfig:
     backtrack_factor: float = 2.0
     restart_on_increase: bool = True
     accelerate: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -170,32 +178,33 @@ def _prox_substep(spec, cfg, at, fixed, which, L, iteration):
     """One prox-gradient substep with backtracking on the majorization check.
 
     ``at`` is the linearization point of the active factor, ``fixed`` the
-    other factor held constant. Returns (new factor, gradient at ``at``,
-    final L).
+    other factor held constant. The gradient and the base value come from
+    one evaluation of the linearization point; each candidate costs one
+    more. Returns (accepted pair, gradient at ``at``, final L, evaluation of
+    the accepted pair).
     """
-    if which == "u":
-        pair = FactorPair(at, fixed)
-        grad = smooth_gradient(spec, pair).grad_u
-    else:
-        pair = FactorPair(fixed, at)
-        grad = smooth_gradient(spec, pair).grad_v
+    def pair(Z):
+        return FactorPair(Z, fixed) if which == "u" else FactorPair(fixed, Z)
+
+    lin = pair(at)
+    ev = _evaluate(spec, lin)
+    g = _gradient(spec, lin, ev)
+    grad = g.grad_u if which == "u" else g.grad_v
     if not np.all(np.isfinite(grad)):
         raise DivergenceError(iteration, f"non-finite gradient in the {which}-substep")
-    base = smooth_value(spec, pair)
+    base = ev.value
     while True:
         Znew = at - grad / L
         if not np.all(np.isfinite(Znew)):
             raise DivergenceError(iteration, f"non-finite prox point ({which})")
         cand = prox_matrix(ProxRequest(Znew, L, spec.params, spec.model))
-        if which == "u":
-            val = smooth_value(spec, FactorPair(cand, fixed))
-        else:
-            val = smooth_value(spec, FactorPair(fixed, cand))
+        W = pair(cand)
+        ev = _evaluate(spec, W)
         diff = cand - at
         bound = base + float(np.sum(grad * diff)) \
             + 0.5 * L * float(np.sum(diff * diff))
-        if val <= bound + 1e-12 * max(1.0, abs(base)):
-            return cand, grad, L
+        if ev.value <= bound + 1e-12 * max(1.0, abs(base)):
+            return W, grad, L, ev
         L *= cfg.backtrack_factor
         if L > _BACKTRACK_CAP:
             raise DivergenceError(
@@ -227,25 +236,24 @@ def _step_inner(spec, cfg, st, op_norm_sq, it) -> SolverState:
         if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
             raise DivergenceError(it, "non-finite extrapolated point")
         lu = _substep_l(spec, Ut, V, "u", op_norm_sq, cfg)
-        Unew, gU, lu = _prox_substep(spec, cfg, Ut, V, "u", lu, it)
-        lv = _substep_l(spec, Vt, Unew, "v", op_norm_sq, cfg)
-        Vnew, gV, lv = _prox_substep(spec, cfg, Vt, Unew, "v", lv, it)
-        Wnew = FactorPair(Unew, Vnew)
-        obj = smooth_value(spec, Wnew) + column_penalty_value(spec, Wnew)
+        Wu, gU, lu, _ = _prox_substep(spec, cfg, Ut, V, "u", lu, it)
+        lv = _substep_l(spec, Vt, Wu.U, "v", op_norm_sq, cfg)
+        Wnew, gV, lv, ev = _prox_substep(spec, cfg, Vt, Wu.U, "v", lv, it)
+        obj = ev.value + column_penalty_value(spec, Wnew)
         if not math.isfinite(obj):
             raise DivergenceError(it, "non-finite objective")
-        return Wnew, Ut, Vt, gU, gV, lu, lv, obj
+        return Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj
 
     w = (st.tk_prev - 1.0) / st.tk if cfg.accelerate else 0.0
-    Wnew, Ut, Vt, gU, gV, lu, lv, obj = take(w)
+    Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj = take(w)
     restarted = False
     tk, tk_prev = st.tk, st.tk_prev
     if cfg.restart_on_increase and w != 0.0 and obj > prev_obj:
         tk = tk_prev = 1.0
-        Wnew, Ut, Vt, gU, gV, lu, lv, obj = take(0.0)
+        Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj = take(0.0)
         restarted = True
 
-    gnew = smooth_gradient(spec, Wnew)
+    gnew = _gradient(spec, Wnew, ev)
     nb = 1.0 + float(np.linalg.norm(spec.b))
     res_u = float(np.linalg.norm(gU - gnew.grad_u + lu * (Wnew.U - Ut))) / nb
     res_v = float(np.linalg.norm(gV - gnew.grad_v + lv * (Wnew.V - Vt))) / nb
@@ -256,30 +264,6 @@ def _step_inner(spec, cfg, st, op_norm_sq, it) -> SolverState:
         LU=lu, LV=lv, restarted=restarted,
         res_u=res_u, res_v=res_v, obj_scaled=obj,
     )
-
-
-def stopping_residuals(spec: ModelSpec, cfg: SolverConfig, st_prev: SolverState,
-                       st_new: SolverState) -> tuple[float, float]:
-    """Recompute the stopping residuals of the transition st_prev -> st_new.
-
-    Everything is rebuilt from scratch (extrapolation point, gradients);
-    the solver loop itself uses cached quantities, and tests hold the two
-    routes to 1e-12 of each other.
-    """
-    if st_new.restarted or not cfg.accelerate:
-        w = 0.0
-    else:
-        w = (st_prev.tk_prev - 1.0) / st_prev.tk
-    U, V = st_prev.W.U, st_prev.W.V
-    Ut = U + w * (U - st_prev.W_prev.U)
-    Vt = V + w * (V - st_prev.W_prev.V)
-    gU = smooth_gradient(spec, FactorPair(Ut, V)).grad_u
-    gV = smooth_gradient(spec, FactorPair(st_new.W.U, Vt)).grad_v
-    gnew = smooth_gradient(spec, st_new.W)
-    nb = 1.0 + float(np.linalg.norm(spec.b))
-    res_u = float(np.linalg.norm(gU - gnew.grad_u + st_new.LU * (st_new.W.U - Ut))) / nb
-    res_v = float(np.linalg.norm(gV - gnew.grad_v + st_new.LV * (st_new.W.V - Vt))) / nb
-    return res_u, res_v
 
 
 def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 from l20factor import sampling
@@ -160,6 +161,30 @@ def test_restricted_eigs_reproducible():
     a = estimate_restricted_eigs(op, k=2, samples=3, seed=4)
     b = estimate_restricted_eigs(op, k=2, samples=3, seed=4)
     assert a == b
+
+
+def test_restricted_eigs_arpack_path_is_reproducible_and_bracketed(monkeypatch):
+    """60x60 mask at 30%, k=8: the factor eigenproblems (480 unknowns) go to
+    ARPACK, and some converge no eigenvalue; the estimate must still come
+    back, repeat exactly and keep its brackets ordered."""
+    eigsh = scipy.sparse.linalg.eigsh
+    unconverged = []
+
+    def recording_eigsh(*args, **kwargs):
+        try:
+            return eigsh(*args, **kwargs)
+        except scipy.sparse.linalg.ArpackNoConvergence as err:
+            unconverged.append(err.eigenvalues.size)
+            raise
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording_eigsh)
+    op = UniformMaskOperator.from_ratio(60, 60, 0.3, np.random.default_rng(0))
+    a = estimate_restricted_eigs(op, k=8, samples=2, seed=0)
+    assert 0 in unconverged
+    b = estimate_restricted_eigs(op, k=8, samples=2, seed=0)
+    assert a == b
+    assert a.method == "monte-carlo"
+    assert 0.0 <= a.alpha_upper <= a.beta_lower <= a.beta_upper
 
 
 def test_restricted_eigs_validation():

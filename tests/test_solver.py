@@ -1,16 +1,19 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import stopping_residuals
 
+from l20factor import solver
 from l20factor.objective import (FactorPair, ModelSpec, column_penalty_value,
                                  smooth_gradient, smooth_value)
 from l20factor.penalty import PenaltyParams
 from l20factor.sampling import FullOperator, UniformMaskOperator
 from l20factor.solver import (DivergenceError, SolverConfig, SolverState,
                               estimate_step_constants, initial_point, solve,
-                              step, stopping_residuals)
+                              step)
 
 
 def mask_instance(seed=3, m=10, n=10, r=2, ratio=0.8, lam=1e-5, mu_tilde=0.1,
@@ -175,6 +178,34 @@ def test_stopping_residuals_match_recomputation(model, rho, lam):
         ru, rv = stopping_residuals(spec, cfg, prev, st)
         assert st.res_u == pytest.approx(ru, abs=1e-12, rel=1e-12)
         assert st.res_v == pytest.approx(rv, abs=1e-12, rel=1e-12)
+
+
+@pytest.mark.parametrize("model,rho,lam", [("l20", None, 1e-5), ("dc", 0.05, 1e-4)])
+def test_step_operator_call_budget(model, rho, lam, monkeypatch):
+    """A step that neither restarts nor backtracks evaluates four points,
+    (U~, V), (U+, V), (U+, V~) and (U+, V+), each with one apply; the two
+    linearization points and (U+, V+) each take one adjoint."""
+    spec, _ = mask_instance(model=model, rho=rho, lam=lam)
+    cfg = SolverConfig()
+    W0 = initial_point(spec.op, spec.b, 2)
+    st = SolverState(W=W0, W_prev=W0.copy())
+    st.obj_scaled = smooth_value(spec, W0) + column_penalty_value(spec, W0)
+    for _ in range(5):
+        st = step(spec, cfg, st)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spec.op, "apply", counted("apply", spec.op.apply))
+    monkeypatch.setattr(spec.op, "adjoint", counted("adjoint", spec.op.adjoint))
+    monkeypatch.setattr(solver, "prox_matrix", counted("prox", solver.prox_matrix))
+    st2 = step(spec, cfg, st)
+    assert st.tk_prev > 1.0 and not st2.restarted and calls["prox"] == 2
+    assert (calls["apply"], calls["adjoint"]) == (4, 3)
 
 
 def test_residual_denominator_is_one_for_zero_data():
