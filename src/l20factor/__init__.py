@@ -24,7 +24,7 @@ from .linalg import NonFiniteError
 from .objective import (FactorPair, ModelSpec, SmoothGradient, full_value,
                         objective_gap, smooth_gradient, smooth_value)
 from .penalty import PenaltyParams, g_scalar, phi, psi_star, theta, theta_prime_plus
-from .prox import ProxRequest, prox_dc_column, prox_l20_column, prox_matrix
+from .prox import prox_matrix
 from .sampling import (FullOperator, GaussianOperator, RestrictedEigEstimate,
                        SamplingOperator, UniformMaskOperator,
                        check_restricted_inner_product, estimate_restricted_eigs)
@@ -37,7 +37,7 @@ __all__ = [
     "DivergenceError", "ExperimentConfig", "FactorPair", "FullOperator",
     "GaussianOperator", "KLModuli", "ModelSpec", "NonFiniteError",
     "OptimalSetCertificate",
-    "PenaltyParams", "ProbeReport", "ProxRequest", "RestrictedEigEstimate",
+    "PenaltyParams", "ProbeReport", "RestrictedEigEstimate",
     "SamplingOperator", "SmoothGradient", "SolveTrace", "SolverConfig",
     "SolverState", "UniformMaskOperator", "build_balanced_factors",
     "certify_optimal_pair", "check_restricted_inner_product", "diagnose",
@@ -45,7 +45,7 @@ __all__ = [
     "exact_penalty_threshold", "full_value", "g_scalar", "gen_instance",
     "initial_point", "kl_inequality_probe", "kl_moduli",
     "objective_gap", "ones_counterexample", "ones_counterexample_point",
-    "phi", "prox_dc_column", "prox_l20_column", "prox_matrix", "psi_star",
+    "phi", "prox_matrix", "psi_star",
     "run_fig1", "run_fig2", "run_fig3", "smooth_gradient", "smooth_value",
     "solve", "subdiff_distance_psi",
     "subdiff_distance_theta_upper", "theta", "theta_prime_plus",

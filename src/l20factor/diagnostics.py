@@ -13,6 +13,7 @@ objective): fidelity weight nu = 1/lam and per-column regularizer weight 1/2.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import linalg, penalty
 from .linalg import Array
-from .objective import FactorPair, ModelSpec, objective_gap
+from .objective import FactorPair, ModelSpec, objective_gap, smooth_gradient
 from .penalty import PenaltyParams
 from .sampling import FullOperator
 
@@ -136,17 +137,13 @@ def _check_data_consistency(spec: ModelSpec, M) -> Array:
 def _nu_smooth_grads(spec: ModelSpec, W: FactorPair) -> tuple[Array, Array]:
     """nu-normalized gradients of the shared smooth part (fidelity + balance).
 
-    This is the smooth component common to both models; the dc model's
-    identity-shift term belongs to its column penalty in this normalization.
+    This is the smooth component common to both models, i.e. the hard
+    model's smooth part; the dc model's identity-shift term belongs to its
+    column penalty in this normalization.
     """
     nu = spec.params.nu
-    mu = spec.params.mu_tilde * nu
-    r = spec.op.apply(W.product()) - spec.b
-    R = spec.op.adjoint(r)
-    bal = W.U.T @ W.U - W.V.T @ W.V
-    G = nu * (R @ W.V) + mu * (W.U @ bal)
-    H = nu * (R.T @ W.U) - mu * (W.V @ bal)
-    return G, H
+    g = smooth_gradient(dataclasses.replace(spec, model="l20"), W)
+    return nu * g.grad_u, nu * g.grad_v
 
 
 def subdiff_distance_psi(spec: ModelSpec, W: FactorPair, M) -> float:

@@ -31,8 +31,7 @@ from .diagnostics import (build_balanced_factors, certify_optimal_pair,
 from .objective import FactorPair, ModelSpec
 from .penalty import PenaltyParams
 from .sampling import (FullOperator, GaussianOperator, SamplingOperator,
-                       UniformMaskOperator, estimate_restricted_eigs, load_mask,
-                       save_mask)
+                       UniformMaskOperator, estimate_restricted_eigs)
 from .solver import SolveTrace, SolverConfig, TraceRecord, solve
 
 OPERATOR_KINDS = ("full", "mask", "gaussian")
@@ -340,6 +339,24 @@ def read_trace_csv(path: str) -> list[TraceRecord]:
             time_s=float(parts[9]),
         ))
     return records
+
+
+def save_mask(op: UniformMaskOperator, path: str) -> None:
+    """Write a mask as text: first line "m n", then one 0-based "i j" per entry."""
+    lines = [f"{op.m} {op.n}"]
+    lines.extend(f"{i} {j}" for i, j in zip(op.rows, op.cols))
+    _atomic_text(path, "\n".join(lines) + "\n")
+
+
+def load_mask(path: str) -> UniformMaskOperator:
+    with open(path) as fh:
+        tokens = fh.read().split()
+    if len(tokens) < 4 or len(tokens) % 2 != 0:
+        raise ValueError(f"malformed mask file {path}")
+    vals = list(map(int, tokens))
+    m, n = vals[0], vals[1]
+    pairs = np.array(vals[2:], dtype=int).reshape(-1, 2)
+    return UniformMaskOperator(m, n, pairs[:, 0], pairs[:, 1])
 
 
 def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,

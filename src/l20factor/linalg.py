@@ -54,19 +54,6 @@ def as_vector(y, name: str = "y") -> Array:
     return v
 
 
-def matmul(A, B, transpose_a: bool = False, transpose_b: bool = False) -> Array:
-    """Matrix product with optional transposes and explicit conformance checks."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    At = A.T if transpose_a else A
-    Bt = B.T if transpose_b else B
-    if At.shape[1] != Bt.shape[0]:
-        raise ValueError(
-            f"inner dimensions do not conform: {At.shape} @ {Bt.shape}"
-        )
-    return At @ Bt
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Thin singular value decomposition X = P @ diag(sigma) @ Q.T.

@@ -1,16 +1,15 @@
-"""Closed-form column-group proximal operators for both regularizers.
+"""Closed-form column-group proximal operator for both regularizers.
 
 Each solver subproblem separates over columns:
 
     min_u (stepL/2) ||u - z||^2 + (1/2) h(||u||)
 
 with h(t) = lam * sign(|t|) for the hard model and h = g_scalar for the dc
-model. Both reduce to a 1-D problem in s = ||u|| along the ray through z.
+model. Both reduce to a 1-D problem in s = ||u|| along the ray through z,
+which ``prox_matrix`` solves for every column at once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,101 +18,50 @@ from .linalg import Array
 from .penalty import PenaltyParams
 
 
-@dataclass(frozen=True)
-class ProxRequest:
-    """One matrix prox evaluation: point Z, step constant, parameters, model."""
+def prox_matrix(Z, step_l: float, params: PenaltyParams, model: str) -> Array:
+    """Columnwise prox of the matrix subproblem at Z with step constant step_l.
 
-    Z: Array
-    step_l: float
-    params: PenaltyParams
-    model: str
+    Hard model: a column is kept unchanged when ||z||^2 > lam/stepL and set
+    to zero otherwise, so ties go to the sparser minimizer.
 
-    def __post_init__(self):
-        object.__setattr__(self, "Z", linalg.as_matrix(self.Z, "Z"))
-        if not self.step_l > 0:
-            raise ValueError(f"step_l must be positive, got {self.step_l}")
-        if self.model not in ("l20", "dc"):
-            raise ValueError(f"unknown model {self.model!r}")
-
-
-def prox_l20_column(z, step_l: float, weight: float) -> Array:
-    """Hard column threshold: z if ||z|| > sqrt(weight/stepL), else 0.
-
-    Ties map to 0 (the sparser of the two minimizers).
+    dc model: the radial objective q(s) = (stepL/2)(s - ||z||)^2 + (1/2) g(s)
+    is piecewise quadratic, with the breakpoints s1 = 2/((a+1) rho) and
+    s2 = 2a/((a+1) rho) of g. Each branch's stationary point is clamped to
+    its interval; on the middle branch g is affine (tau cancels theta's
+    curvature there), so its stationary point comes from the distance term
+    alone. The best of these candidates, 0, s1 and s2 is the global
+    minimizer; equal values go to the smallest s. The column becomes
+    (s/||z||) z.
     """
-    z = linalg.as_vector(np.asarray(z, dtype=float).ravel(), "z")
-    if step_l <= 0:
+    Z = linalg.as_matrix(Z, "Z")
+    if not step_l > 0:
         raise ValueError(f"step_l must be positive, got {step_l}")
-    if weight < 0:
-        raise ValueError(f"weight must be nonnegative, got {weight}")
-    if weight == 0:
-        return z.copy()
-    if float(z @ z) > weight / step_l:
-        return z.copy()
-    return np.zeros_like(z)
-
-
-def _dc_radial(z0: float, step_l: float, params: PenaltyParams) -> float:
-    """Minimizer of (stepL/2)(s - z0)^2 + (1/2) g(s) over s >= 0, in closed form.
-
-    g(s) = lam * theta(rho s) + (tau/2) s^2 is piecewise quadratic with
-    breakpoints s1 = 2/((a+1) rho) and s2 = 2a/((a+1) rho). The stationary
-    point of each branch is clamped to its interval; the middle branch is
-    affine in g (tau cancels theta's curvature there), so its stationary
-    point comes from the quadratic distance term alone. The global minimizer
-    is the best candidate; equal values resolve to the smallest s.
-    """
-    lam, rho, a = params.lam, params.rho, params.a
-    tau = params.tau
+    if model not in ("l20", "dc"):
+        raise ValueError(f"unknown model {model!r}")
     L = step_l
-    s1 = 2.0 / ((a + 1) * rho)
-    s2 = 2.0 * a / ((a + 1) * rho)
-    candidates = [
-        0.0,
-        s1,
-        s2,
-        min(max((L * z0 - 0.5 * lam * rho) / (L + 0.5 * tau), 0.0), s1),
-        min(max(z0 - (0.5 * lam * rho / L) * a / (a - 1), s1), s2),
-        max(L * z0 / (L + 0.5 * tau), s2),
-    ]
-
-    def q(s: float) -> float:
-        return 0.5 * L * (s - z0) ** 2 + 0.5 * penalty.g_scalar(params, s)
-
-    best_s, best_q = 0.0, q(0.0)
-    for s in sorted(candidates):
-        val = q(s)
-        if val < best_q:
-            best_s, best_q = s, val
-    return best_s
-
-
-def prox_dc_column(z, step_l: float, params: PenaltyParams) -> Array:
-    """Radial prox of the dc column penalty: u = (s*/||z||) z."""
-    z = linalg.as_vector(np.asarray(z, dtype=float).ravel(), "z")
-    if step_l <= 0:
-        raise ValueError(f"step_l must be positive, got {step_l}")
-    if params.rho is None:
-        raise ValueError("dc prox requires params.rho")
-    z0 = float(np.linalg.norm(z))
-    if z0 == 0.0:
-        return np.zeros_like(z)
-    s = _dc_radial(z0, step_l, params)
-    if s == 0.0:
-        return np.zeros_like(z)
-    return (s / z0) * z
-
-
-def prox_matrix(req: ProxRequest) -> Array:
-    """Columnwise prox of the matrix subproblem."""
-    Z = req.Z
-    if req.model == "l20":
+    if model == "l20":
         out = Z.copy()
-        thr2 = req.params.lam / req.step_l
+        thr2 = params.lam / L
         norms2 = np.sum(Z * Z, axis=0)
         out[:, norms2 <= thr2] = 0.0
         return out
+    if params.rho is None:
+        raise ValueError("dc prox requires params.rho")
+    lam, rho, a, tau = params.lam, params.rho, params.a, params.tau
+    s1 = 2.0 / ((a + 1) * rho)
+    s2 = 2.0 * a / ((a + 1) * rho)
+    z0 = np.array([np.linalg.norm(z) for z in Z.T])
+    cand = np.sort(np.stack([
+        np.zeros_like(z0),
+        np.full_like(z0, s1),
+        np.full_like(z0, s2),
+        np.minimum(np.maximum((L * z0 - 0.5 * lam * rho) / (L + 0.5 * tau), 0.0), s1),
+        np.minimum(np.maximum(z0 - (0.5 * lam * rho / L) * a / (a - 1), s1), s2),
+        np.maximum(L * z0 / (L + 0.5 * tau), s2),
+    ]), axis=0)
+    q = 0.5 * L * (cand - z0) ** 2 + 0.5 * penalty.g_scalar(params, cand)
+    s = cand[np.argmin(q, axis=0), np.arange(Z.shape[1])]
     out = np.zeros_like(Z)
-    for j in range(Z.shape[1]):
-        out[:, j] = prox_dc_column(Z[:, j], req.step_l, req.params)
+    live = s > 0.0
+    out[:, live] = Z[:, live] * (s[live] / z0[live])
     return out

@@ -13,8 +13,6 @@ exact refinement otherwise.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,32 +201,6 @@ def operator_matrix(op: SamplingOperator) -> Array:
             E[i, j] = 1.0
             S[:, j * op.m + i] = op.apply(E)
     return S
-
-
-def save_mask(op: UniformMaskOperator, path: str) -> None:
-    """Write a mask as text: first line "m n", then one 0-based "i j" per entry."""
-    lines = [f"{op.m} {op.n}"]
-    lines.extend(f"{i} {j}" for i, j in zip(op.rows, op.cols))
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_mask(path: str) -> UniformMaskOperator:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 4 or len(tokens) % 2 != 0:
-        raise ValueError(f"malformed mask file {path}")
-    vals = list(map(int, tokens))
-    m, n = vals[0], vals[1]
-    pairs = np.array(vals[2:], dtype=int).reshape(-1, 2)
-    return UniformMaskOperator(m, n, pairs[:, 0], pairs[:, 1])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ takes a prox-gradient step in U against the current V, then a prox-gradient
 step in V against the fresh U, and advances t. Step constants come from a
 spectral-norm upper estimate of the blockwise Lipschitz constants, guarded
 by a backtracking majorization check (the balance term is quartic, so no
-global constant exists). An optional restart retakes the step without
-extrapolation whenever the objective increases.
+global constant exists) that doubles the constant until the check holds.
+A restart retakes the step without extrapolation whenever the objective
+increases.
 
 Each point's residual A(U V^T) - b and balance U^T U - V^T V are computed
 once and reused for its value and its gradient. An iteration evaluates four
@@ -29,9 +30,10 @@ import numpy as np
 from . import linalg
 from .objective import (FactorPair, ModelSpec, _evaluate, _gradient,
                         column_penalty_value, smooth_value)
-from .prox import ProxRequest, prox_matrix
+from .prox import prox_matrix
 
 _BACKTRACK_CAP = 2.0 ** 60
+_BACKTRACK_FACTOR = 2.0
 _STEP_FLOOR = 1e-8
 _MARGIN = 1.1
 
@@ -48,18 +50,11 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Tuning knobs of the solver loop.
 
-    lu0/lv0 may be "auto" (spectral estimate per substep) or a positive
-    number used as the starting constant each iteration; either way the
-    majorization check can only raise it. accelerate=False freezes t_k at 1,
-    recovering the non-accelerated method.
+    accelerate=False freezes t_k at 1, recovering the non-accelerated method.
     """
 
     epsilon: float = 1e-10
     max_iters: int = 100000
-    lu0: float | str = "auto"
-    lv0: float | str = "auto"
-    backtrack_factor: float = 2.0
-    restart_on_increase: bool = True
     accelerate: bool = True
 
     def __post_init__(self):
@@ -67,14 +62,6 @@ class SolverConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.backtrack_factor > 1:
-            raise ValueError(
-                f"backtrack_factor must exceed 1, got {self.backtrack_factor}"
-            )
-        for name in ("lu0", "lv0"):
-            v = getattr(self, name)
-            if v != "auto" and not (isinstance(v, (int, float)) and v > 0):
-                raise ValueError(f'{name} must be "auto" or a positive number')
 
 
 @dataclass
@@ -164,17 +151,7 @@ def _step_constants(spec, U, V, op_norm_sq) -> tuple[float, float]:
     return max(lu, _STEP_FLOOR), max(lv, _STEP_FLOOR)
 
 
-def _substep_l(spec, at, other, which, op_norm_sq, cfg):
-    """Starting step constant for one substep at its linearization point."""
-    fixed = cfg.lu0 if which == "u" else cfg.lv0
-    if fixed != "auto":
-        return float(fixed)
-    if which == "u":
-        return _step_constants(spec, at, other, op_norm_sq)[0]
-    return _step_constants(spec, other, at, op_norm_sq)[1]
-
-
-def _prox_substep(spec, cfg, at, fixed, which, L, iteration):
+def _prox_substep(spec, at, fixed, which, L, iteration):
     """One prox-gradient substep with backtracking on the majorization check.
 
     ``at`` is the linearization point of the active factor, ``fixed`` the
@@ -197,7 +174,7 @@ def _prox_substep(spec, cfg, at, fixed, which, L, iteration):
         Znew = at - grad / L
         if not np.all(np.isfinite(Znew)):
             raise DivergenceError(iteration, f"non-finite prox point ({which})")
-        cand = prox_matrix(ProxRequest(Znew, L, spec.params, spec.model))
+        cand = prox_matrix(Znew, L, spec.params, spec.model)
         W = pair(cand)
         ev = _evaluate(spec, W)
         diff = cand - at
@@ -205,7 +182,7 @@ def _prox_substep(spec, cfg, at, fixed, which, L, iteration):
             + 0.5 * L * float(np.sum(diff * diff))
         if ev.value <= bound + 1e-12 * max(1.0, abs(base)):
             return W, grad, L, ev
-        L *= cfg.backtrack_factor
+        L *= _BACKTRACK_FACTOR
         if L > _BACKTRACK_CAP:
             raise DivergenceError(
                 iteration, f"backtracking exceeded the step-constant cap ({which})"
@@ -235,10 +212,10 @@ def _step_inner(spec, cfg, st, op_norm_sq, it) -> SolverState:
         Vt = V + w * (V - st.W_prev.V) if w != 0.0 else V
         if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
             raise DivergenceError(it, "non-finite extrapolated point")
-        lu = _substep_l(spec, Ut, V, "u", op_norm_sq, cfg)
-        Wu, gU, lu, _ = _prox_substep(spec, cfg, Ut, V, "u", lu, it)
-        lv = _substep_l(spec, Vt, Wu.U, "v", op_norm_sq, cfg)
-        Wnew, gV, lv, ev = _prox_substep(spec, cfg, Vt, Wu.U, "v", lv, it)
+        lu = _step_constants(spec, Ut, V, op_norm_sq)[0]
+        Wu, gU, lu, _ = _prox_substep(spec, Ut, V, "u", lu, it)
+        lv = _step_constants(spec, Wu.U, Vt, op_norm_sq)[1]
+        Wnew, gV, lv, ev = _prox_substep(spec, Vt, Wu.U, "v", lv, it)
         obj = ev.value + column_penalty_value(spec, Wnew)
         if not math.isfinite(obj):
             raise DivergenceError(it, "non-finite objective")
@@ -248,7 +225,7 @@ def _step_inner(spec, cfg, st, op_norm_sq, it) -> SolverState:
     Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj = take(w)
     restarted = False
     tk, tk_prev = st.tk, st.tk_prev
-    if cfg.restart_on_increase and w != 0.0 and obj > prev_obj:
+    if w != 0.0 and obj > prev_obj:
         tk = tk_prev = 1.0
         Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj = take(0.0)
         restarted = True

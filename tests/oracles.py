@@ -8,23 +8,6 @@ package's numerical code paths, so tests can compare the two routes.
 import numpy as np
 
 
-def naive_matmul(A, B):
-    """Triple-loop matrix product."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    m, k = A.shape
-    k2, n = B.shape
-    assert k == k2
-    C = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += A[i, t] * B[t, j]
-            C[i, j] = acc
-    return C
-
-
 def phi_direct(a, t):
     return ((a - 1) * t * t + 2 * t) / (a + 1)
 

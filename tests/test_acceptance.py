@@ -34,7 +34,7 @@ from l20factor.harness import (ExperimentConfig, build_model_spec,
 from l20factor.objective import (FactorPair, ModelSpec, objective_gap,
                                  smooth_gradient, smooth_value)
 from l20factor.penalty import PenaltyParams, g_scalar, psi_star
-from l20factor.prox import prox_dc_column, prox_l20_column
+from l20factor.prox import prox_matrix
 from l20factor.sampling import FullOperator, UniformMaskOperator
 from l20factor.solver import SolverConfig, solve
 from oracles import (fd_gradient, grid_conjugate, l20_bruteforce,
@@ -167,7 +167,7 @@ def test_criterion_5_oracle_suites(capsys):
             worst_a = max(worst_a,
                           abs(psi_star(p, s) - grid_conjugate(a, abs(s))))
 
-    # (b) both column prox routines vs grid + golden-section oracle
+    # (b) the column prox of both models vs grid + golden-section oracle
     rng = np.random.default_rng(0)
     worst_b = 0.0
     for _ in range(100):
@@ -176,9 +176,10 @@ def test_criterion_5_oracle_suites(capsys):
         z = float(rng.uniform(0.0, 4.0))
         a = float(rng.uniform(1.5, 5.0))
         rho = float(rng.uniform(0.2, 4.0))
-        zvec = np.array([z])
+        zcol = np.array([[z]])
 
-        got = float(prox_l20_column(zvec, L, lam)[0])
+        p20 = PenaltyParams(lam=lam, mu_tilde=0.0)
+        got = float(prox_matrix(zcol, L, p20, "l20")[0, 0])
         def q20(s, lam=lam, L=L, z=z):
             return 0.5 * lam * (s != 0.0) + 0.5 * L * (s - z) ** 2
         ref = prox_radial_oracle(q20, max(2.0 * z, 1.0))
@@ -187,7 +188,7 @@ def test_criterion_5_oracle_suites(capsys):
         worst_b = max(worst_b, abs(got - ref))
 
         pd = PenaltyParams(lam=lam, mu_tilde=0.0, a=a, rho=rho)
-        gotd = float(prox_dc_column(zvec, L, pd)[0])
+        gotd = float(prox_matrix(zcol, L, pd, "dc")[0, 0])
         def qdc(s, pd=pd, L=L, z=z):
             return 0.5 * g_scalar(pd, s) + 0.5 * L * (s - z) ** 2
         refd = prox_radial_oracle(qdc, max(2.0 * z, 1.0))

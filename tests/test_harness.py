@@ -10,9 +10,10 @@ from l20factor import linalg
 from l20factor.harness import (ConfigError, ExperimentConfig, build_config,
                                build_model_spec, convergence_fit, diagnose,
                                eval_rule, fit_loglinear, gen_instance,
-                               load_instance, load_solution, parse_config_file,
-                               read_trace_csv, relative_error, run_experiment,
-                               run_fig1, run_fig2, run_fig3, save_instance,
+                               load_instance, load_mask, load_solution,
+                               parse_config_file, read_trace_csv,
+                               relative_error, run_experiment, run_fig1,
+                               run_fig2, run_fig3, save_instance, save_mask,
                                save_solution, write_trace_csv)
 from l20factor.sampling import FullOperator, GaussianOperator, UniformMaskOperator
 
@@ -494,3 +495,23 @@ def test_diagnose_reports_failed_hypotheses(tmp_path):
     assert "alpha_ok" in report["probe"]["message"]
     assert os.path.exists(os.path.join(out, "diagnosis.json"))
     assert not os.path.exists(os.path.join(sol, "diagnosis.json"))
+
+
+def test_mask_serialization_roundtrip(tmp_path):
+    rng = np.random.default_rng(10)
+    op = UniformMaskOperator.from_ratio(7, 5, 0.4, rng)
+    path = tmp_path / "mask.txt"
+    save_mask(op, str(path))
+    text = path.read_text().splitlines()
+    assert text[0] == "7 5"
+    assert len(text) == 1 + op.p
+    back = load_mask(str(path))
+    assert np.array_equal(back.rows, op.rows)
+    assert np.array_equal(back.cols, op.cols)
+
+
+def test_load_mask_rejects_garbage(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("3 3 1\n")
+    with pytest.raises(ValueError, match="malformed"):
+        load_mask(str(path))

@@ -8,36 +8,6 @@ from l20factor import linalg
 import oracles
 
 
-def test_matmul_identity():
-    A = np.eye(3)
-    B = np.arange(9.0).reshape(3, 3)
-    assert_allclose(linalg.matmul(A, B), B)
-
-
-def test_matmul_1x1():
-    assert_allclose(linalg.matmul([[2.0]], [[3.0]]), [[6.0]])
-
-
-def test_matmul_against_naive():
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((5, 3))
-    B = rng.standard_normal((3, 4))
-    assert_allclose(linalg.matmul(A, B), oracles.naive_matmul(A, B), atol=1e-12)
-
-
-def test_matmul_transposes():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((3, 5))
-    B = rng.standard_normal((4, 3))
-    assert_allclose(linalg.matmul(A, B, transpose_a=True, transpose_b=True),
-                    A.T @ B.T, atol=1e-13)
-
-
-def test_matmul_nonconforming():
-    with pytest.raises(ValueError, match="conform"):
-        linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 def test_as_matrix_rejects_bad_inputs():
     with pytest.raises(ValueError, match="2-D"):
         linalg.as_matrix(np.ones(3))

@@ -7,8 +7,7 @@ from l20factor import sampling
 from l20factor.sampling import (FullOperator, GaussianOperator,
                                 UniformMaskOperator,
                                 check_restricted_inner_product,
-                                estimate_restricted_eigs, load_mask,
-                                operator_matrix, save_mask)
+                                estimate_restricted_eigs, operator_matrix)
 
 
 def test_full_apply_is_columnwise_vec():
@@ -100,26 +99,6 @@ def test_apply_shape_checks():
         op.apply(np.ones((3, 2)))
     with pytest.raises(ValueError, match="length-6"):
         op.adjoint(np.ones(5))
-
-
-def test_mask_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(10)
-    op = UniformMaskOperator.from_ratio(7, 5, 0.4, rng)
-    path = tmp_path / "mask.txt"
-    save_mask(op, str(path))
-    text = path.read_text().splitlines()
-    assert text[0] == "7 5"
-    assert len(text) == 1 + op.p
-    back = load_mask(str(path))
-    assert np.array_equal(back.rows, op.rows)
-    assert np.array_equal(back.cols, op.cols)
-
-
-def test_load_mask_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("3 3 1\n")
-    with pytest.raises(ValueError, match="malformed"):
-        load_mask(str(path))
 
 
 def test_restricted_eigs_full_exact():

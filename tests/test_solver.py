@@ -31,12 +31,6 @@ def test_config_validation():
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError, match="backtrack_factor"):
-        SolverConfig(backtrack_factor=1.0)
-    with pytest.raises(ValueError, match="lu0"):
-        SolverConfig(lu0=-2.0)
-    with pytest.raises(ValueError, match="lv0"):
-        SolverConfig(lv0="spectral")
 
 
 def test_initial_point_diagonal():
