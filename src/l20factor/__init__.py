@@ -18,9 +18,8 @@ from .diagnostics import (KLModuli, OptimalSetCertificate, ProbeReport,
                           kl_moduli, ones_counterexample,
                           ones_counterexample_point, subdiff_distance_psi,
                           subdiff_distance_theta_upper)
-from .harness import (ExperimentConfig, diagnose, gen_instance, run_fig1,
-                      run_fig2, run_fig3)
-from .linalg import NonFiniteError
+from .harness import (ExperimentConfig, diagnose, gen_instance,
+                      run_experiment, run_fig3)
 from .objective import (FactorPair, ModelSpec, SmoothGradient, full_value,
                         objective_gap, smooth_gradient, smooth_value)
 from .penalty import PenaltyParams, g_scalar, phi, psi_star, theta, theta_prime_plus
@@ -35,8 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DivergenceError", "ExperimentConfig", "FactorPair", "FullOperator",
-    "GaussianOperator", "KLModuli", "ModelSpec", "NonFiniteError",
-    "OptimalSetCertificate",
+    "GaussianOperator", "KLModuli", "ModelSpec", "OptimalSetCertificate",
     "PenaltyParams", "ProbeReport", "RestrictedEigEstimate",
     "SamplingOperator", "SmoothGradient", "SolveTrace", "SolverConfig",
     "SolverState", "UniformMaskOperator", "build_balanced_factors",
@@ -46,7 +44,7 @@ __all__ = [
     "initial_point", "kl_inequality_probe", "kl_moduli",
     "objective_gap", "ones_counterexample", "ones_counterexample_point",
     "phi", "prox_matrix", "psi_star",
-    "run_fig1", "run_fig2", "run_fig3", "smooth_gradient", "smooth_value",
+    "run_experiment", "run_fig3", "smooth_gradient", "smooth_value",
     "solve", "subdiff_distance_psi",
     "subdiff_distance_theta_upper", "theta", "theta_prime_plus",
 ]

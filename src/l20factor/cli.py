@@ -8,7 +8,8 @@ Subcommands:
 * ``diagnose``: certify a stored solution and probe the growth-inequality
   theory against the stored ground truth.
 * ``experiment {fig1,fig2,fig3}``: generate + solve (+ sweep for fig3) in one
-  shot with the desk-scale defaults.
+  shot with the desk-scale defaults. fig1 is a hard-model (l20) run, fig2 a
+  dc run (its default model).
 
 Exit codes: 0 success, 2 configuration errors, 3 solver divergence, 4 I/O
 errors, 1 anything else. Errors print ``error(<category>): <message>`` on
@@ -130,17 +131,16 @@ def _cmd_diagnose(args) -> None:
 
 def _cmd_experiment(args) -> None:
     cfg = _gather(args)
-    if args.figure == "fig1":
-        bundle = harness.run_fig1(cfg, args.out_dir)
-        s = bundle["summary"]
-    elif args.figure == "fig2":
-        if args.model is None and cfg.model == "l20":
-            cfg = build_config(
-                {f: getattr(cfg, f) for f in harness._CONFIG_FIELDS},
-                {"model": "dc"},
-            )
-        bundle = harness.run_fig2(cfg, args.out_dir)
-        s = bundle["summary"]
+    if args.figure == "fig2" and args.model is None and cfg.model == "l20":
+        cfg = build_config(
+            {f: getattr(cfg, f) for f in harness._CONFIG_FIELDS},
+            {"model": "dc"},
+        )
+    if args.figure in ("fig1", "fig2"):
+        model = "l20" if args.figure == "fig1" else "dc"
+        if cfg.model != model:
+            raise ConfigError(f"{args.figure} requires model={model}")
+        s = harness.run_experiment(cfg, args.out_dir)["summary"]
     else:
         c_values = [part for part in args.c_values.split(",") if part.strip()]
         try:

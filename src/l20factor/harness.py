@@ -221,6 +221,7 @@ def gen_instance(cfg: ExperimentConfig):
 
 def build_model_spec(cfg: ExperimentConfig, op: SamplingOperator, b) -> ModelSpec:
     """Resolve the parameter rules against X0 = A*(b) and assemble the spec."""
+    b = linalg.as_vector(b, "b")
     x0_norm = linalg.spectral_norm(op.adjoint(b))
     lam_rule = cfg.lambda_rule
     if lam_rule is None:
@@ -383,8 +384,8 @@ def load_instance(in_dir: str):
     """Returns (meta, M, op, b) from a directory written by save_instance."""
     with open(os.path.join(in_dir, "meta.json")) as fh:
         meta = json.load(fh)
-    M = np.load(os.path.join(in_dir, "M.npy"))
-    b = np.load(os.path.join(in_dir, "b.npy"))
+    M = linalg.as_matrix(np.load(os.path.join(in_dir, "M.npy")), "M")
+    b = linalg.as_vector(np.load(os.path.join(in_dir, "b.npy")), "b")
     kind = meta["operator_kind"]
     if kind == "full":
         op: SamplingOperator = FullOperator(meta["m"], meta["n"])
@@ -457,20 +458,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     if out_dir is not None:
         save_solution(out_dir, W, trace, summary)
     return {"summary": summary, "spec": spec, "W": W, "trace": trace, "M": M}
-
-
-def run_fig1(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
-    """Single hard-model run with convergence-curve summary."""
-    if cfg.model != "l20":
-        raise ConfigError("fig1 requires model=l20")
-    return run_experiment(cfg, out_dir)
-
-
-def run_fig2(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
-    """Single dc-model run with convergence-curve summary."""
-    if cfg.model != "dc":
-        raise ConfigError("fig2 requires model=dc")
-    return run_experiment(cfg, out_dir)
 
 
 def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dict:

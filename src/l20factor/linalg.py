@@ -1,9 +1,9 @@
 """Dense linear algebra helpers shared by the rest of the package.
 
-Thin wrappers around numpy/LAPACK that add the validation this codebase
-relies on everywhere: real 2-D inputs, finite entries, informative shape
-errors. Nothing here is clever; it exists so the numerical modules can
-assume clean inputs and so tests have one place to probe the contracts.
+Thin wrappers around numpy/LAPACK that add input validation: real 2-D
+inputs, finite entries, informative shape errors. ``as_matrix`` and
+``as_vector`` check data where it enters the package (factor pairs, model
+specs, loaders, public evaluators); each helper validates once per call.
 """
 
 from __future__ import annotations
@@ -13,15 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 Array = np.ndarray
-
-
-class NonFiniteError(ValueError):
-    """An array that must be finite contains NaN or infinity.
-
-    Subclasses ValueError so generic validation handling still applies, but
-    the solver can tell overflow apart from shape mistakes and surface it as
-    a divergence instead.
-    """
 
 
 def as_matrix(X, name: str = "X") -> Array:
@@ -40,7 +31,7 @@ def as_matrix(X, name: str = "X") -> Array:
     if A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     return A
 
 
@@ -50,7 +41,7 @@ def as_vector(y, name: str = "y") -> Array:
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got ndim={v.ndim}")
     if not np.all(np.isfinite(v)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     return v
 
 
@@ -113,10 +104,10 @@ def l20_norm(X, tol: float | None = None) -> int:
     """
     A = as_matrix(X)
     if tol is None:
-        tol = default_zero_tol(A)
+        tol = 1e-8 * max(1.0, float(np.linalg.norm(A)))
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    return int(np.count_nonzero(column_norms(A) > tol))
+    return int(np.count_nonzero(np.linalg.norm(A, axis=0) > tol))
 
 
 def numerical_rank(sigma: Array, rel_tol: float = 1e-8) -> int:

@@ -106,41 +106,47 @@ class _Evaluation(NamedTuple):
     value: float
 
 
-def _evaluate(spec: ModelSpec, W: FactorPair) -> _Evaluation:
-    """Residual, balance and smooth value at W, with one operator apply."""
-    spec.check_shapes(W)
-    r = spec.op.apply(W.product()) - spec.b
-    bal = W.U.T @ W.U - W.V.T @ W.V
+def _evaluate(spec: ModelSpec, U: Array, V: Array) -> _Evaluation:
+    """Residual, balance and smooth value at checked arrays (U, V), with one apply."""
+    r = spec.op.apply(U @ V.T) - spec.b
+    bal = U.T @ U - V.T @ V
     val = 0.5 * float(r @ r) + 0.25 * spec.params.mu_tilde * float(np.sum(bal * bal))
     if spec.model == "dc":
-        val -= 0.25 * spec.params.tau * (
-            float(np.sum(W.U * W.U)) + float(np.sum(W.V * W.V))
-        )
+        val -= 0.25 * spec.params.tau * (float(np.sum(U * U)) + float(np.sum(V * V)))
     return _Evaluation(r, bal, val)
 
 
-def _gradient(spec: ModelSpec, W: FactorPair, ev: _Evaluation) -> SmoothGradient:
-    """Smooth-part gradients at W from its evaluation, with one operator adjoint."""
-    R = spec.op.adjoint(ev.residual)
-    bal = ev.balance
+def _gradient_half(spec: ModelSpec, R: Array, U: Array, V: Array, bal: Array,
+                   which: str) -> Array:
+    """The U (which="u") or V half of the smooth gradient, from R = A*(residual)."""
     mu = spec.params.mu_tilde
-    gU = R @ W.V + mu * (W.U @ bal)
-    gV = R.T @ W.U - mu * (W.V @ bal)
+    if which == "u":
+        g, own = R @ V + mu * (U @ bal), U
+    else:
+        g, own = R.T @ U - mu * (V @ bal), V
     if spec.model == "dc":
-        tau = spec.params.tau
-        gU = gU - 0.5 * tau * W.U
-        gV = gV - 0.5 * tau * W.V
-    return SmoothGradient(grad_u=gU, grad_v=gV, residual=ev.residual, balance=bal)
+        g = g - 0.5 * spec.params.tau * own
+    return g
+
+
+def _gradient(spec: ModelSpec, U: Array, V: Array, ev: _Evaluation) -> SmoothGradient:
+    """Both smooth-gradient halves at (U, V) from its evaluation, with one adjoint."""
+    R = spec.op.adjoint(ev.residual)
+    return SmoothGradient(_gradient_half(spec, R, U, V, ev.balance, "u"),
+                          _gradient_half(spec, R, U, V, ev.balance, "v"),
+                          ev.residual, ev.balance)
 
 
 def smooth_value(spec: ModelSpec, W: FactorPair) -> float:
     """Scaled smooth part Phi(U, V) for the active model."""
-    return _evaluate(spec, W).value
+    spec.check_shapes(W)
+    return _evaluate(spec, W.U, W.V).value
 
 
 def smooth_gradient(spec: ModelSpec, W: FactorPair) -> SmoothGradient:
     """Gradients of smooth_value with respect to U and V."""
-    return _gradient(spec, W, _evaluate(spec, W))
+    spec.check_shapes(W)
+    return _gradient(spec, W.U, W.V, _evaluate(spec, W.U, W.V))
 
 
 def column_penalty_value(spec: ModelSpec, W: FactorPair) -> float:

@@ -26,6 +26,9 @@ from .linalg import Array
 class SamplingOperator:
     """Base class: apply/adjoint pair with shape checks.
 
+    The operators do not scan for NaN or infinity: finiteness is checked
+    where data enters the package, and the solver guards its own iterates.
+
     Subclasses set ``kind`` and implement ``_apply``, ``_adjoint`` and
     ``operator_norm``.
     """
@@ -40,13 +43,13 @@ class SamplingOperator:
         self.p = int(p)
 
     def apply(self, X) -> Array:
-        X = linalg.as_matrix(X)
+        X = np.asarray(X, dtype=float)
         if X.shape != (self.m, self.n):
             raise ValueError(f"expected shape {(self.m, self.n)}, got {X.shape}")
         return self._apply(X)
 
     def adjoint(self, y) -> Array:
-        y = linalg.as_vector(y)
+        y = np.asarray(y, dtype=float)
         if y.shape != (self.p,):
             raise ValueError(f"expected length-{self.p} vector, got shape {y.shape}")
         return self._adjoint(y)

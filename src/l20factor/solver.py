@@ -16,7 +16,12 @@ V-substep. The accepted (U+, V+) evaluation gives both the new objective
 and the gradient of the stopping residuals. So an iteration that neither
 backtracks nor restarts costs 4 operator applies and 3 adjoints; each
 backtrack adds one apply, and a restart repeats the 4 applies and the two
-substep adjoints.
+substep adjoints. A substep builds only the gradient half it uses.
+
+Inputs are checked where they enter (``solve`` checks the start's shapes
+once); a step works on plain arrays, and its own checks of the objective,
+the extrapolated point, the balance Gram, the gradient and the prox point
+raise DivergenceError with the iteration on any non-finite value.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .objective import (FactorPair, ModelSpec, _evaluate, _gradient,
-                        column_penalty_value, smooth_value)
+                        _gradient_half, column_penalty_value, smooth_value)
 from .prox import prox_matrix
 
 _BACKTRACK_CAP = 2.0 ** 60
@@ -138,35 +143,39 @@ def estimate_step_constants(spec: ModelSpec, W: FactorPair) -> tuple[float, floa
     so the same bound applies.
     """
     a2 = spec.op.operator_norm() ** 2
-    return _step_constants(spec, W.U, W.V, a2)
+    return _step_constants(spec, W.U, W.V, a2, 0)
 
 
-def _step_constants(spec, U, V, op_norm_sq) -> tuple[float, float]:
+def _step_constants(spec, U, V, op_norm_sq, iteration) -> tuple[float, float]:
+    # Numpy scalars square to inf on overflow (a Python float raises), and a
+    # non-finite Gram would fail inside LAPACK, so it is reported first.
     mu = spec.params.mu_tilde
-    nu2 = float(np.linalg.norm(U, 2)) ** 2
-    nv2 = float(np.linalg.norm(V, 2)) ** 2
-    nbal = float(np.linalg.norm(U.T @ U - V.T @ V, 2))
+    nu2 = np.linalg.norm(U, 2) ** 2
+    nv2 = np.linalg.norm(V, 2) ** 2
+    gram = U.T @ U - V.T @ V
+    if not np.all(np.isfinite(gram)):
+        raise DivergenceError(iteration, "non-finite balance U^T U - V^T V")
+    nbal = np.linalg.norm(gram, 2)
     lu = _MARGIN * (op_norm_sq * nv2 + mu * (2 * nu2 + nbal))
     lv = _MARGIN * (op_norm_sq * nu2 + mu * (2 * nv2 + nbal))
-    return max(lu, _STEP_FLOOR), max(lv, _STEP_FLOOR)
+    return float(max(lu, _STEP_FLOOR)), float(max(lv, _STEP_FLOOR))
 
 
 def _prox_substep(spec, at, fixed, which, L, iteration):
     """One prox-gradient substep with backtracking on the majorization check.
 
     ``at`` is the linearization point of the active factor, ``fixed`` the
-    other factor held constant. The gradient and the base value come from
-    one evaluation of the linearization point; each candidate costs one
-    more. Returns (accepted pair, gradient at ``at``, final L, evaluation of
-    the accepted pair).
+    other factor held constant; both are arrays the solver has checked. The
+    active gradient half and the base value come from one evaluation of the
+    linearization point; each candidate costs one more. Returns (accepted
+    candidate, gradient at ``at``, final L, evaluation of the accepted pair).
     """
     def pair(Z):
-        return FactorPair(Z, fixed) if which == "u" else FactorPair(fixed, Z)
+        return (Z, fixed) if which == "u" else (fixed, Z)
 
-    lin = pair(at)
-    ev = _evaluate(spec, lin)
-    g = _gradient(spec, lin, ev)
-    grad = g.grad_u if which == "u" else g.grad_v
+    U, V = pair(at)
+    ev = _evaluate(spec, U, V)
+    grad = _gradient_half(spec, spec.op.adjoint(ev.residual), U, V, ev.balance, which)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError(iteration, f"non-finite gradient in the {which}-substep")
     base = ev.value
@@ -175,13 +184,12 @@ def _prox_substep(spec, at, fixed, which, L, iteration):
         if not np.all(np.isfinite(Znew)):
             raise DivergenceError(iteration, f"non-finite prox point ({which})")
         cand = prox_matrix(Znew, L, spec.params, spec.model)
-        W = pair(cand)
-        ev = _evaluate(spec, W)
+        ev = _evaluate(spec, *pair(cand))
         diff = cand - at
         bound = base + float(np.sum(grad * diff)) \
             + 0.5 * L * float(np.sum(diff * diff))
         if ev.value <= bound + 1e-12 * max(1.0, abs(base)):
-            return W, grad, L, ev
+            return cand, grad, L, ev
         L *= _BACKTRACK_FACTOR
         if L > _BACKTRACK_CAP:
             raise DivergenceError(
@@ -191,20 +199,18 @@ def _prox_substep(spec, at, fixed, which, L, iteration):
 
 def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState,
          op_norm_sq: float | None = None) -> SolverState:
-    """One full U-then-V update; advances t; restarts on objective increase."""
+    """One full U-then-V update; advances t; restarts on objective increase.
+
+    Shapes are not checked here (``solve`` does that once).
+    """
     if op_norm_sq is None:
         op_norm_sq = spec.op.operator_norm() ** 2
     it = st.iteration + 1
-    try:
-        return _step_inner(spec, cfg, st, op_norm_sq, it)
-    except linalg.NonFiniteError as exc:
-        raise DivergenceError(it, str(exc)) from exc
-
-
-def _step_inner(spec, cfg, st, op_norm_sq, it) -> SolverState:
     prev_obj = st.obj_scaled
     if math.isnan(prev_obj):
         prev_obj = smooth_value(spec, st.W) + column_penalty_value(spec, st.W)
+    if not math.isfinite(prev_obj):
+        raise DivergenceError(it, "non-finite objective at the current iterate")
 
     def take(w: float):
         U, V = st.W.U, st.W.V
@@ -212,10 +218,11 @@ def _step_inner(spec, cfg, st, op_norm_sq, it) -> SolverState:
         Vt = V + w * (V - st.W_prev.V) if w != 0.0 else V
         if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
             raise DivergenceError(it, "non-finite extrapolated point")
-        lu = _step_constants(spec, Ut, V, op_norm_sq)[0]
-        Wu, gU, lu, _ = _prox_substep(spec, Ut, V, "u", lu, it)
-        lv = _step_constants(spec, Wu.U, Vt, op_norm_sq)[1]
-        Wnew, gV, lv, ev = _prox_substep(spec, Vt, Wu.U, "v", lv, it)
+        lu = _step_constants(spec, Ut, V, op_norm_sq, it)[0]
+        Unew, gU, lu, _ = _prox_substep(spec, Ut, V, "u", lu, it)
+        lv = _step_constants(spec, Unew, Vt, op_norm_sq, it)[1]
+        Vnew, gV, lv, ev = _prox_substep(spec, Vt, Unew, "v", lv, it)
+        Wnew = FactorPair(Unew, Vnew)
         obj = ev.value + column_penalty_value(spec, Wnew)
         if not math.isfinite(obj):
             raise DivergenceError(it, "non-finite objective")
@@ -230,7 +237,7 @@ def _step_inner(spec, cfg, st, op_norm_sq, it) -> SolverState:
         Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj = take(0.0)
         restarted = True
 
-    gnew = _gradient(spec, Wnew, ev)
+    gnew = _gradient(spec, Wnew.U, Wnew.V, ev)
     nb = 1.0 + float(np.linalg.norm(spec.b))
     res_u = float(np.linalg.norm(gU - gnew.grad_u + lu * (Wnew.U - Ut))) / nb
     res_v = float(np.linalg.norm(gV - gnew.grad_v + lv * (Wnew.V - Vt))) / nb

@@ -30,7 +30,7 @@ from l20factor.diagnostics import (build_balanced_factors, certify_optimal_pair,
                                    subdiff_distance_psi)
 from l20factor.harness import (ExperimentConfig, build_model_spec,
                                convergence_fit, gen_instance, relative_error,
-                               run_fig1, run_fig2, run_fig3)
+                               run_experiment, run_fig3)
 from l20factor.objective import (FactorPair, ModelSpec, objective_gap,
                                  smooth_gradient, smooth_value)
 from l20factor.penalty import PenaltyParams, g_scalar, psi_star
@@ -111,7 +111,7 @@ def test_criterion_2_companion_recalibrated_scale(capsys):
     cfg = ExperimentConfig(m=300, n=300, r=5, kappa=15, sample_ratio=0.25,
                            operator_kind="mask", model="l20", mu_tilde=1e-3,
                            epsilon=1e-10, max_iters=20000, seed=0)
-    s = run_fig1(cfg)["summary"]
+    s = run_experiment(cfg)["summary"]
     elapsed = time.monotonic() - t0
     ok = (s["reason"] == "converged" and s["rel_error"] <= 1e-8
           and s["r2"] >= 0.95 and s["nnz_u"] == 5 and elapsed < 60)
@@ -127,7 +127,7 @@ def test_criterion_3_dc_model_recovery(capsys):
     cfg = ExperimentConfig(m=300, n=300, r=5, kappa=15, sample_ratio=0.25,
                            operator_kind="mask", model="dc", mu_tilde=1e-2,
                            epsilon=1e-10, max_iters=20000, seed=0)
-    s = run_fig2(cfg)["summary"]
+    s = run_experiment(cfg)["summary"]
     elapsed = time.monotonic() - t0
     ok = s["rel_error"] <= 1e-8 and s["r2"] >= 0.95 and elapsed < 60
     _report(capsys, 3, ok,
@@ -306,9 +306,10 @@ def test_criterion_8_certificates_and_cross_model_agreement(capsys):
     base = dict(m=120, n=120, r=3, kappa=6, sample_ratio=0.35,
                 operator_kind="mask", mu_tilde=1e-3, epsilon=1e-10,
                 max_iters=8000, seed=0)
-    hard = run_fig1(ExperimentConfig(model="l20",
-                                     lambda_rule="28 * specnorm(X0)", **base))
-    dc = run_fig2(ExperimentConfig(model="dc", **base))
+    hard = run_experiment(ExperimentConfig(model="l20",
+                                           lambda_rule="28 * specnorm(X0)",
+                                           **base))
+    dc = run_experiment(ExperimentConfig(model="dc", **base))
     M = hard["M"]
     agreement = (np.linalg.norm(hard["W"].product() - dc["W"].product())
                  / np.linalg.norm(M))

@@ -2,12 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, cwd=None):
+    """Run the checkout's CLI in a subprocess, with its src/ first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (SRC, env.get("PYTHONPATH")) if part)
     return subprocess.run(
         [sys.executable, "-m", "l20factor.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
 
 
@@ -82,6 +89,20 @@ def test_experiment_fig2_defaults_to_dc(tmp_path):
     assert summary["reason"] == "converged"
     assert summary["rel_error"] <= 1e-8
     assert (summary["nnz_u"], summary["nnz_v"]) == (1, 1)
+
+
+def test_fig1_requires_hard_model(tmp_path):
+    res = run_cli("experiment", "fig1", "--m", "12", "--n", "10", "--r", "1",
+                  "--kappa", "2", "--model", "dc", "--out-dir", str(tmp_path / "f"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error(config): fig1 requires model=l20")
+
+
+def test_fig2_requires_dc_model(tmp_path):
+    res = run_cli("experiment", "fig2", "--m", "12", "--n", "10", "--r", "1",
+                  "--kappa", "2", "--model", "l20", "--out-dir", str(tmp_path / "f"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error(config): fig2 requires model=dc")
 
 
 def test_experiment_fig3_writes_sweep(tmp_path):

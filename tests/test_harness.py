@@ -12,9 +12,9 @@ from l20factor.harness import (ConfigError, ExperimentConfig, build_config,
                                eval_rule, fit_loglinear, gen_instance,
                                load_instance, load_mask, load_solution,
                                parse_config_file, read_trace_csv,
-                               relative_error, run_experiment, run_fig1,
-                               run_fig2, run_fig3, save_instance, save_mask,
-                               save_solution, write_trace_csv)
+                               relative_error, run_experiment, run_fig3,
+                               save_instance, save_mask, save_solution,
+                               write_trace_csv)
 from l20factor.sampling import FullOperator, GaussianOperator, UniformMaskOperator
 
 
@@ -28,7 +28,7 @@ def small_cfg(**overrides):
 
 @pytest.fixture(scope="module")
 def l20_bundle():
-    return run_fig1(small_cfg(lambda_rule="28 * specnorm(X0)"))
+    return run_experiment(small_cfg(lambda_rule="28 * specnorm(X0)"))
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def dc_bundle():
     cfg = small_cfg(model="dc",
                     lambda_rule="((a+1)/2) * (0.03 * specnorm(X0))^2",
                     rho_rule="2 / ((a+1) * 0.03 * specnorm(X0))")
-    return run_fig2(cfg)
+    return run_experiment(cfg)
 
 
 def crafted_instance():
@@ -286,6 +286,18 @@ def test_instance_roundtrip_all_kinds(tmp_path):
             assert not (out / "mask.txt").exists()
 
 
+def test_instance_data_checked_where_it_enters(tmp_path):
+    cfg = small_cfg(m=15, n=12, kappa=3)
+    M, op, b = gen_instance(cfg)
+    b = b.copy()
+    b[0] = np.nan
+    with pytest.raises(ValueError, match="b contains non-finite"):
+        build_model_spec(cfg, op, b)
+    save_instance(str(tmp_path), cfg, M, op, b)
+    with pytest.raises(ValueError, match="b contains non-finite"):
+        load_instance(str(tmp_path))
+
+
 def test_solution_roundtrip(tmp_path, l20_bundle):
     out = str(tmp_path / "sol")
     save_solution(out, l20_bundle["W"], l20_bundle["trace"],
@@ -346,7 +358,7 @@ def test_fig1_full_operator_easy_case():
                            operator_kind="full", model="l20",
                            lambda_rule="1e-8 * specnorm(X0)",
                            max_iters=300, seed=0)
-    s = run_fig1(cfg)["summary"]
+    s = run_experiment(cfg)["summary"]
     assert s["reason"] == "converged"
     assert s["iterations"] <= 200
     assert s["rel_error"] <= 1e-8
@@ -354,14 +366,9 @@ def test_fig1_full_operator_easy_case():
 
 def test_fig1_budget_stop():
     cfg = small_cfg(max_iters=1, lambda_rule="28 * specnorm(X0)")
-    s = run_fig1(cfg)["summary"]
+    s = run_experiment(cfg)["summary"]
     assert s["reason"] == "budget"
     assert s["iterations"] == 1
-
-
-def test_fig1_requires_hard_model():
-    with pytest.raises(ConfigError, match="fig1"):
-        run_fig1(small_cfg(model="dc"))
 
 
 def test_fig2_recovers_and_sparsifies(dc_bundle):
@@ -380,11 +387,6 @@ def test_fig2_surviving_columns_saturate(dc_bundle):
         live = norms[norms > 0]
         assert live.size == 2
         assert np.all(s["rho"] * live >= saturation - 1e-9)
-
-
-def test_fig2_requires_dc_model():
-    with pytest.raises(ConfigError, match="fig2"):
-        run_fig2(small_cfg(model="l20"))
 
 
 def test_models_agree_on_recovered_product(l20_bundle, dc_bundle):

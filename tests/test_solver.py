@@ -3,10 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 from oracles import stopping_residuals
 
-from l20factor import solver
+from l20factor import linalg, solver
 from l20factor.objective import (FactorPair, ModelSpec, column_penalty_value,
                                  smooth_gradient, smooth_value)
 from l20factor.penalty import PenaltyParams
@@ -14,6 +16,9 @@ from l20factor.sampling import FullOperator, UniformMaskOperator
 from l20factor.solver import (DivergenceError, SolverConfig, SolverState,
                               estimate_step_constants, initial_point, solve,
                               step)
+
+OVERFLOW_WARNINGS = pytest.mark.filterwarnings("ignore:overflow encountered",
+                                               "ignore:invalid value encountered")
 
 
 def mask_instance(seed=3, m=10, n=10, r=2, ratio=0.8, lam=1e-5, mu_tilde=0.1,
@@ -150,14 +155,18 @@ def test_restart_on_objective_increase():
     assert st2.tk_prev == 1.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@OVERFLOW_WARNINGS
 def test_divergence_error_carries_iteration():
+    """An overflowing state raises DivergenceError whether the step computes
+    the current objective itself (unset) or takes it from the state, as
+    every step inside ``solve`` does (set)."""
     spec, _ = mask_instance()
     big = FactorPair(1e200 * np.ones((10, 2)), 1e200 * np.ones((10, 2)))
-    st = SolverState(W=big, W_prev=big.copy())
-    with pytest.raises(DivergenceError, match="iteration 1") as info:
-        step(spec, SolverConfig(), st)
-    assert info.value.iteration == 1
+    for obj_scaled in (math.nan, 1.0):
+        st = SolverState(W=big, W_prev=big.copy(), obj_scaled=obj_scaled)
+        with pytest.raises(DivergenceError, match="iteration 1") as info:
+            step(spec, SolverConfig(), st)
+        assert info.value.iteration == 1
 
 
 @pytest.mark.parametrize("model,rho,lam", [("l20", None, 1e-5), ("dc", 0.05, 1e-4)])
@@ -174,31 +183,64 @@ def test_stopping_residuals_match_recomputation(model, rho, lam):
         assert st.res_v == pytest.approx(rv, abs=1e-12, rel=1e-12)
 
 
-@pytest.mark.parametrize("model,rho,lam", [("l20", None, 1e-5), ("dc", 0.05, 1e-4)])
-def test_step_operator_call_budget(model, rho, lam, monkeypatch):
-    """A step that neither restarts nor backtracks evaluates four points,
-    (U~, V), (U+, V), (U+, V~) and (U+, V+), each with one apply; the two
-    linearization points and (U+, V+) each take one adjoint."""
+def warm_state(model, rho, lam):
+    """Mask instance and the state after five steps, where the next step
+    extrapolates without restarting or backtracking."""
     spec, _ = mask_instance(model=model, rho=rho, lam=lam)
-    cfg = SolverConfig()
     W0 = initial_point(spec.op, spec.b, 2)
     st = SolverState(W=W0, W_prev=W0.copy())
     st.obj_scaled = smooth_value(spec, W0) + column_penalty_value(spec, W0)
     for _ in range(5):
-        st = step(spec, cfg, st)
+        st = step(spec, SolverConfig(), st)
+    return spec, st
+
+
+def count_calls(monkeypatch, calls, owner, attr, name=None):
+    fn = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls[name or attr] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+BUDGET_CASES = [("l20", None, 1e-5), ("dc", 0.05, 1e-4)]
+
+
+@pytest.mark.parametrize("model,rho,lam", BUDGET_CASES)
+def test_step_operator_call_budget(model, rho, lam, monkeypatch):
+    """A step that neither restarts nor backtracks evaluates four points,
+    (U~, V), (U+, V), (U+, V~) and (U+, V+), each with one apply; the two
+    linearization points and (U+, V+) each take one adjoint."""
+    spec, st = warm_state(model, rho, lam)
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(spec.op, "apply", counted("apply", spec.op.apply))
-    monkeypatch.setattr(spec.op, "adjoint", counted("adjoint", spec.op.adjoint))
-    monkeypatch.setattr(solver, "prox_matrix", counted("prox", solver.prox_matrix))
-    st2 = step(spec, cfg, st)
+    count_calls(monkeypatch, calls, spec.op, "apply")
+    count_calls(monkeypatch, calls, spec.op, "adjoint")
+    count_calls(monkeypatch, calls, solver, "prox_matrix", "prox")
+    st2 = step(spec, SolverConfig(), st)
     assert st.tk_prev > 1.0 and not st2.restarted and calls["prox"] == 2
+    assert (calls["apply"], calls["adjoint"]) == (4, 3)
+
+
+@pytest.mark.parametrize("model,rho,lam", BUDGET_CASES)
+def test_step_validation_budget(model, rho, lam, monkeypatch):
+    """Inputs are checked where they enter, not in the step: a step that
+    neither restarts nor backtracks wraps only its accepted iterate in a
+    FactorPair, checks no shapes and no vectors, and validates six matrices
+    (two prox inputs, the new U and V, and the two column-penalty inputs)."""
+    spec, st = warm_state(model, rho, lam)
+    calls = Counter()
+    count_calls(monkeypatch, calls, spec.op, "apply")
+    count_calls(monkeypatch, calls, spec.op, "adjoint")
+    count_calls(monkeypatch, calls, solver, "prox_matrix", "prox")
+    count_calls(monkeypatch, calls, linalg, "as_matrix")
+    count_calls(monkeypatch, calls, linalg, "as_vector")
+    count_calls(monkeypatch, calls, FactorPair, "__post_init__", "FactorPair")
+    count_calls(monkeypatch, calls, ModelSpec, "check_shapes")
+    st2 = step(spec, SolverConfig(), st)
+    assert not st2.restarted and calls["prox"] == 2
+    assert (calls["FactorPair"], calls["check_shapes"], calls["as_vector"]) == (1, 0, 0)
+    assert calls["as_matrix"] <= 6
     assert (calls["apply"], calls["adjoint"]) == (4, 3)
 
 
@@ -329,3 +371,68 @@ def test_no_acceleration_freezes_t():
     for _ in range(3):
         st = step(spec, cfg, st)
         assert st.tk == 1.0 and st.tk_prev == 1.0
+
+
+@hst.composite
+def degenerate_problems(draw):
+    """Small full or mask instances with degenerate data, parameters and starts."""
+    m, n = draw(hst.integers(2, 6)), draw(hst.integers(2, 6))
+    kappa = draw(hst.integers(1, min(m, n)))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 16)))
+    if draw(hst.booleans()):
+        op = FullOperator(m, n)
+    else:
+        op = UniformMaskOperator.from_ratio(m, n, draw(hst.floats(0.2, 1.0)), rng)
+    M = rng.standard_normal((m, 1)) @ rng.standard_normal((1, n))
+    b = np.zeros(op.p) if draw(hst.booleans()) else op.apply(M)
+    lam = draw(hst.sampled_from([0.0, 1e-6, 1.0, 1e6]))
+    model = draw(hst.sampled_from(["l20", "dc"]))
+    params = PenaltyParams(lam=lam, mu_tilde=draw(hst.sampled_from([0.0, 0.1])),
+                           a=3.7, rho=0.5 if model == "dc" else None)
+    spec = ModelSpec(model=model, op=op, b=b, params=params)
+    start = draw(hst.sampled_from(["auto", "zero", "pruned", "scaled"]))
+    scale = 10.0 ** draw(hst.integers(-150, 200))
+    U = scale * rng.standard_normal((m, kappa))
+    V = scale * rng.standard_normal((n, kappa))
+    if start == "zero":
+        U, V = np.zeros_like(U), np.zeros_like(V)
+    elif start == "pruned":
+        U = np.zeros_like(U)
+    return spec, "auto" if start == "auto" else FactorPair(U, V), kappa
+
+
+@OVERFLOW_WARNINGS
+@settings(max_examples=60, deadline=None)
+@given(degenerate_problems())
+@example((mask_instance(lam=0.0)[0], FactorPair(1e200 * np.ones((10, 2)),
+                                                1e200 * np.ones((10, 2))), 2))
+@example((mask_instance()[0], FactorPair(1e-150 * np.ones((10, 2)),
+                                         1e-150 * np.ones((10, 2))), 2))
+def test_degenerate_inputs_end_in_result_or_divergence(problem):
+    """b = 0, kappa = 1, lam = 0, all-zero and all-pruned starts and factor
+    scales from 1e-150 to 1e200 end in finite factors with a normal reason
+    or in a DivergenceError that names an iteration; nothing else escapes."""
+    spec, W0, kappa = problem
+    try:
+        W, trace, reason = solve(spec, SolverConfig(max_iters=20), W0, kappa=kappa)
+    except DivergenceError as err:
+        assert err.iteration >= 1
+        return
+    assert reason in ("converged", "budget")
+    assert np.all(np.isfinite(W.U)) and np.all(np.isfinite(W.V))
+    assert 1 <= len(trace.records) <= 20
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=hst.sampled_from(["U", "V", "b"]),
+       bad=hst.sampled_from([np.nan, np.inf, -np.inf]), index=hst.integers(0, 99))
+def test_non_finite_inputs_rejected_where_they_enter(which, bad, index):
+    spec, _ = mask_instance()
+    U, V, b = np.ones((10, 2)), np.ones((10, 2)), spec.b.copy()
+    arr = {"U": U, "V": V, "b": b}[which]
+    arr.flat[index % arr.size] = bad
+    with pytest.raises(ValueError, match=f"{which} contains non-finite entries"):
+        if which == "b":
+            ModelSpec(model="l20", op=spec.op, b=b, params=spec.params)
+        else:
+            FactorPair(U, V)
