@@ -267,13 +267,25 @@ def fit_loglinear(xs, ys) -> tuple[float, float]:
 
 
 def convergence_fit(trace: SolveTrace) -> tuple[float, float]:
-    """Slope/R^2 of log ||U^k - U^f||_F over the last half of iterations."""
+    """Slope/R^2 of log ||U^k - U^f||_F from the last support change onward.
+
+    The fit starts at the last record whose (nnz_u, nnz_v) differs from the
+    record before it (at the first record if the support never changes):
+    the linear rate is a property of the tail where the support is fixed,
+    and a plateau before a late prune would otherwise swamp it. Fewer than
+    10 records from that change on give (nan, nan).
+    """
     recs = trace.records
-    if not recs:
+    start = 0
+    for i in range(len(recs) - 1, 0, -1):
+        if (recs[i].nnz_u, recs[i].nnz_v) != (recs[i - 1].nnz_u, recs[i - 1].nnz_v):
+            start = i
+            break
+    tail = recs[start:]
+    if len(tail) < 10:
         return math.nan, math.nan
-    half = recs[len(recs) // 2:]
-    xs = [rec.iteration for rec in half]
-    ys = [rec.dist_u_final for rec in half]
+    xs = [rec.iteration for rec in tail]
+    ys = [rec.dist_u_final for rec in tail]
     return fit_loglinear(xs, ys)
 
 

@@ -18,6 +18,14 @@ backtracks nor restarts costs 4 operator applies and 3 adjoints; each
 backtrack adds one apply, and a restart repeats the 4 applies and the two
 substep adjoints. A substep builds only the gradient half it uses.
 
+After each step ``solve`` prunes and compacts. A column that is zero in
+exactly one factor is zeroed in the other as well, which never raises the
+objective; recomputing the objective costs one apply per prune, and a prune
+fires at most 2 kappa times. A column that is zero in both factors and in
+the previous iterate leaves the working set, so every apply, adjoint, Gram
+and step constant runs at the live column count; results are padded back
+to the caller's kappa.
+
 Inputs are checked where they enter (``solve`` checks the start's shapes
 once); a step works on plain arrays, and its own checks of the objective,
 the extrapolated point, the balance Gram, the gradient and the prox point
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +45,9 @@ from .objective import (FactorPair, ModelSpec, _evaluate, _gradient,
                         _gradient_half, column_penalty_value, smooth_value)
 from .prox import prox_matrix
 
-_BACKTRACK_CAP = 2.0 ** 60
+# Doublings of a substep's starting step constant before the majorization
+# check counts as failed; a bound on the count, not on L, is scale-free.
+_MAX_DOUBLINGS = 60
 _BACKTRACK_FACTOR = 2.0
 _STEP_FLOOR = 1e-8
 _MARGIN = 1.1
@@ -108,10 +118,13 @@ class SolveTrace:
     iterate_stride: int = 1
     _iterates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
 
-    def record(self, rec: TraceRecord, W: FactorPair) -> None:
+    def record(self, rec: TraceRecord, W: FactorPair, live: np.ndarray,
+               kappa: int) -> None:
+        """Append ``rec``; every ``iterate_stride`` iterations also keep the
+        iterate, padded from its ``live`` columns back to ``kappa``."""
         self.records.append(rec)
         if rec.iteration % self.iterate_stride == 0:
-            self._iterates.append((rec.iteration, W.U.copy(), W.V.copy()))
+            self._iterates.append((rec.iteration, *_padded(W, live, kappa)))
 
     def backfill_distances(self, final: FactorPair) -> None:
         dists = {
@@ -179,7 +192,7 @@ def _prox_substep(spec, at, fixed, which, L, iteration):
     if not np.all(np.isfinite(grad)):
         raise DivergenceError(iteration, f"non-finite gradient in the {which}-substep")
     base = ev.value
-    while True:
+    for _ in range(_MAX_DOUBLINGS + 1):
         Znew = at - grad / L
         if not np.all(np.isfinite(Znew)):
             raise DivergenceError(iteration, f"non-finite prox point ({which})")
@@ -191,10 +204,9 @@ def _prox_substep(spec, at, fixed, which, L, iteration):
         if ev.value <= bound + 1e-12 * max(1.0, abs(base)):
             return cand, grad, L, ev
         L *= _BACKTRACK_FACTOR
-        if L > _BACKTRACK_CAP:
-            raise DivergenceError(
-                iteration, f"backtracking exceeded the step-constant cap ({which})"
-            )
+    raise DivergenceError(
+        iteration, f"backtracking exceeded {_MAX_DOUBLINGS} doublings ({which})"
+    )
 
 
 def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState,
@@ -250,6 +262,58 @@ def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState,
     )
 
 
+def _padded(W: FactorPair, live: np.ndarray,
+            kappa: int) -> tuple[np.ndarray, np.ndarray]:
+    """W's factors, their columns placed at ``live`` in zeros of width kappa."""
+    U = np.zeros((W.U.shape[0], kappa))
+    V = np.zeros((W.V.shape[0], kappa))
+    U[:, live] = W.U
+    V[:, live] = W.V
+    return U, V
+
+
+def _shed_columns(spec: ModelSpec, st: SolverState,
+                  live: np.ndarray) -> tuple[SolverState, np.ndarray]:
+    """Prune orphan half-columns, then drop dead columns from the working set.
+
+    Prune: a column that is zero in exactly one factor adds nothing to
+    U V^T, so zeroing its other half keeps the residual, removes row and
+    column j of the balance Gram and removes that half's penalty (lam/2 for
+    l20, (lam/2) theta(rho s) >= 0 net of the tau term for dc): the objective
+    does not rise. The column is zeroed in W_prev too, so extrapolation
+    cannot bring it back, and the objective is recomputed with one apply.
+    Each prune lowers the nonzero count, so it fires at most 2 kappa times.
+
+    Compact: a column that is zero in U, V, U_prev and V_prev has a zero
+    gradient and the prox maps it to zero, so it stays zero; it is dropped,
+    and ``live`` maps the remaining columns to the caller's. One column is
+    always kept, so a pair whose columns all die stays a valid FactorPair.
+    """
+    nz_u = np.any(st.W.U != 0.0, axis=0)
+    nz_v = np.any(st.W.V != 0.0, axis=0)
+    orphan = nz_u != nz_v
+    if orphan.any():
+        def zeroed(X):
+            X = X.copy()
+            X[:, orphan] = 0.0
+            return X
+        W = FactorPair(zeroed(st.W.U), zeroed(st.W.V))
+        W_prev = FactorPair(zeroed(st.W_prev.U), zeroed(st.W_prev.V))
+        st = replace(st, W=W, W_prev=W_prev,
+                     obj_scaled=smooth_value(spec, W) + column_penalty_value(spec, W))
+    # After the prune a column is nonzero in both factors or in neither.
+    used = ((nz_u & nz_v) | np.any(st.W_prev.U != 0.0, axis=0)
+            | np.any(st.W_prev.V != 0.0, axis=0))
+    if used.all():
+        return st, live
+    if not used.any():
+        used[0] = True
+
+    def cut(W):
+        return FactorPair(W.U[:, used], W.V[:, used])
+    return replace(st, W=cut(st.W), W_prev=cut(st.W_prev)), live[used]
+
+
 def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
           kappa: int | None = None) -> tuple[FactorPair, SolveTrace, str]:
     """Run the accelerated method until both residuals are <= epsilon.
@@ -258,12 +322,20 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     Returns (final pair, trace, reason) with reason "converged" or "budget";
     non-finite values raise DivergenceError.
 
+    After each step a column that is zero in exactly one factor is zeroed in
+    both (a prune; it never raises the objective and costs one apply), and
+    a column that is zero in both factors and in the previous iterate leaves
+    the working set: it has a zero gradient and would stay zero. Every
+    product then runs at the live column count. The returned pair and the
+    trace's stored iterates are padded back to the start's column count,
+    with dead columns exactly zero in their original positions.
+
     For the hard model the method reaches a critical point or stops on
     budget; it does not promise the global minimizer from an arbitrary
     start. Linear convergence to that minimizer holds once the iterates are
-    near it. A column that is zero in both factors has a zero gradient and
-    stays zero, so at a small lambda, where the first prox step keeps every
-    column of the start, the final column count is fixed by that step.
+    near it. A dead column never comes back, so at a small lambda, where the
+    first prox step keeps every column of the start, the final column count
+    is fixed by that step.
     """
     if isinstance(W0, str):
         if W0 != "auto":
@@ -278,12 +350,15 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     trace = SolveTrace(iterate_stride=stride)
     st = SolverState(W=W0.copy(), W_prev=W0.copy())
     st.obj_scaled = smooth_value(spec, st.W) + column_penalty_value(spec, st.W)
+    kappa = W0.kappa
+    live = np.arange(kappa)
 
     start = time.monotonic()
     reason = "budget"
     lam = spec.params.lam
     for _ in range(cfg.max_iters):
         st = step(spec, cfg, st, op_norm_sq=op_norm_sq)
+        st, live = _shed_columns(spec, st, live)
         trace.record(TraceRecord(
             iteration=st.iteration,
             obj_scaled=st.obj_scaled,
@@ -295,9 +370,10 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
             dist_u_final=math.nan,
             dist_v_final=math.nan,
             time_s=time.monotonic() - start,
-        ), st.W)
+        ), st.W, live, kappa)
         if st.res_u <= cfg.epsilon and st.res_v <= cfg.epsilon:
             reason = "converged"
             break
-    trace.backfill_distances(st.W)
-    return st.W, trace, reason
+    W = FactorPair(*_padded(st.W, live, kappa))
+    trace.backfill_distances(W)
+    return W, trace, reason

@@ -10,9 +10,12 @@ minimizers (the balanced rank-5 truth padded to kappa columns, plus a small
 seeded perturbation), the solver prunes the spurious columns and converges
 linearly to that truth. It does not ask the solver to find the truth from
 the spectral start. At this scale the first prox step from the spectral start
-prunes nothing, and a column that is zero in both factors never comes back,
-so the run stops at a full-width interpolator; criterion 4 pins that
-behaviour of too small a scale. The companion line below criterion 2 solves
+prunes nothing. Columns die only through the prox; a column that dies in one
+factor is zeroed in the other, and a column zero in both leaves the solver's
+working set for good. So that run stops at a full-width interpolator;
+criterion 4 pins that behaviour of too small a scale. The far-start check
+below criterion 2 starts fifty times further out (truth + 5e-2), where spurious
+columns die in one factor first. The companion line below criterion 2 solves
 the same instance from the spectral start at the recalibrated scale
 55*||X0||. See README.md.
 """
@@ -72,19 +75,15 @@ def test_criterion_1_escape_curve_rates(capsys):
             f"critical-point distance {critical:.1e}, {elapsed:.2f}s (< 1s)")
 
 
-def test_criterion_2_hard_model_small_penalty_scale(capsys):
-    # Start next to the balanced rank-5 truth padded to kappa = 15 columns.
-    # Each perturbed zero column has norm about delta * sqrt(300) = 0.017, an
-    # order of magnitude below the hard-prox keep threshold
-    # sqrt(lambda / L_U) = 0.19 at the truth.
-    t0 = time.monotonic()
+def _solve_near_truth(delta, max_iters):
+    """Criterion 2's instance solved from the balanced rank-5 truth, padded
+    to kappa = 15 columns, plus a seeded N(0, delta^2) perturbation."""
     cfg = ExperimentConfig(m=300, n=300, r=5, kappa=15, sample_ratio=0.25,
                            operator_kind="mask", model="l20", mu_tilde=1e-3,
                            lambda_rule="0.15 * specnorm(X0)",
-                           epsilon=1e-10, max_iters=6000, seed=0)
+                           epsilon=1e-10, max_iters=max_iters, seed=0)
     M, op, b = gen_instance(cfg)
     spec = build_model_spec(cfg, op, b)
-    delta = 1e-3
     rng = np.random.default_rng(cfg.seed)
     Wbar = build_balanced_factors(M, cfg.kappa)
     W0 = FactorPair(Wbar.U + delta * rng.standard_normal(Wbar.U.shape),
@@ -92,18 +91,45 @@ def test_criterion_2_hard_model_small_penalty_scale(capsys):
     W, trace, reason = solve(spec, SolverConfig(epsilon=cfg.epsilon,
                                                 max_iters=cfg.max_iters), W0)
     _, r2 = convergence_fit(trace)
-    rel_error = relative_error(W, M)
-    nnz_u = linalg.l20_norm(W.U)
+    return (spec, reason, len(trace.records), relative_error(W, M), r2,
+            linalg.l20_norm(W.U), linalg.l20_norm(W.V))
+
+
+def test_criterion_2_hard_model_small_penalty_scale(capsys):
+    # Each perturbed zero column has norm about delta * sqrt(300) = 0.017, an
+    # order of magnitude below the hard-prox keep threshold
+    # sqrt(lambda / L_U) = 0.19 at the truth.
+    t0 = time.monotonic()
+    delta = 1e-3
+    spec, reason, iters, rel_error, r2, nnz_u, _ = _solve_near_truth(delta, 6000)
     elapsed = time.monotonic() - t0
     ok = (reason == "converged" and rel_error <= 1e-8 and r2 >= 0.95
           and nnz_u == 5 and elapsed < 60)
     _report(capsys, 2, ok,
             f"lambda = 0.15*||X0|| = {spec.params.lam:.2f}, start = truth "
             f"+ {delta:.0e} per entry: reason={reason} "
-            f"after {len(trace.records)} iterations, "
+            f"after {iters} iterations, "
             f"rel_error={rel_error:.2e} (need <= 1e-8) "
             f"R2={r2:.3f} (need >= 0.95) nnz_u={nnz_u} (need 5) "
             f"{elapsed:.0f}s (< 60s)")
+
+
+def test_criterion_2_far_start_prunes_orphan_columns(capsys):
+    """From truth + 5e-2 the spurious columns die in one factor first; the
+    solver zeroes the other half at once instead of waiting for the weak
+    balance gradient to shrink it, so the run reaches the truth's support
+    well inside the budget and the rate fit reads the linear tail."""
+    t0 = time.monotonic()
+    delta = 5e-2
+    _, reason, iters, rel_error, r2, nnz_u, nnz_v = _solve_near_truth(delta, 3000)
+    elapsed = time.monotonic() - t0
+    ok = (reason == "converged" and rel_error <= 1e-8 and r2 >= 0.95
+          and nnz_u == nnz_v == 5 and elapsed < 60)
+    _report(capsys, "2-far-start", ok,
+            f"start = truth + {delta:.0e} per entry: reason={reason} after "
+            f"{iters} iterations (budget 3000), rel_error={rel_error:.2e} "
+            f"(need <= 1e-8) R2={r2:.3f} (need >= 0.95) "
+            f"nnz=({nnz_u}, {nnz_v}) (need (5, 5)) {elapsed:.0f}s (< 60s)")
 
 
 def test_criterion_2_companion_recalibrated_scale(capsys):

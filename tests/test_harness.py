@@ -16,6 +16,7 @@ from l20factor.harness import (ConfigError, ExperimentConfig, build_config,
                                save_instance, save_mask, save_solution,
                                write_trace_csv)
 from l20factor.sampling import FullOperator, GaussianOperator, UniformMaskOperator
+from l20factor.solver import SolveTrace, TraceRecord
 
 
 def small_cfg(**overrides):
@@ -205,6 +206,42 @@ def test_fit_loglinear_drops_nonpositive_points():
     xs_junk = np.concatenate([xs, [10.0, 11.0]])
     assert_allclose(fit_loglinear(xs_junk, with_junk)[0],
                     fit_loglinear(xs, ys)[0], rtol=1e-13)
+
+
+def synthetic_trace(supports, dists):
+    trace = SolveTrace()
+    for k, ((nu, nv), d) in enumerate(zip(supports, dists), start=1):
+        trace.records.append(TraceRecord(k, 0.0, 0.0, 0.0, 0.0, nu, nv,
+                                         d, d, 0.0))
+    return trace
+
+
+def test_convergence_fit_starts_at_last_support_change():
+    """A long plateau at a wider support, then a late prune and an exact
+    geometric tail: the fit sees the tail only, so it reads the tail's rate
+    with R^2 = 1 where a last-half fit would mix in the plateau."""
+    plateau, tail = 200, 40
+    supports = [(8, 10)] * 100 + [(7, 7)] * plateau + [(5, 5)] * tail
+    dists = [1.0] * (100 + plateau) + list(np.exp(-0.2 * np.arange(tail)))
+    slope, r2 = convergence_fit(synthetic_trace(supports, dists))
+    assert_allclose(slope, -0.2, rtol=1e-10)
+    assert_allclose(r2, 1.0, atol=1e-12)
+    # a change in either count starts the fit, and a fixed support fits it all
+    supports = [(5, 6)] * plateau + [(5, 5)] * tail
+    assert_allclose(convergence_fit(synthetic_trace(supports, dists[100:]))[0],
+                    -0.2, rtol=1e-10)
+    fixed = np.exp(-0.1 * np.arange(30))
+    assert_allclose(convergence_fit(synthetic_trace([(3, 3)] * 30, fixed))[0],
+                    -0.1, rtol=1e-10)
+
+
+def test_convergence_fit_needs_ten_records_after_the_change():
+    dists = np.exp(-0.3 * np.arange(60))
+    for after, expect_nan in ((9, True), (10, False)):
+        supports = [(4, 4)] * (60 - after) + [(3, 3)] * after
+        slope, r2 = convergence_fit(synthetic_trace(supports, dists))
+        assert math.isnan(slope) == expect_nan and math.isnan(r2) == expect_nan
+    assert all(math.isnan(v) for v in convergence_fit(SolveTrace()))
 
 
 # ---------------------------------------------------------- gen_instance

@@ -169,6 +169,52 @@ def test_divergence_error_carries_iteration():
         assert info.value.iteration == 1
 
 
+SCALES = (1.0, 1e10, 1e20)
+
+
+def scaled_dc_instance(seed, c):
+    """A 30 x 30 dc mask instance with b scaled by c, lam by c^2 and 1/rho by
+    sqrt(c): the same problem in factors scaled by sqrt(c), objective by c^2."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((30, 2)) @ rng.standard_normal((30, 2)).T
+    op = UniformMaskOperator.from_ratio(30, 30, 0.3, rng)
+    params = PenaltyParams(lam=c * c * 0.05, mu_tilde=1e-2, a=3.7,
+                           rho=1.0 / math.sqrt(c))
+    return ModelSpec(model="dc", op=op, b=c * op.apply(M), params=params)
+
+
+def test_backtracking_bound_is_scale_free():
+    """The substep doubles its starting step constant at most 60 times, at
+    any problem scale: started 2^-20 below the spectral estimate it accepts
+    the same L / L_U at every scale, and 2^-80 below it gives up at every
+    scale. (An absolute cap on L made the 1e20 problem fail at once.)"""
+    accepted = []
+    for c in SCALES:
+        spec = scaled_dc_instance(0, c)
+        W0 = initial_point(spec.op, spec.b, 4)
+        LU, _ = estimate_step_constants(spec, W0)
+        U, _, L, _ = solver._prox_substep(spec, W0.U, W0.V, "u", LU * 2.0 ** -20, 1)
+        accepted.append((L / LU, U / math.sqrt(c)))
+        assert L / LU == accepted[0][0]
+        assert_allclose(U / math.sqrt(c), accepted[0][1], rtol=1e-9, atol=1e-12)
+        with pytest.raises(DivergenceError, match="60 doublings"):
+            solver._prox_substep(spec, W0.U, W0.V, "u", LU * 2.0 ** -80, 1)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=hst.integers(0, 2 ** 16))
+def test_rescaled_problem_runs_alike(seed):
+    """The consistently rescaled dc problem ends the same way at scales 1,
+    1e10 and 1e20: no DivergenceError, the same stop reason and iteration
+    count, and the same product up to the scale."""
+    runs = [solve(scaled_dc_instance(seed, c), SolverConfig(max_iters=150),
+                  "auto", kappa=4) for c in SCALES]
+    (W1, trace1, reason1), *rest = runs
+    for c, (W, trace, reason) in zip(SCALES[1:], rest):
+        assert (reason, len(trace.records)) == (reason1, len(trace1.records))
+        assert_allclose(W.product() / c, W1.product(), rtol=1e-7, atol=1e-9)
+
+
 @pytest.mark.parametrize("model,rho,lam", [("l20", None, 1e-5), ("dc", 0.05, 1e-4)])
 def test_stopping_residuals_match_recomputation(model, rho, lam):
     spec, _ = mask_instance(model=model, rho=rho, lam=lam)
@@ -408,10 +454,14 @@ def degenerate_problems(draw):
                                                 1e200 * np.ones((10, 2))), 2))
 @example((mask_instance()[0], FactorPair(1e-150 * np.ones((10, 2)),
                                          1e-150 * np.ones((10, 2))), 2))
+@example((mask_instance(lam=1e6)[0], FactorPair(np.ones((10, 2)),
+                                                np.ones((10, 2))), 2))
 def test_degenerate_inputs_end_in_result_or_divergence(problem):
     """b = 0, kappa = 1, lam = 0, all-zero and all-pruned starts and factor
-    scales from 1e-150 to 1e200 end in finite factors with a normal reason
-    or in a DivergenceError that names an iteration; nothing else escapes."""
+    scales from 1e-150 to 1e200 end in finite factors at the caller's kappa
+    with a normal reason or in a DivergenceError that names an iteration;
+    nothing else escapes. At lam = 1e6 every column dies in the first step,
+    and the working set keeps one zero column."""
     spec, W0, kappa = problem
     try:
         W, trace, reason = solve(spec, SolverConfig(max_iters=20), W0, kappa=kappa)
@@ -419,6 +469,7 @@ def test_degenerate_inputs_end_in_result_or_divergence(problem):
         assert err.iteration >= 1
         return
     assert reason in ("converged", "budget")
+    assert W.kappa == kappa
     assert np.all(np.isfinite(W.U)) and np.all(np.isfinite(W.V))
     assert 1 <= len(trace.records) <= 20
 
@@ -436,3 +487,74 @@ def test_non_finite_inputs_rejected_where_they_enter(which, bad, index):
             ModelSpec(model="l20", op=spec.op, b=b, params=spec.params)
         else:
             FactorPair(U, V)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=hst.sampled_from(["l20", "dc"]), seed=hst.integers(0, 2 ** 16),
+       lam=hst.sampled_from([0.0, 1e-3, 0.5, 20.0]))
+def test_pruning_never_raises_the_objective(model, seed, lam):
+    """Zeroing the nonzero half of a column that is zero in the other factor
+    leaves A(U V^T) unchanged. For l20 it drops lam/2 from the penalty and
+    removes row and column j of the balance Gram, a sum of squares, so the
+    objective falls by at least lam/2 per orphan. For dc the half enters
+    through its penalty net of the -tau/4 ||.||^2 term of Phi, which is
+    (1/2) g(s) - (tau/4) s^2 = (lam/2) theta(rho s) >= 0, and through the
+    same Gram row and column: theta >= 0 and the Gram loses row/column j, so
+    the objective does not rise. Columns zero in all four of U, V, U_prev
+    and V_prev leave the working set; the rest keep their values."""
+    rng = np.random.default_rng(seed)
+    spec, _ = mask_instance(seed=seed % 7, lam=lam, model=model,
+                            rho=0.5 if model == "dc" else None)
+    kappa = 5
+    # per column: 0 nonzero in both, 1 zero in U, 2 zero in V, 3 zero in both
+    kind = rng.integers(0, 4, kappa)
+    U, V = rng.standard_normal((10, kappa)), rng.standard_normal((10, kappa))
+    U[:, (kind == 1) | (kind == 3)] = 0.0
+    V[:, (kind == 2) | (kind == 3)] = 0.0
+    Up, Vp = rng.standard_normal((10, kappa)), rng.standard_normal((10, kappa))
+    prev_dead = (kind == 3) & (rng.random(kappa) < 0.5)
+    Up[:, prev_dead] = Vp[:, prev_dead] = 0.0
+    W = FactorPair(U, V)
+    obj = smooth_value(spec, W) + column_penalty_value(spec, W)
+    st = SolverState(W=W, W_prev=FactorPair(Up, Vp), obj_scaled=obj)
+    st2, live = solver._shed_columns(spec, st, np.arange(kappa))
+
+    orphan = (kind == 1) | (kind == 2)
+    dead = orphan | prev_dead
+    expect_live = np.flatnonzero(~dead) if not dead.all() else np.array([0])
+    assert np.array_equal(live, expect_live)
+    U2, V2 = solver._padded(st2.W, live, kappa)
+    Up2, Vp2 = solver._padded(st2.W_prev, live, kappa)
+    for new, old in ((U2, U), (V2, V), (Up2, Up), (Vp2, Vp)):
+        assert np.all(new[:, orphan] == 0.0)
+        assert np.array_equal(new[:, ~orphan], old[:, ~orphan])
+    W2 = FactorPair(U2, V2)
+    assert st2.obj_scaled == pytest.approx(
+        smooth_value(spec, W2) + column_penalty_value(spec, W2), rel=1e-12, abs=1e-12)
+    drop = 0.5 * lam * np.count_nonzero(orphan) if model == "l20" else 0.0
+    assert st2.obj_scaled <= obj - drop + 1e-12 * max(1.0, abs(obj))
+
+
+@pytest.mark.parametrize("model,rho,lam", [("l20", None, 1e-3), ("dc", 0.5, 1e-3)])
+@pytest.mark.parametrize("dead", [(0,), (1, 3), (0, 2, 4)])
+def test_solve_pads_dead_columns_back_in_place(model, rho, lam, dead):
+    """Columns that start dead leave the working set after the first step;
+    the result equals the solve without them, padded back to the caller's
+    kappa with those columns exactly zero where they were."""
+    spec, M = mask_instance(model=model, rho=rho, lam=lam)
+    kappa = 5
+    rng = np.random.default_rng(4)
+    U, V = rng.standard_normal((10, kappa)), rng.standard_normal((10, kappa))
+    U[:, list(dead)] = V[:, list(dead)] = 0.0
+    alive = np.setdiff1d(np.arange(kappa), dead)
+    cfg = SolverConfig(max_iters=60)
+    W, trace, reason = solve(spec, cfg, FactorPair(U, V))
+    Wr, trace_r, reason_r = solve(spec, cfg, FactorPair(U[:, alive], V[:, alive]))
+    assert W.kappa == kappa and reason == reason_r
+    assert len(trace.records) == len(trace_r.records)
+    assert np.all(W.U[:, list(dead)] == 0.0) and np.all(W.V[:, list(dead)] == 0.0)
+    assert_allclose(W.U[:, alive], Wr.U, rtol=1e-9, atol=1e-12)
+    assert_allclose(W.V[:, alive], Wr.V, rtol=1e-9, atol=1e-12)
+    for rec, ref in zip(trace.records, trace_r.records):
+        assert (rec.nnz_u, rec.nnz_v) == (ref.nnz_u, ref.nnz_v)
+        assert rec.dist_u_final == pytest.approx(ref.dist_u_final, rel=1e-8, abs=1e-12)
