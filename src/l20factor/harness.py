@@ -46,9 +46,20 @@ DEFAULT_DC_RHO_RULE = "2 / ((a+1) * 0.03 * specnorm(X0))"
 # that draws M, so the measurements stay independent of the signal.
 _OPERATOR_SEED_OFFSET = 1000003
 
+# Largest Gaussian tensor (8*p*m*n bytes): bigger ones fail fast, not by OOM.
+GAUSSIAN_MAX_BYTES = 2 * 2**30
+
 
 class ConfigError(ValueError):
     """Invalid configuration or rule expression (CLI exit category: config)."""
+
+
+def _check_gaussian_size(p: int, m: int, n: int) -> None:
+    need = 8 * int(p) * int(m) * int(n)
+    if need > GAUSSIAN_MAX_BYTES:
+        raise ConfigError(
+            f"gaussian operator needs {need / 2**30:.1f} GiB for its {p}x{m}x{n} "
+            f"tensor, over the {GAUSSIAN_MAX_BYTES / 2**30:g} GiB limit")
 
 
 @dataclass
@@ -82,6 +93,9 @@ class ExperimentConfig:
             raise ConfigError("sample_ratio gives an empty measurement set")
         if self.operator_kind not in OPERATOR_KINDS:
             raise ConfigError(f"operator_kind must be one of {OPERATOR_KINDS}")
+        if self.operator_kind == "gaussian":
+            _check_gaussian_size(round(self.sample_ratio * self.m * self.n),
+                                 self.m, self.n)
         if self.model not in ("l20", "dc"):
             raise ConfigError(f"model must be 'l20' or 'dc', got {self.model!r}")
         if not self.a > 1:
@@ -404,6 +418,7 @@ def load_instance(in_dir: str):
     elif kind == "mask":
         op = load_mask(os.path.join(in_dir, "mask.txt"))
     elif kind == "gaussian":
+        _check_gaussian_size(meta["p"], meta["m"], meta["n"])
         op = GaussianOperator(meta["m"], meta["n"], meta["p"],
                               seed=meta["operator_seed"])
     else:
@@ -518,9 +533,11 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
     Emits diagnosis.json with: the optimal-pair certificate, restricted
     eigenvalue estimates, growth moduli and hypothesis flags, the exact
     penalty threshold, and a sampling probe of the growth inequality around
-    the balanced optimum of M. Monte Carlo eigenvalue brackets are one-sided,
-    so the moduli use the optimistic pair (alpha_upper, beta_lower): if even
-    those fail the hypotheses, the theory certainly does not apply.
+    the balanced optimum of M. Mask brackets are exact (alpha = 0 once an
+    entry is missed, which skips the moduli), as are full and dense-Gram
+    ones. Only Monte Carlo brackets are one-sided, so the moduli use the
+    optimistic pair (alpha_upper, beta_lower): if even those fail the
+    hypotheses, the theory certainly does not apply.
     """
     meta, M, op, b = load_instance(instance_dir)
     W, summary = load_solution(solution_dir)

@@ -7,8 +7,9 @@ vectorization convention.
 
 The module also estimates restricted eigenvalue brackets
     alpha <= ||A(X)||^2 / ||X||_F^2 <= beta   for all rank-k X != 0
-by exact dense computation where feasible and Monte Carlo with alternating
-exact refinement otherwise.
+in closed form for ``full`` and ``mask``, from the dense Gram spectrum when
+rank k is unrestricted and small, and otherwise by Monte Carlo with
+alternating refinement, each step one dense eigendecomposition.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from . import linalg
 from .linalg import Array
@@ -234,77 +233,49 @@ def _orthonormalize(F: Array) -> Array:
     return Q
 
 
-def _refine_factor(op: SamplingOperator, Q: Array, side: str, want_max: bool,
-                   rng: np.random.Generator):
+def _measurement_tensor(op: SamplingOperator) -> Array:
+    """(p, m, n) T with A(X)_q = sum_ij T[q, i, j] X[i, j]; G itself if Gaussian."""
+    if isinstance(op, GaussianOperator):
+        return op.G
+    return operator_matrix(op).reshape(op.p, op.n, op.m).transpose(0, 2, 1)
+
+
+def _refine_factor(T: Array, Q: Array, side: str, want_max: bool):
     """Exactly optimize ||A(X)||^2 over unit-Frobenius X with one factor fixed.
 
-    side="right": X = R @ Q.T with Q (n x k) orthonormal, optimize R (m x k).
-    side="left":  X = Q @ C.T with Q (m x k) orthonormal, optimize C (n x k).
-    Returns (value, X) at the exact extremal eigenpair of the induced
-    quadratic form. Large forms go to ARPACK, started from a vector drawn
-    from ``rng`` (uniform on [-1, 1], as ARPACK draws its own). If ARPACK
-    converges no eigenvalue, the start vector's Rayleigh quotient and its X
-    are returned: any rank-k X bounds alpha_k from above and beta_k from
-    below, so the one-sided brackets stay valid.
+    T is from ``_measurement_tensor``.
+    side="right": X = F @ Q.T with Q (n x k) orthonormal, optimize F (m x k).
+    side="left":  X = Q @ F.T with Q (m x k) orthonormal, optimize F (n x k).
+    A restricted to the free factor is the p x (rows*k) matrix
+    B = (T @ Q), or (T^T @ Q) on the left, acting on F flattened row-major,
+    so the extremal eigenpair of B^T B is the exact optimum. Returns
+    (value, X) with ||X||_F = 1 and ||A(X)||^2 = value.
     """
     k = Q.shape[1]
-    rows = op.m if side == "right" else op.n
-
-    def to_X(Fl):
-        F = Fl.reshape((rows, k), order="F")
-        return F @ Q.T if side == "right" else Q @ F.T
-
-    def matvec(Fl):
-        X = to_X(Fl)
-        Z = op._adjoint(op._apply(X))
-        F = Z @ Q if side == "right" else Z.T @ Q
-        return F.flatten(order="F")
-
-    dims = rows * k
-    if dims <= 400:
-        H = np.empty((dims, dims))
-        eye = np.eye(dims)
-        for c in range(dims):
-            H[:, c] = matvec(eye[:, c])
-        H = 0.5 * (H + H.T)
-        w, vecs = np.linalg.eigh(H)
-        idx = -1 if want_max else 0
-        return max(float(w[idx]), 0.0), to_X(vecs[:, idx])
-
-    cap = op.operator_norm() ** 2 + 1.0
-    lin = scipy.sparse.linalg.LinearOperator(
-        (dims, dims),
-        matvec=(lambda v: matvec(v)) if want_max else (lambda v: cap * v - matvec(v)),
-        dtype=float,
-    )
-    v0 = rng.uniform(-1.0, 1.0, dims)
-    try:
-        w, vecs = scipy.sparse.linalg.eigsh(lin, k=1, which="LA", tol=1e-10, v0=v0)
-    except scipy.sparse.linalg.ArpackNoConvergence as err:
-        if err.eigenvalues.size == 0:
-            v0 /= np.linalg.norm(v0)
-            return max(float(v0 @ matvec(v0)), 0.0), to_X(v0)
-        w, vecs = err.eigenvalues, err.eigenvectors
-    val = float(w[0]) if want_max else cap - float(w[0])
-    return max(val, 0.0), to_X(vecs[:, 0])
+    B = T @ Q if side == "right" else T.transpose(0, 2, 1) @ Q
+    rows = B.shape[1]
+    B = B.reshape(B.shape[0], rows * k)
+    w, vecs = np.linalg.eigh(B.T @ B)
+    idx = -1 if want_max else 0
+    F = vecs[:, idx].reshape(rows, k)
+    return max(float(w[idx]), 0.0), (F @ Q.T if side == "right" else Q @ F.T)
 
 
-def _refined_rayleigh(op: SamplingOperator, R0: Array, L0: Array, want_max: bool,
-                      rng: np.random.Generator, sweeps: int = 3) -> float:
-    """Alternating exact refinement of ||A(RL^T)||^2 / ||RL^T||_F^2.
+def _refined_rayleigh(T: Array, L0: Array, want_max: bool, sweeps: int = 3) -> float:
+    """Alternating exact refinement of ||A(RL^T)||^2 / ||RL^T||_F^2 from L0.
 
-    Returns the best sweep value. Exact sweeps improve monotonically, so
-    that is the last one, unless a sweep fell back to its start vector.
+    Each sweep fixes one factor's column space (first L0's) and solves for
+    the other exactly with ``_refine_factor``. Every sweep value is attained
+    by a rank-k X, so each is a valid one-sided bound; the best is returned.
     """
-    X = R0 @ L0.T
     fixed, side = L0, "right"
     vals = []
     for _ in range(sweeps):
         Q = _orthonormalize(fixed)
-        val, X = _refine_factor(op, Q, side, want_max, rng)
+        val, X = _refine_factor(T, Q, side, want_max)
         vals.append(val)
         if side == "right":
-            # X = R Q^T: next sweep fixes the left factor of X.
+            # X = F Q^T: next sweep fixes the left factor of X.
             fixed, side = X @ Q, "left"
         else:
             fixed, side = X.T @ Q, "right"
@@ -315,13 +286,15 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
                              seed: int = 0) -> RestrictedEigEstimate:
     """Bracket the restricted eigenvalues of A*A over rank-k matrices.
 
-    Exact for the full operator (alpha = beta = 1) and, when k = min(m, n)
-    with m*n <= 400, via the dense Gram spectrum (rank-k is then
-    unrestricted). Otherwise Monte Carlo: each sample starts from a random
-    rank-k factor pair and is refined by alternating exact single-factor
-    eigenproblems, once toward the minimum and once toward the maximum.
-    Every random draw, ARPACK's start vectors included, comes from ``seed``,
-    so equal arguments give equal estimates.
+    Exact for the full operator (alpha = beta = 1) and for a mask, where
+    A*A projects onto the observed entries: beta = 1 (an observed e_i e_j^T)
+    and alpha = 0 (a missed e_i e_j^T), or 1 if every entry is observed.
+    Exact via the dense Gram spectrum when k = min(m, n) with m*n <= 400
+    (rank-k is then unrestricted). Otherwise Monte Carlo: each sample starts
+    from a random rank-k factor pair and is refined by alternating exact
+    single-factor eigenproblems, once toward the minimum and once toward the
+    maximum, so alpha_upper and beta_lower are one-sided. Every random draw
+    comes from ``seed``, so equal arguments give equal estimates.
     """
     if not 1 <= k <= min(op.m, op.n):
         raise ValueError(f"k must lie in [1, {min(op.m, op.n)}], got {k}")
@@ -329,27 +302,27 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
         raise ValueError(f"samples must be positive, got {samples}")
     if isinstance(op, FullOperator):
         return RestrictedEigEstimate(k, 1.0, 1.0, 1.0, 1.0, 0, "exact-full")
+    if isinstance(op, UniformMaskOperator):
+        alpha = 1.0 if op.p == op.m * op.n else 0.0
+        return RestrictedEigEstimate(k, alpha, alpha, 1.0, 1.0, 0, "exact-mask")
     if k == min(op.m, op.n) and op.m * op.n <= 400:
         S = operator_matrix(op)
         w = np.linalg.eigvalsh(S.T @ S)
         lo, hi = max(float(w[0]), 0.0), max(float(w[-1]), 0.0)
         return RestrictedEigEstimate(k, lo, lo, hi, hi, 0, "exact-dense")
 
+    T = _measurement_tensor(op)
     beta_upper = op.operator_norm() ** 2
     alpha_upper = np.inf
     beta_lower = 0.0
-    # ARPACK start vectors get their own child stream, so the sample pairs
-    # drawn from root do not depend on how many factor problems use ARPACK.
-    seq = np.random.SeedSequence(seed)
-    root = np.random.default_rng(seq)
-    starts = np.random.default_rng(seq.spawn(1)[0])
+    rng = np.random.default_rng(seed)
     for _ in range(samples):
-        R0 = root.standard_normal((op.m, k))
-        L0 = root.standard_normal((op.n, k))
-        alpha_upper = min(alpha_upper,
-                          _refined_rayleigh(op, R0, L0, want_max=False, rng=starts))
-        beta_lower = max(beta_lower,
-                         _refined_rayleigh(op, R0, L0, want_max=True, rng=starts))
+        # The first sweep solves for the left factor exactly, so only the
+        # right start L0 matters; the left draw keeps the seeded stream.
+        rng.standard_normal((op.m, k))
+        L0 = rng.standard_normal((op.n, k))
+        alpha_upper = min(alpha_upper, _refined_rayleigh(T, L0, want_max=False))
+        beta_lower = max(beta_lower, _refined_rayleigh(T, L0, want_max=True))
     beta_lower = min(beta_lower, beta_upper)
     alpha_upper = max(min(alpha_upper, beta_upper), 0.0)
     return RestrictedEigEstimate(k, 0.0, alpha_upper, beta_lower, beta_upper,

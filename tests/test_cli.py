@@ -126,6 +126,29 @@ def test_bad_shape_config_exits_2(tmp_path):
     assert res.stderr.startswith("error(config):")
 
 
+def test_oversized_gaussian_exits_2(tmp_path):
+    res = run_cli("gen", "--operator", "gaussian", "--out-dir", str(tmp_path / "g"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error(config):")
+    assert "over the 2 GiB limit" in res.stderr
+    assert not (tmp_path / "g").exists()
+
+    inst = str(tmp_path / "inst")
+    assert run_cli(*gen_args(inst)[:-2], "--operator", "gaussian",
+                   "--sample-ratio", "0.5", "--out-dir", inst).returncode == 0
+    meta_path = os.path.join(inst, "meta.json")
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    meta["p"] = 10**9
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    for cmd in (("solve", "--instance", inst, "--out-dir", str(tmp_path / "s")),
+                ("diagnose", "--instance", inst, "--solution", str(tmp_path / "s"))):
+        res = run_cli(*cmd)
+        assert res.returncode == 2, res.stderr
+        assert "error(config): gaussian operator needs" in res.stderr
+
+
 def test_bad_rule_exits_2(tmp_path):
     inst = str(tmp_path / "inst")
     assert run_cli(*gen_args(inst)).returncode == 0

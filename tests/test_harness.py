@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from l20factor import linalg
+from l20factor import harness, linalg
 from l20factor.harness import (ConfigError, ExperimentConfig, build_config,
                                build_model_spec, convergence_fit, diagnose,
                                eval_rule, fit_loglinear, gen_instance,
@@ -332,6 +332,32 @@ def test_instance_data_checked_where_it_enters(tmp_path):
         build_model_spec(cfg, op, b)
     save_instance(str(tmp_path), cfg, M, op, b)
     with pytest.raises(ValueError, match="b contains non-finite"):
+        load_instance(str(tmp_path))
+
+
+def test_gaussian_size_guard(tmp_path, monkeypatch):
+    """A Gaussian tensor over the byte limit is a ConfigError, from a config
+    or from a stored meta.json, before anything is allocated."""
+    with pytest.raises(ConfigError, match=r"needs 15\.1 GiB for its 22500x300x300 "
+                                          r"tensor, over the 2 GiB limit"):
+        ExperimentConfig(operator_kind="gaussian")
+    ExperimentConfig(operator_kind="mask")
+    shape = dict(m=15, n=12, kappa=3, operator_kind="gaussian", sample_ratio=0.5)
+    need = 8 * 90 * 15 * 12  # p = 0.5 * 15 * 12 = 90
+    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", need)
+    cfg = small_cfg(**shape)
+    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", need - 1)
+    with pytest.raises(ConfigError, match="90x15x12"):
+        small_cfg(**shape)
+    monkeypatch.undo()
+
+    M, op, b = gen_instance(cfg)
+    save_instance(str(tmp_path), cfg, M, op, b)
+    meta_path = tmp_path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["p"] = 2_000_000
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match="2000000x15x12 tensor"):
         load_instance(str(tmp_path))
 
 

@@ -1,13 +1,34 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from oracles import restricted_quadratic_form
 
 from l20factor import sampling
 from l20factor.sampling import (FullOperator, GaussianOperator,
-                                UniformMaskOperator,
+                                SamplingOperator, UniformMaskOperator,
                                 check_restricted_inner_product,
                                 estimate_restricted_eigs, operator_matrix)
+
+
+class DenseTestOperator(SamplingOperator):
+    """A(X) = S @ vec_F(X) for a fixed S; no kind-specific shortcut applies."""
+
+    kind = "dense-test"
+
+    def __init__(self, S, m, n):
+        super().__init__(m, n, S.shape[0])
+        self.S = S
+
+    def _apply(self, X):
+        return self.S @ X.flatten(order="F")
+
+    def _adjoint(self, y):
+        return (self.S.T @ y).reshape((self.m, self.n), order="F")
+
+    def operator_norm(self):
+        return float(np.linalg.norm(self.S, 2))
 
 
 def test_full_apply_is_columnwise_vec():
@@ -122,9 +143,54 @@ def test_restricted_eigs_finds_unobserved_row():
     rows, cols = np.meshgrid(np.arange(1, 6), np.arange(5), indexing="ij")
     op = UniformMaskOperator(6, 5, rows.ravel(), cols.ravel())
     est = estimate_restricted_eigs(op, k=1, samples=3, seed=0)
-    assert est.method == "monte-carlo"
-    assert est.alpha_upper <= 1e-10
-    assert est.beta_lower <= est.beta_upper == 1.0
+    assert est.method == "exact-mask"
+    assert est.alpha_upper == 0.0
+    assert est.beta_lower == est.beta_upper == 1.0
+
+
+@st.composite
+def masks(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    flat = draw(st.sets(st.integers(0, m * n - 1), min_size=1))
+    rows, cols = np.unravel_index(np.array(sorted(flat)), (m, n))
+    return UniformMaskOperator(m, n, rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=masks(), seed=st.integers(0, 2**16))
+@example(op=UniformMaskOperator(1, 1, [0], [0]), seed=0)
+@example(op=UniformMaskOperator(4, 3, [2], [1]), seed=0)
+@example(op=UniformMaskOperator(3, 4, *np.unravel_index(np.arange(12), (3, 4))),
+         seed=0)
+def test_mask_closed_form_is_exact(op, seed):
+    """For every k the mask bracket is attained by e_i e_j^T witnesses, holds
+    for random rank-k X and, at k = min(m, n), equals the Gram spectrum."""
+    S = operator_matrix(op)
+    w = np.linalg.eigvalsh(S.T @ S)
+    observed = np.zeros((op.m, op.n), dtype=bool)
+    observed[op.rows, op.cols] = True
+    rng = np.random.default_rng(seed)
+    for k in range(1, min(op.m, op.n) + 1):
+        est = estimate_restricted_eigs(op, k)
+        assert est.method == "exact-mask"
+        assert est.alpha_lower == est.alpha_upper
+        assert est.beta_lower == est.beta_upper == 1.0
+        if k == min(op.m, op.n):
+            assert est.alpha_upper == pytest.approx(w[0], abs=1e-12)
+            assert est.beta_upper == pytest.approx(w[-1], abs=1e-12)
+        for (i, j), seen in np.ndenumerate(observed):
+            E = np.zeros((op.m, op.n))
+            E[i, j] = 1.0
+            ratio = float(np.sum(op.apply(E) ** 2))
+            assert ratio == (est.beta_upper if seen else 0.0)
+            assert ratio >= est.alpha_upper
+        if not observed.all():
+            assert est.alpha_upper == 0.0
+        for _ in range(5):
+            X = rng.standard_normal((op.m, k)) @ rng.standard_normal((k, op.n))
+            ratio = float(np.sum(op.apply(X) ** 2) / np.sum(X ** 2))
+            assert est.alpha_upper - 1e-12 <= ratio <= est.beta_upper + 1e-12
 
 
 def test_restricted_eigs_brackets_are_ordered():
@@ -142,28 +208,48 @@ def test_restricted_eigs_reproducible():
     assert a == b
 
 
-def test_restricted_eigs_arpack_path_is_reproducible_and_bracketed(monkeypatch):
-    """60x60 mask at 30%, k=8: the factor eigenproblems (480 unknowns) go to
-    ARPACK, and some converge no eigenvalue; the estimate must still come
-    back, repeat exactly and keep its brackets ordered."""
-    eigsh = scipy.sparse.linalg.eigsh
-    unconverged = []
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("make_op", [
+    lambda G: GaussianOperator.from_matrices(G),
+    lambda G: DenseTestOperator(G.transpose(0, 2, 1).reshape(G.shape[0], -1),
+                                G.shape[1], G.shape[2]),
+], ids=["gaussian", "fallback"])
+def test_refine_factor_matches_column_oracle(make_op, side, monkeypatch):
+    """B^T B equals the quadratic form built column by column from apply and
+    adjoint, and the returned X is a unit extremal point of it."""
+    rng = np.random.default_rng(21)
+    op = make_op(rng.standard_normal((13, 5, 4)) / np.sqrt(13))
+    k = 2
+    Q, _ = np.linalg.qr(rng.standard_normal((op.n if side == "right" else op.m, k)))
+    H = restricted_quadratic_form(op, Q, side)
+    eigh = np.linalg.eigh
+    seen = []
 
-    def recording_eigsh(*args, **kwargs):
-        try:
-            return eigsh(*args, **kwargs)
-        except scipy.sparse.linalg.ArpackNoConvergence as err:
-            unconverged.append(err.eigenvalues.size)
-            raise
+    def recording_eigh(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording_eigsh)
-    op = UniformMaskOperator.from_ratio(60, 60, 0.3, np.random.default_rng(0))
-    a = estimate_restricted_eigs(op, k=8, samples=2, seed=0)
-    assert 0 in unconverged
-    b = estimate_restricted_eigs(op, k=8, samples=2, seed=0)
-    assert a == b
-    assert a.method == "monte-carlo"
-    assert 0.0 <= a.alpha_upper <= a.beta_lower <= a.beta_upper
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    w = np.linalg.eigvalsh(H)
+    for want_max in (False, True):
+        val, X = sampling._refine_factor(sampling._measurement_tensor(op), Q,
+                                         side, want_max)
+        assert_allclose(seen[-1], H, rtol=0, atol=1e-12 * np.abs(H).max())
+        assert val == pytest.approx(w[-1] if want_max else w[0], rel=1e-12)
+        assert np.linalg.norm(X) == pytest.approx(1.0, rel=1e-12)
+        assert float(np.sum(op.apply(X) ** 2)) == pytest.approx(val, rel=1e-12)
+
+
+def test_restricted_eigs_fallback_tensor_matches_gaussian():
+    """An operator without a kind-specific tensor gets the same Monte Carlo
+    brackets as the Gaussian operator with the same measurement matrices."""
+    gauss = GaussianOperator(6, 5, 18, seed=11)
+    dense = DenseTestOperator(gauss.stacked(), 6, 5)
+    a = estimate_restricted_eigs(gauss, k=2, samples=3, seed=4)
+    b = estimate_restricted_eigs(dense, k=2, samples=3, seed=4)
+    assert b.method == a.method == "monte-carlo"
+    assert b.alpha_upper == pytest.approx(a.alpha_upper, rel=1e-10)
+    assert b.beta_lower == pytest.approx(a.beta_lower, rel=1e-10)
 
 
 def test_restricted_eigs_validation():
