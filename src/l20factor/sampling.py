@@ -3,7 +3,8 @@
 Three operator families are provided: identity vectorization (``full``),
 entrywise subsampling without replacement (``mask``), and dense Gaussian
 sketches (``gaussian``). All of them share the column-major (order="F")
-vectorization convention.
+vectorization convention. Operators are immutable; each knows its exact norm,
+which a Gaussian operator computes once, from the smaller Gram of its matrix.
 
 The module also estimates restricted eigenvalue brackets
     alpha <= ||A(X)||^2 / ||X||_F^2 <= beta   for all rank-k X != 0
@@ -29,7 +30,7 @@ class SamplingOperator:
     where data enters the package, and the solver guards its own iterates.
 
     Subclasses set ``kind`` and implement ``_apply``, ``_adjoint`` and
-    ``operator_norm``.
+    ``operator_norm``. Operators are immutable, so a norm may be kept.
     """
 
     kind: str = "abstract"
@@ -60,6 +61,7 @@ class SamplingOperator:
         raise NotImplementedError
 
     def operator_norm(self) -> float:
+        """Exact spectral norm ||A|| = max ||A(X)|| over unit-Frobenius X."""
         raise NotImplementedError
 
 
@@ -134,6 +136,8 @@ class GaussianOperator(SamplingOperator):
     """p dense Gaussian measurements A(X)_q = <G_q, X>, G_q ~ N(0, 1/p) entrywise."""
 
     kind = "gaussian"
+    # Set by the first operator_norm(); a class default as from_matrices skips __init__.
+    _norm: float | None = None
 
     def __init__(self, m: int, n: int, p: int, seed: int):
         super().__init__(m, n, p)
@@ -159,27 +163,18 @@ class GaussianOperator(SamplingOperator):
     def _adjoint(self, y: Array) -> Array:
         return np.tensordot(y, self.G, axes=(0, 0))
 
-    def stacked(self) -> Array:
-        """Dense p x (m*n) matrix S with A(X) = S @ vec_F(X)."""
-        return self.G.transpose(0, 2, 1).reshape(self.p, self.m * self.n)
+    def operator_norm(self) -> float:
+        """Largest singular value of S = G.reshape(p, m*n), computed once.
 
-    def operator_norm(self, rel_tol: float = 1e-6, max_iters: int = 500) -> float:
-        """Power iteration on A*A to relative accuracy ``rel_tol``."""
-        rng = np.random.default_rng(0xA17)
-        X = rng.standard_normal((self.m, self.n))
-        X /= np.linalg.norm(X)
-        val = 0.0
-        for _ in range(max_iters):
-            Y = self._adjoint(self._apply(X))
-            new = float(np.sum(X * Y))
-            nY = np.linalg.norm(Y)
-            if nY == 0:
-                return 0.0
-            X = Y / nY
-            if abs(new - val) <= rel_tol * max(new, 1e-300):
-                return float(np.sqrt(new))
-            val = new
-        return float(np.sqrt(val))
+        It is the root of the top eigenvalue of the smaller Gram, S S^T or
+        S^T S, which has min(p, m*n)^2 <= p*m*n entries, so never more than G.
+        """
+        if self._norm is None:
+            S = self.G.reshape(self.p, -1)
+            gram = S @ S.T if self.p <= S.shape[1] else S.T @ S
+            top = np.linalg.eigvalsh(gram)[-1]
+            self._norm = float(np.sqrt(max(top, 0.0)))
+        return self._norm
 
 
 def operator_matrix(op: SamplingOperator) -> Array:
@@ -189,7 +184,7 @@ def operator_matrix(op: SamplingOperator) -> Array:
     basis matrix except for kinds with a cheaper direct form.
     """
     if isinstance(op, GaussianOperator):
-        return op.stacked()
+        return op.G.transpose(0, 2, 1).reshape(op.p, op.m * op.n)
     if isinstance(op, FullOperator):
         return np.eye(op.m * op.n)
     if isinstance(op, UniformMaskOperator):
@@ -293,8 +288,9 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     (rank-k is then unrestricted). Otherwise Monte Carlo: each sample starts
     from a random rank-k factor pair and is refined by alternating exact
     single-factor eigenproblems, once toward the minimum and once toward the
-    maximum, so alpha_upper and beta_lower are one-sided. Every random draw
-    comes from ``seed``, so equal arguments give equal estimates.
+    maximum, so alpha_upper and beta_lower are one-sided; beta_upper is
+    ||A||^2, which bounds beta_k for every k. Every random draw comes from
+    ``seed``, so equal arguments give equal estimates.
     """
     if not 1 <= k <= min(op.m, op.n):
         raise ValueError(f"k must lie in [1, {min(op.m, op.n)}], got {k}")

@@ -112,25 +112,27 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration records plus stored iterates for distance backfill."""
+    """Records plus the solver's own iterates, at live width, for distance backfill."""
 
     records: list[TraceRecord] = field(default_factory=list)
     iterate_stride: int = 1
-    _iterates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
+    _iterates: list[tuple] = field(default_factory=list)
 
-    def record(self, rec: TraceRecord, W: FactorPair, live: np.ndarray,
-               kappa: int) -> None:
-        """Append ``rec``; every ``iterate_stride`` iterations also keep the
-        iterate, padded from its ``live`` columns back to ``kappa``."""
+    def record(self, rec: TraceRecord, W: FactorPair, live: np.ndarray) -> None:
+        """Append ``rec``; every ``iterate_stride`` iterations also keep ``live``
+        and W's arrays by reference: they come fresh from ``prox_matrix``, the
+        prune's copies or a column cut, and nothing writes to them later."""
         self.records.append(rec)
         if rec.iteration % self.iterate_stride == 0:
-            self._iterates.append((rec.iteration, *_padded(W, live, kappa)))
+            self._iterates.append((rec.iteration, live, W.U, W.V))
 
     def backfill_distances(self, final: FactorPair) -> None:
+        """Distances to the padded ``final``; a column outside ``live`` stays
+        dead, so it is zero in ``final`` and only live columns count."""
         dists = {
-            it: (float(np.linalg.norm(U - final.U)),
-                 float(np.linalg.norm(V - final.V)))
-            for it, U, V in self._iterates
+            it: (float(np.linalg.norm(U - final.U[:, live])),
+                 float(np.linalg.norm(V - final.V[:, live])))
+            for it, live, U, V in self._iterates
         }
         for rec in self.records:
             if rec.iteration in dists:
@@ -155,11 +157,11 @@ def estimate_step_constants(spec: ModelSpec, W: FactorPair) -> tuple[float, floa
     steps. The dc model's extra -tau/2 identity term only lowers curvature,
     so the same bound applies.
     """
+    return _step_constants(spec, W.U, W.V, 0)
+
+
+def _step_constants(spec, U, V, iteration) -> tuple[float, float]:
     a2 = spec.op.operator_norm() ** 2
-    return _step_constants(spec, W.U, W.V, a2, 0)
-
-
-def _step_constants(spec, U, V, op_norm_sq, iteration) -> tuple[float, float]:
     # Numpy scalars square to inf on overflow (a Python float raises), and a
     # non-finite Gram would fail inside LAPACK, so it is reported first.
     mu = spec.params.mu_tilde
@@ -169,8 +171,8 @@ def _step_constants(spec, U, V, op_norm_sq, iteration) -> tuple[float, float]:
     if not np.all(np.isfinite(gram)):
         raise DivergenceError(iteration, "non-finite balance U^T U - V^T V")
     nbal = np.linalg.norm(gram, 2)
-    lu = _MARGIN * (op_norm_sq * nv2 + mu * (2 * nu2 + nbal))
-    lv = _MARGIN * (op_norm_sq * nu2 + mu * (2 * nv2 + nbal))
+    lu = _MARGIN * (a2 * nv2 + mu * (2 * nu2 + nbal))
+    lv = _MARGIN * (a2 * nu2 + mu * (2 * nv2 + nbal))
     return float(max(lu, _STEP_FLOOR)), float(max(lv, _STEP_FLOOR))
 
 
@@ -209,14 +211,11 @@ def _prox_substep(spec, at, fixed, which, L, iteration):
     )
 
 
-def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState,
-         op_norm_sq: float | None = None) -> SolverState:
+def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState) -> SolverState:
     """One full U-then-V update; advances t; restarts on objective increase.
 
-    Shapes are not checked here (``solve`` does that once).
+    Shapes are checked by ``solve``; ||A|| is the operator's, computed once.
     """
-    if op_norm_sq is None:
-        op_norm_sq = spec.op.operator_norm() ** 2
     it = st.iteration + 1
     prev_obj = st.obj_scaled
     if math.isnan(prev_obj):
@@ -230,9 +229,9 @@ def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState,
         Vt = V + w * (V - st.W_prev.V) if w != 0.0 else V
         if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
             raise DivergenceError(it, "non-finite extrapolated point")
-        lu = _step_constants(spec, Ut, V, op_norm_sq, it)[0]
+        lu = _step_constants(spec, Ut, V, it)[0]
         Unew, gU, lu, _ = _prox_substep(spec, Ut, V, "u", lu, it)
-        lv = _step_constants(spec, Unew, Vt, op_norm_sq, it)[1]
+        lv = _step_constants(spec, Unew, Vt, it)[1]
         Vnew, gV, lv, ev = _prox_substep(spec, Vt, Unew, "v", lv, it)
         Wnew = FactorPair(Unew, Vnew)
         obj = ev.value + column_penalty_value(spec, Wnew)
@@ -326,9 +325,9 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     both (a prune; it never raises the objective and costs one apply), and
     a column that is zero in both factors and in the previous iterate leaves
     the working set: it has a zero gradient and would stay zero. Every
-    product then runs at the live column count. The returned pair and the
-    trace's stored iterates are padded back to the start's column count,
-    with dead columns exactly zero in their original positions.
+    product then runs at the live column count. The returned pair is padded
+    back to the start's column count, dead columns exactly zero in place;
+    stored trace iterates stay at their live width.
 
     For the hard model the method reaches a critical point or stops on
     budget; it does not promise the global minimizer from an arbitrary
@@ -345,7 +344,6 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
         W0 = initial_point(spec.op, spec.b, kappa)
     spec.check_shapes(W0)
 
-    op_norm_sq = spec.op.operator_norm() ** 2
     stride = 1 if spec.op.m * spec.op.n <= 10 ** 6 else 10
     trace = SolveTrace(iterate_stride=stride)
     st = SolverState(W=W0.copy(), W_prev=W0.copy())
@@ -357,7 +355,7 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     reason = "budget"
     lam = spec.params.lam
     for _ in range(cfg.max_iters):
-        st = step(spec, cfg, st, op_norm_sq=op_norm_sq)
+        st = step(spec, cfg, st)
         st, live = _shed_columns(spec, st, live)
         trace.record(TraceRecord(
             iteration=st.iteration,
@@ -370,7 +368,7 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
             dist_u_final=math.nan,
             dist_v_final=math.nan,
             time_s=time.monotonic() - start,
-        ), st.W, live, kappa)
+        ), st.W, live)
         if st.res_u <= cfg.epsilon and st.res_v <= cfg.epsilon:
             reason = "converged"
             break

@@ -15,7 +15,8 @@ from l20factor.harness import (ConfigError, ExperimentConfig, build_config,
                                relative_error, run_experiment, run_fig3,
                                save_instance, save_mask, save_solution,
                                write_trace_csv)
-from l20factor.sampling import FullOperator, GaussianOperator, UniformMaskOperator
+from l20factor.sampling import (FullOperator, GaussianOperator,
+                                UniformMaskOperator, operator_matrix)
 from l20factor.solver import SolveTrace, TraceRecord
 
 
@@ -499,6 +500,24 @@ def test_fig3_sweep_files(fig3_sweep):
             assert os.path.exists(os.path.join(sub, name))
 
 
+def test_fig3_dc_sweep_uses_matched_rules(tmp_path):
+    cfg = small_cfg(m=30, n=30, kappa=3, sample_ratio=0.5, model="dc",
+                    max_iters=300)
+    out = str(tmp_path / "fig3")
+    bundle = run_fig3(cfg, [0.03, 0.3], out_dir=out)
+    low, high = bundle["runs"]
+    M, op, b = bundle["instance"]
+    default = harness.build_model_spec(cfg, op, b).params
+    assert (low["lambda"], low["rho"]) == (default.lam, default.rho)
+    assert high["lambda"] > low["lambda"] and high["rho"] < low["rho"]
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        header, *rows = [line.strip().split(",") for line in fh]
+    assert header[2] == "rho" and len(rows) == 2
+    for row, run in zip(rows, bundle["runs"]):
+        assert float(row[1]) == run["lambda"]
+        assert float(row[2]) == run["rho"]
+
+
 def test_fig3_needs_two_values():
     with pytest.raises(ConfigError, match="at least 2"):
         run_fig3(small_cfg(), [1.0])
@@ -560,6 +579,29 @@ def test_diagnose_reports_failed_hypotheses(tmp_path):
     assert "alpha_ok" in report["probe"]["message"]
     assert os.path.exists(os.path.join(out, "diagnosis.json"))
     assert not os.path.exists(os.path.join(sol, "diagnosis.json"))
+
+
+def test_diagnose_computes_gaussian_norm_once(tmp_path, monkeypatch):
+    cfg = small_cfg(m=12, n=12, kappa=3, operator_kind="gaussian",
+                    sample_ratio=0.8, max_iters=300)
+    M, op, b = gen_instance(cfg)
+    inst, sol = str(tmp_path / "inst"), str(tmp_path / "sol")
+    save_instance(inst, cfg, M, op, b)
+    run_experiment(cfg, sol, instance=(M, op, b))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    report = diagnose(inst, sol, probe_samples=5, eig_samples=1)
+    assert report["restricted_eigs"]["method"] == "monte-carlo"
+    assert report["threshold"]["status"] != "skipped"
+    assert calls == [(op.p, op.p)]
+    norm2 = np.linalg.norm(operator_matrix(op), 2) ** 2
+    assert report["restricted_eigs"]["beta_upper"] == pytest.approx(norm2, rel=1e-12)
 
 
 def test_mask_serialization_roundtrip(tmp_path):

@@ -82,8 +82,36 @@ def test_gaussian_seed_determinism():
 
 def test_gaussian_operator_norm_matches_stacked_svd():
     op = GaussianOperator(5, 4, 12, seed=3)
-    exact = np.linalg.norm(op.stacked(), 2)
-    assert op.operator_norm() == pytest.approx(exact, rel=1e-6)
+    exact = np.linalg.norm(operator_matrix(op), 2)
+    assert op.operator_norm() == pytest.approx(exact, rel=1e-12)
+
+
+def test_gaussian_beta_upper_bounds_refined_beta():
+    """At k = min(m, n) with m*n > 400 the Monte Carlo refinement reaches
+    beta_k = ||A||^2; beta_upper must be that exact value, not below it."""
+    op = GaussianOperator(25, 25, 300, seed=7)
+    est = estimate_restricted_eigs(op, k=25, samples=1, seed=0)
+    assert est.method == "monte-carlo"
+    assert est.beta_lower <= est.beta_upper
+    exact = np.linalg.norm(operator_matrix(op), 2) ** 2
+    assert est.beta_upper == pytest.approx(exact, rel=1e-12)
+
+
+def test_gaussian_operator_norm_is_computed_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    op = GaussianOperator(5, 4, 12, seed=3)
+    assert op.operator_norm() == op.operator_norm()
+    assert calls == [(12, 12)]
+    wide = GaussianOperator.from_matrices(op.G[:, :2, :2])
+    wide.operator_norm()
+    assert calls[-1] == (4, 4)
 
 
 @pytest.mark.parametrize("make_op", [
@@ -133,7 +161,8 @@ def test_restricted_eigs_dense_exact_matches_gram():
     op = GaussianOperator(5, 4, 30, seed=3)
     est = estimate_restricted_eigs(op, k=4, samples=2, seed=1)
     assert est.method == "exact-dense"
-    w = np.linalg.eigvalsh(op.stacked().T @ op.stacked())
+    S = operator_matrix(op)
+    w = np.linalg.eigvalsh(S.T @ S)
     assert est.alpha_lower == pytest.approx(w[0], abs=1e-12)
     assert est.beta_upper == pytest.approx(w[-1], abs=1e-12)
 
@@ -244,7 +273,7 @@ def test_restricted_eigs_fallback_tensor_matches_gaussian():
     """An operator without a kind-specific tensor gets the same Monte Carlo
     brackets as the Gaussian operator with the same measurement matrices."""
     gauss = GaussianOperator(6, 5, 18, seed=11)
-    dense = DenseTestOperator(gauss.stacked(), 6, 5)
+    dense = DenseTestOperator(operator_matrix(gauss), 6, 5)
     a = estimate_restricted_eigs(gauss, k=2, samples=3, seed=4)
     b = estimate_restricted_eigs(dense, k=2, samples=3, seed=4)
     assert b.method == a.method == "monte-carlo"

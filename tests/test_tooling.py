@@ -1,0 +1,35 @@
+"""Checks on the checkout's tooling, each run in a fresh interpreter.
+
+The benchmark's tracer wraps library names listed in its own tables, so a
+rename in the library breaks it; its self-test is run here so that such a
+rename fails this suite too. A plain ``import l20factor`` must not load
+scipy, which only ``linalg.svd``'s fallback imports, lazily.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+
+
+def _run(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (SRC, env.get("PYTHONPATH")) if part)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, cwd=ROOT, env=env)
+
+
+def test_benchmark_self_test_passes():
+    res = _run(["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "perfbench/test_perfbench.py"])
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
+def test_import_leaves_scipy_out():
+    res = _run(["-c", "import sys, l20factor; print('scipy' in sys.modules)"])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
