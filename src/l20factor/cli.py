@@ -11,18 +11,21 @@ Subcommands:
   shot with the desk-scale defaults. fig1 is a hard-model (l20) run, fig2 a
   dc run (its default model).
 
-Exit codes: 0 success, 2 configuration errors, 3 solver divergence, 4 I/O
-errors, 1 anything else. Errors print ``error(<category>): <message>`` on
-stderr.
+Exit codes: 0 success, 2 configuration errors (including malformed instance
+and solution files), 3 solver divergence, 4 I/O errors, 1 anything else.
+Errors print ``error(<category>): <message>`` on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness
-from .harness import ConfigError, ExperimentConfig, build_config, parse_config_file
+from .harness import (CONFIG_FIELDS, OPERATOR_KINDS, ConfigError, ExperimentConfig,
+                      build_config, parse_config_file)
+from .objective import MODELS
 from .solver import DivergenceError
 
 
@@ -35,8 +38,8 @@ def _add_config_flags(p: argparse.ArgumentParser, shapes: bool = True) -> None:
         p.add_argument("--kappa", type=int)
         p.add_argument("--sample-ratio", dest="sample_ratio", type=float)
         p.add_argument("--operator", dest="operator_kind",
-                       choices=["full", "mask", "gaussian"])
-    p.add_argument("--model", choices=["l20", "dc"])
+                       choices=OPERATOR_KINDS)
+    p.add_argument("--model", choices=MODELS)
     p.add_argument("--a", type=float)
     p.add_argument("--mu-tilde", dest="mu_tilde", type=float)
     p.add_argument("--lambda-rule", dest="lambda_rule")
@@ -46,14 +49,11 @@ def _add_config_flags(p: argparse.ArgumentParser, shapes: bool = True) -> None:
     p.add_argument("--seed", type=int)
 
 
-def _gather(args, shapes: bool = True) -> ExperimentConfig:
-    keys = ["model", "a", "mu_tilde", "lambda_rule", "rho_rule", "epsilon",
-            "max_iters", "seed"]
-    if shapes:
-        keys = ["m", "n", "r", "kappa", "sample_ratio", "operator_kind"] + keys
-    cli_values = {key: getattr(args, key) for key in keys}
+def _gather(args, *base) -> ExperimentConfig:
+    """Merge ``base`` mappings, then the --config file, then the set flags."""
     file_values = parse_config_file(args.config) if args.config else {}
-    return build_config(file_values, cli_values)
+    flags = {key: value for key, value in vars(args).items() if key in CONFIG_FIELDS}
+    return build_config(*base, file_values, flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,16 +101,7 @@ def _cmd_gen(args) -> None:
 
 def _cmd_solve(args) -> None:
     meta, M, op, b = harness.load_instance(args.instance)
-    file_values = parse_config_file(args.config) if args.config else {}
-    cli_values = {key: getattr(args, key) for key in
-                  ["model", "a", "mu_tilde", "lambda_rule", "rho_rule",
-                   "epsilon", "max_iters", "seed"]}
-    shape_values = {
-        "m": meta["m"], "n": meta["n"], "r": meta["r"], "kappa": meta["kappa"],
-        "sample_ratio": meta["sample_ratio"], "operator_kind": meta["operator_kind"],
-        "seed": meta["seed"],
-    }
-    cfg = build_config(shape_values, file_values, cli_values)
+    cfg = _gather(args, {key: meta[key] for key in meta if key in CONFIG_FIELDS})
     bundle = harness.run_experiment(cfg, args.out_dir, instance=(M, op, b))
     s = bundle["summary"]
     print(f"solved: reason={s['reason']} iterations={s['iterations']} "
@@ -132,10 +123,7 @@ def _cmd_diagnose(args) -> None:
 def _cmd_experiment(args) -> None:
     cfg = _gather(args)
     if args.figure == "fig2" and args.model is None and cfg.model == "l20":
-        cfg = build_config(
-            {f: getattr(cfg, f) for f in harness._CONFIG_FIELDS},
-            {"model": "dc"},
-        )
+        cfg = dataclasses.replace(cfg, model="dc")
     if args.figure in ("fig1", "fig2"):
         model = "l20" if args.figure == "fig1" else "dc"
         if cfg.model != model:

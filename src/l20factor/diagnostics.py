@@ -5,7 +5,8 @@ subdifferential distances at a point, moduli for the local growth inequality
 dist(0, d objective)^2 >= gamma * (objective gap), Monte Carlo probes of that
 inequality near a certified optimum, the penalty threshold above which the
 continuous surrogate shares the hard model's global minimizers, and
-construction/certification of balanced optimal factor pairs.
+certification of balanced optimal factor pairs (``build_balanced_factors``,
+which builds them, lives in ``objective`` and is re-exported here).
 
 All quantities here use the nu-weighted normalization (the unscaled
 objective): fidelity weight nu = 1/lam and per-column regularizer weight 1/2.
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import linalg, penalty
 from .linalg import Array
-from .objective import FactorPair, ModelSpec, objective_gap, smooth_gradient
+from .objective import (FactorPair, ModelSpec, build_balanced_factors,  # noqa: F401
+                        objective_gap, smooth_gradient)
 from .penalty import PenaltyParams
 from .sampling import FullOperator
 
@@ -58,6 +60,10 @@ class OptimalSetCertificate:
     passed: bool
 
 
+# Open interval of nu-weighted objective gaps a probe sample must fall in.
+PROBE_WINDOW = (0.0, 0.5)
+
+
 @dataclass(frozen=True)
 class ProbeReport:
     """Outcome of a growth-inequality sampling probe.
@@ -73,32 +79,7 @@ class ProbeReport:
     radius: float
     gamma: float
     status: str
-    window: tuple[float, float] = (0.0, 0.5)
-
-    def as_dict(self) -> dict:
-        return {
-            "slack": self.slack, "kept": self.kept, "drawn": self.drawn,
-            "radius": self.radius, "gamma": self.gamma, "status": self.status,
-            "window": list(self.window),
-        }
-
-
-def build_balanced_factors(X, kappa: int) -> FactorPair:
-    """Balanced factor pair with UV^T = X (for kappa >= rank) via the SVD.
-
-    U = P sqrt(S), V = Q sqrt(S) on the leading kappa singular triples;
-    singular values at or below 1e-8 * sigma_1 are treated as zero so the
-    column counts equal min(rank(X), kappa) exactly.
-    """
-    X = linalg.as_matrix(X)
-    if not 1 <= kappa <= min(X.shape):
-        raise ValueError(f"kappa must lie in [1, {min(X.shape)}], got {kappa}")
-    dec = linalg.svd(X)
-    sigma = dec.sigma[:kappa].copy()
-    if sigma.size and sigma[0] > 0:
-        sigma[sigma <= 1e-8 * dec.sigma[0]] = 0.0
-    root = np.sqrt(sigma)
-    return FactorPair(dec.P[:, :kappa] * root, dec.Q[:, :kappa] * root)
+    window: tuple[float, float] = PROBE_WINDOW
 
 
 def certify_optimal_pair(W: FactorPair, M, tol_p: float = 1e-8,
@@ -260,10 +241,11 @@ def kl_inequality_probe(spec: ModelSpec, Wbar: FactorPair, M, moduli: KLModuli,
 
     Draws uniform perturbations of (U, V) in the Frobenius ball of the
     model's radius, keeps those whose nu-weighted objective gap lies in
-    (0, 1/2), and reports the minimum slack dist^2 - gamma*gap. Nonnegative
-    slack means the inequality held on every kept sample. Raises if a
-    hypothesis flag is false; returns status "no-admissible-samples" when
-    the window rejects everything within 200x oversampling.
+    PROBE_WINDOW = (0, 1/2), and reports the minimum slack
+    dist^2 - gamma*gap. Nonnegative slack means the inequality held on
+    every kept sample. Raises if a hypothesis flag is false; returns status
+    "no-admissible-samples" when the window rejects everything within 200x
+    oversampling.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -286,7 +268,7 @@ def kl_inequality_probe(spec: ModelSpec, Wbar: FactorPair, M, moduli: KLModuli,
     kept = 0
     drawn = 0
     min_slack = math.inf
-    lo, hi = 0.0, 0.5
+    lo, hi = PROBE_WINDOW
     while kept < samples and drawn < 200 * samples:
         drawn += 1
         D = rng.standard_normal((m + n, kap))

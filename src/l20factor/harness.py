@@ -6,8 +6,10 @@ drive it directly. File formats:
 * instance directory: meta.json, M.npy, b.npy, and mask.txt for mask
   operators (the Gaussian operator is regenerated from its seed in meta).
 * solution directory: solution.npz (U, V), trace.csv, summary.json.
-* trace.csv columns: iter, obj_scaled, obj_paper, resU, resV, nnzU, nnzV,
-  distU_final, distV_final, time_s. Floats use %.17g so re-parsing is exact.
+* trace.csv: the ``TraceRecord`` fields in order, headed by ``CSV_COLUMNS``.
+  Floats use %.17g so re-parsing is exact.
+
+Loaders raise ValueError naming the file and key of a malformed file.
 
 All files are written atomically (temp file + rename).
 """
@@ -21,14 +23,16 @@ import math
 import os
 import tempfile
 import time
+import typing
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from . import linalg
-from .diagnostics import (build_balanced_factors, certify_optimal_pair,
-                          exact_penalty_threshold, kl_inequality_probe, kl_moduli)
-from .objective import FactorPair, ModelSpec
+from .diagnostics import (certify_optimal_pair, exact_penalty_threshold,
+                          kl_inequality_probe, kl_moduli)
+from .objective import MODELS, FactorPair, ModelSpec, build_balanced_factors
 from .penalty import PenaltyParams
 from .sampling import (FullOperator, GaussianOperator, SamplingOperator,
                        UniformMaskOperator, estimate_restricted_eigs)
@@ -38,9 +42,8 @@ OPERATOR_KINDS = ("full", "mask", "gaussian")
 CSV_COLUMNS = ("iter", "obj_scaled", "obj_paper", "resU", "resV", "nnzU",
                "nnzV", "distU_final", "distV_final", "time_s")
 
-DEFAULT_L20_LAMBDA_RULE = "55 * specnorm(X0)"
-DEFAULT_DC_LAMBDA_RULE = "((a+1)/2) * (0.03 * specnorm(X0))^2"
-DEFAULT_DC_RHO_RULE = "2 / ((a+1) * 0.03 * specnorm(X0))"
+# Penalty scale c of each model's default rules (see rules_at_scale).
+_DEFAULT_SCALE = {"l20": 55, "dc": 0.03}
 
 # Offset separating the Gaussian operator's entry stream from the stream
 # that draws M, so the measurements stay independent of the signal.
@@ -96,8 +99,8 @@ class ExperimentConfig:
         if self.operator_kind == "gaussian":
             _check_gaussian_size(round(self.sample_ratio * self.m * self.n),
                                  self.m, self.n)
-        if self.model not in ("l20", "dc"):
-            raise ConfigError(f"model must be 'l20' or 'dc', got {self.model!r}")
+        if self.model not in MODELS:
+            raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if not self.a > 1:
             raise ConfigError(f"a must exceed 1, got {self.a}")
         if self.mu_tilde < 0:
@@ -108,9 +111,9 @@ class ExperimentConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-_INT_FIELDS = {"m", "n", "r", "kappa", "max_iters", "seed"}
-_FLOAT_FIELDS = {"sample_ratio", "a", "mu_tilde", "epsilon"}
+# Field -> type: the config-file keys, the CLI flag dests and the coercions.
+CONFIG_FIELDS = typing.get_type_hints(ExperimentConfig)
+_NOUNS = {int: "an integer", float: "a number"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -124,7 +127,7 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_FIELDS:
+            if key not in CONFIG_FIELDS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = value
     return out
@@ -137,18 +140,14 @@ def build_config(*mappings) -> ExperimentConfig:
         for key, value in mapping.items():
             if value is None:
                 continue
-            if key not in _CONFIG_FIELDS:
+            if key not in CONFIG_FIELDS:
                 raise ConfigError(f"unknown config key {key!r}")
-            if isinstance(value, str) and key in _INT_FIELDS:
+            kind = CONFIG_FIELDS[key]
+            if isinstance(value, str) and kind in _NOUNS:
                 try:
-                    value = int(value)
+                    value = kind(value)
                 except ValueError as err:
-                    raise ConfigError(f"{key} must be an integer: {err}") from err
-            elif isinstance(value, str) and key in _FLOAT_FIELDS:
-                try:
-                    value = float(value)
-                except ValueError as err:
-                    raise ConfigError(f"{key} must be a number: {err}") from err
+                    raise ConfigError(f"{key} must be {_NOUNS[kind]}: {err}") from err
             merged[key] = value
     try:
         return ExperimentConfig(**merged)
@@ -233,20 +232,28 @@ def gen_instance(cfg: ExperimentConfig):
     return M, op, op.apply(M)
 
 
+def rules_at_scale(model: str, c) -> tuple[str, str | None]:
+    """(lambda_rule, rho_rule) at scale c: lambda = c ||X0|| for l20; for dc
+    the quadratic lambda rule and its matched rho rule. c is written by repr."""
+    if model == "l20":
+        return f"{c!r} * specnorm(X0)", None
+    return (f"((a+1)/2) * ({c!r} * specnorm(X0))^2",
+            f"2 / ((a+1) * {c!r} * specnorm(X0))")
+
+
 def build_model_spec(cfg: ExperimentConfig, op: SamplingOperator, b) -> ModelSpec:
-    """Resolve the parameter rules against X0 = A*(b) and assemble the spec."""
+    """Resolve the parameter rules against X0 = A*(b) and assemble the spec;
+    an unset rule takes ``rules_at_scale`` at its model's default scale."""
     b = linalg.as_vector(b, "b")
     x0_norm = linalg.spectral_norm(op.adjoint(b))
-    lam_rule = cfg.lambda_rule
-    if lam_rule is None:
-        lam_rule = DEFAULT_L20_LAMBDA_RULE if cfg.model == "l20" \
-            else DEFAULT_DC_LAMBDA_RULE
+    default_lam, default_rho = rules_at_scale(cfg.model, _DEFAULT_SCALE[cfg.model])
+    lam_rule = cfg.lambda_rule if cfg.lambda_rule is not None else default_lam
     lam = eval_rule(lam_rule, cfg.a, x0_norm)
     if lam < 0:
         raise ConfigError(f"lambda rule {lam_rule!r} evaluated to {lam} < 0")
     rho = None
     if cfg.model == "dc":
-        rho_rule = cfg.rho_rule if cfg.rho_rule is not None else DEFAULT_DC_RHO_RULE
+        rho_rule = cfg.rho_rule if cfg.rho_rule is not None else default_rho
         rho = eval_rule(rho_rule, cfg.a, x0_norm)
         if rho <= 0:
             raise ConfigError(f"rho rule {rho_rule!r} evaluated to {rho} <= 0")
@@ -337,13 +344,15 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+# TraceRecord's fields in order: the trace columns, each with its type.
+_TRACE_TYPES = typing.get_type_hints(TraceRecord)
+_trace_row = attrgetter(*_TRACE_TYPES)
+
+
 def write_trace_csv(trace: SolveTrace, path: str) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for rec in trace.records:
-        lines.append(",".join(_fmt(v) for v in (
-            rec.iteration, rec.obj_scaled, rec.obj_paper, rec.res_u, rec.res_v,
-            rec.nnz_u, rec.nnz_v, rec.dist_u_final, rec.dist_v_final, rec.time_s,
-        )))
+        lines.append(",".join(map(_fmt, _trace_row(rec))))
     _atomic_text(path, "\n".join(lines) + "\n")
 
 
@@ -358,13 +367,7 @@ def read_trace_csv(path: str) -> list[TraceRecord]:
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
         records.append(TraceRecord(
-            iteration=int(parts[0]),
-            obj_scaled=float(parts[1]), obj_paper=float(parts[2]),
-            res_u=float(parts[3]), res_v=float(parts[4]),
-            nnz_u=int(parts[5]), nnz_v=int(parts[6]),
-            dist_u_final=float(parts[7]), dist_v_final=float(parts[8]),
-            time_s=float(parts[9]),
-        ))
+            *(kind(part) for kind, part in zip(_TRACE_TYPES.values(), parts))))
     return records
 
 
@@ -384,6 +387,12 @@ def load_mask(path: str) -> UniformMaskOperator:
     m, n = vals[0], vals[1]
     pairs = np.array(vals[2:], dtype=int).reshape(-1, 2)
     return UniformMaskOperator(m, n, pairs[:, 0], pairs[:, 1])
+
+
+def _require(path: str, mapping, keys) -> None:
+    for key in keys:
+        if key not in mapping:
+            raise ValueError(f"{path}: missing key {key!r}")
 
 
 def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
@@ -407,22 +416,33 @@ def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
 
 
 def load_instance(in_dir: str):
-    """Returns (meta, M, op, b) from a directory written by save_instance."""
-    with open(os.path.join(in_dir, "meta.json")) as fh:
+    """Returns (meta, M, op, b) from a directory written by save_instance;
+    meta's m, n and p, M's shape and b's length must fit the operator."""
+    meta_path = os.path.join(in_dir, "meta.json")
+    with open(meta_path) as fh:
         meta = json.load(fh)
-    M = linalg.as_matrix(np.load(os.path.join(in_dir, "M.npy")), "M")
-    b = linalg.as_vector(np.load(os.path.join(in_dir, "b.npy")), "b")
+    _require(meta_path, meta, ("schema", "m", "n", "p", "r", "kappa",
+                               "sample_ratio", "operator_kind", "seed"))
+    M_path, b_path = os.path.join(in_dir, "M.npy"), os.path.join(in_dir, "b.npy")
+    M = linalg.as_matrix(np.load(M_path), "M")
+    b = linalg.as_vector(np.load(b_path), "b")
     kind = meta["operator_kind"]
     if kind == "full":
         op: SamplingOperator = FullOperator(meta["m"], meta["n"])
     elif kind == "mask":
         op = load_mask(os.path.join(in_dir, "mask.txt"))
     elif kind == "gaussian":
+        _require(meta_path, meta, ("operator_seed",))
         _check_gaussian_size(meta["p"], meta["m"], meta["n"])
         op = GaussianOperator(meta["m"], meta["n"], meta["p"],
                               seed=meta["operator_seed"])
     else:
-        raise ValueError(f"unknown operator kind {kind!r} in {in_dir}")
+        raise ValueError(f"{meta_path}: unknown operator_kind {kind!r}")
+    checks = [(meta_path, key, meta[key], getattr(op, key)) for key in ("m", "n", "p")]
+    checks += [(M_path, "shape", M.shape, (op.m, op.n)), (b_path, "length", b.size, op.p)]
+    for path, key, stored, expected in checks:
+        if stored != expected:
+            raise ValueError(f"{path}: {key} is {stored}, the operator's is {expected}")
     return meta, M, op, b
 
 
@@ -436,11 +456,16 @@ def save_solution(out_dir: str, W: FactorPair, trace: SolveTrace,
 
 
 def load_solution(in_dir: str):
-    """Returns (W, summary) from a directory written by save_solution."""
-    with np.load(os.path.join(in_dir, "solution.npz")) as data:
+    """Returns (W, summary) from a directory written by save_solution;
+    summary.json must hold the keys ``diagnose`` reads."""
+    npz_path = os.path.join(in_dir, "solution.npz")
+    with np.load(npz_path) as data:
+        _require(npz_path, data.files, ("U", "V"))
         W = FactorPair(data["U"], data["V"])
-    with open(os.path.join(in_dir, "summary.json")) as fh:
+    summary_path = os.path.join(in_dir, "summary.json")
+    with open(summary_path) as fh:
         summary = json.load(fh)
+    _require(summary_path, summary, ("model", "lambda", "rho", "mu_tilde", "a"))
     return W, summary
 
 
@@ -461,18 +486,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     W, trace, reason = solve(spec, solver_cfg, "auto", kappa=cfg.kappa)
     slope, r2 = convergence_fit(trace)
     summary = {
+        **{k: v for k, v in dataclasses.asdict(cfg).items() if not k.endswith("_rule")},
         "schema": "l20factor-summary-v1",
-        "model": cfg.model,
-        "m": cfg.m, "n": cfg.n, "r": cfg.r, "kappa": cfg.kappa,
-        "sample_ratio": cfg.sample_ratio,
-        "operator_kind": cfg.operator_kind,
-        "seed": cfg.seed,
-        "a": cfg.a,
-        "mu_tilde": cfg.mu_tilde,
         "lambda": spec.params.lam,
         "rho": spec.params.rho,
-        "epsilon": cfg.epsilon,
-        "max_iters": cfg.max_iters,
         "iterations": len(trace.records),
         "reason": reason,
         "rel_error": relative_error(W, M),
@@ -490,8 +507,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dict:
     """Sweep the regularization scale: one run per c, shared instance.
 
-    For the hard model c enters as lambda = c * ||X0||; for the dc model via
-    the quadratic lambda rule and matched rho rule. Emits sweep.csv with one
+    Each run takes ``rules_at_scale(cfg.model, c)``: lambda = c * ||X0|| for
+    the hard model, the quadratic lambda rule and matched rho rule for the
+    dc model. Emits sweep.csv with one
     row per c.
     """
     c_values = [float(c) for c in c_values]
@@ -500,14 +518,8 @@ def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dic
     instance = gen_instance(cfg)
     runs = []
     for c in c_values:
-        if cfg.model == "l20":
-            overrides = {"lambda_rule": f"{c!r} * specnorm(X0)"}
-        else:
-            overrides = {
-                "lambda_rule": f"((a+1)/2) * ({c!r} * specnorm(X0))^2",
-                "rho_rule": f"2 / ((a+1) * {c!r} * specnorm(X0))",
-            }
-        sub = dataclasses.replace(cfg, **overrides)
+        lam_rule, rho_rule = rules_at_scale(cfg.model, c)
+        sub = dataclasses.replace(cfg, lambda_rule=lam_rule, rho_rule=rho_rule)
         sub_dir = None if out_dir is None else os.path.join(out_dir, f"c_{c:g}")
         bundle = run_experiment(sub, sub_dir, instance=instance)
         runs.append({"c": c, **bundle["summary"]})
@@ -543,7 +555,7 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
     W, summary = load_solution(solution_dir)
     params = PenaltyParams(
         lam=summary["lambda"], mu_tilde=summary["mu_tilde"],
-        a=summary["a"], rho=summary.get("rho"),
+        a=summary["a"], rho=summary["rho"],
     )
     spec = ModelSpec(model=summary["model"], op=op, b=b, params=params)
 
@@ -585,7 +597,7 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
             Wbar = build_balanced_factors(M, W.kappa)
             probe = kl_inequality_probe(spec, Wbar, M, moduli,
                                         samples=probe_samples, seed=seed)
-            report["probe"] = {"status": probe.status, **probe.as_dict()}
+            report["probe"] = dataclasses.asdict(probe)
         except ValueError as err:
             report["probe"] = {"status": "skipped", "message": str(err)}
 

@@ -59,6 +59,24 @@ class FactorPair:
         return FactorPair(self.U.copy(), self.V.copy())
 
 
+def build_balanced_factors(X, kappa: int) -> FactorPair:
+    """Balanced factor pair with UV^T = X (for kappa >= rank) via the SVD.
+
+    U = P sqrt(S), V = Q sqrt(S) on the leading kappa singular triples;
+    singular values at or below 1e-8 * sigma_1 are treated as zero so the
+    column counts equal min(rank(X), kappa) exactly.
+    """
+    X = linalg.as_matrix(X)
+    if not 1 <= kappa <= min(X.shape):
+        raise ValueError(f"kappa must lie in [1, {min(X.shape)}], got {kappa}")
+    dec = linalg.svd(X)
+    sigma = dec.sigma[:kappa].copy()
+    if sigma.size and sigma[0] > 0:
+        sigma[sigma <= 1e-8 * dec.sigma[0]] = 0.0
+    root = np.sqrt(sigma)
+    return FactorPair(dec.P[:, :kappa] * root, dec.Q[:, :kappa] * root)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Problem instance: model family, measurement operator, data, parameters."""
@@ -187,12 +205,5 @@ def objective_gap(spec: ModelSpec, W: FactorPair, Wbar: FactorPair) -> float:
             - linalg.l20_norm(Wbar.U) - linalg.l20_norm(Wbar.V)
         )
         return nu * smooth_diff + 0.5 * count_diff
-    pen_diff = 0.0
-    for A, B in ((W.U, Wbar.U), (W.V, Wbar.V)):
-        sa = linalg.column_norms(A)
-        sb = linalg.column_norms(B)
-        pen_diff += float(
-            np.sum(penalty.g_scalar(spec.params, sa))
-            - np.sum(penalty.g_scalar(spec.params, sb))
-        )
-    return nu * (smooth_diff + 0.5 * pen_diff)
+    pen_diff = column_penalty_value(spec, W) - column_penalty_value(spec, Wbar)
+    return nu * (smooth_diff + pen_diff)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import linalg, penalty
 from .linalg import Array
+from .objective import MODELS
 from .penalty import PenaltyParams
 
 
@@ -36,7 +37,7 @@ def prox_matrix(Z, step_l: float, params: PenaltyParams, model: str) -> Array:
     Z = linalg.as_matrix(Z, "Z")
     if not step_l > 0:
         raise ValueError(f"step_l must be positive, got {step_l}")
-    if model not in ("l20", "dc"):
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     L = step_l
     if model == "l20":

@@ -42,7 +42,8 @@ import numpy as np
 
 from . import linalg
 from .objective import (FactorPair, ModelSpec, _evaluate, _gradient,
-                        _gradient_half, column_penalty_value, smooth_value)
+                        _gradient_half, build_balanced_factors,
+                        column_penalty_value, smooth_value)
 from .prox import prox_matrix
 
 # Doublings of a substep's starting step constant before the majorization
@@ -140,13 +141,10 @@ class SolveTrace:
 
 
 def initial_point(op, b, kappa: int) -> FactorPair:
-    """Balanced spectral start from X0 = A*(b): U0 = P sqrt(S), V0 = Q sqrt(S)."""
-    if not 1 <= kappa <= min(op.m, op.n):
-        raise ValueError(f"kappa must lie in [1, {min(op.m, op.n)}], got {kappa}")
-    X0 = op.adjoint(b)
-    dec = linalg.svd(X0)
-    root = np.sqrt(dec.sigma[:kappa])
-    return FactorPair(dec.P[:, :kappa] * root, dec.Q[:, :kappa] * root)
+    """Balanced spectral start from X0 = A*(b): U0 = P sqrt(S), V0 = Q sqrt(S).
+
+    Singular values at or below 1e-8 * sigma_1 give exactly zero columns."""
+    return build_balanced_factors(op.adjoint(b), kappa)
 
 
 def estimate_step_constants(spec: ModelSpec, W: FactorPair) -> tuple[float, float]:

@@ -1,8 +1,18 @@
+import argparse
+import dataclasses
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from l20factor import harness
+from l20factor.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -178,3 +188,85 @@ def test_unknown_operator_choice_rejected(tmp_path):
     res = run_cli("gen", "--operator", "bogus",
                   "--out-dir", str(tmp_path / "g"))
     assert res.returncode == 2
+
+
+def test_config_flags_cover_every_field():
+    """Each ExperimentConfig field is the dest of a flag on gen and experiment;
+    solve takes its shape from the instance, so it has the others only."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    fields = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    shape = {"m", "n", "r", "kappa", "sample_ratio", "operator_kind"}
+    dests = {name: {a.dest for a in sub.choices[name]._actions} & fields
+             for name in ("gen", "solve", "experiment")}
+    assert dests == {"gen": fields, "solve": fields - shape, "experiment": fields}
+
+
+@pytest.fixture(scope="module")
+def stored_runs(tmp_path_factory):
+    """A 20x20 mask instance with a short solve, and a Gaussian instance."""
+    root = tmp_path_factory.mktemp("stored")
+    cfg = harness.ExperimentConfig(m=20, n=20, r=2, kappa=3, sample_ratio=0.5,
+                                   max_iters=20, seed=1)
+    M, op, b = harness.gen_instance(cfg)
+    harness.save_instance(str(root / "mask"), cfg, M, op, b)
+    harness.run_experiment(cfg, str(root / "sol"), instance=(M, op, b))
+    gcfg = dataclasses.replace(cfg, operator_kind="gaussian")
+    harness.save_instance(str(root / "gaussian"), gcfg, *harness.gen_instance(gcfg))
+    return root
+
+
+def _edit_json(path, edit):
+    with open(path) as fh:
+        obj = json.load(fh)
+    edit(obj)
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+
+def _drop_v(path):
+    with np.load(path) as data:
+        U = data["U"]
+    np.savez(path, U=U)
+
+
+MALFORMED = {
+    "meta-without-operator_kind": ("mask", "meta.json", lambda p: _edit_json(
+        p, lambda d: d.pop("operator_kind")), r"meta\.json: missing key 'operator_kind'"),
+    "meta-without-r": ("mask", "meta.json", lambda p: _edit_json(
+        p, lambda d: d.pop("r")), r"meta\.json: missing key 'r'"),
+    "meta-without-operator_seed": ("gaussian", "meta.json", lambda p: _edit_json(
+        p, lambda d: d.pop("operator_seed")), r"meta\.json: missing key 'operator_seed'"),
+    "meta-m-off-the-mask": ("mask", "meta.json", lambda p: _edit_json(
+        p, lambda d: d.update(m=25)), r"meta\.json: m is 25, the operator's is 20"),
+    "M-wrong-shape": ("mask", "M.npy", lambda p: np.save(p, np.ones((20, 21))),
+                      r"M\.npy: shape is \(20, 21\), the operator's is \(20, 20\)"),
+    "b-wrong-length": ("mask", "b.npy", lambda p: np.save(p, np.ones(7)),
+                       r"b\.npy: length is 7, the operator's is 200"),
+    "summary-without-mu_tilde": ("sol", "summary.json", lambda p: _edit_json(
+        p, lambda d: d.pop("mu_tilde")), r"summary\.json: missing key 'mu_tilde'"),
+    "solution-without-V": ("sol", "solution.npz", _drop_v,
+                           r"solution\.npz: missing key 'V'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_stored_file_exits_2(case, stored_runs, tmp_path, capsys):
+    """A stored file missing a key or not fitting the operator is a config
+    error (exit 2) naming the file and key, raised before any solve."""
+    which, name, corrupt, message = MALFORMED[case]
+    for part in ("mask", "gaussian", "sol"):
+        shutil.copytree(stored_runs / part, tmp_path / part)
+    corrupt(str(tmp_path / which / name))
+    inst = str(tmp_path / ("gaussian" if which == "gaussian" else "mask"))
+    out = tmp_path / "out"
+    if which == "sol":
+        argv = ["diagnose", "--instance", inst, "--solution", str(tmp_path / "sol"),
+                "--out-dir", str(out)]
+    else:
+        argv = ["solve", "--instance", inst, "--out-dir", str(out), "--max-iters", "5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error(config): ")
+    assert re.search(message, err), err
+    assert not out.exists()

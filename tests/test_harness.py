@@ -179,6 +179,26 @@ def test_build_config_errors():
         build_config({"rows": 5})
 
 
+def test_default_rules_are_rules_at_scale():
+    assert harness.rules_at_scale("l20", 55) == ("55 * specnorm(X0)", None)
+    assert harness.rules_at_scale("dc", 0.03) == (
+        "((a+1)/2) * (0.03 * specnorm(X0))^2",
+        "2 / ((a+1) * 0.03 * specnorm(X0))")
+    op = FullOperator(4, 3)
+    b = op.apply(np.diag([2.0, 1.0, 0.5])[[0, 1, 2, 2]])  # ||X0|| = 2
+    l20 = build_model_spec(ExperimentConfig(m=4, n=3, r=1, kappa=2,
+                                            operator_kind="full"), op, b)
+    assert l20.params.lam == 110.0
+    dc = build_model_spec(ExperimentConfig(m=4, n=3, r=1, kappa=2, a=3.0,
+                                           operator_kind="full", model="dc"), op, b)
+    assert dc.params.lam == eval_rule("((a+1)/2) * (0.03 * specnorm(X0))^2", 3.0, 2.0)
+    assert dc.params.rho == eval_rule("2 / ((a+1) * 0.03 * specnorm(X0))", 3.0, 2.0)
+    empty = ExperimentConfig(m=4, n=3, r=1, kappa=2, operator_kind="full",
+                             lambda_rule="")
+    with pytest.raises(ConfigError, match="cannot parse"):  # set, so not the default
+        build_model_spec(empty, op, b)
+
+
 # ----------------------------------------------------------- fit helpers
 
 

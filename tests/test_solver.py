@@ -74,6 +74,19 @@ def test_initial_point_kappa_range():
         initial_point(op, np.zeros(12), 4)
 
 
+def test_initial_point_zeroes_columns_past_the_rank():
+    """A rank-2 X0 with kappa 4 starts with exactly 2 nonzero columns: the
+    singular values at roundoff level give zero columns, not sqrt(1e-16)."""
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((9, 2)) @ rng.standard_normal((7, 2)).T
+    op = FullOperator(9, 7)
+    W = initial_point(op, op.apply(M), 4)
+    assert W.kappa == 4
+    assert np.count_nonzero(np.linalg.norm(W.U, axis=0)) == 2
+    assert np.count_nonzero(np.linalg.norm(W.V, axis=0)) == 2
+    assert_allclose(W.product(), M, atol=1e-12)
+
+
 def test_step_constants_floor_at_zero_pair():
     spec, _ = mask_instance()
     W = FactorPair(np.zeros((10, 2)), np.zeros((10, 2)))

@@ -3,10 +3,13 @@
 The benchmark's tracer wraps library names listed in its own tables, so a
 rename in the library breaks it; its self-test is run here so that such a
 rename fails this suite too. A plain ``import l20factor`` must not load
-scipy, which only ``linalg.svd``'s fallback imports, lazily.
+scipy, which only ``linalg.svd``'s fallback imports, lazily. The README's
+library quickstart is run as written, so an API change that breaks it
+fails here.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
 
-def _run(args):
-    env = dict(os.environ)
+def _run(args, **env_overrides):
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (SRC, env.get("PYTHONPATH")) if part)
     return subprocess.run([sys.executable, *args], capture_output=True,
@@ -33,3 +36,14 @@ def test_import_leaves_scipy_out():
     res = _run(["-c", "import sys, l20factor; print('scipy' in sys.modules)"])
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    res = _run(["-c", blocks[0]], OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    assert res.returncode == 0, res.stderr
+    assert "converged" in res.stdout
+    assert "passed=True" in res.stdout
