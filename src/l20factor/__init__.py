@@ -13,15 +13,15 @@ grows around the recovered optimum.
 """
 
 from .diagnostics import (KLModuli, OptimalSetCertificate, ProbeReport,
-                          build_balanced_factors, certify_optimal_pair,
-                          exact_penalty_threshold, kl_inequality_probe,
-                          kl_moduli, ones_counterexample,
+                          certify_optimal_pair, exact_penalty_threshold,
+                          kl_inequality_probe, kl_moduli, ones_counterexample,
                           ones_counterexample_point, subdiff_distance_psi,
                           subdiff_distance_theta_upper)
 from .harness import (ExperimentConfig, diagnose, gen_instance,
                       run_experiment, run_fig3)
-from .objective import (FactorPair, ModelSpec, SmoothGradient, full_value,
-                        objective_gap, smooth_gradient, smooth_value)
+from .objective import (FactorPair, ModelSpec, SmoothGradient,
+                        build_balanced_factors, full_value, objective_gap,
+                        smooth_gradient, smooth_value)
 from .penalty import PenaltyParams, g_scalar, phi, psi_star, theta, theta_prime_plus
 from .prox import prox_matrix
 from .sampling import (FullOperator, GaussianOperator, RestrictedEigEstimate,

@@ -19,7 +19,6 @@ Errors print ``error(<category>): <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import harness
@@ -27,6 +26,10 @@ from .harness import (CONFIG_FIELDS, OPERATOR_KINDS, ConfigError, ExperimentConf
                       build_config, parse_config_file)
 from .objective import MODELS
 from .solver import DivergenceError
+
+# The config fields that describe the instance: flags of gen and experiment
+# only, since solve reads them from meta.json.
+INSTANCE_FIELDS = ("m", "n", "r", "kappa", "sample_ratio", "operator_kind")
 
 
 def _add_config_flags(p: argparse.ArgumentParser, shapes: bool = True) -> None:
@@ -102,6 +105,10 @@ def _cmd_gen(args) -> None:
 def _cmd_solve(args) -> None:
     meta, M, op, b = harness.load_instance(args.instance)
     cfg = _gather(args, {key: meta[key] for key in meta if key in CONFIG_FIELDS})
+    for key in INSTANCE_FIELDS:
+        if getattr(cfg, key) != meta[key]:
+            raise ConfigError(f"{args.config}: {key} is {getattr(cfg, key)!r}, "
+                              f"the instance's is {meta[key]!r}")
     bundle = harness.run_experiment(cfg, args.out_dir, instance=(M, op, b))
     s = bundle["summary"]
     print(f"solved: reason={s['reason']} iterations={s['iterations']} "
@@ -121,9 +128,7 @@ def _cmd_diagnose(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
-    cfg = _gather(args)
-    if args.figure == "fig2" and args.model is None and cfg.model == "l20":
-        cfg = dataclasses.replace(cfg, model="dc")
+    cfg = _gather(args, {"model": "dc"} if args.figure == "fig2" else {})
     if args.figure in ("fig1", "fig2"):
         model = "l20" if args.figure == "fig1" else "dc"
         if cfg.model != model:

@@ -5,8 +5,7 @@ subdifferential distances at a point, moduli for the local growth inequality
 dist(0, d objective)^2 >= gamma * (objective gap), Monte Carlo probes of that
 inequality near a certified optimum, the penalty threshold above which the
 continuous surrogate shares the hard model's global minimizers, and
-certification of balanced optimal factor pairs (``build_balanced_factors``,
-which builds them, lives in ``objective`` and is re-exported here).
+certification of balanced optimal factor pairs.
 
 All quantities here use the nu-weighted normalization (the unscaled
 objective): fidelity weight nu = 1/lam and per-column regularizer weight 1/2.
@@ -22,8 +21,7 @@ import numpy as np
 
 from . import linalg, penalty
 from .linalg import Array
-from .objective import (FactorPair, ModelSpec, build_balanced_factors,  # noqa: F401
-                        objective_gap, smooth_gradient)
+from .objective import FactorPair, ModelSpec, objective_gap, smooth_gradient
 from .penalty import PenaltyParams
 from .sampling import FullOperator
 
@@ -86,11 +84,11 @@ def certify_optimal_pair(W: FactorPair, M, tol_p: float = 1e-8,
                          tol_b: float | None = None) -> OptimalSetCertificate:
     """Certificate that W is a balanced exact factorization of M."""
     M = linalg.as_matrix(M, "M")
-    nm = linalg.frobenius_norm(M)
+    nm = float(np.linalg.norm(M))
     if nm == 0:
         raise ValueError("M must be nonzero to certify against")
     if tol_b is None:
-        tol_b = 1e-8 * linalg.spectral_norm(M)
+        tol_b = 1e-8 * float(np.linalg.norm(M, 2))
     prod = W.product()
     perr = float(np.linalg.norm(prod - M)) / nm
     berr = float(np.linalg.norm(W.U.T @ W.U - W.V.T @ W.V))
@@ -139,8 +137,8 @@ def subdiff_distance_psi(spec: ModelSpec, W: FactorPair, M) -> float:
     _check_data_consistency(spec, M)
     spec.check_shapes(W)
     G, H = _nu_smooth_grads(spec, W)
-    mask_u = linalg.column_norms(W.U) > linalg.default_zero_tol(W.U)
-    mask_v = linalg.column_norms(W.V) > linalg.default_zero_tol(W.V)
+    mask_u = np.linalg.norm(W.U, axis=0) > linalg.default_zero_tol(W.U)
+    mask_v = np.linalg.norm(W.V, axis=0) > linalg.default_zero_tol(W.V)
     total = float(np.sum(G[:, mask_u] ** 2)) + float(np.sum(H[:, mask_v] ** 2))
     return math.sqrt(total)
 
@@ -164,7 +162,7 @@ def subdiff_distance_theta_upper(spec: ModelSpec, W: FactorPair, M) -> float:
     G, H = _nu_smooth_grads(spec, W)
     total = 0.0
     for grad, F in ((G, W.U), (H, W.V)):
-        norms = linalg.column_norms(F)
+        norms = np.linalg.norm(F, axis=0)
         tol = linalg.default_zero_tol(F)
         for j in range(F.shape[1]):
             if norms[j] > tol:

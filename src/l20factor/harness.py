@@ -245,7 +245,7 @@ def build_model_spec(cfg: ExperimentConfig, op: SamplingOperator, b) -> ModelSpe
     """Resolve the parameter rules against X0 = A*(b) and assemble the spec;
     an unset rule takes ``rules_at_scale`` at its model's default scale."""
     b = linalg.as_vector(b, "b")
-    x0_norm = linalg.spectral_norm(op.adjoint(b))
+    x0_norm = float(np.linalg.norm(op.adjoint(b), 2))
     default_lam, default_rho = rules_at_scale(cfg.model, _DEFAULT_SCALE[cfg.model])
     lam_rule = cfg.lambda_rule if cfg.lambda_rule is not None else default_lam
     lam = eval_rule(lam_rule, cfg.a, x0_norm)
@@ -379,14 +379,15 @@ def save_mask(op: UniformMaskOperator, path: str) -> None:
 
 
 def load_mask(path: str) -> UniformMaskOperator:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 4 or len(tokens) % 2 != 0:
-        raise ValueError(f"malformed mask file {path}")
-    vals = list(map(int, tokens))
-    m, n = vals[0], vals[1]
-    pairs = np.array(vals[2:], dtype=int).reshape(-1, 2)
-    return UniformMaskOperator(m, n, pairs[:, 0], pairs[:, 1])
+    """Read a mask written by ``save_mask``; a malformed file is a ValueError
+    naming it (bad token, ragged line, index out of range, duplicate entry)."""
+    try:
+        vals = np.loadtxt(path, dtype=np.int64, ndmin=2)
+        if vals.shape[0] < 2 or vals.shape[1] != 2:
+            raise ValueError('expected a line "m n", then one "i j" line per entry')
+        return UniformMaskOperator(vals[0, 0], vals[0, 1], vals[1:, 0], vals[1:, 1])
+    except ValueError as err:
+        raise ValueError(f"malformed mask file {path}: {err}") from err
 
 
 def _require(path: str, mapping, keys) -> None:

@@ -1,9 +1,11 @@
 """Dense linear algebra helpers shared by the rest of the package.
 
-Thin wrappers around numpy/LAPACK that add input validation: real 2-D
-inputs, finite entries, informative shape errors. ``as_matrix`` and
-``as_vector`` check data where it enters the package (factor pairs, model
-specs, loaders, public evaluators); each helper validates once per call.
+``as_matrix`` and ``as_vector`` check data where it enters the package
+(factor pairs, model specs, loaders, public evaluators): real inputs of the
+right dimension, finite entries, informative shape errors. ``svd`` falls
+back to gesvd when the default LAPACK routine fails; ``l20_norm`` and
+``numerical_rank`` count columns and singular values above a tolerance.
+Norms are numpy's, called directly.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ class SvdResult:
     sigma: Array
     Q: Array
 
-    def reconstruct(self) -> Array:
-        return (self.P * self.sigma) @ self.Q.T
-
 
 def svd(X) -> SvdResult:
     """Thin SVD with a gesvd fallback if the default driver fails to converge."""
@@ -75,26 +74,9 @@ def svd(X) -> SvdResult:
     return SvdResult(P=P, sigma=s, Q=Qh.T)
 
 
-def spectral_norm(X) -> float:
-    """Largest singular value."""
-    A = as_matrix(X)
-    return float(np.linalg.norm(A, 2))
-
-
-def frobenius_norm(X) -> float:
-    A = as_matrix(X)
-    return float(np.linalg.norm(A))
-
-
-def column_norms(X) -> Array:
-    """Euclidean norm of each column, as a 1-D array of length n."""
-    A = as_matrix(X)
-    return np.linalg.norm(A, axis=0)
-
-
 def default_zero_tol(X) -> float:
     """Column-is-zero tolerance: 1e-8 * max(1, ||X||_F)."""
-    return 1e-8 * max(1.0, frobenius_norm(X))
+    return 1e-8 * max(1.0, float(np.linalg.norm(X)))
 
 
 def l20_norm(X, tol: float | None = None) -> int:
@@ -104,7 +86,7 @@ def l20_norm(X, tol: float | None = None) -> int:
     """
     A = as_matrix(X)
     if tol is None:
-        tol = 1e-8 * max(1.0, float(np.linalg.norm(A)))
+        tol = default_zero_tol(A)
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     return int(np.count_nonzero(np.linalg.norm(A, axis=0) > tol))

@@ -172,8 +172,8 @@ def column_penalty_value(spec: ModelSpec, W: FactorPair) -> float:
     if spec.model == "l20":
         count = linalg.l20_norm(W.U) + linalg.l20_norm(W.V)
         return 0.5 * spec.params.lam * count
-    su = linalg.column_norms(W.U)
-    sv = linalg.column_norms(W.V)
+    su = np.linalg.norm(W.U, axis=0)
+    sv = np.linalg.norm(W.V, axis=0)
     return 0.5 * float(
         np.sum(penalty.g_scalar(spec.params, su))
         + np.sum(penalty.g_scalar(spec.params, sv))

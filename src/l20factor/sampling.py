@@ -6,11 +6,15 @@ sketches (``gaussian``). All of them share the column-major (order="F")
 vectorization convention. Operators are immutable; each knows its exact norm,
 which a Gaussian operator computes once, from the smaller Gram of its matrix.
 
-The module also estimates restricted eigenvalue brackets
+An operator has one dense form, its (p, m, n) measurement tensor T with
+A(X)_q = sum_ij T[q, i, j] X[i, j]: G itself for a Gaussian operator, and
+one apply per basis matrix otherwise. The module uses it to estimate
+restricted eigenvalue brackets
     alpha <= ||A(X)||^2 / ||X||_F^2 <= beta   for all rank-k X != 0
-in closed form for ``full`` and ``mask``, from the dense Gram spectrum when
-rank k is unrestricted and small, and otherwise by Monte Carlo with
-alternating refinement, each step one dense eigendecomposition.
+in closed form for ``full`` and ``mask``, from the Gram spectrum of T's
+p x (m*n) matrix when rank k is unrestricted and small, and otherwise by
+Monte Carlo with alternating refinement, each step one dense
+eigendecomposition of T restricted to one free factor.
 """
 
 from __future__ import annotations
@@ -177,29 +181,6 @@ class GaussianOperator(SamplingOperator):
         return self._norm
 
 
-def operator_matrix(op: SamplingOperator) -> Array:
-    """Dense p x (m*n) matrix of the operator in the vec_F basis.
-
-    Intended for oracles and small exact computations; cost is one apply per
-    basis matrix except for kinds with a cheaper direct form.
-    """
-    if isinstance(op, GaussianOperator):
-        return op.G.transpose(0, 2, 1).reshape(op.p, op.m * op.n)
-    if isinstance(op, FullOperator):
-        return np.eye(op.m * op.n)
-    if isinstance(op, UniformMaskOperator):
-        S = np.zeros((op.p, op.m * op.n))
-        S[np.arange(op.p), op.cols * op.m + op.rows] = 1.0
-        return S
-    S = np.empty((op.p, op.m * op.n))
-    for j in range(op.n):
-        for i in range(op.m):
-            E = np.zeros((op.m, op.n))
-            E[i, j] = 1.0
-            S[:, j * op.m + i] = op.apply(E)
-    return S
-
-
 @dataclass(frozen=True)
 class RestrictedEigEstimate:
     """Brackets for the rank-k restricted eigenvalues of A*A.
@@ -229,16 +210,26 @@ def _orthonormalize(F: Array) -> Array:
 
 
 def _measurement_tensor(op: SamplingOperator) -> Array:
-    """(p, m, n) T with A(X)_q = sum_ij T[q, i, j] X[i, j]; G itself if Gaussian."""
+    """The dense form of op: (p, m, n) T with A(X)_q = sum_ij T[q, i, j] X[i, j].
+
+    G itself for a Gaussian operator; otherwise one apply per basis matrix.
+    """
     if isinstance(op, GaussianOperator):
         return op.G
-    return operator_matrix(op).reshape(op.p, op.n, op.m).transpose(0, 2, 1)
+    T = np.empty((op.p, op.m, op.n))
+    E = np.zeros((op.m, op.n))
+    for i in range(op.m):
+        for j in range(op.n):
+            E[i, j] = 1.0
+            T[:, i, j] = op.apply(E)
+            E[i, j] = 0.0
+    return T
 
 
 def _refine_factor(T: Array, Q: Array, side: str, want_max: bool):
     """Exactly optimize ||A(X)||^2 over unit-Frobenius X with one factor fixed.
 
-    T is from ``_measurement_tensor``.
+    T is the operator's measurement tensor (``_measurement_tensor``).
     side="right": X = F @ Q.T with Q (n x k) orthonormal, optimize F (m x k).
     side="left":  X = Q @ F.T with Q (m x k) orthonormal, optimize F (n x k).
     A restricted to the free factor is the p x (rows*k) matrix
@@ -284,7 +275,8 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     Exact for the full operator (alpha = beta = 1) and for a mask, where
     A*A projects onto the observed entries: beta = 1 (an observed e_i e_j^T)
     and alpha = 0 (a missed e_i e_j^T), or 1 if every entry is observed.
-    Exact via the dense Gram spectrum when k = min(m, n) with m*n <= 400
+    Exact via the Gram spectrum of S, the p x (m*n) matrix of the
+    measurement tensor in vec_F order, when k = min(m, n) with m*n <= 400
     (rank-k is then unrestricted). Otherwise Monte Carlo: each sample starts
     from a random rank-k factor pair and is refined by alternating exact
     single-factor eigenproblems, once toward the minimum and once toward the
@@ -301,13 +293,15 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     if isinstance(op, UniformMaskOperator):
         alpha = 1.0 if op.p == op.m * op.n else 0.0
         return RestrictedEigEstimate(k, alpha, alpha, 1.0, 1.0, 0, "exact-mask")
+    T = _measurement_tensor(op)
     if k == min(op.m, op.n) and op.m * op.n <= 400:
-        S = operator_matrix(op)
+        # Any column order gives this spectrum up to rounding; vec_F is the
+        # operators' own vectorization order.
+        S = T.transpose(0, 2, 1).reshape(op.p, op.m * op.n)
         w = np.linalg.eigvalsh(S.T @ S)
         lo, hi = max(float(w[0]), 0.0), max(float(w[-1]), 0.0)
         return RestrictedEigEstimate(k, lo, lo, hi, hi, 0, "exact-dense")
 
-    T = _measurement_tensor(op)
     beta_upper = op.operator_norm() ** 2
     alpha_upper = np.inf
     beta_lower = 0.0

@@ -1,8 +1,9 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately naive (loops, grids, golden-section,
-formulas recomputed from scratch) and written without importing the
-package's numerical code paths, so tests can compare the two routes.
+formulas recomputed in full) and imports nothing from the package, so
+tests can compare the two routes. ``operator_matrix`` is the reference dense
+form of a measurement operator, in the vec_F basis the package uses.
 """
 
 import numpy as np
@@ -147,3 +148,18 @@ def restricted_quadratic_form(op, Q, side):
         Z = op.adjoint(op.apply(X))
         H[:, c] = (Z @ Q if side == "right" else Z.T @ Q).ravel()
     return H
+
+
+def operator_matrix(op):
+    """Dense p x (m*n) matrix of op in the vec_F basis.
+
+    Column j*m + i is A(e_i e_j^T), from one apply per basis matrix, so
+    S @ X.flatten(order="F") = A(X) for every X.
+    """
+    S = np.empty((op.p, op.m * op.n))
+    for j in range(op.n):
+        for i in range(op.m):
+            E = np.zeros((op.m, op.n))
+            E[i, j] = 1.0
+            S[:, j * op.m + i] = op.apply(E)
+    return S

@@ -26,16 +26,15 @@ import time
 import numpy as np
 
 from l20factor import linalg
-from l20factor.diagnostics import (build_balanced_factors, certify_optimal_pair,
-                                   kl_inequality_probe, kl_moduli,
-                                   ones_counterexample,
+from l20factor.diagnostics import (certify_optimal_pair, kl_inequality_probe,
+                                   kl_moduli, ones_counterexample,
                                    ones_counterexample_point,
                                    subdiff_distance_psi)
 from l20factor.harness import (ExperimentConfig, build_model_spec,
                                convergence_fit, gen_instance, relative_error,
                                run_experiment, run_fig3)
-from l20factor.objective import (FactorPair, ModelSpec, objective_gap,
-                                 smooth_gradient, smooth_value)
+from l20factor.objective import (FactorPair, ModelSpec, build_balanced_factors,
+                                 objective_gap, smooth_gradient, smooth_value)
 from l20factor.penalty import PenaltyParams, g_scalar, psi_star
 from l20factor.prox import prox_matrix
 from l20factor.sampling import FullOperator, UniformMaskOperator

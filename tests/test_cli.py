@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from l20factor import harness
-from l20factor.cli import build_parser, main
+from l20factor.cli import INSTANCE_FIELDS, build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -109,10 +109,18 @@ def test_fig1_requires_hard_model(tmp_path):
 
 
 def test_fig2_requires_dc_model(tmp_path):
+    """Asking for model=l20 fails whether a flag or the config file asks."""
     res = run_cli("experiment", "fig2", "--m", "12", "--n", "10", "--r", "1",
                   "--kappa", "2", "--model", "l20", "--out-dir", str(tmp_path / "f"))
     assert res.returncode == 2
     assert res.stderr.startswith("error(config): fig2 requires model=dc")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = l20\n")
+    res = run_cli("experiment", "fig2", "--config", str(cfg), "--m", "12", "--n", "10",
+                  "--r", "1", "--kappa", "2", "--out-dir", str(tmp_path / "g"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error(config): fig2 requires model=dc")
+    assert not (tmp_path / "g").exists()
 
 
 def test_experiment_fig3_writes_sweep(tmp_path):
@@ -196,10 +204,10 @@ def test_config_flags_cover_every_field():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     fields = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
-    shape = {"m", "n", "r", "kappa", "sample_ratio", "operator_kind"}
     dests = {name: {a.dest for a in sub.choices[name]._actions} & fields
              for name in ("gen", "solve", "experiment")}
-    assert dests == {"gen": fields, "solve": fields - shape, "experiment": fields}
+    assert dests == {"gen": fields, "solve": fields - set(INSTANCE_FIELDS),
+                     "experiment": fields}
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +230,22 @@ def _edit_json(path, edit):
     edit(obj)
     with open(path, "w") as fh:
         json.dump(obj, fh)
+
+
+def _edit_lines(path, edit):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    edit(lines)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _split_pair(lines):
+    """Put the first entry's row index on the header line: the tokens are
+    unchanged, but the lines no longer hold pairs."""
+    i, j = lines[1].split()
+    lines[1:2] = [f"{lines[0]} {i}", j]
+    del lines[0]
 
 
 def _drop_v(path):
@@ -247,6 +271,14 @@ MALFORMED = {
         p, lambda d: d.pop("mu_tilde")), r"summary\.json: missing key 'mu_tilde'"),
     "solution-without-V": ("sol", "solution.npz", _drop_v,
                            r"solution\.npz: missing key 'V'"),
+    "mask-non-integer": ("mask", "mask.txt", lambda p: _edit_lines(
+        p, lambda t: t.append("1 x")), r"mask\.txt: could not convert string 'x'"),
+    "mask-out-of-range": ("mask", "mask.txt", lambda p: _edit_lines(
+        p, lambda t: t.append("20 0")), r"mask\.txt: row index out of range"),
+    "mask-duplicate": ("mask", "mask.txt", lambda p: _edit_lines(
+        p, lambda t: t.append(t[1])), r"mask\.txt: mask contains duplicate entries"),
+    "mask-ragged": ("mask", "mask.txt", lambda p: _edit_lines(p, _split_pair),
+                    r"mask\.txt: the number of columns changed"),
 }
 
 
@@ -270,3 +302,25 @@ def test_malformed_stored_file_exits_2(case, stored_runs, tmp_path, capsys):
     assert err.startswith("error(config): ")
     assert re.search(message, err), err
     assert not out.exists()
+
+
+def test_solve_config_must_match_instance(stored_runs, tmp_path, capsys):
+    """solve reads the instance fields from meta.json: a config file may
+    repeat them, but a different value is a config error and writes nothing."""
+    inst = str(stored_runs / "mask")
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 25\nkappa = 4\n")
+    argv = ["solve", "--config", str(cfg), "--instance", inst, "--out-dir", str(out),
+            "--max-iters", "5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error(config): ")
+    assert "run.cfg: m is 25, the instance's is 20" in err
+    assert not out.exists()
+    cfg.write_text("m = 20\nn = 20\nr = 2\nkappa = 3\nsample_ratio = 0.5\n"
+                   "operator_kind = mask\n")
+    assert main(argv) == 0
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert (summary["m"], summary["kappa"]) == (20, 3)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from l20factor.diagnostics import (KLModuli, build_balanced_factors,
-                                   certify_optimal_pair,
+from l20factor.diagnostics import (KLModuli, certify_optimal_pair,
                                    exact_penalty_threshold,
                                    kl_inequality_probe, kl_moduli,
                                    ones_counterexample,
                                    ones_counterexample_point, probe_radius,
                                    subdiff_distance_psi,
                                    subdiff_distance_theta_upper)
-from l20factor.objective import FactorPair, ModelSpec, full_value, objective_gap
+from l20factor.objective import (FactorPair, ModelSpec, build_balanced_factors,
+                                 full_value, objective_gap)
 from l20factor.penalty import PenaltyParams
 from l20factor.sampling import FullOperator, UniformMaskOperator
 from l20factor.solver import SolverConfig, solve

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from oracles import restricted_quadratic_form
+from oracles import operator_matrix, restricted_quadratic_form
 
 from l20factor import sampling
 from l20factor.sampling import (FullOperator, GaussianOperator,
                                 SamplingOperator, UniformMaskOperator,
                                 check_restricted_inner_product,
-                                estimate_restricted_eigs, operator_matrix)
+                                estimate_restricted_eigs)
 
 
 class DenseTestOperator(SamplingOperator):

@@ -5,9 +5,12 @@ rename in the library breaks it; its self-test is run here so that such a
 rename fails this suite too. A plain ``import l20factor`` must not load
 scipy, which only ``linalg.svd``'s fallback imports, lazily. The README's
 library quickstart is run as written, so an API change that breaks it
-fails here.
+fails here. With no linter installed, two import rules are checked on the
+syntax tree: no library module imports a name it never uses, and the test
+oracles import nothing from the library they check.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -47,3 +50,41 @@ def test_readme_quickstart_runs():
     assert res.returncode == 0, res.stderr
     assert "converged" in res.stdout
     assert "passed=True" in res.stdout
+
+
+def _imports(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_library_imports_are_used():
+    """Every imported name is used, listed in ``__all__`` or on a ``# noqa`` line."""
+    unused = []
+    for path in sorted((ROOT / "src" / "l20factor").rglob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        for node in _imports(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                    or any("# noqa" in line
+                           for line in lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
+
+
+def test_oracles_import_nothing_from_the_library():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    modules = [alias.name for node in _imports(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in _imports(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in modules if name.split(".")[0] == "l20factor"]
