@@ -28,7 +28,7 @@ from .sampling import (FullOperator, GaussianOperator, RestrictedEigEstimate,
                        SamplingOperator, UniformMaskOperator,
                        check_restricted_inner_product, estimate_restricted_eigs)
 from .solver import (DivergenceError, SolveTrace, SolverConfig, SolverState,
-                     estimate_step_constants, initial_point, solve)
+                     initial_point, solve)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "SamplingOperator", "SmoothGradient", "SolveTrace", "SolverConfig",
     "SolverState", "UniformMaskOperator", "build_balanced_factors",
     "certify_optimal_pair", "check_restricted_inner_product", "diagnose",
-    "estimate_restricted_eigs", "estimate_step_constants",
+    "estimate_restricted_eigs",
     "exact_penalty_threshold", "full_value", "g_scalar", "gen_instance",
     "initial_point", "kl_inequality_probe", "kl_moduli",
     "objective_gap", "ones_counterexample", "ones_counterexample_point",

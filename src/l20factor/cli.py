@@ -4,7 +4,8 @@ Subcommands:
 
 * ``gen``: draw a fully seeded instance (M, operator, b) into a directory.
 * ``solve``: run the solver on a stored instance, writing solution.npz,
-  trace.csv, summary.json.
+  trace.csv, summary.json. The instance fields, the seed among them, come
+  from meta.json; a config file may repeat them but not change them.
 * ``diagnose``: certify a stored solution and probe the growth-inequality
   theory against the stored ground truth.
 * ``experiment {fig1,fig2,fig3}``: generate + solve (+ sweep for fig3) in one
@@ -29,12 +30,12 @@ from .solver import DivergenceError
 
 # The config fields that describe the instance: flags of gen and experiment
 # only, since solve reads them from meta.json.
-INSTANCE_FIELDS = ("m", "n", "r", "kappa", "sample_ratio", "operator_kind")
+INSTANCE_FIELDS = ("m", "n", "r", "kappa", "sample_ratio", "operator_kind", "seed")
 
 
-def _add_config_flags(p: argparse.ArgumentParser, shapes: bool = True) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, instance: bool = True) -> None:
     p.add_argument("--config", help="key=value config file (flags override it)")
-    if shapes:
+    if instance:
         p.add_argument("--m", type=int)
         p.add_argument("--n", type=int)
         p.add_argument("--r", type=int)
@@ -42,6 +43,7 @@ def _add_config_flags(p: argparse.ArgumentParser, shapes: bool = True) -> None:
         p.add_argument("--sample-ratio", dest="sample_ratio", type=float)
         p.add_argument("--operator", dest="operator_kind",
                        choices=OPERATOR_KINDS)
+        p.add_argument("--seed", type=int)
     p.add_argument("--model", choices=MODELS)
     p.add_argument("--a", type=float)
     p.add_argument("--mu-tilde", dest="mu_tilde", type=float)
@@ -49,7 +51,6 @@ def _add_config_flags(p: argparse.ArgumentParser, shapes: bool = True) -> None:
     p.add_argument("--rho-rule", dest="rho_rule")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--seed", type=int)
 
 
 def _gather(args, *base) -> ExperimentConfig:
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out-dir", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a stored instance")
-    _add_config_flags(p_solve, shapes=False)
+    _add_config_flags(p_solve, instance=False)
     p_solve.add_argument("--instance", required=True,
                          help="instance directory from `gen`")
     p_solve.add_argument("--out-dir", required=True)
@@ -81,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--instance", required=True)
     p_diag.add_argument("--solution", required=True)
     p_diag.add_argument("--out-dir", help="defaults to the solution directory")
-    p_diag.add_argument("--probe-samples", type=int, default=100)
-    p_diag.add_argument("--eig-samples", type=int, default=6)
-    p_diag.add_argument("--seed", type=int, default=0)
+    p_diag.add_argument("--probe-samples", type=int)
+    p_diag.add_argument("--eig-samples", type=int)
+    p_diag.add_argument("--seed", type=int)
 
     p_exp = sub.add_parser("experiment", help="generate + solve in one shot")
     p_exp.add_argument("figure", choices=["fig1", "fig2", "fig3"])
@@ -116,9 +117,9 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_diagnose(args) -> None:
-    report = harness.diagnose(args.instance, args.solution, args.out_dir,
-                              probe_samples=args.probe_samples,
-                              eig_samples=args.eig_samples, seed=args.seed)
+    options = {key: value for key, value in vars(args).items()
+               if key in ("probe_samples", "eig_samples", "seed") and value is not None}
+    report = harness.diagnose(args.instance, args.solution, args.out_dir, **options)
     cert = report["certificate"]
     probe = report.get("probe", {})
     print(f"certificate: passed={cert['passed']} "

@@ -46,8 +46,10 @@ class KLModuli:
 class OptimalSetCertificate:
     """Checks that a pair is a balanced exact factorization of M.
 
-    passed requires: relative product error <= tol_p, balance error <= tol_b,
-    and both column counts equal to the numerical rank of the product.
+    passed requires: relative product error ||U V^T - M||_F / ||M||_F <= 1e-8,
+    balance error ||U^T U - V^T V||_F <= 1e-8 * ||M||_2, and both column
+    counts (``linalg.l20_norm``) equal to the numerical rank of the product
+    (``linalg.numerical_rank``).
     """
 
     product_error: float
@@ -57,6 +59,9 @@ class OptimalSetCertificate:
     rank_product: int
     passed: bool
 
+
+# Relative tolerance of the optimal-pair certificate (product and balance).
+_CERT_TOL = 1e-8
 
 # Open interval of nu-weighted objective gaps a probe sample must fall in.
 PROBE_WINDOW = (0.0, 0.5)
@@ -80,22 +85,25 @@ class ProbeReport:
     window: tuple[float, float] = PROBE_WINDOW
 
 
-def certify_optimal_pair(W: FactorPair, M, tol_p: float = 1e-8,
-                         tol_b: float | None = None) -> OptimalSetCertificate:
-    """Certificate that W is a balanced exact factorization of M."""
+def certify_optimal_pair(W: FactorPair, M) -> OptimalSetCertificate:
+    """Certificate that W is a balanced exact factorization of M.
+
+    The tolerances are fixed: relative product error <= 1e-8 and balance
+    error <= 1e-8 * ||M||_2, with both column counts equal to the numerical
+    rank of U V^T (see ``OptimalSetCertificate``).
+    """
     M = linalg.as_matrix(M, "M")
     nm = float(np.linalg.norm(M))
     if nm == 0:
         raise ValueError("M must be nonzero to certify against")
-    if tol_b is None:
-        tol_b = 1e-8 * float(np.linalg.norm(M, 2))
+    max_balance = _CERT_TOL * float(np.linalg.norm(M, 2))
     prod = W.product()
     perr = float(np.linalg.norm(prod - M)) / nm
     berr = float(np.linalg.norm(W.U.T @ W.U - W.V.T @ W.V))
     rank = linalg.numerical_rank(linalg.svd(prod).sigma)
     cu = linalg.l20_norm(W.U)
     cv = linalg.l20_norm(W.V)
-    passed = perr <= tol_p and berr <= tol_b and cu == cv == rank
+    passed = perr <= _CERT_TOL and berr <= max_balance and cu == cv == rank
     return OptimalSetCertificate(
         product_error=perr, balance_error=berr,
         col_count_u=cu, col_count_v=cv, rank_product=rank, passed=passed,
@@ -293,6 +301,8 @@ def exact_penalty_threshold(nu: float, mu: float, r: int, kappa: int,
         rho_bar = max(1, sqrt(nu) ||A|| sqrt(kappa) / (sqrt(nu alpha) sigma_r
                   - sqrt(2)) * sqrt(1 + 2 sqrt(r)/sqrt(mu))) * (2a/(a+1))
 
+    The last factor is phi's left derivative at 1, phi'_-(1) = 2a/(a+1),
+    which is theta's saturation point ``params.breakpoint_high``.
     Requires sqrt(nu * alpha) * sigma_r > sqrt(2).
     """
     if nu <= 0 or mu <= 0 or alpha <= 0 or sigma_r <= 0 or op_norm <= 0:
@@ -307,7 +317,7 @@ def exact_penalty_threshold(nu: float, mu: float, r: int, kappa: int,
         )
     core = math.sqrt(nu) * op_norm * math.sqrt(kappa) / (lhs - math.sqrt(2.0))
     core *= math.sqrt(1.0 + 2.0 * math.sqrt(r) / math.sqrt(mu))
-    return max(1.0, core) * params.phi_prime_left_at_one
+    return max(1.0, core) * params.breakpoint_high
 
 
 def ones_counterexample(nu: float, mu: float = 1.0) -> tuple[ModelSpec, FactorPair, Array]:

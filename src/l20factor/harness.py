@@ -510,8 +510,7 @@ def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dic
 
     Each run takes ``rules_at_scale(cfg.model, c)``: lambda = c * ||X0|| for
     the hard model, the quadratic lambda rule and matched rho rule for the
-    dc model. Emits sweep.csv with one
-    row per c.
+    dc model. Emits sweep.csv with one row per c.
     """
     c_values = [float(c) for c in c_values]
     if len(c_values) < 2:

@@ -4,7 +4,8 @@
 (factor pairs, model specs, loaders, public evaluators): real inputs of the
 right dimension, finite entries, informative shape errors. ``svd`` falls
 back to gesvd when the default LAPACK routine fails; ``l20_norm`` and
-``numerical_rank`` count columns and singular values above a tolerance.
+``numerical_rank`` count columns and singular values above the package's
+fixed zero tolerances (1e-8 * max(1, ||X||_F) and 1e-8 * sigma_1).
 Norms are numpy's, called directly.
 """
 
@@ -79,22 +80,17 @@ def default_zero_tol(X) -> float:
     return 1e-8 * max(1.0, float(np.linalg.norm(X)))
 
 
-def l20_norm(X, tol: float | None = None) -> int:
-    """Number of columns with Euclidean norm above ``tol``.
-
-    ``tol=None`` uses :func:`default_zero_tol`. ``tol`` must be nonnegative.
-    """
+def l20_norm(X) -> int:
+    """Number of columns with Euclidean norm above 1e-8 * max(1, ||X||_F),
+    the :func:`default_zero_tol` of X."""
     A = as_matrix(X)
-    if tol is None:
-        tol = default_zero_tol(A)
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    return int(np.count_nonzero(np.linalg.norm(A, axis=0) > tol))
+    return int(np.count_nonzero(np.linalg.norm(A, axis=0) > default_zero_tol(A)))
 
 
-def numerical_rank(sigma: Array, rel_tol: float = 1e-8) -> int:
-    """Rank implied by a singular value vector: count of sigma_i > rel_tol * sigma_1."""
+def numerical_rank(sigma: Array) -> int:
+    """Rank implied by a nonincreasing singular value vector: the count of
+    sigma_i > 1e-8 * sigma_1, and 0 when sigma is empty or sigma_1 <= 0."""
     s = np.asarray(sigma, dtype=float)
     if s.size == 0 or s[0] <= 0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > 1e-8 * s[0]))

@@ -18,7 +18,7 @@ obj_paper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -63,16 +63,16 @@ def build_balanced_factors(X, kappa: int) -> FactorPair:
     """Balanced factor pair with UV^T = X (for kappa >= rank) via the SVD.
 
     U = P sqrt(S), V = Q sqrt(S) on the leading kappa singular triples;
-    singular values at or below 1e-8 * sigma_1 are treated as zero so the
-    column counts equal min(rank(X), kappa) exactly.
+    the singular values past ``linalg.numerical_rank`` (those at or below
+    1e-8 * sigma_1) are treated as zero, so both factors have exactly
+    min(kappa, numerical_rank(sigma)) nonzero columns.
     """
     X = linalg.as_matrix(X)
     if not 1 <= kappa <= min(X.shape):
         raise ValueError(f"kappa must lie in [1, {min(X.shape)}], got {kappa}")
     dec = linalg.svd(X)
     sigma = dec.sigma[:kappa].copy()
-    if sigma.size and sigma[0] > 0:
-        sigma[sigma <= 1e-8 * dec.sigma[0]] = 0.0
+    sigma[linalg.numerical_rank(dec.sigma):] = 0.0
     root = np.sqrt(sigma)
     return FactorPair(dec.P[:, :kappa] * root, dec.Q[:, :kappa] * root)
 
@@ -108,12 +108,10 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SmoothGradient:
-    """Gradients of the smooth part, with the residual and balance cached."""
+    """Gradients of the smooth part with respect to U and V."""
 
     grad_u: Array
     grad_v: Array
-    residual: Array = field(repr=False)
-    balance: Array = field(repr=False)
 
 
 class _Evaluation(NamedTuple):
@@ -151,8 +149,7 @@ def _gradient(spec: ModelSpec, U: Array, V: Array, ev: _Evaluation) -> SmoothGra
     """Both smooth-gradient halves at (U, V) from its evaluation, with one adjoint."""
     R = spec.op.adjoint(ev.residual)
     return SmoothGradient(_gradient_half(spec, R, U, V, ev.balance, "u"),
-                          _gradient_half(spec, R, U, V, ev.balance, "v"),
-                          ev.residual, ev.balance)
+                          _gradient_half(spec, R, U, V, ev.balance, "v"))
 
 
 def smooth_value(spec: ModelSpec, W: FactorPair) -> float:

@@ -73,12 +73,8 @@ class PenaltyParams:
 
     @property
     def breakpoint_high(self) -> float:
-        """Saturation point of theta at scale rho = 1: 2a/(a+1)."""
-        return 2.0 * self.a / (self.a + 1)
-
-    @property
-    def phi_prime_left_at_one(self) -> float:
-        """Left derivative of phi at 1: 2a/(a+1)."""
+        """Saturation point of theta at scale rho = 1: 2a/(a+1), which is
+        also phi's left derivative at 1."""
         return 2.0 * self.a / (self.a + 1)
 
 

@@ -247,16 +247,17 @@ def _refine_factor(T: Array, Q: Array, side: str, want_max: bool):
     return max(float(w[idx]), 0.0), (F @ Q.T if side == "right" else Q @ F.T)
 
 
-def _refined_rayleigh(T: Array, L0: Array, want_max: bool, sweeps: int = 3) -> float:
+def _refined_rayleigh(T: Array, L0: Array, want_max: bool) -> float:
     """Alternating exact refinement of ||A(RL^T)||^2 / ||RL^T||_F^2 from L0.
 
-    Each sweep fixes one factor's column space (first L0's) and solves for
-    the other exactly with ``_refine_factor``. Every sweep value is attained
-    by a rank-k X, so each is a valid one-sided bound; the best is returned.
+    Three times over, one factor's column space is fixed (first L0's) and
+    the other solved for exactly with ``_refine_factor``. Every such value
+    is attained by a rank-k X, so each is a valid one-sided bound; the best
+    is returned.
     """
     fixed, side = L0, "right"
     vals = []
-    for _ in range(sweeps):
+    for _ in range(3):
         Q = _orthonormalize(fixed)
         val, X = _refine_factor(T, Q, side, want_max)
         vals.append(val)

@@ -143,22 +143,19 @@ class SolveTrace:
 def initial_point(op, b, kappa: int) -> FactorPair:
     """Balanced spectral start from X0 = A*(b): U0 = P sqrt(S), V0 = Q sqrt(S).
 
-    Singular values at or below 1e-8 * sigma_1 give exactly zero columns."""
+    Columns past the numerical rank of X0 are exactly zero
+    (``build_balanced_factors``)."""
     return build_balanced_factors(op.adjoint(b), kappa)
 
 
-def estimate_step_constants(spec: ModelSpec, W: FactorPair) -> tuple[float, float]:
-    """Spectral upper estimates of the blockwise Lipschitz constants at W.
+def _step_constants(spec, U, V, iteration) -> tuple[float, float]:
+    """Spectral upper estimates of the blockwise Lipschitz constants at (U, V).
 
     LU bounds the curvature of Phi(., V); LV of Phi(U, .). Both are floored
     at a small positive value so degenerate (zero) factors still give finite
     steps. The dc model's extra -tau/2 identity term only lowers curvature,
     so the same bound applies.
     """
-    return _step_constants(spec, W.U, W.V, 0)
-
-
-def _step_constants(spec, U, V, iteration) -> tuple[float, float]:
     a2 = spec.op.operator_norm() ** 2
     # Numpy scalars square to inf on overflow (a Python float raises), and a
     # non-finite Gram would fail inside LAPACK, so it is reported first.

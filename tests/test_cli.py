@@ -305,22 +305,30 @@ def test_malformed_stored_file_exits_2(case, stored_runs, tmp_path, capsys):
 
 
 def test_solve_config_must_match_instance(stored_runs, tmp_path, capsys):
-    """solve reads the instance fields from meta.json: a config file may
-    repeat them, but a different value is a config error and writes nothing."""
+    """solve reads the instance fields, the seed among them, from meta.json:
+    a config file may repeat them, but a different value is a config error
+    and writes nothing, and solve has no flag for them."""
     inst = str(stored_runs / "mask")
     out = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("m = 25\nkappa = 4\n")
     argv = ["solve", "--config", str(cfg), "--instance", inst, "--out-dir", str(out),
             "--max-iters", "5"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error(config): ")
-    assert "run.cfg: m is 25, the instance's is 20" in err
+    for text, message in (
+            ("m = 25\nkappa = 4\n", "run.cfg: m is 25, the instance's is 20"),
+            ("seed = 7\n", "run.cfg: seed is 7, the instance's is 1")):
+        cfg.write_text(text)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error(config): ")
+        assert message in err
+        assert not out.exists()
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "7"])
+    assert exit_info.value.code == 2
     assert not out.exists()
     cfg.write_text("m = 20\nn = 20\nr = 2\nkappa = 3\nsample_ratio = 0.5\n"
-                   "operator_kind = mask\n")
+                   "operator_kind = mask\nseed = 1\n")
     assert main(argv) == 0
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
-    assert (summary["m"], summary["kappa"]) == (20, 3)
+    assert (summary["m"], summary["kappa"], summary["seed"]) == (20, 3, 1)

@@ -327,7 +327,7 @@ def test_counterexample_point_is_critical_but_not_optimal():
 def test_threshold_small_core_returns_kink_slope():
     p = PenaltyParams(lam=1.0, mu_tilde=1.0, a=3.7)
     out = exact_penalty_threshold(1.0, 4.0, 1, 1, 1e3, 1.0, 1.0, p)
-    assert out == p.phi_prime_left_at_one
+    assert out == p.breakpoint_high
     assert out == pytest.approx(7.4 / 4.7, rel=1e-15)
 
 
@@ -336,7 +336,7 @@ def test_threshold_large_nu_limit():
     alpha, sigma_r, r, kappa, mu, op_norm = 0.5, 1.0, 2, 4, 1.0, 1.0
     core = op_norm * math.sqrt(kappa) / (math.sqrt(alpha) * sigma_r)
     core *= math.sqrt(1.0 + 2.0 * math.sqrt(r) / math.sqrt(mu))
-    limit = max(1.0, core) * p.phi_prime_left_at_one
+    limit = max(1.0, core) * p.breakpoint_high
     got = exact_penalty_threshold(1e8, mu, r, kappa, sigma_r, alpha, op_norm, p)
     assert got == pytest.approx(limit, rel=1e-3)
 

@@ -92,12 +92,13 @@ def test_smooth_value_dc_subtracts_quadratic():
 
 
 def test_gradient_vanishes_at_critical_point():
+    """(E, E) fits M = 4E exactly and is balanced: the gradient vanishes, and
+    so does the l20 smooth value, a sum of squares of residual and balance."""
     spec, W = ones_instance()
     g = smooth_gradient(spec, W)
     assert_allclose(g.grad_u, 0.0, atol=1e-14)
     assert_allclose(g.grad_v, 0.0, atol=1e-14)
-    assert_allclose(g.residual, 0.0, atol=1e-14)
-    assert_allclose(g.balance, 0.0, atol=1e-14)
+    assert smooth_value(spec, W) == 0.0
 
 
 def test_gradient_vanishes_at_zero_pair():

@@ -29,7 +29,6 @@ def test_params_derived_quantities():
     assert p.tau == pytest.approx(0.5)
     assert p.breakpoint_low == pytest.approx(0.5)
     assert p.breakpoint_high == pytest.approx(1.5)
-    assert p.phi_prime_left_at_one == pytest.approx(1.5)
     with pytest.raises(ValueError, match="nu undefined"):
         P(lam=0.0).nu
 

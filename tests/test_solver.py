@@ -14,8 +14,7 @@ from l20factor.objective import (FactorPair, ModelSpec, column_penalty_value,
 from l20factor.penalty import PenaltyParams
 from l20factor.sampling import FullOperator, UniformMaskOperator
 from l20factor.solver import (DivergenceError, SolverConfig, SolverState,
-                              estimate_step_constants, initial_point, solve,
-                              step)
+                              initial_point, solve, step)
 
 OVERFLOW_WARNINGS = pytest.mark.filterwarnings("ignore:overflow encountered",
                                                "ignore:invalid value encountered")
@@ -76,7 +75,10 @@ def test_initial_point_kappa_range():
 
 def test_initial_point_zeroes_columns_past_the_rank():
     """A rank-2 X0 with kappa 4 starts with exactly 2 nonzero columns: the
-    singular values at roundoff level give zero columns, not sqrt(1e-16)."""
+    singular values at roundoff level give zero columns, not sqrt(1e-16).
+    On diagonal X0, whose SVD is exact, the start has min(kappa,
+    numerical_rank(sigma)) nonzero columns with sigma_2 at 1e-8 sigma_1 and
+    one ulp either side of it: the start and the rank share one rule."""
     rng = np.random.default_rng(5)
     M = rng.standard_normal((9, 2)) @ rng.standard_normal((7, 2)).T
     op = FullOperator(9, 7)
@@ -86,11 +88,22 @@ def test_initial_point_zeroes_columns_past_the_rank():
     assert np.count_nonzero(np.linalg.norm(W.V, axis=0)) == 2
     assert_allclose(W.product(), M, atol=1e-12)
 
+    op = FullOperator(3, 3)
+    edge = 1e-8 * 2.0
+    for s2, rank in ((edge, 1), (np.nextafter(edge, 1.0), 2),
+                     (np.nextafter(edge, 0.0), 1)):
+        sigma = np.array([2.0, s2, 0.0])
+        assert linalg.numerical_rank(sigma) == rank
+        for kappa in (1, 2, 3):
+            W = initial_point(op, op.apply(np.diag(sigma)), kappa)
+            for F in (W.U, W.V):
+                assert np.count_nonzero(np.linalg.norm(F, axis=0)) == min(kappa, rank)
+
 
 def test_step_constants_floor_at_zero_pair():
     spec, _ = mask_instance()
     W = FactorPair(np.zeros((10, 2)), np.zeros((10, 2)))
-    assert estimate_step_constants(spec, W) == (1e-8, 1e-8)
+    assert solver._step_constants(spec, W.U, W.V, 0) == (1e-8, 1e-8)
 
 
 def test_step_constants_identity_factor():
@@ -98,7 +111,7 @@ def test_step_constants_identity_factor():
     spec = ModelSpec(model="l20", op=op, b=np.zeros(12),
                      params=PenaltyParams(lam=1.0, mu_tilde=0.0))
     W = FactorPair(np.zeros((4, 3)), np.eye(3))
-    LU, LV = estimate_step_constants(spec, W)
+    LU, LV = solver._step_constants(spec, W.U, W.V, 0)
     assert LU == pytest.approx(1.1)
     assert LV == 1e-8
 
@@ -113,7 +126,7 @@ def test_step_constants_majorize_on_probes():
     U = rng.standard_normal((6, 3))
     V = rng.standard_normal((5, 3))
     W = FactorPair(U, V)
-    LU, _ = estimate_step_constants(spec, W)
+    LU, _ = solver._step_constants(spec, U, V, 0)
     g = smooth_gradient(spec, W)
     base = smooth_value(spec, W)
     doublings = 0
@@ -205,7 +218,7 @@ def test_backtracking_bound_is_scale_free():
     for c in SCALES:
         spec = scaled_dc_instance(0, c)
         W0 = initial_point(spec.op, spec.b, 4)
-        LU, _ = estimate_step_constants(spec, W0)
+        LU, _ = solver._step_constants(spec, W0.U, W0.V, 0)
         U, _, L, _ = solver._prox_substep(spec, W0.U, W0.V, "u", LU * 2.0 ** -20, 1)
         accepted.append((L / LU, U / math.sqrt(c)))
         assert L / LU == accepted[0][0]

@@ -5,9 +5,10 @@ rename in the library breaks it; its self-test is run here so that such a
 rename fails this suite too. A plain ``import l20factor`` must not load
 scipy, which only ``linalg.svd``'s fallback imports, lazily. The README's
 library quickstart is run as written, so an API change that breaks it
-fails here. With no linter installed, two import rules are checked on the
-syntax tree: no library module imports a name it never uses, and the test
-oracles import nothing from the library they check.
+fails here. With no linter installed, three import rules are checked on
+the syntax tree: no library module imports a name it never uses, the
+package's ``__all__`` is exactly what its ``__init__.py`` imports, and the
+test oracles import nothing from the library they check.
 """
 
 import ast
@@ -79,6 +80,19 @@ def test_library_imports_are_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_package_all_is_what_init_imports():
+    """``l20factor.__all__`` names exactly the names ``__init__.py`` imports."""
+    tree = ast.parse((ROOT / "src" / "l20factor" / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in _imports(tree)
+                if getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    exported = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+    assert len(exported) == 1
+    assert set(exported[0]) == imported
 
 
 def test_oracles_import_nothing_from_the_library():
