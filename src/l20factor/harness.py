@@ -49,7 +49,9 @@ _DEFAULT_SCALE = {"l20": 55, "dc": 0.03}
 # that draws M, so the measurements stay independent of the signal.
 _OPERATOR_SEED_OFFSET = 1000003
 
-# Largest Gaussian tensor (8*p*m*n bytes): bigger ones fail fast, not by OOM.
+# Largest Gaussian operator memory: its tensor (8*p*m*n bytes) and, in a
+# solve, the two restricted-map blocks (8*p*(m+n)*kappa bytes). Bigger ones
+# fail fast, not by OOM.
 GAUSSIAN_MAX_BYTES = 2 * 2**30
 
 
@@ -57,12 +59,14 @@ class ConfigError(ValueError):
     """Invalid configuration or rule expression (CLI exit category: config)."""
 
 
-def _check_gaussian_size(p: int, m: int, n: int) -> None:
-    need = 8 * int(p) * int(m) * int(n)
+def _check_gaussian_size(p: int, m: int, n: int, kappa: int) -> None:
+    """Fail if the tensor, plus the solver's blocks at ``kappa``, is over the limit."""
+    need = 8 * int(p) * (int(m) * int(n) + (int(m) + int(n)) * int(kappa))
     if need > GAUSSIAN_MAX_BYTES:
+        blocks = f" and kappa={kappa} blocks" if kappa else ""
         raise ConfigError(
             f"gaussian operator needs {need / 2**30:.1f} GiB for its {p}x{m}x{n} "
-            f"tensor, over the {GAUSSIAN_MAX_BYTES / 2**30:g} GiB limit")
+            f"tensor{blocks}, over the {GAUSSIAN_MAX_BYTES / 2**30:g} GiB limit")
 
 
 @dataclass
@@ -98,7 +102,7 @@ class ExperimentConfig:
             raise ConfigError(f"operator_kind must be one of {OPERATOR_KINDS}")
         if self.operator_kind == "gaussian":
             _check_gaussian_size(round(self.sample_ratio * self.m * self.n),
-                                 self.m, self.n)
+                                 self.m, self.n, self.kappa)
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if not self.a > 1:
@@ -434,7 +438,8 @@ def load_instance(in_dir: str):
         op = load_mask(os.path.join(in_dir, "mask.txt"))
     elif kind == "gaussian":
         _require(meta_path, meta, ("operator_seed",))
-        _check_gaussian_size(meta["p"], meta["m"], meta["n"])
+        # Diagnose loads instances too and builds no solver blocks.
+        _check_gaussian_size(meta["p"], meta["m"], meta["n"], kappa=0)
         op = GaussianOperator(meta["m"], meta["n"], meta["p"],
                               seed=meta["operator_seed"])
     else:

@@ -122,9 +122,10 @@ class _Evaluation(NamedTuple):
     value: float
 
 
-def _evaluate(spec: ModelSpec, U: Array, V: Array) -> _Evaluation:
-    """Residual, balance and smooth value at checked arrays (U, V), with one apply."""
-    r = spec.op.apply(U @ V.T) - spec.b
+def _evaluate(spec: ModelSpec, U: Array, V: Array, image: Array) -> _Evaluation:
+    """Residual, balance and smooth value at checked arrays (U, V), given
+    image = A(U V^T) from the operator or from one of its restricted maps."""
+    r = image - spec.b
     bal = U.T @ U - V.T @ V
     val = 0.5 * float(r @ r) + 0.25 * spec.params.mu_tilde * float(np.sum(bal * bal))
     if spec.model == "dc":
@@ -132,36 +133,34 @@ def _evaluate(spec: ModelSpec, U: Array, V: Array) -> _Evaluation:
     return _Evaluation(r, bal, val)
 
 
-def _gradient_half(spec: ModelSpec, R: Array, U: Array, V: Array, bal: Array,
+def _gradient_half(spec: ModelSpec, data: Array, U: Array, V: Array, bal: Array,
                    which: str) -> Array:
-    """The U (which="u") or V half of the smooth gradient, from R = A*(residual)."""
+    """The U (which="u") or V half of the smooth gradient, from its data term:
+    A*(residual) V for "u", A*(residual)^T U for "v"."""
     mu = spec.params.mu_tilde
     if which == "u":
-        g, own = R @ V + mu * (U @ bal), U
+        g, own = data + mu * (U @ bal), U
     else:
-        g, own = R.T @ U - mu * (V @ bal), V
+        g, own = data - mu * (V @ bal), V
     if spec.model == "dc":
         g = g - 0.5 * spec.params.tau * own
     return g
 
 
-def _gradient(spec: ModelSpec, U: Array, V: Array, ev: _Evaluation) -> SmoothGradient:
-    """Both smooth-gradient halves at (U, V) from its evaluation, with one adjoint."""
-    R = spec.op.adjoint(ev.residual)
-    return SmoothGradient(_gradient_half(spec, R, U, V, ev.balance, "u"),
-                          _gradient_half(spec, R, U, V, ev.balance, "v"))
-
-
 def smooth_value(spec: ModelSpec, W: FactorPair) -> float:
     """Scaled smooth part Phi(U, V) for the active model."""
     spec.check_shapes(W)
-    return _evaluate(spec, W.U, W.V).value
+    return _evaluate(spec, W.U, W.V, spec.op.apply(W.U @ W.V.T)).value
 
 
 def smooth_gradient(spec: ModelSpec, W: FactorPair) -> SmoothGradient:
-    """Gradients of smooth_value with respect to U and V."""
+    """Gradients of smooth_value with respect to U and V, with one adjoint."""
     spec.check_shapes(W)
-    return _gradient(spec, W.U, W.V, _evaluate(spec, W.U, W.V))
+    U, V = W.U, W.V
+    ev = _evaluate(spec, U, V, spec.op.apply(U @ V.T))
+    R = spec.op.adjoint(ev.residual)
+    return SmoothGradient(_gradient_half(spec, R @ V, U, V, ev.balance, "u"),
+                          _gradient_half(spec, R.T @ U, U, V, ev.balance, "v"))
 
 
 def column_penalty_value(spec: ModelSpec, W: FactorPair) -> float:

@@ -6,15 +6,19 @@ sketches (``gaussian``). All of them share the column-major (order="F")
 vectorization convention. Operators are immutable; each knows its exact norm,
 which a Gaussian operator computes once, from the smaller Gram of its matrix.
 
-An operator has one dense form, its (p, m, n) measurement tensor T with
-A(X)_q = sum_ij T[q, i, j] X[i, j]: G itself for a Gaussian operator, and
-one apply per basis matrix otherwise. The module uses it to estimate
-restricted eigenvalue brackets
+With one factor of X = U V^T held fixed, A is linear in the other: an
+operator's ``restricted(Q, side)`` map takes Z to A(Z Q^T) (side "u", Q = V)
+or to A(Q Z^T) (side "v", Q = U), with the matching adjoint. The base map
+forms the product and calls the operator's own apply and adjoint. A Gaussian
+operator's map is its block B = G @ Q, p x (rows * k), built once, after
+which an apply or adjoint is one matrix-vector product. The solver takes
+every substep through such a map, and the module uses the map's matrix to
+estimate restricted eigenvalue brackets
     alpha <= ||A(X)||^2 / ||X||_F^2 <= beta   for all rank-k X != 0
-in closed form for ``full`` and ``mask``, from the Gram spectrum of T's
+in closed form for ``full`` and ``mask``, from the Gram spectrum of A's
 p x (m*n) matrix when rank k is unrestricted and small, and otherwise by
 Monte Carlo with alternating refinement, each step one dense
-eigendecomposition of T restricted to one free factor.
+eigendecomposition of A restricted to one free factor.
 """
 
 from __future__ import annotations
@@ -68,6 +72,10 @@ class SamplingOperator:
         """Exact spectral norm ||A|| = max ||A(X)|| over unit-Frobenius X."""
         raise NotImplementedError
 
+    def restricted(self, Q: Array, side: str) -> "RestrictedMap":
+        """A with the factor Q held fixed on ``side`` (see ``RestrictedMap``)."""
+        return RestrictedMap(self, Q, side)
+
 
 class FullOperator(SamplingOperator):
     """Identity measurements: A(X) = vec(X) in column-major order."""
@@ -90,8 +98,10 @@ class FullOperator(SamplingOperator):
 class UniformMaskOperator(SamplingOperator):
     """Observe p distinct entries: A(X)_q = X[rows[q], cols[q]].
 
-    A*A is the orthogonal projection onto the observed support, so the
-    operator norm is exactly 1.
+    The row-major flat index rows * n + cols is kept, so apply is one
+    ``np.take`` and adjoint one scatter into a flat zero vector. A*A is the
+    orthogonal projection onto the observed support, so the operator norm is
+    exactly 1.
     """
 
     kind = "mask"
@@ -111,6 +121,7 @@ class UniformMaskOperator(SamplingOperator):
             raise ValueError("mask contains duplicate entries")
         self.rows = rows
         self.cols = cols
+        self.flat = flat
 
     @classmethod
     def from_ratio(cls, m: int, n: int, ratio: float, rng) -> "UniformMaskOperator":
@@ -125,12 +136,12 @@ class UniformMaskOperator(SamplingOperator):
         return cls(m, n, rows, cols)
 
     def _apply(self, X: Array) -> Array:
-        return X[self.rows, self.cols]
+        return np.take(X, self.flat)
 
     def _adjoint(self, y: Array) -> Array:
-        Z = np.zeros((self.m, self.n))
-        Z[self.rows, self.cols] = y
-        return Z
+        Z = np.zeros(self.m * self.n)
+        Z[self.flat] = y
+        return Z.reshape(self.m, self.n)
 
     def operator_norm(self) -> float:
         return 1.0
@@ -180,6 +191,84 @@ class GaussianOperator(SamplingOperator):
             self._norm = float(np.sqrt(max(top, 0.0)))
         return self._norm
 
+    def restricted(self, Q: Array, side: str) -> "RestrictedMap":
+        return _GaussianRestrictedMap(self, Q, side)
+
+
+_OTHER_SIDE = {"u": "v", "v": "u"}
+
+
+class RestrictedMap:
+    """A with one factor fixed: Z -> A(Z Q^T) on side "u", A(Q Z^T) on "v".
+
+    On "u" the fixed Q is V (n x k) and Z is m x k; on "v" Q is U (m x k)
+    and Z is n x k. ``adjoint(r)`` is A*(r) Q on "u" and A*(r)^T Q on "v",
+    the gradient of <r, apply(Z)> in Z. This base form builds the product and
+    calls the operator's public apply and adjoint, so its values are bitwise
+    those of the full operator.
+    """
+
+    def __init__(self, op: SamplingOperator, Q: Array, side: str):
+        if side not in _OTHER_SIDE:
+            raise ValueError(f'side must be "u" or "v", got {side!r}')
+        self.op = op
+        self.Q = Q
+        self.side = side
+
+    def apply(self, Z: Array) -> Array:
+        return self.op.apply(Z @ self.Q.T if self.side == "u" else self.Q @ Z.T)
+
+    def adjoint(self, r: Array) -> Array:
+        return self._restrict(self.op.adjoint(r))
+
+    def _restrict(self, R: Array) -> Array:
+        return R @ self.Q if self.side == "u" else R.T @ self.Q
+
+    def flip(self, Z: Array, r: Array) -> tuple[Array, "RestrictedMap", Array]:
+        """At the point whose free factor is Z: this map's adjoint of r, the
+        map that holds Z fixed, and that map's adjoint of r. The base form
+        takes both adjoints from one full adjoint."""
+        other = self.op.restricted(Z, _OTHER_SIDE[self.side])
+        R = self.op.adjoint(r)
+        return self._restrict(R), other, other._restrict(R)
+
+    def matrix(self) -> Array:
+        """The p x (rows * k) matrix of the map on Z flattened row-major, from
+        one apply per basis matrix."""
+        rows = self.op.m if self.side == "u" else self.op.n
+        size = rows * self.Q.shape[1]
+        B = np.empty((self.op.p, size))
+        E = np.zeros(size)
+        for c in range(size):
+            E[c] = 1.0
+            B[:, c] = self.apply(E.reshape(rows, -1))
+            E[c] = 0.0
+        return B
+
+
+class _GaussianRestrictedMap(RestrictedMap):
+    """The Gaussian map through its block, built once: B = G @ V, (p, m, k),
+    on "u" and B = G^T @ U, (p, n, k), on "v", kept as p x (rows * k). An
+    apply or an adjoint is then one matrix-vector product."""
+
+    def __init__(self, op: GaussianOperator, Q: Array, side: str):
+        super().__init__(op, Q, side)
+        G = op.G if side == "u" else op.G.transpose(0, 2, 1)
+        self.B = (G @ Q).reshape(op.p, -1)
+
+    def apply(self, Z: Array) -> Array:
+        return self.B @ Z.ravel()
+
+    def adjoint(self, r: Array) -> Array:
+        return (r @ self.B).reshape(-1, self.Q.shape[1])
+
+    def flip(self, Z: Array, r: Array) -> tuple[Array, RestrictedMap, Array]:
+        other = self.op.restricted(Z, _OTHER_SIDE[self.side])
+        return self.adjoint(r), other, other.adjoint(r)
+
+    def matrix(self) -> Array:
+        return self.B
+
 
 @dataclass(frozen=True)
 class RestrictedEigEstimate:
@@ -209,45 +298,22 @@ def _orthonormalize(F: Array) -> Array:
     return Q
 
 
-def _measurement_tensor(op: SamplingOperator) -> Array:
-    """The dense form of op: (p, m, n) T with A(X)_q = sum_ij T[q, i, j] X[i, j].
-
-    G itself for a Gaussian operator; otherwise one apply per basis matrix.
-    """
-    if isinstance(op, GaussianOperator):
-        return op.G
-    T = np.empty((op.p, op.m, op.n))
-    E = np.zeros((op.m, op.n))
-    for i in range(op.m):
-        for j in range(op.n):
-            E[i, j] = 1.0
-            T[:, i, j] = op.apply(E)
-            E[i, j] = 0.0
-    return T
-
-
-def _refine_factor(T: Array, Q: Array, side: str, want_max: bool):
+def _refine_factor(amap: RestrictedMap, want_max: bool):
     """Exactly optimize ||A(X)||^2 over unit-Frobenius X with one factor fixed.
 
-    T is the operator's measurement tensor (``_measurement_tensor``).
-    side="right": X = F @ Q.T with Q (n x k) orthonormal, optimize F (m x k).
-    side="left":  X = Q @ F.T with Q (m x k) orthonormal, optimize F (n x k).
-    A restricted to the free factor is the p x (rows*k) matrix
-    B = (T @ Q), or (T^T @ Q) on the left, acting on F flattened row-major,
-    so the extremal eigenpair of B^T B is the exact optimum. Returns
-    (value, X) with ||X||_F = 1 and ||A(X)||^2 = value.
+    ``amap`` fixes an orthonormal Q with k columns: X = F Q^T with F m x k
+    on side "u", X = Q F^T with F n x k on side "v". Its matrix B acts on F
+    flattened row-major, so the extremal eigenpair of B^T B is the exact
+    optimum. Returns (value, X) with ||X||_F = 1 and ||A(X)||^2 = value.
     """
-    k = Q.shape[1]
-    B = T @ Q if side == "right" else T.transpose(0, 2, 1) @ Q
-    rows = B.shape[1]
-    B = B.reshape(B.shape[0], rows * k)
+    Q, B = amap.Q, amap.matrix()
     w, vecs = np.linalg.eigh(B.T @ B)
     idx = -1 if want_max else 0
-    F = vecs[:, idx].reshape(rows, k)
-    return max(float(w[idx]), 0.0), (F @ Q.T if side == "right" else Q @ F.T)
+    F = vecs[:, idx].reshape(-1, Q.shape[1])
+    return max(float(w[idx]), 0.0), (F @ Q.T if amap.side == "u" else Q @ F.T)
 
 
-def _refined_rayleigh(T: Array, L0: Array, want_max: bool) -> float:
+def _refined_rayleigh(op: SamplingOperator, L0: Array, want_max: bool) -> float:
     """Alternating exact refinement of ||A(RL^T)||^2 / ||RL^T||_F^2 from L0.
 
     Three times over, one factor's column space is fixed (first L0's) and
@@ -255,17 +321,17 @@ def _refined_rayleigh(T: Array, L0: Array, want_max: bool) -> float:
     is attained by a rank-k X, so each is a valid one-sided bound; the best
     is returned.
     """
-    fixed, side = L0, "right"
+    fixed, side = L0, "u"
     vals = []
     for _ in range(3):
         Q = _orthonormalize(fixed)
-        val, X = _refine_factor(T, Q, side, want_max)
+        val, X = _refine_factor(op.restricted(Q, side), want_max)
         vals.append(val)
-        if side == "right":
+        if side == "u":
             # X = F Q^T: next sweep fixes the left factor of X.
-            fixed, side = X @ Q, "left"
+            fixed, side = X @ Q, "v"
         else:
-            fixed, side = X.T @ Q, "right"
+            fixed, side = X.T @ Q, "u"
     return max(vals) if want_max else min(vals)
 
 
@@ -276,8 +342,8 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     Exact for the full operator (alpha = beta = 1) and for a mask, where
     A*A projects onto the observed entries: beta = 1 (an observed e_i e_j^T)
     and alpha = 0 (a missed e_i e_j^T), or 1 if every entry is observed.
-    Exact via the Gram spectrum of S, the p x (m*n) matrix of the
-    measurement tensor in vec_F order, when k = min(m, n) with m*n <= 400
+    Exact via the Gram spectrum of S, A's p x (m*n) matrix in vec_F order
+    (the matrix of the map that fixes U = I), when k = min(m, n) with m*n <= 400
     (rank-k is then unrestricted). Otherwise Monte Carlo: each sample starts
     from a random rank-k factor pair and is refined by alternating exact
     single-factor eigenproblems, once toward the minimum and once toward the
@@ -294,11 +360,10 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     if isinstance(op, UniformMaskOperator):
         alpha = 1.0 if op.p == op.m * op.n else 0.0
         return RestrictedEigEstimate(k, alpha, alpha, 1.0, 1.0, 0, "exact-mask")
-    T = _measurement_tensor(op)
     if k == min(op.m, op.n) and op.m * op.n <= 400:
-        # Any column order gives this spectrum up to rounding; vec_F is the
-        # operators' own vectorization order.
-        S = T.transpose(0, 2, 1).reshape(op.p, op.m * op.n)
+        # With U = I fixed, Z = X^T is the free factor, so the map's matrix
+        # is A's in the vec_F basis, the operators' own vectorization order.
+        S = op.restricted(np.eye(op.m), "v").matrix()
         w = np.linalg.eigvalsh(S.T @ S)
         lo, hi = max(float(w[0]), 0.0), max(float(w[-1]), 0.0)
         return RestrictedEigEstimate(k, lo, lo, hi, hi, 0, "exact-dense")
@@ -312,8 +377,8 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
         # right start L0 matters; the left draw keeps the seeded stream.
         rng.standard_normal((op.m, k))
         L0 = rng.standard_normal((op.n, k))
-        alpha_upper = min(alpha_upper, _refined_rayleigh(T, L0, want_max=False))
-        beta_lower = max(beta_lower, _refined_rayleigh(T, L0, want_max=True))
+        alpha_upper = min(alpha_upper, _refined_rayleigh(op, L0, want_max=False))
+        beta_lower = max(beta_lower, _refined_rayleigh(op, L0, want_max=True))
     beta_lower = min(beta_lower, beta_upper)
     alpha_upper = max(min(alpha_upper, beta_upper), 0.0)
     return RestrictedEigEstimate(k, 0.0, alpha_upper, beta_lower, beta_upper,

@@ -9,14 +9,23 @@ global constant exists) that doubles the constant until the check holds.
 A restart retakes the step without extrapolation whenever the objective
 increases.
 
-Each point's residual A(U V^T) - b and balance U^T U - V^T V are computed
-once and reused for its value and its gradient. An iteration evaluates four
-points: (U~, V) and (U+, V) in the U-substep, (U+, V~) and (U+, V+) in the
-V-substep. The accepted (U+, V+) evaluation gives both the new objective
-and the gradient of the stopping residuals. So an iteration that neither
-backtracks nor restarts costs 4 operator applies and 3 adjoints; each
-backtrack adds one apply, and a restart repeats the 4 applies and the two
-substep adjoints. A substep builds only the gradient half it uses.
+Each substep holds one factor fixed, so the loss is linear in the active
+factor through the operator's restricted map (``SamplingOperator.restricted``):
+the U-substep goes through the map that fixes V, the V-substep through the
+map that fixes U+. Each point's residual A(U V^T) - b and balance
+U^T U - V^T V are computed once and reused for its value and its gradient.
+An iteration evaluates four points: (U~, V) and (U+, V) in the U-substep,
+(U+, V~) and (U+, V+) in the V-substep. The accepted (U+, V+) evaluation
+gives both the new objective and, through the V-substep's map and the map
+that fixes V+, the gradient of the stopping residuals; the map that fixes V+
+is kept for the next U-substep. A substep builds only the gradient half it
+uses. For a base-class map (full and mask operators) an iteration that
+neither backtracks nor restarts costs 4 operator applies and 3 adjoints;
+each backtrack adds one apply, and a restart repeats the 4 applies and the
+two substep adjoints. A Gaussian map is a block built once, so a Gaussian
+iteration costs 2 block builds (the maps fixing U+ and V+) and no full pass
+over the tensor; a backtrack or a restart adds only small matrix-vector
+products, and a restart one more build.
 
 After each step ``solve`` prunes and compacts. A column that is zero in
 exactly one factor is zeroed in the other as well, which never raises the
@@ -41,10 +50,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .objective import (FactorPair, ModelSpec, _evaluate, _gradient,
-                        _gradient_half, build_balanced_factors,
-                        column_penalty_value, smooth_value)
+from .objective import (FactorPair, ModelSpec, _evaluate, _gradient_half,
+                        build_balanced_factors, column_penalty_value,
+                        smooth_value)
 from .prox import prox_matrix
+from .sampling import RestrictedMap
 
 # Doublings of a substep's starting step constant before the majorization
 # check counts as failed; a bound on the count, not on L, is scale-free.
@@ -82,7 +92,12 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Solver iterate: current and previous pair, t-scalars, step constants."""
+    """Solver iterate: current and previous pair, t-scalars, step constants.
+
+    ``umap`` is the operator restricted to W.V held fixed, as the stopping
+    residual left it for the next U-substep; ``step`` builds a new one when
+    W.V is not its fixed factor (at the start, after a prune or a cut).
+    """
 
     W: FactorPair
     W_prev: FactorPair
@@ -95,6 +110,7 @@ class SolverState:
     res_u: float = math.nan
     res_v: float = math.nan
     obj_scaled: float = math.nan
+    umap: RestrictedMap | None = None
 
 
 @dataclass
@@ -171,21 +187,24 @@ def _step_constants(spec, U, V, iteration) -> tuple[float, float]:
     return float(max(lu, _STEP_FLOOR)), float(max(lv, _STEP_FLOOR))
 
 
-def _prox_substep(spec, at, fixed, which, L, iteration):
+def _prox_substep(spec, amap, at, L, iteration):
     """One prox-gradient substep with backtracking on the majorization check.
 
-    ``at`` is the linearization point of the active factor, ``fixed`` the
-    other factor held constant; both are arrays the solver has checked. The
-    active gradient half and the base value come from one evaluation of the
-    linearization point; each candidate costs one more. Returns (accepted
-    candidate, gradient at ``at``, final L, evaluation of the accepted pair).
+    ``amap`` is the operator restricted to the fixed factor, on the side of
+    the active one; ``at`` is the active factor's linearization point. Both
+    hold arrays the solver has checked. The active gradient half and the base
+    value come from one evaluation of the linearization point; each candidate
+    costs one more. Returns (accepted candidate, gradient at ``at``, final L,
+    evaluation of the accepted pair).
     """
+    which = amap.side
+
     def pair(Z):
-        return (Z, fixed) if which == "u" else (fixed, Z)
+        return (Z, amap.Q) if which == "u" else (amap.Q, Z)
 
     U, V = pair(at)
-    ev = _evaluate(spec, U, V)
-    grad = _gradient_half(spec, spec.op.adjoint(ev.residual), U, V, ev.balance, which)
+    ev = _evaluate(spec, U, V, amap.apply(at))
+    grad = _gradient_half(spec, amap.adjoint(ev.residual), U, V, ev.balance, which)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError(iteration, f"non-finite gradient in the {which}-substep")
     base = ev.value
@@ -194,7 +213,7 @@ def _prox_substep(spec, at, fixed, which, L, iteration):
         if not np.all(np.isfinite(Znew)):
             raise DivergenceError(iteration, f"non-finite prox point ({which})")
         cand = prox_matrix(Znew, L, spec.params, spec.model)
-        ev = _evaluate(spec, *pair(cand))
+        ev = _evaluate(spec, *pair(cand), amap.apply(cand))
         diff = cand - at
         bound = base + float(np.sum(grad * diff)) \
             + 0.5 * L * float(np.sum(diff * diff))
@@ -210,6 +229,9 @@ def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState) -> SolverState:
     """One full U-then-V update; advances t; restarts on objective increase.
 
     Shapes are checked by ``solve``; ||A|| is the operator's, computed once.
+    The U-substep goes through ``st.umap`` (built here if W.V is not its
+    fixed factor), the V-substep through a map that fixes U+; that map also
+    gives both gradient halves at (U+, V+) and the next step's ``umap``.
     """
     it = st.iteration + 1
     prev_obj = st.obj_scaled
@@ -217,6 +239,9 @@ def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState) -> SolverState:
         prev_obj = smooth_value(spec, st.W) + column_penalty_value(spec, st.W)
     if not math.isfinite(prev_obj):
         raise DivergenceError(it, "non-finite objective at the current iterate")
+    umap = st.umap
+    if umap is None or umap.Q is not st.W.V:
+        umap = spec.op.restricted(st.W.V, "u")
 
     def take(w: float):
         U, V = st.W.U, st.W.V
@@ -225,34 +250,37 @@ def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState) -> SolverState:
         if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
             raise DivergenceError(it, "non-finite extrapolated point")
         lu = _step_constants(spec, Ut, V, it)[0]
-        Unew, gU, lu, _ = _prox_substep(spec, Ut, V, "u", lu, it)
+        Unew, gU, lu, _ = _prox_substep(spec, umap, Ut, lu, it)
         lv = _step_constants(spec, Unew, Vt, it)[1]
-        Vnew, gV, lv, ev = _prox_substep(spec, Vt, Unew, "v", lv, it)
+        vmap = spec.op.restricted(Unew, "v")
+        Vnew, gV, lv, ev = _prox_substep(spec, vmap, Vt, lv, it)
         Wnew = FactorPair(Unew, Vnew)
         obj = ev.value + column_penalty_value(spec, Wnew)
         if not math.isfinite(obj):
             raise DivergenceError(it, "non-finite objective")
-        return Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj
+        return Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap
 
     w = (st.tk_prev - 1.0) / st.tk if cfg.accelerate else 0.0
-    Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj = take(w)
+    Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(w)
     restarted = False
     tk, tk_prev = st.tk, st.tk_prev
     if w != 0.0 and obj > prev_obj:
         tk = tk_prev = 1.0
-        Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj = take(0.0)
+        Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(0.0)
         restarted = True
 
-    gnew = _gradient(spec, Wnew.U, Wnew.V, ev)
+    data_v, umap, data_u = vmap.flip(Wnew.V, ev.residual)
+    gnew_u = _gradient_half(spec, data_u, Wnew.U, Wnew.V, ev.balance, "u")
+    gnew_v = _gradient_half(spec, data_v, Wnew.U, Wnew.V, ev.balance, "v")
     nb = 1.0 + float(np.linalg.norm(spec.b))
-    res_u = float(np.linalg.norm(gU - gnew.grad_u + lu * (Wnew.U - Ut))) / nb
-    res_v = float(np.linalg.norm(gV - gnew.grad_v + lv * (Wnew.V - Vt))) / nb
+    res_u = float(np.linalg.norm(gU - gnew_u + lu * (Wnew.U - Ut))) / nb
+    res_v = float(np.linalg.norm(gV - gnew_v + lv * (Wnew.V - Vt))) / nb
 
     tk_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk)) if cfg.accelerate else 1.0
     return SolverState(
         W=Wnew, W_prev=st.W, tk=tk_next, tk_prev=tk, iteration=it,
         LU=lu, LV=lv, restarted=restarted,
-        res_u=res_u, res_v=res_v, obj_scaled=obj,
+        res_u=res_u, res_v=res_v, obj_scaled=obj, umap=umap,
     )
 
 

@@ -132,21 +132,21 @@ def stopping_residuals(spec, cfg, st_prev, st_new):
 def restricted_quadratic_form(op, Q, side):
     """Quadratic form of ||A(X)||^2 over the free factor F, column by column.
 
-    side="right": X = F Q^T, F (m x k); side="left": X = Q F^T, F (n x k);
+    side="u": X = F Q^T, F (m x k); side="v": X = Q F^T, F (n x k);
     F is flattened row-major. Column c is the projection of A*(A(X_c)) for
     the basis matrix F = e_c, built from one apply and one adjoint.
     """
     k = Q.shape[1]
-    rows = op.m if side == "right" else op.n
+    rows = op.m if side == "u" else op.n
     dims = rows * k
     H = np.empty((dims, dims))
     for c in range(dims):
         F = np.zeros(dims)
         F[c] = 1.0
         F = F.reshape(rows, k)
-        X = F @ Q.T if side == "right" else Q @ F.T
+        X = F @ Q.T if side == "u" else Q @ F.T
         Z = op.adjoint(op.apply(X))
-        H[:, c] = (Z @ Q if side == "right" else Z.T @ Q).ravel()
+        H[:, c] = (Z @ Q if side == "u" else Z.T @ Q).ravel()
     return H
 
 

@@ -357,23 +357,29 @@ def test_instance_data_checked_where_it_enters(tmp_path):
 
 
 def test_gaussian_size_guard(tmp_path, monkeypatch):
-    """A Gaussian tensor over the byte limit is a ConfigError, from a config
-    or from a stored meta.json, before anything is allocated."""
-    with pytest.raises(ConfigError, match=r"needs 15\.1 GiB for its 22500x300x300 "
-                                          r"tensor, over the 2 GiB limit"):
+    """A Gaussian operator over the byte limit is a ConfigError, from a config
+    or from a stored meta.json, before anything is allocated. A config counts
+    the tensor and the solver's two kappa-column blocks; a stored instance,
+    which diagnose also loads, counts the tensor alone."""
+    with pytest.raises(ConfigError, match=r"needs 16\.6 GiB for its 22500x300x300 "
+                                          r"tensor and kappa=15 blocks, over the "
+                                          r"2 GiB limit"):
         ExperimentConfig(operator_kind="gaussian")
     ExperimentConfig(operator_kind="mask")
     shape = dict(m=15, n=12, kappa=3, operator_kind="gaussian", sample_ratio=0.5)
-    need = 8 * 90 * 15 * 12  # p = 0.5 * 15 * 12 = 90
+    tensor = 8 * 90 * 15 * 12  # p = 0.5 * 15 * 12 = 90
+    need = tensor + 8 * 90 * (15 + 12) * 3
     monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", need)
     cfg = small_cfg(**shape)
     monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", need - 1)
-    with pytest.raises(ConfigError, match="90x15x12"):
+    with pytest.raises(ConfigError, match="90x15x12 tensor and kappa=3 blocks"):
         small_cfg(**shape)
-    monkeypatch.undo()
 
     M, op, b = gen_instance(cfg)
     save_instance(str(tmp_path), cfg, M, op, b)
+    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", tensor)
+    load_instance(str(tmp_path))
+    monkeypatch.undo()
     meta_path = tmp_path / "meta.json"
     meta = json.loads(meta_path.read_text())
     meta["p"] = 2_000_000

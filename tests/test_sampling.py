@@ -52,6 +52,20 @@ def test_mask_apply_and_adjoint():
     assert op.operator_norm() == 1.0
 
 
+def test_mask_flat_index_matches_2d_index():
+    """The flat gather and scatter equal the 2-D fancy index bitwise, for a
+    C-ordered and a Fortran-ordered X."""
+    rng = np.random.default_rng(3)
+    op = UniformMaskOperator.from_ratio(7, 5, 0.4, rng)
+    X = rng.standard_normal((7, 5))
+    for Xo in (X, np.asfortranarray(X)):
+        assert np.array_equal(op.apply(Xo), X[op.rows, op.cols])
+    y = rng.standard_normal(op.p)
+    Z = np.zeros((7, 5))
+    Z[op.rows, op.cols] = y
+    assert np.array_equal(op.adjoint(y), Z)
+
+
 def test_mask_validation():
     with pytest.raises(ValueError, match="duplicate"):
         UniformMaskOperator(2, 2, rows=[0, 0], cols=[1, 1])
@@ -237,19 +251,23 @@ def test_restricted_eigs_reproducible():
     assert a == b
 
 
-@pytest.mark.parametrize("side", ["right", "left"])
-@pytest.mark.parametrize("make_op", [
+MAP_OPERATORS = pytest.mark.parametrize("make_op", [
     lambda G: GaussianOperator.from_matrices(G),
     lambda G: DenseTestOperator(G.transpose(0, 2, 1).reshape(G.shape[0], -1),
                                 G.shape[1], G.shape[2]),
 ], ids=["gaussian", "fallback"])
+
+
+@pytest.mark.parametrize("side", [pytest.param("u", id="right"),
+                                  pytest.param("v", id="left")])
+@MAP_OPERATORS
 def test_refine_factor_matches_column_oracle(make_op, side, monkeypatch):
     """B^T B equals the quadratic form built column by column from apply and
     adjoint, and the returned X is a unit extremal point of it."""
     rng = np.random.default_rng(21)
     op = make_op(rng.standard_normal((13, 5, 4)) / np.sqrt(13))
     k = 2
-    Q, _ = np.linalg.qr(rng.standard_normal((op.n if side == "right" else op.m, k)))
+    Q, _ = np.linalg.qr(rng.standard_normal((op.n if side == "u" else op.m, k)))
     H = restricted_quadratic_form(op, Q, side)
     eigh = np.linalg.eigh
     seen = []
@@ -261,12 +279,59 @@ def test_refine_factor_matches_column_oracle(make_op, side, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     w = np.linalg.eigvalsh(H)
     for want_max in (False, True):
-        val, X = sampling._refine_factor(sampling._measurement_tensor(op), Q,
-                                         side, want_max)
+        val, X = sampling._refine_factor(op.restricted(Q, side), want_max)
         assert_allclose(seen[-1], H, rtol=0, atol=1e-12 * np.abs(H).max())
         assert val == pytest.approx(w[-1] if want_max else w[0], rel=1e-12)
         assert np.linalg.norm(X) == pytest.approx(1.0, rel=1e-12)
         assert float(np.sum(op.apply(X) ** 2)) == pytest.approx(val, rel=1e-12)
+
+
+@MAP_OPERATORS
+@pytest.mark.parametrize("side", ["u", "v"])
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+def test_restricted_map_matches_operator_matrix(make_op, side, kappa):
+    """apply, adjoint, flip and matrix of op.restricted(Q, side) against the
+    oracle matrix S: apply(Z) = S vec_F(X) for X = Z Q^T ("u") or Q Z^T
+    ("v"), and adjoint(r) is A*(r) Q or A*(r)^T Q with A*(r) from S^T r.
+    Q's first column is zero, so at kappa = 1 the whole map is zero."""
+    rng = np.random.default_rng(40 + kappa)
+    op = make_op(rng.standard_normal((13, 5, 4)) / np.sqrt(13))
+    S = operator_matrix(op)
+    rows, fixed = (op.m, op.n) if side == "u" else (op.n, op.m)
+    Q = rng.standard_normal((fixed, kappa))
+    Q[:, 0] = 0.0
+    Z = rng.standard_normal((rows, kappa))
+    r = rng.standard_normal(op.p)
+    scale = np.linalg.norm(S) * max(np.linalg.norm(Q), 1.0) \
+        * max(np.linalg.norm(Z), np.linalg.norm(r))
+
+    def image(Z, Q, side):
+        X = Z @ Q.T if side == "u" else Q @ Z.T
+        return S @ X.flatten(order="F")
+
+    def restricted_adjoint(Q, side):
+        R = (S.T @ r).reshape((op.m, op.n), order="F")
+        return R @ Q if side == "u" else R.T @ Q
+
+    amap = op.restricted(Q, side)
+    assert (amap.Q is Q, amap.side) == (True, side)
+    assert_allclose(amap.apply(Z), image(Z, Q, side), rtol=0, atol=1e-12 * scale)
+    assert_allclose(amap.adjoint(r), restricted_adjoint(Q, side),
+                    rtol=0, atol=1e-12 * scale)
+    assert_allclose(amap.matrix() @ Z.ravel(), image(Z, Q, side),
+                    rtol=0, atol=1e-12 * scale)
+    own, other, other_adj = amap.flip(Z, r)
+    other_side = "v" if side == "u" else "u"
+    assert (other.Q is Z, other.side) == (True, other_side)
+    assert_allclose(own, restricted_adjoint(Q, side), rtol=0, atol=1e-12 * scale)
+    assert_allclose(other_adj, restricted_adjoint(Z, other_side),
+                    rtol=0, atol=1e-12 * scale)
+    assert_allclose(other.apply(Q), image(Z, Q, side), rtol=0, atol=1e-12 * scale)
+
+
+def test_restricted_map_rejects_unknown_side():
+    with pytest.raises(ValueError, match="side"):
+        FullOperator(3, 2).restricted(np.ones((2, 1)), "right")
 
 
 def test_restricted_eigs_fallback_tensor_matches_gaussian():

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
-from oracles import stopping_residuals
+from oracles import operator_matrix, stopping_residuals
+from test_sampling import DenseTestOperator
 
 from l20factor import linalg, solver
 from l20factor.objective import (FactorPair, ModelSpec, column_penalty_value,
                                  smooth_gradient, smooth_value)
 from l20factor.penalty import PenaltyParams
-from l20factor.sampling import FullOperator, UniformMaskOperator
+from l20factor.sampling import (FullOperator, GaussianOperator,
+                                UniformMaskOperator)
 from l20factor.solver import (DivergenceError, SolverConfig, SolverState,
                               initial_point, solve, step)
 
@@ -219,12 +221,13 @@ def test_backtracking_bound_is_scale_free():
         spec = scaled_dc_instance(0, c)
         W0 = initial_point(spec.op, spec.b, 4)
         LU, _ = solver._step_constants(spec, W0.U, W0.V, 0)
-        U, _, L, _ = solver._prox_substep(spec, W0.U, W0.V, "u", LU * 2.0 ** -20, 1)
+        umap = spec.op.restricted(W0.V, "u")
+        U, _, L, _ = solver._prox_substep(spec, umap, W0.U, LU * 2.0 ** -20, 1)
         accepted.append((L / LU, U / math.sqrt(c)))
         assert L / LU == accepted[0][0]
         assert_allclose(U / math.sqrt(c), accepted[0][1], rtol=1e-9, atol=1e-12)
         with pytest.raises(DivergenceError, match="60 doublings"):
-            solver._prox_substep(spec, W0.U, W0.V, "u", LU * 2.0 ** -80, 1)
+            solver._prox_substep(spec, umap, W0.U, LU * 2.0 ** -80, 1)
 
 
 @settings(max_examples=4, deadline=None)
@@ -255,10 +258,19 @@ def test_stopping_residuals_match_recomputation(model, rho, lam):
         assert st.res_v == pytest.approx(rv, abs=1e-12, rel=1e-12)
 
 
-def warm_state(model, rho, lam):
-    """Mask instance and the state after five steps, where the next step
+def gaussian_instance(seed=1, m=10, n=9, r=2, p=60, lam=100.0, mu_tilde=0.1,
+                      model="l20", rho=None):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((m, r)) @ rng.standard_normal((n, r)).T
+    op = GaussianOperator(m, n, p, seed=seed)
+    params = PenaltyParams(lam=lam, mu_tilde=mu_tilde, a=3.7, rho=rho)
+    return ModelSpec(model=model, op=op, b=op.apply(M), params=params), M
+
+
+def warm_state(model, rho, lam, instance=mask_instance):
+    """An instance and the state after five steps, where the next step
     extrapolates without restarting or backtracking."""
-    spec, _ = mask_instance(model=model, rho=rho, lam=lam)
+    spec, _ = instance(model=model, rho=rho, lam=lam)
     W0 = initial_point(spec.op, spec.b, 2)
     st = SolverState(W=W0, W_prev=W0.copy())
     st.obj_scaled = smooth_value(spec, W0) + column_penalty_value(spec, W0)
@@ -292,6 +304,39 @@ def test_step_operator_call_budget(model, rho, lam, monkeypatch):
     st2 = step(spec, SolverConfig(), st)
     assert st.tk_prev > 1.0 and not st2.restarted and calls["prox"] == 2
     assert (calls["apply"], calls["adjoint"]) == (4, 3)
+
+
+def test_step_operator_call_budget_gaussian(monkeypatch):
+    """A Gaussian step that neither restarts nor backtracks makes no full
+    apply or adjoint: the U-substep goes through the map the last step left,
+    and it builds two maps, one fixing U+ for the V-substep and one fixing
+    V+ for the stopping residual and the next step."""
+    spec, st = warm_state("l20", None, 100.0, gaussian_instance)
+    calls = Counter()
+    for attr in ("apply", "adjoint", "restricted"):
+        count_calls(monkeypatch, calls, spec.op, attr)
+    count_calls(monkeypatch, calls, solver, "prox_matrix", "prox")
+    st2 = step(spec, SolverConfig(), st)
+    assert st.tk_prev > 1.0 and not st2.restarted and calls["prox"] == 2
+    assert (calls["apply"], calls["adjoint"], calls["restricted"]) == (0, 0, 2)
+    assert st2.umap.Q is st2.W.V and st2.umap.side == "u"
+
+
+def test_gaussian_blocks_solve_like_the_base_map():
+    """The same Gaussian instance solved through the Gaussian blocks and, as
+    a DenseTestOperator over the same matrix, through the base-class map
+    (full products, apply and adjoint): the same stop after the same number
+    of iterations, with columns pruned on the way, and the same pair."""
+    spec, _ = gaussian_instance()
+    dense = DenseTestOperator(operator_matrix(spec.op), spec.op.m, spec.op.n)
+    runs = [solve(s, SolverConfig(max_iters=3000), "auto", kappa=4)
+            for s in (spec, ModelSpec(spec.model, dense, spec.b, spec.params))]
+    (W1, trace1, reason1), (W2, trace2, reason2) = runs
+    assert reason1 == reason2 == "converged"
+    assert len(trace1.records) == len(trace2.records)
+    assert trace1.records[0].nnz_u == 4 and trace1.records[-1].nnz_u == 2
+    assert_allclose(W1.U, W2.U, rtol=0, atol=1e-10)
+    assert_allclose(W1.V, W2.V, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("model,rho,lam", BUDGET_CASES)
