@@ -298,7 +298,10 @@ def convergence_fit(trace: SolveTrace) -> tuple[float, float]:
     record before it (at the first record if the support never changes):
     the linear rate is a property of the tail where the support is fixed,
     and a plateau before a late prune would otherwise swamp it. Fewer than
-    10 records from that change on give (nan, nan).
+    10 records from that change on give (nan, nan). The trace holds a
+    bounded reservoir of iterates, evenly spaced from the same change
+    (``SolveTrace``); a record whose iterate it dropped has a NaN distance,
+    which ``fit_loglinear`` drops, so the fit reads the evenly thinned tail.
     """
     recs = trace.records
     start = 0

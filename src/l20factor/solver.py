@@ -62,6 +62,8 @@ _MAX_DOUBLINGS = 60
 _BACKTRACK_FACTOR = 2.0
 _STEP_FLOOR = 1e-8
 _MARGIN = 1.1
+# Grid iterates the trace holds for the distance backfill (plus the latest).
+_KEPT = 64
 
 
 class DivergenceError(RuntimeError):
@@ -115,6 +117,9 @@ class SolverState:
 
 @dataclass
 class TraceRecord:
+    """One iteration's row of the trace; ``dist_*_final`` stay NaN unless the
+    trace held this iteration's iterate (``SolveTrace``)."""
+
     iteration: int
     obj_scaled: float
     obj_paper: float
@@ -129,31 +134,57 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
-    """Records plus the solver's own iterates, at live width, for distance backfill."""
+    """Records plus a bounded reservoir of the solver's own iterates, at live
+    width, for the distance backfill.
+
+    The reservoir is anchored at the last record whose (nnz_u, nnz_v) differs
+    from the record before it (the first record if none does), the tail that
+    ``harness.convergence_fit`` reads. It keeps iteration k when
+    (k - anchor) is a multiple of its stride; when more than ``_KEPT``
+    iterates are on that grid it doubles the stride and drops the ones off
+    it, and a support change empties it. The latest iterate is held too, so
+    at most ``_KEPT + 1`` iterates are held, whatever the run's length.
+    """
 
     records: list[TraceRecord] = field(default_factory=list)
-    iterate_stride: int = 1
-    _iterates: list[tuple] = field(default_factory=list)
+    _anchor: int = field(default=0, init=False, repr=False)
+    _stride: int = field(default=1, init=False, repr=False)
+    _grid: list[tuple] = field(default_factory=list, init=False, repr=False)
+    _last: tuple | None = field(default=None, init=False, repr=False)
 
     def record(self, rec: TraceRecord, W: FactorPair, live: np.ndarray) -> None:
-        """Append ``rec``; every ``iterate_stride`` iterations also keep ``live``
-        and W's arrays by reference: they come fresh from ``prox_matrix``, the
-        prune's copies or a column cut, and nothing writes to them later."""
+        """Append ``rec`` and hold ``live`` and W's arrays by reference: they
+        come fresh from ``prox_matrix``, the prune's copies or a column cut,
+        and nothing writes to them later."""
+        prev = self.records[-1] if self.records else None
         self.records.append(rec)
-        if rec.iteration % self.iterate_stride == 0:
-            self._iterates.append((rec.iteration, live, W.U, W.V))
+        if prev is None or (rec.nnz_u, rec.nnz_v) != (prev.nnz_u, prev.nnz_v):
+            self._anchor, self._stride, self._grid = rec.iteration, 1, []
+        self._last = (rec.iteration, live, W.U, W.V)
+        if (rec.iteration - self._anchor) % self._stride == 0:
+            self._grid.append(self._last)
+            if len(self._grid) > _KEPT:
+                self._stride *= 2
+                self._grid = [it for it in self._grid
+                              if (it[0] - self._anchor) % self._stride == 0]
+
+    def _held(self) -> dict[int, tuple]:
+        """The held iterates by iteration: the grid and the latest."""
+        held = {it[0]: it for it in self._grid}
+        if self._last is not None:
+            held[self._last[0]] = self._last
+        return held
 
     def backfill_distances(self, final: FactorPair) -> None:
-        """Distances to the padded ``final``; a column outside ``live`` stays
-        dead, so it is zero in ``final`` and only live columns count."""
-        dists = {
-            it: (float(np.linalg.norm(U - final.U[:, live])),
-                 float(np.linalg.norm(V - final.V[:, live])))
-            for it, live, U, V in self._iterates
-        }
+        """Distances to the padded ``final`` for the records whose iterate is
+        held; the others keep NaN. A column outside ``live`` stays dead, so it
+        is zero in ``final`` and only live columns count."""
+        held = self._held()
         for rec in self.records:
-            if rec.iteration in dists:
-                rec.dist_u_final, rec.dist_v_final = dists[rec.iteration]
+            if rec.iteration in held:
+                _, live, U, V = held[rec.iteration]
+                rec.dist_u_final = float(np.linalg.norm(U - final.U[:, live]))
+                rec.dist_v_final = float(np.linalg.norm(V - final.V[:, live]))
 
 
 def initial_point(op, b, kappa: int) -> FactorPair:
@@ -173,15 +204,18 @@ def _step_constants(spec, U, V, iteration) -> tuple[float, float]:
     so the same bound applies.
     """
     a2 = spec.op.operator_norm() ** 2
-    # Numpy scalars square to inf on overflow (a Python float raises), and a
-    # non-finite Gram would fail inside LAPACK, so it is reported first.
     mu = spec.params.mu_tilde
-    nu2 = np.linalg.norm(U, 2) ** 2
-    nv2 = np.linalg.norm(V, 2) ** 2
-    gram = U.T @ U - V.T @ V
-    if not np.all(np.isfinite(gram)):
+    # ||U||_2^2 and ||V||_2^2 are the top eigenvalues of the kappa x kappa
+    # Grams, and the balance Gram is symmetric, so one batched eigvalsh gives
+    # all three norms. A non-finite Gram would fail inside LAPACK, so it is
+    # reported first.
+    gu, gv = U.T @ U, V.T @ V
+    grams = np.stack([gu, gv, gu - gv])
+    if not np.all(np.isfinite(grams)):
         raise DivergenceError(iteration, "non-finite balance U^T U - V^T V")
-    nbal = np.linalg.norm(gram, 2)
+    eig = np.linalg.eigvalsh(grams)
+    nu2, nv2 = eig[0, -1], eig[1, -1]
+    nbal = max(-eig[2, 0], eig[2, -1])
     lu = _MARGIN * (a2 * nv2 + mu * (2 * nu2 + nbal))
     lv = _MARGIN * (a2 * nu2 + mu * (2 * nv2 + nbal))
     return float(max(lu, _STEP_FLOOR)), float(max(lv, _STEP_FLOOR))
@@ -349,8 +383,10 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     a column that is zero in both factors and in the previous iterate leaves
     the working set: it has a zero gradient and would stay zero. Every
     product then runs at the live column count. The returned pair is padded
-    back to the start's column count, dead columns exactly zero in place;
-    stored trace iterates stay at their live width.
+    back to the start's column count, dead columns exactly zero in place.
+    The trace holds at most ``_KEPT + 1`` iterates at their live width (see
+    ``SolveTrace``), so its memory does not grow with ``max_iters``; a
+    record whose iterate was not held has NaN ``dist_*_final``.
 
     For the hard model the method reaches a critical point or stops on
     budget; it does not promise the global minimizer from an arbitrary
@@ -367,8 +403,7 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
         W0 = initial_point(spec.op, spec.b, kappa)
     spec.check_shapes(W0)
 
-    stride = 1 if spec.op.m * spec.op.n <= 10 ** 6 else 10
-    trace = SolveTrace(iterate_stride=stride)
+    trace = SolveTrace()
     st = SolverState(W=W0.copy(), W_prev=W0.copy())
     st.obj_scaled = smooth_value(spec, st.W) + column_penalty_value(spec, st.W)
     kappa = W0.kappa

@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from l20factor import linalg
+from l20factor import linalg, solver
 from l20factor.diagnostics import (certify_optimal_pair, kl_inequality_probe,
                                    kl_moduli, ones_counterexample,
                                    ones_counterexample_point,
@@ -90,8 +90,9 @@ def _solve_near_truth(delta, max_iters):
     W, trace, reason = solve(spec, SolverConfig(epsilon=cfg.epsilon,
                                                 max_iters=cfg.max_iters), W0)
     _, r2 = convergence_fit(trace)
+    held = sum(math.isfinite(rec.dist_u_final) for rec in trace.records)
     return (spec, reason, len(trace.records), relative_error(W, M), r2,
-            linalg.l20_norm(W.U), linalg.l20_norm(W.V))
+            linalg.l20_norm(W.U), linalg.l20_norm(W.V), held)
 
 
 def test_criterion_2_hard_model_small_penalty_scale(capsys):
@@ -100,7 +101,7 @@ def test_criterion_2_hard_model_small_penalty_scale(capsys):
     # sqrt(lambda / L_U) = 0.19 at the truth.
     t0 = time.monotonic()
     delta = 1e-3
-    spec, reason, iters, rel_error, r2, nnz_u, _ = _solve_near_truth(delta, 6000)
+    spec, reason, iters, rel_error, r2, nnz_u, _, _ = _solve_near_truth(delta, 6000)
     elapsed = time.monotonic() - t0
     ok = (reason == "converged" and rel_error <= 1e-8 and r2 >= 0.95
           and nnz_u == 5 and elapsed < 60)
@@ -117,18 +118,22 @@ def test_criterion_2_far_start_prunes_orphan_columns(capsys):
     """From truth + 5e-2 the spurious columns die in one factor first; the
     solver zeroes the other half at once instead of waiting for the weak
     balance gradient to shrink it, so the run reaches the truth's support
-    well inside the budget and the rate fit reads the linear tail."""
+    well inside the budget and the rate fit reads the linear tail. The
+    trace ends holding at most _KEPT + 1 iterates of the 2000-odd."""
     t0 = time.monotonic()
     delta = 5e-2
-    _, reason, iters, rel_error, r2, nnz_u, nnz_v = _solve_near_truth(delta, 3000)
+    _, reason, iters, rel_error, r2, nnz_u, nnz_v, held = \
+        _solve_near_truth(delta, 3000)
     elapsed = time.monotonic() - t0
     ok = (reason == "converged" and rel_error <= 1e-8 and r2 >= 0.95
-          and nnz_u == nnz_v == 5 and elapsed < 60)
+          and nnz_u == nnz_v == 5 and held <= solver._KEPT + 1 and elapsed < 60)
     _report(capsys, "2-far-start", ok,
             f"start = truth + {delta:.0e} per entry: reason={reason} after "
             f"{iters} iterations (budget 3000), rel_error={rel_error:.2e} "
             f"(need <= 1e-8) R2={r2:.3f} (need >= 0.95) "
-            f"nnz=({nnz_u}, {nnz_v}) (need (5, 5)) {elapsed:.0f}s (< 60s)")
+            f"nnz=({nnz_u}, {nnz_v}) (need (5, 5)) "
+            f"{held} iterates held (need <= {solver._KEPT + 1}) "
+            f"{elapsed:.0f}s (< 60s)")
 
 
 def test_criterion_2_companion_recalibrated_scale(capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from l20factor.harness import (ConfigError, ExperimentConfig, build_config,
                                relative_error, run_experiment, run_fig3,
                                save_instance, save_mask, save_solution,
                                write_trace_csv)
+from l20factor.objective import FactorPair
 from l20factor.sampling import FullOperator, GaussianOperator, UniformMaskOperator
 from l20factor.solver import SolveTrace, TraceRecord
 from oracles import operator_matrix
@@ -256,6 +258,29 @@ def test_convergence_fit_starts_at_last_support_change():
                     -0.1, rtol=1e-10)
 
 
+def test_convergence_fit_reads_the_thinned_reservoir():
+    """A solver-like trace recorded through the reservoir: a plateau, a
+    support change, then 1000 iterates at distance exp(-0.05 k) from the
+    final pair. Off the reservoir's grid the distances are NaN, and the fit
+    on the kept ones recovers the exact slope with R^2 = 1."""
+    trace = SolveTrace()
+    final = FactorPair(np.zeros((2, 1)), np.zeros((2, 1)))
+    for k in range(1, 1201):
+        support = (2, 2) if k <= 200 else (1, 1)
+        d = 1.0 if k <= 200 else math.exp(-0.05 * k)
+        trace.record(TraceRecord(k, 0.0, 0.0, 0.0, 0.0, *support,
+                                 math.nan, math.nan, 0.0),
+                     FactorPair(np.array([[d], [0.0]]), np.zeros((2, 1))),
+                     np.arange(1))
+    trace.backfill_distances(final)
+    kept = [rec.iteration for rec in trace.records
+            if not math.isnan(rec.dist_u_final)]
+    assert kept[0] == 201 and kept[-1] == 1200 and len(kept) < 100
+    slope, r2 = convergence_fit(trace)
+    assert_allclose(slope, -0.05, rtol=1e-10)
+    assert_allclose(r2, 1.0, atol=1e-12)
+
+
 def test_convergence_fit_needs_ten_records_after_the_change():
     dists = np.exp(-0.3 * np.arange(60))
     for after, expect_nan in ((9, True), (10, False)):
@@ -401,7 +426,16 @@ def test_solution_roundtrip(tmp_path, l20_bundle):
 def test_trace_csv_roundtrip_exact(tmp_path, l20_bundle):
     path = str(tmp_path / "trace.csv")
     write_trace_csv(l20_bundle["trace"], path)
-    assert read_trace_csv(path) == l20_bundle["trace"].records
+    records = l20_bundle["trace"].records
+    # a record whose iterate was not kept has NaN distances, which must read
+    # back as NaN; every other field reads back exactly
+    assert any(math.isnan(rec.dist_u_final) for rec in records)
+    got = [astuple(rec) for rec in read_trace_csv(path)]
+    want = [astuple(rec) for rec in records]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert all(a == b or (math.isnan(a) and math.isnan(b))
+                   for a, b in zip(g, w)), (g, w)
 
 
 def test_trace_csv_rejects_malformed(tmp_path):

@@ -464,20 +464,71 @@ def test_solve_is_deterministic():
         assert r1.obj_scaled == r2.obj_scaled
         assert r1.res_u == r2.res_u and r1.res_v == r2.res_v
         assert r1.nnz_u == r2.nnz_u and r1.nnz_v == r2.nnz_v
-        assert r1.dist_u_final == r2.dist_u_final
+    # equal distances, NaN at the same records (their iterates were not kept)
+    d1, d2 = (np.array([(r.dist_u_final, r.dist_v_final) for r in out[1].records])
+              for out in (out1, out2))
+    assert np.array_equal(np.isnan(d1), np.isnan(d2))
+    assert np.array_equal(d1, d2, equal_nan=True)
 
 
 def test_trace_backfill_and_time():
     spec, _ = mask_instance()
     _, trace, _ = solve(spec, SolverConfig(epsilon=1e-10, max_iters=500),
                         "auto", kappa=2)
-    assert trace.iterate_stride == 1
     assert trace.records[-1].dist_u_final == 0.0
     assert trace.records[-1].dist_v_final == 0.0
+    held = trace._held()
+    assert len(held) < len(trace.records)
     for rec in trace.records:
-        assert math.isfinite(rec.dist_u_final)
+        for d in (rec.dist_u_final, rec.dist_v_final):
+            assert math.isfinite(d) == (rec.iteration in held)
+            assert math.isnan(d) == (rec.iteration not in held)
     times = [rec.time_s for rec in trace.records]
     assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
+
+
+def test_trace_reservoir_is_bounded_and_evenly_spaced():
+    """Synthetic records with a support change at 301: after every record the
+    trace holds at most _KEPT + 1 iterates, the latest and a grid that starts
+    at the last support change with a power-of-two stride, thinned no further
+    than the cap needs; the change drops every iterate before it. The
+    backfill gives each held record its own iterate's distance."""
+    supports = [(2, 2)] * 300 + [(1, 1)] * 700
+    trace = solver.SolveTrace()
+    anchor = 1
+    for k, (nu, nv) in enumerate(supports, start=1):
+        if k > 1 and (nu, nv) != supports[k - 2]:
+            anchor = k
+        W = FactorPair(np.full((3, 1), float(k)), np.zeros((2, 1)))
+        trace.record(solver.TraceRecord(k, 0.0, 0.0, 0.0, 0.0, nu, nv,
+                                        math.nan, math.nan, 0.0), W, np.arange(1))
+        stride = trace._stride
+        grid = list(range(anchor, k + 1, stride))
+        assert sorted(trace._held()) == grid + ([k] if grid[-1] != k else [])
+        assert len(grid) <= solver._KEPT
+        assert stride & (stride - 1) == 0
+        assert stride == 1 or len(grid) > solver._KEPT // 2
+    trace.backfill_distances(FactorPair(np.zeros((3, 1)), np.zeros((2, 1))))
+    held = trace._held()
+    for rec in trace.records:
+        if rec.iteration in held:
+            assert rec.dist_u_final == pytest.approx(math.sqrt(3) * rec.iteration)
+            assert rec.dist_v_final == 0.0
+        else:
+            assert math.isnan(rec.dist_u_final) and math.isnan(rec.dist_v_final)
+
+
+def test_trace_holds_at_most_kept_iterates_at_any_budget():
+    """A run to a budget stop holds at most _KEPT + 1 iterates, at 300
+    iterations and at 3000: the cap does not depend on max_iters."""
+    spec, _ = mask_instance()
+    for max_iters in (300, 3000):
+        _, trace, reason = solve(spec, SolverConfig(epsilon=1e-300,
+                                                    max_iters=max_iters),
+                                 "auto", kappa=2)
+        assert reason == "budget" and len(trace.records) == max_iters
+        kept = [rec for rec in trace.records if math.isfinite(rec.dist_u_final)]
+        assert len(kept) == len(trace._held()) <= solver._KEPT + 1
 
 
 def test_no_acceleration_freezes_t():
