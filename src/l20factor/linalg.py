@@ -6,6 +6,8 @@ right dimension, finite entries, informative shape errors. ``svd`` falls
 back to gesvd when the default LAPACK routine fails; ``l20_norm`` and
 ``numerical_rank`` count columns and singular values above the package's
 fixed zero tolerances (1e-8 * max(1, ||X||_F) and 1e-8 * sigma_1).
+``l20_norm`` is ``as_matrix`` over the unchecked ``_column_count``, which
+the solver calls on iterates it has checked itself.
 Norms are numpy's, called directly.
 """
 
@@ -83,7 +85,11 @@ def default_zero_tol(X) -> float:
 def l20_norm(X) -> int:
     """Number of columns with Euclidean norm above 1e-8 * max(1, ||X||_F),
     the :func:`default_zero_tol` of X."""
-    A = as_matrix(X)
+    return _column_count(as_matrix(X))
+
+
+def _column_count(A: Array) -> int:
+    """``l20_norm`` of a float64 matrix the caller has checked."""
     return int(np.count_nonzero(np.linalg.norm(A, axis=0) > default_zero_tol(A)))
 
 

@@ -18,7 +18,7 @@ obj_paper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +59,15 @@ class FactorPair:
         return FactorPair(self.U.copy(), self.V.copy())
 
 
+def _unchecked_pair(U: Array, V: Array) -> FactorPair:
+    """A FactorPair of float64 matrices with a shared column count that the
+    caller has checked, made without ``FactorPair``'s checks."""
+    W = object.__new__(FactorPair)
+    object.__setattr__(W, "U", U)
+    object.__setattr__(W, "V", V)
+    return W
+
+
 def build_balanced_factors(X, kappa: int) -> FactorPair:
     """Balanced factor pair with UV^T = X (for kappa >= rank) via the SVD.
 
@@ -79,12 +88,15 @@ def build_balanced_factors(X, kappa: int) -> FactorPair:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Problem instance: model family, measurement operator, data, parameters."""
+    """Problem instance: model family, measurement operator, data, parameters.
+
+    ``b_norm`` is ||b||, computed once from the checked b."""
 
     model: str
     op: SamplingOperator
     b: Array
     params: PenaltyParams
+    b_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -97,6 +109,7 @@ class ModelSpec:
         if self.model == "dc" and self.params.rho is None:
             raise ValueError("dc model requires params.rho")
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b_norm", float(np.linalg.norm(b)))
 
     def check_shapes(self, W: FactorPair) -> None:
         if W.U.shape[0] != self.op.m or W.V.shape[0] != self.op.n:
@@ -122,11 +135,14 @@ class _Evaluation(NamedTuple):
     value: float
 
 
-def _evaluate(spec: ModelSpec, U: Array, V: Array, image: Array) -> _Evaluation:
+def _evaluate(spec: ModelSpec, U: Array, V: Array, image: Array,
+              bal: Array | None = None) -> _Evaluation:
     """Residual, balance and smooth value at checked arrays (U, V), given
-    image = A(U V^T) from the operator or from one of its restricted maps."""
+    image = A(U V^T) from the operator or from one of its restricted maps,
+    and the balance U^T U - V^T V when the caller has formed it already."""
     r = image - spec.b
-    bal = U.T @ U - V.T @ V
+    if bal is None:
+        bal = U.T @ U - V.T @ V
     val = 0.5 * float(r @ r) + 0.25 * spec.params.mu_tilde * float(np.sum(bal * bal))
     if spec.model == "dc":
         val -= 0.25 * spec.params.tau * (float(np.sum(U * U)) + float(np.sum(V * V)))
@@ -165,14 +181,19 @@ def smooth_gradient(spec: ModelSpec, W: FactorPair) -> SmoothGradient:
 
 def column_penalty_value(spec: ModelSpec, W: FactorPair) -> float:
     """Scaled regularizer (1/2) sum_j [h(||U_j||) + h(||V_j||)]."""
+    nnz = linalg.l20_norm(W.U) + linalg.l20_norm(W.V) if spec.model == "l20" else 0
+    return _column_penalty(spec, W.U, W.V, nnz)
+
+
+def _column_penalty(spec: ModelSpec, U: Array, V: Array, nnz: int) -> float:
+    """``column_penalty_value`` at checked arrays; ``nnz`` is
+    l20_norm(U) + l20_norm(V), which only the l20 model reads."""
     if spec.model == "l20":
-        count = linalg.l20_norm(W.U) + linalg.l20_norm(W.V)
-        return 0.5 * spec.params.lam * count
-    su = np.linalg.norm(W.U, axis=0)
-    sv = np.linalg.norm(W.V, axis=0)
+        return 0.5 * spec.params.lam * nnz
+    su = np.linalg.norm(U, axis=0)
+    sv = np.linalg.norm(V, axis=0)
     return 0.5 * float(
-        np.sum(penalty.g_scalar(spec.params, su))
-        + np.sum(penalty.g_scalar(spec.params, sv))
+        np.sum(penalty._g(spec.params, su)) + np.sum(penalty._g(spec.params, sv))
     )
 
 

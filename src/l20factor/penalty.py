@@ -131,6 +131,11 @@ def g_scalar(params: PenaltyParams, t):
         raise ValueError("g_scalar is defined for t >= 0")
     if params.rho is None:
         raise ValueError("g_scalar requires rho to be set")
-    out = params.lam * np.asarray(theta(params, params.rho * tv)) \
-        + 0.5 * params.tau * tv ** 2
-    return _maybe_scalar(out, t)
+    return _maybe_scalar(_g(params, tv), t)
+
+
+def _g(params: PenaltyParams, t):
+    """``g_scalar`` as an array, at t >= 0 and a set rho that the caller has
+    checked: the dc prox's radii and the column norms of the dc penalty."""
+    return params.lam * np.asarray(theta(params, params.rho * t)) \
+        + 0.5 * params.tau * t ** 2

@@ -33,12 +33,19 @@ def prox_matrix(Z, step_l: float, params: PenaltyParams, model: str) -> Array:
     alone. The best of these candidates, 0, s1 and s2 is the global
     minimizer; equal values go to the smallest s. The column becomes
     (s/||z||) z.
+
+    At lam = 0 both penalties vanish and the prox is the identity: the result
+    is a copy of Z, also on columns whose ||z||^2 underflows to 0.
     """
     Z = linalg.as_matrix(Z, "Z")
     if not step_l > 0:
         raise ValueError(f"step_l must be positive, got {step_l}")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
+    if model == "dc" and params.rho is None:
+        raise ValueError("dc prox requires params.rho")
+    if params.lam == 0.0:
+        return Z.copy()
     L = step_l
     if model == "l20":
         out = Z.copy()
@@ -46,8 +53,6 @@ def prox_matrix(Z, step_l: float, params: PenaltyParams, model: str) -> Array:
         norms2 = np.sum(Z * Z, axis=0)
         out[:, norms2 <= thr2] = 0.0
         return out
-    if params.rho is None:
-        raise ValueError("dc prox requires params.rho")
     lam, rho, a, tau = params.lam, params.rho, params.a, params.tau
     s1 = 2.0 / ((a + 1) * rho)
     s2 = 2.0 * a / ((a + 1) * rho)
@@ -60,7 +65,7 @@ def prox_matrix(Z, step_l: float, params: PenaltyParams, model: str) -> Array:
         np.minimum(np.maximum(z0 - (0.5 * lam * rho / L) * a / (a - 1), s1), s2),
         np.maximum(L * z0 / (L + 0.5 * tau), s2),
     ]), axis=0)
-    q = 0.5 * L * (cand - z0) ** 2 + 0.5 * penalty.g_scalar(params, cand)
+    q = 0.5 * L * (cand - z0) ** 2 + 0.5 * penalty._g(params, cand)
     s = cand[np.argmin(q, axis=0), np.arange(Z.shape[1])]
     out = np.zeros_like(Z)
     live = s > 0.0

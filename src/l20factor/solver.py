@@ -36,9 +36,19 @@ and step constant runs at the live column count; results are padded back
 to the caller's kappa.
 
 Inputs are checked where they enter (``solve`` checks the start's shapes
-once); a step works on plain arrays, and its own checks of the objective,
-the extrapolated point, the balance Gram, the gradient and the prox point
-raise DivergenceError with the iteration on any non-finite value.
+once; ``ModelSpec`` checks b and keeps ||b||). A step works on plain arrays
+and checks only what it computes: the extrapolated point, the balance Gram,
+the gradient, the prox point and the objective, raising DivergenceError with
+the iteration on any non-finite value; ``prox_matrix`` still validates its
+own input. Everything else a step needs is computed once per point: the
+Grams U^T U and V^T V that the step constants form give the linearization
+point's balance and, for the fixed factor, each candidate's; the accepted
+iterate's column counts are taken once, through the unchecked ``linalg``
+kernel, and carried in ``SolverState`` for the l20 penalty, the trace and
+``_shed_columns``, which returns at once when every live column is nonzero
+in both factors and recounts only after a prune; ||b|| comes from the spec.
+A step builds no checked ``FactorPair``, and the dc penalty evaluates g
+through the unchecked ``penalty`` kernel.
 """
 
 from __future__ import annotations
@@ -50,7 +60,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .objective import (FactorPair, ModelSpec, _evaluate, _gradient_half,
+from .objective import (FactorPair, ModelSpec, _column_penalty, _evaluate,
+                        _gradient_half, _unchecked_pair,
                         build_balanced_factors, column_penalty_value,
                         smooth_value)
 from .prox import prox_matrix
@@ -99,6 +110,8 @@ class SolverState:
     ``umap`` is the operator restricted to W.V held fixed, as the stopping
     residual left it for the next U-substep; ``step`` builds a new one when
     W.V is not its fixed factor (at the start, after a prune or a cut).
+    ``nnz_u`` and ``nnz_v`` are ``linalg.l20_norm`` of W.U and W.V, -1 until
+    a step sets them; the l20 penalty and the trace read them.
     """
 
     W: FactorPair
@@ -113,6 +126,8 @@ class SolverState:
     res_v: float = math.nan
     obj_scaled: float = math.nan
     umap: RestrictedMap | None = None
+    nnz_u: int = -1
+    nnz_v: int = -1
 
 
 @dataclass
@@ -195,13 +210,14 @@ def initial_point(op, b, kappa: int) -> FactorPair:
     return build_balanced_factors(op.adjoint(b), kappa)
 
 
-def _step_constants(spec, U, V, iteration) -> tuple[float, float]:
+def _step_constants(spec, U, V, iteration) -> tuple[float, float, tuple]:
     """Spectral upper estimates of the blockwise Lipschitz constants at (U, V).
 
     LU bounds the curvature of Phi(., V); LV of Phi(U, .). Both are floored
     at a small positive value so degenerate (zero) factors still give finite
     steps. The dc model's extra -tau/2 identity term only lowers curvature,
-    so the same bound applies.
+    so the same bound applies. Returns (LU, LV, (U^T U, V^T V)); the substep
+    linearized at (U, V) reuses the two Grams for its balance terms.
     """
     a2 = spec.op.operator_norm() ** 2
     mu = spec.params.mu_tilde
@@ -218,26 +234,32 @@ def _step_constants(spec, U, V, iteration) -> tuple[float, float]:
     nbal = max(-eig[2, 0], eig[2, -1])
     lu = _MARGIN * (a2 * nv2 + mu * (2 * nu2 + nbal))
     lv = _MARGIN * (a2 * nu2 + mu * (2 * nv2 + nbal))
-    return float(max(lu, _STEP_FLOOR)), float(max(lv, _STEP_FLOOR))
+    return float(max(lu, _STEP_FLOOR)), float(max(lv, _STEP_FLOOR)), (gu, gv)
 
 
-def _prox_substep(spec, amap, at, L, iteration):
+def _prox_substep(spec, amap, at, grams, L, iteration):
     """One prox-gradient substep with backtracking on the majorization check.
 
     ``amap`` is the operator restricted to the fixed factor, on the side of
-    the active one; ``at`` is the active factor's linearization point. Both
-    hold arrays the solver has checked. The active gradient half and the base
+    the active one; ``at`` is the active factor's linearization point and
+    ``grams`` = (U^T U, V^T V) there, as ``_step_constants`` formed them. All
+    are arrays the solver has checked. The active gradient half and the base
     value come from one evaluation of the linearization point; each candidate
-    costs one more. Returns (accepted candidate, gradient at ``at``, final L,
+    costs one more, whose balance takes the fixed factor's Gram from
+    ``grams``. Returns (accepted candidate, gradient at ``at``, final L,
     evaluation of the accepted pair).
     """
     which = amap.side
+    gu, gv = grams
 
-    def pair(Z):
-        return (Z, amap.Q) if which == "u" else (amap.Q, Z)
+    def evaluate(Z, gram):
+        """The evaluation at the pair whose active factor is Z, Z^T Z = gram."""
+        if which == "u":
+            return _evaluate(spec, Z, amap.Q, amap.apply(Z), gram - gv)
+        return _evaluate(spec, amap.Q, Z, amap.apply(Z), gu - gram)
 
-    U, V = pair(at)
-    ev = _evaluate(spec, U, V, amap.apply(at))
+    U, V = (at, amap.Q) if which == "u" else (amap.Q, at)
+    ev = evaluate(at, gu if which == "u" else gv)
     grad = _gradient_half(spec, amap.adjoint(ev.residual), U, V, ev.balance, which)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError(iteration, f"non-finite gradient in the {which}-substep")
@@ -247,7 +269,7 @@ def _prox_substep(spec, amap, at, L, iteration):
         if not np.all(np.isfinite(Znew)):
             raise DivergenceError(iteration, f"non-finite prox point ({which})")
         cand = prox_matrix(Znew, L, spec.params, spec.model)
-        ev = _evaluate(spec, *pair(cand), amap.apply(cand))
+        ev = evaluate(cand, cand.T @ cand)
         diff = cand - at
         bound = base + float(np.sum(grad * diff)) \
             + 0.5 * L * float(np.sum(diff * diff))
@@ -283,30 +305,30 @@ def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState) -> SolverState:
         Vt = V + w * (V - st.W_prev.V) if w != 0.0 else V
         if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
             raise DivergenceError(it, "non-finite extrapolated point")
-        lu = _step_constants(spec, Ut, V, it)[0]
-        Unew, gU, lu, _ = _prox_substep(spec, umap, Ut, lu, it)
-        lv = _step_constants(spec, Unew, Vt, it)[1]
+        lu, _, grams = _step_constants(spec, Ut, V, it)
+        Unew, gU, lu, _ = _prox_substep(spec, umap, Ut, grams, lu, it)
+        _, lv, grams = _step_constants(spec, Unew, Vt, it)
         vmap = spec.op.restricted(Unew, "v")
-        Vnew, gV, lv, ev = _prox_substep(spec, vmap, Vt, lv, it)
-        Wnew = FactorPair(Unew, Vnew)
-        obj = ev.value + column_penalty_value(spec, Wnew)
+        Vnew, gV, lv, ev = _prox_substep(spec, vmap, Vt, grams, lv, it)
+        nnz = linalg._column_count(Unew), linalg._column_count(Vnew)
+        obj = ev.value + _column_penalty(spec, Unew, Vnew, nnz[0] + nnz[1])
         if not math.isfinite(obj):
             raise DivergenceError(it, "non-finite objective")
-        return Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap
+        return _unchecked_pair(Unew, Vnew), nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap
 
     w = (st.tk_prev - 1.0) / st.tk if cfg.accelerate else 0.0
-    Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(w)
+    Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(w)
     restarted = False
     tk, tk_prev = st.tk, st.tk_prev
     if w != 0.0 and obj > prev_obj:
         tk = tk_prev = 1.0
-        Wnew, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(0.0)
+        Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(0.0)
         restarted = True
 
     data_v, umap, data_u = vmap.flip(Wnew.V, ev.residual)
     gnew_u = _gradient_half(spec, data_u, Wnew.U, Wnew.V, ev.balance, "u")
     gnew_v = _gradient_half(spec, data_v, Wnew.U, Wnew.V, ev.balance, "v")
-    nb = 1.0 + float(np.linalg.norm(spec.b))
+    nb = 1.0 + spec.b_norm
     res_u = float(np.linalg.norm(gU - gnew_u + lu * (Wnew.U - Ut))) / nb
     res_v = float(np.linalg.norm(gV - gnew_v + lv * (Wnew.V - Vt))) / nb
 
@@ -315,6 +337,7 @@ def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState) -> SolverState:
         W=Wnew, W_prev=st.W, tk=tk_next, tk_prev=tk, iteration=it,
         LU=lu, LV=lv, restarted=restarted,
         res_u=res_u, res_v=res_v, obj_scaled=obj, umap=umap,
+        nnz_u=nnz[0], nnz_v=nnz[1],
     )
 
 
@@ -344,7 +367,14 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
     gradient and the prox maps it to zero, so it stays zero; it is dropped,
     and ``live`` maps the remaining columns to the caller's. One column is
     always kept, so a pair whose columns all die stays a valid FactorPair.
+
+    When the state's column counts equal the live width, every column is
+    above the zero tolerance in both factors, so there is nothing to do. A
+    prune recomputes the counts; a cut drops only zero columns and keeps them.
     """
+    width = st.W.U.shape[1]
+    if st.nnz_u == width and st.nnz_v == width:
+        return st, live
     nz_u = np.any(st.W.U != 0.0, axis=0)
     nz_v = np.any(st.W.V != 0.0, axis=0)
     orphan = nz_u != nz_v
@@ -353,10 +383,12 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
             X = X.copy()
             X[:, orphan] = 0.0
             return X
-        W = FactorPair(zeroed(st.W.U), zeroed(st.W.V))
-        W_prev = FactorPair(zeroed(st.W_prev.U), zeroed(st.W_prev.V))
-        st = replace(st, W=W, W_prev=W_prev,
-                     obj_scaled=smooth_value(spec, W) + column_penalty_value(spec, W))
+        W = _unchecked_pair(zeroed(st.W.U), zeroed(st.W.V))
+        W_prev = _unchecked_pair(zeroed(st.W_prev.U), zeroed(st.W_prev.V))
+        nnz_u, nnz_v = linalg._column_count(W.U), linalg._column_count(W.V)
+        st = replace(st, W=W, W_prev=W_prev, nnz_u=nnz_u, nnz_v=nnz_v,
+                     obj_scaled=smooth_value(spec, W)
+                     + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v))
     # After the prune a column is nonzero in both factors or in neither.
     used = ((nz_u & nz_v) | np.any(st.W_prev.U != 0.0, axis=0)
             | np.any(st.W_prev.V != 0.0, axis=0))
@@ -366,7 +398,7 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
         used[0] = True
 
     def cut(W):
-        return FactorPair(W.U[:, used], W.V[:, used])
+        return _unchecked_pair(W.U[:, used], W.V[:, used])
     return replace(st, W=cut(st.W), W_prev=cut(st.W_prev)), live[used]
 
 
@@ -421,8 +453,8 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
             obj_paper=st.obj_scaled / lam if lam > 0 else math.nan,
             res_u=st.res_u,
             res_v=st.res_v,
-            nnz_u=linalg.l20_norm(st.W.U),
-            nnz_v=linalg.l20_norm(st.W.V),
+            nnz_u=st.nnz_u,
+            nnz_v=st.nnz_v,
             dist_u_final=math.nan,
             dist_v_final=math.nan,
             time_s=time.monotonic() - start,

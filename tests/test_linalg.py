@@ -41,6 +41,8 @@ def test_l20_norm_examples():
     assert linalg.l20_norm(np.eye(3)) == 3
     X = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
     assert linalg.l20_norm(X) == 2
+    Y = np.array([[1.0, 0.9e-8, 1.1e-8]])  # on either side of 1e-8 * ||Y||_F
+    assert linalg.l20_norm(Y) == linalg._column_count(Y) == 2
 
 
 def test_l20_norm_matches_bruteforce():
@@ -49,6 +51,7 @@ def test_l20_norm_matches_bruteforce():
         X = rng.standard_normal((3, 4))
         X[:, rng.integers(0, 4)] = 0.0
         assert linalg.l20_norm(X) == oracles.l20_bruteforce(X)
+        assert linalg._column_count(X) == linalg.l20_norm(X)
 
 
 def test_numerical_rank():

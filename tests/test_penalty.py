@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l20factor import penalty
 from l20factor.penalty import (PenaltyParams, g_scalar, phi, psi_star, theta,
                                theta_prime_plus)
 from oracles import grid_conjugate, phi_direct
@@ -130,6 +131,19 @@ def test_g_scalar_values():
         g_scalar(p, -1.0)
     with pytest.raises(ValueError, match="rho"):
         g_scalar(P(lam=1.0), 1.0)
+
+
+def test_g_kernel_is_g_scalar_bitwise():
+    """The dc prox and the dc penalty call the unchecked ``_g``; it gives
+    g_scalar's bits at 0, at both breakpoints s1 and s2 as the prox forms
+    them, one ulp to each side of them, and at random radii."""
+    rng = np.random.default_rng(7)
+    for a, rho, lam in ((3.7, 0.05, 1e-4), (2.0, 1.3, 0.7)):
+        p = P(a=a, lam=lam, rho=rho)
+        s = np.array([2.0 / ((a + 1) * rho), 2.0 * a / ((a + 1) * rho)])
+        t = np.concatenate([[0.0], s, np.nextafter(s, 0.0), np.nextafter(s, np.inf),
+                            rng.uniform(0.0, 3.0 * s[1], 20)])
+        assert penalty._g(p, t).tobytes() == g_scalar(p, t).tobytes()
 
 
 def test_g_scalar_is_convex():

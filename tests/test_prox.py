@@ -234,6 +234,7 @@ def prox_inputs(draw):
 @example((np.zeros((3, 2)), 1.0, dc_params()))                     # all-zero Z
 @example((np.array([[0.3], [-0.4]]), 2.0, dc_params(lam=0.0)))     # lam = 0, kappa = 1
 @example((np.array([[0.3, 1.0], [-0.4, 2.0]]), 1.0, dc_params(lam=50.0)))  # all pruned
+@example((np.array([[2.2e-308, 0.3], [0.0, -0.4]]), 1.0, dc_params(lam=0.0)))  # underflow
 def test_prox_matrix_property(model, case):
     """Every column keeps the direction of z, and its prox objective
     (L/2)||u - z||^2 + (1/2) h(||u||) is no worse than the radial oracle's."""
@@ -241,10 +242,8 @@ def test_prox_matrix_property(model, case):
     out = prox_matrix(Z, L, p, model)
     assert out.shape == Z.shape
     if p.lam == 0.0:
-        # The identity, except on columns so small that ||z||^2 underflows:
-        # there keeping and zeroing z have the same objective in floating point.
-        big = np.linalg.norm(Z, axis=0) > 1e-150
-        assert_allclose(out[:, big], Z[:, big], rtol=1e-12, atol=0.0)
+        # The identity, bitwise, also on columns whose ||z||^2 underflows.
+        assert out.tobytes() == Z.tobytes()
 
     def h(s):
         return p.lam * (s != 0.0) if model == "l20" else g_scalar(p, s)

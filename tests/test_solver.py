@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from oracles import operator_matrix, stopping_residuals
 from test_sampling import DenseTestOperator
 
-from l20factor import linalg, solver
+from l20factor import linalg, penalty, solver
 from l20factor.objective import (FactorPair, ModelSpec, column_penalty_value,
                                  smooth_gradient, smooth_value)
 from l20factor.penalty import PenaltyParams
@@ -105,7 +105,7 @@ def test_initial_point_zeroes_columns_past_the_rank():
 def test_step_constants_floor_at_zero_pair():
     spec, _ = mask_instance()
     W = FactorPair(np.zeros((10, 2)), np.zeros((10, 2)))
-    assert solver._step_constants(spec, W.U, W.V, 0) == (1e-8, 1e-8)
+    assert solver._step_constants(spec, W.U, W.V, 0)[:2] == (1e-8, 1e-8)
 
 
 def test_step_constants_identity_factor():
@@ -113,7 +113,7 @@ def test_step_constants_identity_factor():
     spec = ModelSpec(model="l20", op=op, b=np.zeros(12),
                      params=PenaltyParams(lam=1.0, mu_tilde=0.0))
     W = FactorPair(np.zeros((4, 3)), np.eye(3))
-    LU, LV = solver._step_constants(spec, W.U, W.V, 0)
+    LU, LV, _ = solver._step_constants(spec, W.U, W.V, 0)
     assert LU == pytest.approx(1.1)
     assert LV == 1e-8
 
@@ -128,7 +128,7 @@ def test_step_constants_majorize_on_probes():
     U = rng.standard_normal((6, 3))
     V = rng.standard_normal((5, 3))
     W = FactorPair(U, V)
-    LU, _ = solver._step_constants(spec, U, V, 0)
+    LU, _, _ = solver._step_constants(spec, U, V, 0)
     g = smooth_gradient(spec, W)
     base = smooth_value(spec, W)
     doublings = 0
@@ -220,14 +220,14 @@ def test_backtracking_bound_is_scale_free():
     for c in SCALES:
         spec = scaled_dc_instance(0, c)
         W0 = initial_point(spec.op, spec.b, 4)
-        LU, _ = solver._step_constants(spec, W0.U, W0.V, 0)
+        LU, _, grams = solver._step_constants(spec, W0.U, W0.V, 0)
         umap = spec.op.restricted(W0.V, "u")
-        U, _, L, _ = solver._prox_substep(spec, umap, W0.U, LU * 2.0 ** -20, 1)
+        U, _, L, _ = solver._prox_substep(spec, umap, W0.U, grams, LU * 2.0 ** -20, 1)
         accepted.append((L / LU, U / math.sqrt(c)))
         assert L / LU == accepted[0][0]
         assert_allclose(U / math.sqrt(c), accepted[0][1], rtol=1e-9, atol=1e-12)
         with pytest.raises(DivergenceError, match="60 doublings"):
-            solver._prox_substep(spec, umap, W0.U, LU * 2.0 ** -80, 1)
+            solver._prox_substep(spec, umap, W0.U, grams, LU * 2.0 ** -80, 1)
 
 
 @settings(max_examples=4, deadline=None)
@@ -342,23 +342,86 @@ def test_gaussian_blocks_solve_like_the_base_map():
 @pytest.mark.parametrize("model,rho,lam", BUDGET_CASES)
 def test_step_validation_budget(model, rho, lam, monkeypatch):
     """Inputs are checked where they enter, not in the step: a step that
-    neither restarts nor backtracks wraps only its accepted iterate in a
-    FactorPair, checks no shapes and no vectors, and validates six matrices
-    (two prox inputs, the new U and V, and the two column-penalty inputs)."""
+    neither restarts nor backtracks builds no checked FactorPair, checks no
+    shapes and no vectors, and neither counts columns nor evaluates g through
+    the checked public functions. The only matrices it validates are the two
+    prox inputs, each checked by ``prox_matrix`` itself."""
     spec, st = warm_state(model, rho, lam)
     calls = Counter()
     count_calls(monkeypatch, calls, spec.op, "apply")
     count_calls(monkeypatch, calls, spec.op, "adjoint")
     count_calls(monkeypatch, calls, solver, "prox_matrix", "prox")
-    count_calls(monkeypatch, calls, linalg, "as_matrix")
-    count_calls(monkeypatch, calls, linalg, "as_vector")
+    for attr in ("as_matrix", "as_vector", "l20_norm"):
+        count_calls(monkeypatch, calls, linalg, attr)
+    count_calls(monkeypatch, calls, penalty, "g_scalar")
     count_calls(monkeypatch, calls, FactorPair, "__post_init__", "FactorPair")
     count_calls(monkeypatch, calls, ModelSpec, "check_shapes")
     st2 = step(spec, SolverConfig(), st)
     assert not st2.restarted and calls["prox"] == 2
-    assert (calls["FactorPair"], calls["check_shapes"], calls["as_vector"]) == (1, 0, 0)
-    assert calls["as_matrix"] <= 6
+    assert (calls["FactorPair"], calls["check_shapes"], calls["as_vector"]) == (0, 0, 0)
+    assert (calls["l20_norm"], calls["g_scalar"]) == (0, 0)
+    assert calls["as_matrix"] == calls["prox"]
     assert (calls["apply"], calls["adjoint"]) == (4, 3)
+
+
+@pytest.mark.parametrize("model,rho,lam", [("l20", None, 5.0), ("dc", 0.5, 0.5)])
+def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch):
+    """A state's objective and column counts are those of the public
+    evaluators at its iterate, through restarts, backtracks (the step
+    constant's margin is cut to 0.3, so substeps backtrack), prunes and cuts.
+    The objective is exact where it is computed, after a step and after a
+    prune; a cut drops exactly-zero columns and keeps it, which can move the
+    public sums by an ulp. Every trace record's counts are ``l20_norm`` of
+    the iterate recorded with it."""
+    monkeypatch.setattr(solver, "_MARGIN", 0.3)
+    spec, _ = mask_instance(seed=1, model=model, rho=rho, lam=lam, mu_tilde=0.1)
+    W0 = initial_point(spec.op, spec.b, 4)
+    U0, V0 = W0.U.copy(), W0.V.copy()
+    U0[:, 1] *= 0.05  # an unbalanced column: its U half dies first, an orphan
+    V0[:, 1] *= 20.0
+    W0 = FactorPair(U0, V0)
+
+    def public(W):
+        return (smooth_value(spec, W) + column_penalty_value(spec, W),
+                linalg.l20_norm(W.U), linalg.l20_norm(W.V))
+
+    substep = solver._prox_substep
+    events = Counter()
+
+    def counted(spec, amap, at, grams, L, iteration):
+        out = substep(spec, amap, at, grams, L, iteration)
+        events["backtrack"] += out[2] > L
+        return out
+    monkeypatch.setattr(solver, "_prox_substep", counted)
+    st = SolverState(W=W0, W_prev=W0.copy(), obj_scaled=public(W0)[0])
+    live = np.arange(4)
+    for _ in range(60):
+        st = step(spec, SolverConfig(), st)
+        events["restart"] += st.restarted
+        assert (st.obj_scaled, st.nnz_u, st.nnz_v) == public(st.W)
+        width, nnz = st.W.U.shape[1], (st.nnz_u, st.nnz_v)
+        st, live = solver._shed_columns(spec, st, live)
+        events["prune"] += (st.nnz_u, st.nnz_v) != nnz
+        events["cut"] += st.W.U.shape[1] < width
+        obj, nnz_u, nnz_v = public(st.W)
+        assert (st.nnz_u, st.nnz_v) == (nnz_u, nnz_v)
+        if st.W.U.shape[1] == width:
+            assert st.obj_scaled == obj
+        else:
+            assert st.obj_scaled == pytest.approx(obj, rel=1e-14, abs=0.0)
+    assert min(events[k] for k in ("restart", "backtrack", "prune", "cut")) > 0
+
+    record = solver.SolveTrace.record
+    recorded = []
+
+    def checked(trace, rec, W, live):
+        recorded.append(rec.iteration)
+        assert (rec.nnz_u, rec.nnz_v) == (linalg.l20_norm(W.U), linalg.l20_norm(W.V))
+        record(trace, rec, W, live)
+    monkeypatch.setattr(solver.SolveTrace, "record", checked)
+    _, trace, _ = solve(spec, SolverConfig(max_iters=60), W0)
+    assert recorded == [rec.iteration for rec in trace.records]
+    assert trace.records[-1].nnz_u < 4
 
 
 def test_residual_denominator_is_one_for_zero_data():

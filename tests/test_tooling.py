@@ -8,7 +8,9 @@ library quickstart is run as written, so an API change that breaks it
 fails here. With no linter installed, three import rules are checked on
 the syntax tree: no library module imports a name it never uses, the
 package's ``__all__`` is exactly what its ``__init__.py`` imports, and the
-test oracles import nothing from the library they check.
+test oracles import nothing from the library they check. The solver's inner
+loop is checked on the syntax tree as well: it names no checked function that
+has an unchecked kernel, on every branch.
 """
 
 import ast
@@ -102,3 +104,20 @@ def test_oracles_import_nothing_from_the_library():
     modules += [node.module or "" for node in _imports(tree)
                 if isinstance(node, ast.ImportFrom)]
     assert not [name for name in modules if name.split(".")[0] == "l20factor"]
+
+
+def test_solver_inner_loop_names_no_checked_function():
+    """``solver.step`` and ``solver._prox_substep``, with their nested helpers
+    and their restart and backtrack branches, name neither the checked
+    FactorPair constructor nor a checked function whose unchecked kernel the
+    solver calls. ``prox_matrix`` is the one checked call left in the loop:
+    the benchmark's tracer counts the prox through it."""
+    tree = ast.parse((ROOT / "src" / "l20factor" / "solver.py").read_text())
+    banned = {"as_matrix", "as_vector", "l20_norm", "g_scalar", "FactorPair"}
+    named = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("step", "_prox_substep"):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            named[node.name] = names & banned
+    assert named == {"step": set(), "_prox_substep": set()}
