@@ -26,7 +26,7 @@ from l20factor import (FullOperator, ModelSpec, PenaltyParams,
                        build_balanced_factors, exact_penalty_threshold,
                        kl_inequality_probe, kl_moduli, objective_gap,
                        ones_counterexample, ones_counterexample_point,
-                       subdiff_distance_psi)
+                       subdiff_distance)
 
 
 def main():
@@ -54,14 +54,14 @@ def main():
 
     # --- 2. and fails along the escape curve of a bad critical point ------
     nu = 3.0
-    spec_bad, Wcrit, Mbad = ones_counterexample(nu)
-    d0 = subdiff_distance_psi(spec_bad, Wcrit, Mbad)
+    spec_bad, Wcrit, _ = ones_counterexample(nu)
+    d0 = subdiff_distance(spec_bad, Wcrit)
     print(f"degenerate critical point: subgradient distance = {d0:.1e}")
     print(f"{'t':>8} {'gap':>12} {'dist^2':>12} {'dist^2/gap':>12}")
     for t in (0.1, 0.03, 0.01, 0.003, 0.001):
         W = ones_counterexample_point(t)
         gap = objective_gap(spec_bad, W, Wcrit)
-        dist = subdiff_distance_psi(spec_bad, W, Mbad)
+        dist = subdiff_distance(spec_bad, W)
         print(f"{t:>8.3f} {gap:>12.3e} {dist * dist:>12.3e} "
               f"{dist * dist / gap:>12.3e}")
     print("the ratio is 16*nu*t^2 -> 0: no gamma > 0 works as t -> 0, so "

@@ -15,8 +15,7 @@ grows around the recovered optimum.
 from .diagnostics import (KLModuli, OptimalSetCertificate, ProbeReport,
                           certify_optimal_pair, exact_penalty_threshold,
                           kl_inequality_probe, kl_moduli, ones_counterexample,
-                          ones_counterexample_point, subdiff_distance_psi,
-                          subdiff_distance_theta_upper)
+                          ones_counterexample_point, subdiff_distance)
 from .harness import (ExperimentConfig, diagnose, gen_instance,
                       run_experiment, run_fig3)
 from .objective import (FactorPair, ModelSpec, SmoothGradient,
@@ -45,6 +44,5 @@ __all__ = [
     "objective_gap", "ones_counterexample", "ones_counterexample_point",
     "phi", "prox_matrix", "psi_star",
     "run_experiment", "run_fig3", "smooth_gradient", "smooth_value",
-    "solve", "subdiff_distance_psi",
-    "subdiff_distance_theta_upper", "theta", "theta_prime_plus",
+    "solve", "subdiff_distance", "theta", "theta_prime_plus",
 ]

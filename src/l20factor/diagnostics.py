@@ -1,11 +1,14 @@
 """Executable optimality and growth-inequality checks.
 
-This module turns the model's structure theory into concrete numbers:
-subdifferential distances at a point, moduli for the local growth inequality
-dist(0, d objective)^2 >= gamma * (objective gap), Monte Carlo probes of that
-inequality near a certified optimum, the penalty threshold above which the
-continuous surrogate shares the hard model's global minimizers, and
-certification of balanced optimal factor pairs.
+This module turns the model's structure theory into concrete numbers: the
+distance from 0 to the subdifferential at a point (``subdiff_distance``, one
+function for both models, whose terms the spec's model picks), moduli for the
+local growth inequality dist(0, d objective)^2 >= gamma * (objective gap)
+that a KL exponent of 1/2 gives, Monte Carlo probes of that inequality near a
+certified optimum, the penalty threshold above which the continuous surrogate
+shares the hard model's global minimizers, and certification of balanced
+optimal factor pairs. The probe checks its data (hypothesis flags, gamma,
+b = A(M), shapes) once, before it samples.
 
 All quantities here use the nu-weighted normalization (the unscaled
 objective): fidelity weight nu = 1/lam and per-column regularizer weight 1/2.
@@ -110,17 +113,6 @@ def certify_optimal_pair(W: FactorPair, M) -> OptimalSetCertificate:
     )
 
 
-def _check_data_consistency(spec: ModelSpec, M) -> Array:
-    M = linalg.as_matrix(M, "M")
-    if M.shape != (spec.op.m, spec.op.n):
-        raise ValueError(f"M has shape {M.shape}, operator expects "
-                         f"{(spec.op.m, spec.op.n)}")
-    gap = float(np.linalg.norm(spec.op.apply(M) - spec.b))
-    if gap > 1e-8 * (1.0 + float(np.linalg.norm(spec.b))):
-        raise ValueError("b is not the measurement of M (||A(M) - b|| too large)")
-    return M
-
-
 def _nu_smooth_grads(spec: ModelSpec, W: FactorPair) -> tuple[Array, Array]:
     """nu-normalized gradients of the shared smooth part (fidelity + balance).
 
@@ -128,57 +120,39 @@ def _nu_smooth_grads(spec: ModelSpec, W: FactorPair) -> tuple[Array, Array]:
     model's smooth part; the dc model's identity-shift term belongs to its
     column penalty in this normalization.
     """
+    if spec.model == "dc":
+        spec = dataclasses.replace(spec, model="l20")
     nu = spec.params.nu
-    g = smooth_gradient(dataclasses.replace(spec, model="l20"), W)
+    g = smooth_gradient(spec, W)
     return nu * g.grad_u, nu * g.grad_v
 
 
-def subdiff_distance_psi(spec: ModelSpec, W: FactorPair, M) -> float:
-    """Distance from 0 to the hard-model subdifferential at W.
+def subdiff_distance(spec: ModelSpec, W: FactorPair) -> float:
+    """Distance from 0 to the subdifferential of the spec's model at W.
 
-    At a nonzero column the penalty contributes nothing (locally constant),
-    so the component is exactly the smooth gradient; at a zero column the
-    subdifferential covers all of space and the distance contribution is 0.
+    A live column (one ``linalg.l20_norm`` counts) contributes its component
+    of the smooth gradient G, plus for ``dc`` the radial term
+    (rho/2) theta'_+(rho s) u/s of its penalty, s = ||u||. A zero column
+    contributes 0 for ``l20``, whose penalty's subdifferential there is all
+    of space, and max(0, ||G_j|| - rho/2)^2 for ``dc``. The ``l20`` value is
+    exact. The ``dc`` value is exact when every column is live; at a zero
+    column only an inclusion of the subdifferential is known, so that
+    column's contribution is a lower bound on its true one.
     """
-    if spec.model != "l20":
-        raise ValueError("subdiff_distance_psi requires an l20 spec")
-    _check_data_consistency(spec, M)
     spec.check_shapes(W)
     G, H = _nu_smooth_grads(spec, W)
-    mask_u = np.linalg.norm(W.U, axis=0) > linalg.default_zero_tol(W.U)
-    mask_v = np.linalg.norm(W.V, axis=0) > linalg.default_zero_tol(W.V)
-    total = float(np.sum(G[:, mask_u] ** 2)) + float(np.sum(H[:, mask_v] ** 2))
-    return math.sqrt(total)
-
-
-def subdiff_distance_theta_upper(spec: ModelSpec, W: FactorPair, M) -> float:
-    """Bracket on the distance to the dc-model subdifferential at W.
-
-    Nonzero columns use the exact component: smooth gradient plus the radial
-    term (rho/2) theta'(rho s) u/s. Zero columns only admit an inclusion for
-    the subdifferential, so they contribute the relaxed lower bound
-    max(0, ||G_j|| - rho/2) each; the result is exact whenever every column
-    is nonzero and a bracket otherwise (hence "upper" in the name: treat it
-    as an upper estimate of stationarity quality).
-    """
-    if spec.model != "dc":
-        raise ValueError("subdiff_distance_theta_upper requires a dc spec")
-    _check_data_consistency(spec, M)
-    spec.check_shapes(W)
-    params = spec.params
-    rho = params.rho
-    G, H = _nu_smooth_grads(spec, W)
+    rho = spec.params.rho
     total = 0.0
     for grad, F in ((G, W.U), (H, W.V)):
-        norms = np.linalg.norm(F, axis=0)
-        tol = linalg.default_zero_tol(F)
-        for j in range(F.shape[1]):
-            if norms[j] > tol:
-                radial = 0.5 * rho * penalty.theta_prime_plus(params, rho * norms[j])
-                comp = grad[:, j] + radial * F[:, j] / norms[j]
-                total += float(comp @ comp)
-            else:
-                total += max(0.0, float(np.linalg.norm(grad[:, j])) - 0.5 * rho) ** 2
+        live = linalg._live_columns(F)
+        comp = grad[:, live]
+        if spec.model == "dc":
+            s = np.linalg.norm(F[:, live], axis=0)
+            radial = 0.5 * rho * penalty.theta_prime_plus(spec.params, rho * s)
+            comp = comp + radial * F[:, live] / s
+            dead = np.maximum(0.0, np.linalg.norm(grad[:, ~live], axis=0) - 0.5 * rho)
+            total += float(np.sum(dead ** 2))
+        total += float(np.sum(comp ** 2))
     return math.sqrt(total)
 
 
@@ -218,10 +192,10 @@ def kl_moduli(sigma1: float, sigma_r: float, r: int, nu: float, mu: float,
                     condition_ok=condition_ok, alpha_ok=alpha_ok)
 
 
-def probe_radius(spec: ModelSpec, M) -> float:
-    """Sampling radius of the growth-inequality probe around an optimum of M."""
-    M = linalg.as_matrix(M, "M")
-    dec = linalg.svd(M)
+def _probe_radius(spec: ModelSpec, M: Array) -> float:
+    """Sampling radius of the growth-inequality probe around an optimum of
+    M, a float64 matrix the caller has checked."""
+    dec = linalg._svd(M)
     r = linalg.numerical_rank(dec.sigma)
     if r == 0:
         raise ValueError("M is numerically zero; no probe radius")
@@ -249,9 +223,10 @@ def kl_inequality_probe(spec: ModelSpec, Wbar: FactorPair, M, moduli: KLModuli,
     model's radius, keeps those whose nu-weighted objective gap lies in
     PROBE_WINDOW = (0, 1/2), and reports the minimum slack
     dist^2 - gamma*gap. Nonnegative slack means the inequality held on
-    every kept sample. Raises if a hypothesis flag is false; returns status
-    "no-admissible-samples" when the window rejects everything within 200x
-    oversampling.
+    every kept sample. Raises, before sampling, if a hypothesis flag is
+    false, gamma is not finite, b is not the measurement A(M) or a shape
+    does not match the operator; returns status "no-admissible-samples"
+    when the window rejects everything within 200x oversampling.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -262,11 +237,14 @@ def kl_inequality_probe(spec: ModelSpec, Wbar: FactorPair, M, moduli: KLModuli,
     gamma = moduli.gamma if spec.model == "l20" else moduli.gamma_prime
     if not math.isfinite(gamma):
         raise ValueError(f"gamma is not finite for model {spec.model!r}")
-    M = _check_data_consistency(spec, M)
+    M = linalg.as_matrix(M, "M")
+    if M.shape != (spec.op.m, spec.op.n):
+        raise ValueError(f"M has shape {M.shape}, operator expects "
+                         f"{(spec.op.m, spec.op.n)}")
+    if float(np.linalg.norm(spec.op.apply(M) - spec.b)) > 1e-8 * (1.0 + spec.b_norm):
+        raise ValueError("b is not the measurement of M (||A(M) - b|| too large)")
     spec.check_shapes(Wbar)
-    radius = probe_radius(spec, M)
-    dist_fn = subdiff_distance_psi if spec.model == "l20" \
-        else subdiff_distance_theta_upper
+    radius = _probe_radius(spec, M)
 
     m, n, kap = spec.op.m, spec.op.n, Wbar.kappa
     dim = (m + n) * kap
@@ -284,7 +262,7 @@ def kl_inequality_probe(spec: ModelSpec, Wbar: FactorPair, M, moduli: KLModuli,
         if not lo < gap < hi:
             continue
         kept += 1
-        dist = dist_fn(spec, W, M)
+        dist = subdiff_distance(spec, W)
         min_slack = min(min_slack, dist * dist - gamma * gap)
     if kept == 0:
         return ProbeReport(slack=math.nan, kept=0, drawn=drawn, radius=radius,

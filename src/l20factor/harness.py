@@ -557,7 +557,8 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
     entry is missed, which skips the moduli), as are full and dense-Gram
     ones. Only Monte Carlo brackets are one-sided, so the moduli use the
     optimistic pair (alpha_upper, beta_lower): if even those fail the
-    hypotheses, the theory certainly does not apply.
+    hypotheses, the theory certainly does not apply. A lambda = 0 solution
+    has no nu = 1/lambda, so its moduli, threshold and probe are skipped.
     """
     meta, M, op, b = load_instance(instance_dir)
     W, summary = load_solution(solution_dir)
@@ -570,7 +571,7 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
     report: dict = {"schema": "l20factor-diagnosis-v1"}
     cert = certify_optimal_pair(W, M)
     report["certificate"] = dataclasses.asdict(cert)
-    report["rel_error"] = relative_error(W, M)
+    report["rel_error"] = cert.product_error
 
     dec = linalg.svd(M)
     rank = linalg.numerical_rank(dec.sigma)
@@ -583,15 +584,19 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
     report["restricted_eigs"] = dataclasses.asdict(eigs)
     alpha, beta = eigs.alpha_upper, max(eigs.beta_lower, eigs.alpha_upper)
 
-    lam = params.lam
-    nu = 1.0 / lam
-    mu = params.mu_tilde * nu
-    if rank == 0 or alpha <= 0:
-        report["moduli"] = {"status": "skipped",
-                            "message": "degenerate spectrum or alpha estimate"}
-        report["threshold"] = {"status": "skipped", "message": "no usable alpha"}
-        report["probe"] = {"status": "skipped", "message": "no moduli"}
+    if params.lam == 0:
+        skipped = dict.fromkeys(("moduli", "threshold", "probe"),
+                                "nu = 1/lambda is undefined at lambda = 0")
+    elif rank == 0 or alpha <= 0:
+        skipped = {"moduli": "degenerate spectrum or alpha estimate",
+                   "threshold": "no usable alpha", "probe": "no moduli"}
     else:
+        skipped = {}
+    for key, message in skipped.items():
+        report[key] = {"status": "skipped", "message": message}
+    if not skipped:
+        nu = params.nu
+        mu = params.mu_tilde * nu
         moduli = kl_moduli(sigma1, sigma_r, rank, nu, mu, alpha, beta,
                            params if spec.model == "dc" else None)
         report["moduli"] = dataclasses.asdict(moduli)

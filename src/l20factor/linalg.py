@@ -7,7 +7,8 @@ back to gesvd when the default LAPACK routine fails; ``l20_norm`` and
 ``numerical_rank`` count columns and singular values above the package's
 fixed zero tolerances (1e-8 * max(1, ||X||_F) and 1e-8 * sigma_1).
 ``l20_norm`` is ``as_matrix`` over the unchecked ``_column_count``, which
-the solver calls on iterates it has checked itself.
+the solver calls on iterates it has checked itself; ``_live_columns`` is
+that count's column mask, and ``svd`` is ``as_matrix`` over ``_svd``.
 Norms are numpy's, called directly.
 """
 
@@ -65,7 +66,11 @@ class SvdResult:
 
 def svd(X) -> SvdResult:
     """Thin SVD with a gesvd fallback if the default driver fails to converge."""
-    A = as_matrix(X)
+    return _svd(as_matrix(X))
+
+
+def _svd(A: Array) -> SvdResult:
+    """``svd`` of a float64 matrix the caller has checked."""
     try:
         P, s, Qh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError:
@@ -90,7 +95,13 @@ def l20_norm(X) -> int:
 
 def _column_count(A: Array) -> int:
     """``l20_norm`` of a float64 matrix the caller has checked."""
-    return int(np.count_nonzero(np.linalg.norm(A, axis=0) > default_zero_tol(A)))
+    return int(np.count_nonzero(_live_columns(A)))
+
+
+def _live_columns(A: Array) -> Array:
+    """Mask of the columns of a checked float64 matrix that ``l20_norm``
+    counts: Euclidean norm above ``default_zero_tol(A)``."""
+    return np.linalg.norm(A, axis=0) > default_zero_tol(A)
 
 
 def numerical_rank(sigma: Array) -> int:

@@ -163,3 +163,41 @@ def operator_matrix(op):
             E[i, j] = 1.0
             S[:, j * op.m + i] = op.apply(E)
     return S
+
+
+def theta_prime_plus_direct(a, t):
+    """Right derivative of theta at t >= 0, branch by branch: 1 below
+    2/(a+1), the affine decay up to the saturation point 2a/(a+1), then 0."""
+    if t < 2.0 / (a + 1):
+        return 1.0
+    if t < 2.0 * a / (a + 1):
+        return 1.0 - ((a + 1) * t - 2) * (a + 1) / (2 * (a * a - 1))
+    return 0.0
+
+
+def dc_subdiff_distance_loop(spec, U, V):
+    """Distance to the dc-model subdifferential, one column at a time.
+
+    G is the nu-weighted gradient of the hard model's smooth part. A column
+    with norm s above 1e-8 * max(1, ||F||_F) contributes
+    ||G_j + (rho/2) theta'_+(rho s) F_j / s||^2, any other column
+    max(0, ||G_j|| - rho/2)^2.
+    """
+    p = spec.params
+    nu, rho = 1.0 / p.lam, p.rho
+    R = spec.op.adjoint(spec.op.apply(U @ V.T) - spec.b)
+    bal = U.T @ U - V.T @ V
+    G = nu * (R @ V + p.mu_tilde * (U @ bal))
+    H = nu * (R.T @ U - p.mu_tilde * (V @ bal))
+    total = 0.0
+    for grad, F in ((G, U), (H, V)):
+        norms = np.linalg.norm(F, axis=0)
+        tol = 1e-8 * max(1.0, float(np.linalg.norm(F)))
+        for j in range(F.shape[1]):
+            if norms[j] > tol:
+                radial = 0.5 * rho * theta_prime_plus_direct(p.a, rho * norms[j])
+                comp = grad[:, j] + radial * F[:, j] / norms[j]
+                total += float(comp @ comp)
+            else:
+                total += max(0.0, float(np.linalg.norm(grad[:, j])) - 0.5 * rho) ** 2
+    return float(np.sqrt(total))

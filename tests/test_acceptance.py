@@ -29,7 +29,7 @@ from l20factor import linalg, solver
 from l20factor.diagnostics import (certify_optimal_pair, kl_inequality_probe,
                                    kl_moduli, ones_counterexample,
                                    ones_counterexample_point,
-                                   subdiff_distance_psi)
+                                   subdiff_distance)
 from l20factor.harness import (ExperimentConfig, build_model_spec,
                                convergence_fit, gen_instance, relative_error,
                                run_experiment, run_fig3)
@@ -55,11 +55,11 @@ def test_criterion_1_escape_curve_rates(capsys):
     worst = 0.0
     for nu in (1.0, 3.0):
         spec, Wbar, M = ones_counterexample(nu)
-        critical = max(critical, subdiff_distance_psi(spec, Wbar, M))
+        critical = max(critical, subdiff_distance(spec, Wbar))
         for t in (0.5, 0.1, 0.01):
             W = ones_counterexample_point(t)
             gap = objective_gap(spec, W, Wbar)
-            dist = subdiff_distance_psi(spec, W, M)
+            dist = subdiff_distance(spec, W)
             worst = max(
                 worst,
                 abs(gap - 8 * nu * t**4) / (8 * nu * t**4),
@@ -298,7 +298,7 @@ def test_criterion_7_growth_failure_at_counterexample(capsys):
     t0 = time.monotonic()
     nu = 3.0
     spec, Wbar, M = ones_counterexample(nu)
-    critical = subdiff_distance_psi(spec, Wbar, M)
+    critical = subdiff_distance(spec, Wbar)
     gammas = [kl_moduli(16.0, 16.0, 1, nu, 1.0, 1.0, 1.0, None).gamma,
               1e-3, 1.0]
     all_negative = True
@@ -309,7 +309,7 @@ def test_criterion_7_growth_failure_at_counterexample(capsys):
         for t in np.geomspace(hi / 100.0, hi, 12):
             W = ones_counterexample_point(float(t))
             gap = objective_gap(spec, W, Wbar)
-            dist = subdiff_distance_psi(spec, W, M)
+            dist = subdiff_distance(spec, W)
             slack = dist * dist - gamma * gap
             worst = max(worst, slack)
             all_negative = all_negative and slack < 0

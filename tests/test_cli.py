@@ -60,6 +60,27 @@ def test_gen_solve_diagnose_pipeline(tmp_path):
     assert os.path.exists(os.path.join(sol, "diagnosis.json"))
 
 
+def test_diagnose_at_lambda_zero_skips_growth_theory(tmp_path):
+    """lambda = 0 is a valid solve, but nu = 1/lambda is undefined, so the
+    moduli, threshold and probe are skipped, not a crash."""
+    inst = str(tmp_path / "inst")
+    sol = str(tmp_path / "sol")
+    gen = run_cli("gen", "--m", "12", "--n", "10", "--r", "2", "--kappa", "3",
+                  "--sample-ratio", "0.6", "--out-dir", inst)
+    assert gen.returncode == 0, gen.stderr
+    solve = run_cli("solve", "--instance", inst, "--out-dir", sol,
+                    "--lambda-rule", "0")
+    assert solve.returncode == 0, solve.stderr
+    diag = run_cli("diagnose", "--instance", inst, "--solution", sol)
+    assert diag.returncode == 0, diag.stderr
+    with open(os.path.join(sol, "diagnosis.json")) as fh:
+        report = json.load(fh)
+    assert {"certificate", "spectrum", "restricted_eigs"} <= set(report)
+    for key in ("moduli", "threshold", "probe"):
+        assert report[key] == {"status": "skipped",
+                               "message": "nu = 1/lambda is undefined at lambda = 0"}
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -2,21 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
+from l20factor import linalg
 from l20factor.diagnostics import (KLModuli, certify_optimal_pair,
                                    exact_penalty_threshold,
                                    kl_inequality_probe, kl_moduli,
                                    ones_counterexample,
-                                   ones_counterexample_point, probe_radius,
-                                   subdiff_distance_psi,
-                                   subdiff_distance_theta_upper)
+                                   ones_counterexample_point, _probe_radius,
+                                   subdiff_distance)
 from l20factor.objective import (FactorPair, ModelSpec, build_balanced_factors,
-                                 full_value, objective_gap)
+                                 full_value, objective_gap, smooth_gradient)
 from l20factor.penalty import PenaltyParams
 from l20factor.sampling import FullOperator, UniformMaskOperator
 from l20factor.solver import SolverConfig, solve
-from oracles import fd_gradient
+from oracles import dc_subdiff_distance_loop, fd_gradient
 
 
 def full_spec(M, lam, mu_tilde, model="l20", a=3.7, rho=None):
@@ -100,7 +102,7 @@ def test_psi_distance_on_escape_curve():
         for t in (0.5, 0.1, 0.01):
             W = ones_counterexample_point(t)
             gap = objective_gap(spec, W, Wbar)
-            dist = subdiff_distance_psi(spec, W, M)
+            dist = subdiff_distance(spec, W)
             assert gap == pytest.approx(8.0 * nu * t ** 4, rel=1e-10)
             assert dist == pytest.approx(8.0 * math.sqrt(2.0) * nu * t ** 3,
                                          rel=1e-10)
@@ -111,25 +113,14 @@ def test_psi_distance_zero_at_optimum():
     M = rng.standard_normal((5, 2)) @ rng.standard_normal((5, 2)).T
     spec = full_spec(M, lam=0.5, mu_tilde=0.5)
     Wbar = build_balanced_factors(M, 3)
-    assert subdiff_distance_psi(spec, Wbar, M) <= 1e-10
+    assert subdiff_distance(spec, Wbar) <= 1e-10
 
 
 def test_psi_distance_zero_at_all_zero_columns():
     M = np.diag([2.0, 1.0])
     spec = full_spec(M, lam=0.5, mu_tilde=0.5)
-    assert subdiff_distance_psi(spec, FactorPair(np.zeros((2, 2)),
-                                                 np.zeros((2, 2))), M) == 0.0
-
-
-def test_psi_distance_validation():
-    M = np.diag([2.0, 1.0])
-    dc = full_spec(M, lam=0.5, mu_tilde=0.5, model="dc", rho=1.0)
-    W = build_balanced_factors(M, 2)
-    with pytest.raises(ValueError, match="l20"):
-        subdiff_distance_psi(dc, W, M)
-    l20 = full_spec(M, lam=0.5, mu_tilde=0.5)
-    with pytest.raises(ValueError, match="not the measurement"):
-        subdiff_distance_psi(l20, W, np.diag([5.0, 5.0]))
+    assert subdiff_distance(spec, FactorPair(np.zeros((2, 2)),
+                                             np.zeros((2, 2)))) == 0.0
 
 
 def test_psi_distance_small_at_converged_solution():
@@ -144,7 +135,7 @@ def test_psi_distance_small_at_converged_solution():
     W, _, reason = solve(spec, SolverConfig(epsilon=eps, max_iters=3000),
                          "auto", kappa=3)
     assert reason == "converged"
-    d = subdiff_distance_psi(spec, W, M)
+    d = subdiff_distance(spec, W)
     assert d <= 10.0 * eps * (1.0 + np.linalg.norm(spec.b))
 
 
@@ -156,7 +147,7 @@ def test_theta_distance_zero_at_saturated_optimum():
     spec = full_spec(M, lam=0.5, mu_tilde=0.5, model="dc", a=3.0, rho=rho)
     sat = 2.0 * 3.0 / (4.0 * rho)
     assert np.linalg.norm(Wbar.U, axis=0).min() > sat
-    assert subdiff_distance_theta_upper(spec, Wbar, M) <= 1e-10
+    assert subdiff_distance(spec, Wbar) <= 1e-10
 
 
 def test_theta_distance_matches_finite_differences():
@@ -167,7 +158,7 @@ def test_theta_distance_matches_finite_differences():
     spec = full_spec(M, lam=0.5, mu_tilde=0.4, model="dc", a=3.0, rho=0.7)
     U = rng.standard_normal((5, 3))
     V = rng.standard_normal((4, 3))
-    dist = subdiff_distance_theta_upper(spec, FactorPair(U, V), M)
+    dist = subdiff_distance(spec, FactorPair(U, V))
     fU = fd_gradient(lambda X: full_value(spec, FactorPair(X, V))[1], U, step=1e-6)
     fV = fd_gradient(lambda X: full_value(spec, FactorPair(U, X))[1], V, step=1e-6)
     fd_dist = math.sqrt(float(np.sum(fU * fU)) + float(np.sum(fV * fV)))
@@ -181,14 +172,55 @@ def test_theta_distance_zero_column_contribution():
     Wbar = build_balanced_factors(M, 2)  # second column pair is zero
     assert np.linalg.norm(Wbar.U[:, 1]) == 0.0
     spec = full_spec(M, lam=0.5, mu_tilde=0.5, model="dc", a=3.0, rho=100.0)
-    assert subdiff_distance_theta_upper(spec, Wbar, M) <= 1e-10
+    assert subdiff_distance(spec, Wbar) <= 1e-10
 
 
-def test_theta_distance_validation():
-    M = np.diag([2.0, 1.0])
-    l20 = full_spec(M, lam=0.5, mu_tilde=0.5)
-    with pytest.raises(ValueError, match="dc"):
-        subdiff_distance_theta_upper(l20, build_balanced_factors(M, 2), M)
+# Column radii by where rho * s falls on theta's branches.
+_KINDS = ("zero", "below", "middle", "saturated")
+
+
+def _column(rng, rows, kind, a, rho):
+    lo, hi = 2.0 / (a + 1), 2.0 * a / (a + 1)
+    u = rng.uniform(0.1, 0.9)
+    s = {"zero": 0.0, "below": u * lo, "middle": lo + u * (hi - lo),
+         "saturated": hi * (1.0 + 2.0 * u)}[kind] / rho
+    d = rng.standard_normal(rows)
+    return s * d / np.linalg.norm(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=hst.integers(0, 2 ** 16),
+       kinds=hst.lists(hst.tuples(hst.sampled_from(_KINDS), hst.sampled_from(_KINDS)),
+                       min_size=1, max_size=4),
+       a=hst.sampled_from((2.0, 3.7)), rho=hst.sampled_from((0.3, 1.0, 5.0)),
+       full=hst.booleans())
+@example(seed=0, kinds=[("zero", "zero"), ("below", "below"),
+                        ("saturated", "saturated")], a=3.7, rho=1.0, full=True)
+@example(seed=1, kinds=[("zero", "below"), ("middle", "saturated")],
+         a=2.0, rho=5.0, full=False)
+def test_subdiff_distance_matches_column_loop(seed, kinds, a, rho, full):
+    """dc: the per-column loop of tests/oracles.py to 1e-12 relative; l20:
+    bitwise the sum of the smooth gradient's squares over live columns."""
+    rng = np.random.default_rng(seed)
+    m, n = 5, 4
+    M = rng.standard_normal((m, 2)) @ rng.standard_normal((n, 2)).T
+    op = FullOperator(m, n) if full else UniformMaskOperator.from_ratio(m, n, 0.6, rng)
+    params = PenaltyParams(lam=0.5, mu_tilde=0.3, a=a, rho=rho)
+    U = np.column_stack([_column(rng, m, ku, a, rho) for ku, _ in kinds])
+    V = np.column_stack([_column(rng, n, kv, a, rho) for _, kv in kinds])
+    W = FactorPair(U, V)
+
+    dc = ModelSpec(model="dc", op=op, b=op.apply(M), params=params)
+    assert subdiff_distance(dc, W) == pytest.approx(
+        dc_subdiff_distance_loop(dc, U, V), rel=1e-12, abs=0.0)
+
+    l20 = ModelSpec(model="l20", op=op, b=op.apply(M), params=params)
+    g = smooth_gradient(l20, W)
+    G, H = params.nu * g.grad_u, params.nu * g.grad_v
+    mask_u = np.linalg.norm(U, axis=0) > linalg.default_zero_tol(U)
+    mask_v = np.linalg.norm(V, axis=0) > linalg.default_zero_tol(V)
+    psi = math.sqrt(float(np.sum(G[:, mask_u] ** 2)) + float(np.sum(H[:, mask_v] ** 2)))
+    assert subdiff_distance(l20, W) == psi
 
 
 def test_kl_moduli_reference_value():
@@ -243,14 +275,14 @@ def test_kl_moduli_validation():
 def test_probe_radius_values():
     M = np.diag([4.0, 1.0])
     l20 = full_spec(M, lam=0.5, mu_tilde=0.5)
-    assert probe_radius(l20, M) == pytest.approx(0.25)
+    assert _probe_radius(l20, M) == pytest.approx(0.25)
     dc = full_spec(M, lam=0.5, mu_tilde=0.5, model="dc", a=3.0, rho=2.0)
     nu, mu = 2.0, 1.0
     expect = min(0.25, (2.0 / 4.0) / 2.0, 2.0 / (4.0 * math.sqrt(nu) + 16.0 * mu * 4.0))
-    assert probe_radius(dc, M) == pytest.approx(expect, rel=1e-12)
-    assert probe_radius(dc, M) <= 0.25
+    assert _probe_radius(dc, M) == pytest.approx(expect, rel=1e-12)
+    assert _probe_radius(dc, M) <= 0.25
     with pytest.raises(ValueError, match="zero"):
-        probe_radius(l20, np.zeros((2, 2)))
+        _probe_radius(l20, np.zeros((2, 2)))
 
 
 def test_probe_holds_near_certified_optimum():
@@ -284,6 +316,45 @@ def test_probe_requires_hypothesis_flags():
         kl_inequality_probe(spec, Wbar, M, good, samples=0)
 
 
+def test_probe_checks_data_before_sampling():
+    M = np.diag([2.0, 2.0])
+    spec = full_spec(M, lam=0.5, mu_tilde=0.5)
+    Wbar = build_balanced_factors(M, 2)
+    mod = kl_moduli(2.0, 2.0, 2, 2.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="not the measurement"):
+        kl_inequality_probe(spec, Wbar, np.diag([5.0, 5.0]), mod, samples=10)
+    with pytest.raises(ValueError, match="M has shape"):
+        kl_inequality_probe(spec, Wbar, np.eye(3), mod, samples=10)
+
+
+def test_probe_cost_per_kept_sample(monkeypatch):
+    """On full sampling a drawn sample costs two applies (the gap's smooth
+    values) and a kept one an apply and an adjoint more (the distance's
+    gradient); the data check before the loop costs one apply, and M passes
+    through ``as_matrix`` once per probe."""
+    M = np.diag([2.0, 2.0])
+    spec = full_spec(M, lam=0.5, mu_tilde=0.5)
+    Wbar = build_balanced_factors(M, 2)
+    mod = kl_moduli(2.0, 2.0, 2, 2.0, 1.0, 1.0, 1.0)
+    calls = {"apply": 0, "adjoint": 0, "M": 0}
+    for name in ("apply", "adjoint"):
+        def counted(x, _name=name, _fn=getattr(spec.op, name)):
+            calls[_name] += 1
+            return _fn(x)
+        monkeypatch.setattr(spec.op, name, counted)
+    checked = linalg.as_matrix
+
+    def as_matrix(X, name="X"):
+        calls["M"] += X is M
+        return checked(X, name)
+    monkeypatch.setattr(linalg, "as_matrix", as_matrix)
+    rep = kl_inequality_probe(spec, Wbar, M, mod, samples=20, seed=0)
+    assert rep.kept == 20
+    assert calls["apply"] <= 1 + 2 * rep.drawn + rep.kept
+    assert calls["adjoint"] <= rep.kept
+    assert calls["M"] == 1
+
+
 def test_probe_window_can_reject_everything():
     """Huge nu scales every sampled gap beyond 1/2, so nothing is kept."""
     M = np.diag([2.0, 2.0])
@@ -308,14 +379,14 @@ def test_growth_inequality_fails_on_escape_curve():
     for frac in (0.9, 0.5, 0.1):
         W = ones_counterexample_point(frac * tstar)
         gap = objective_gap(spec, W, Wbar)
-        d = subdiff_distance_psi(spec, W, M)
+        d = subdiff_distance(spec, W)
         assert gap > 0
         assert d * d - mod.gamma * gap < 0
 
 
 def test_counterexample_point_is_critical_but_not_optimal():
     spec, Wbar, M = ones_counterexample(3.0)
-    assert subdiff_distance_psi(spec, Wbar, M) == 0.0
+    assert subdiff_distance(spec, Wbar) == 0.0
     cert = certify_optimal_pair(Wbar, M)
     assert not cert.passed
     assert cert.product_error <= 1e-14 and cert.balance_error <= 1e-14

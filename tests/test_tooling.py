@@ -10,7 +10,8 @@ the syntax tree: no library module imports a name it never uses, the
 package's ``__all__`` is exactly what its ``__init__.py`` imports, and the
 test oracles import nothing from the library they check. The solver's inner
 loop is checked on the syntax tree as well: it names no checked function that
-has an unchecked kernel, on every branch.
+has an unchecked kernel, on every branch. So is the growth probe's sampling
+loop, which checks its data before it starts and re-checks none of it.
 """
 
 import ast
@@ -121,3 +122,19 @@ def test_solver_inner_loop_names_no_checked_function():
             names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
             named[node.name] = names & banned
     assert named == {"step": set(), "_prox_substep": set()}
+
+
+def test_probe_sampling_loop_rechecks_no_data():
+    """The body of ``kl_inequality_probe``'s sampling loop names neither M
+    nor a checker of new data (``as_matrix``, ``as_vector``, the
+    ``ModelSpec`` constructor): the probe checks M, b and the shapes once,
+    before the loop."""
+    tree = ast.parse((ROOT / "src" / "l20factor" / "diagnostics.py").read_text())
+    probe = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "kl_inequality_probe"]
+    assert len(probe) == 1
+    loops = [node for node in ast.walk(probe[0]) if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    names = {n.id for n in ast.walk(loops[0]) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(loops[0]) if isinstance(n, ast.Attribute)}
+    assert names & {"M", "as_matrix", "as_vector", "ModelSpec"} == set()
