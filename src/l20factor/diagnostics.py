@@ -8,7 +8,8 @@ that a KL exponent of 1/2 gives, Monte Carlo probes of that inequality near a
 certified optimum, the penalty threshold above which the continuous surrogate
 shares the hard model's global minimizers, and certification of balanced
 optimal factor pairs. The probe checks its data (hypothesis flags, gamma,
-b = A(M), shapes) once, before it samples.
+b = A(M), shapes) and evaluates the optimum's terms of the gap once, before
+it samples.
 
 All quantities here use the nu-weighted normalization (the unscaled
 objective): fidelity weight nu = 1/lam and per-column regularizer weight 1/2.
@@ -24,7 +25,8 @@ import numpy as np
 
 from . import linalg, penalty
 from .linalg import Array
-from .objective import FactorPair, ModelSpec, objective_gap, smooth_gradient
+from .objective import (FactorPair, ModelSpec, _gap, _gap_terms,
+                        smooth_gradient)
 from .penalty import PenaltyParams
 from .sampling import FullOperator
 
@@ -192,15 +194,14 @@ def kl_moduli(sigma1: float, sigma_r: float, r: int, nu: float, mu: float,
                     condition_ok=condition_ok, alpha_ok=alpha_ok)
 
 
-def _probe_radius(spec: ModelSpec, M: Array) -> float:
+def _probe_radius(spec: ModelSpec, sigma: Array) -> float:
     """Sampling radius of the growth-inequality probe around an optimum of
-    M, a float64 matrix the caller has checked."""
-    dec = linalg._svd(M)
-    r = linalg.numerical_rank(dec.sigma)
+    M, from M's singular values ``sigma``."""
+    r = linalg.numerical_rank(sigma)
     if r == 0:
         raise ValueError("M is numerically zero; no probe radius")
-    sigma1 = float(dec.sigma[0])
-    sigma_r = float(dec.sigma[r - 1])
+    sigma1 = float(sigma[0])
+    sigma_r = float(sigma[r - 1])
     radius = 0.25 * math.sqrt(sigma_r)
     if spec.model == "dc":
         params = spec.params
@@ -216,7 +217,8 @@ def _probe_radius(spec: ModelSpec, M: Array) -> float:
 
 
 def kl_inequality_probe(spec: ModelSpec, Wbar: FactorPair, M, moduli: KLModuli,
-                        samples: int = 100, seed: int = 0) -> ProbeReport:
+                        samples: int = 100, seed: int = 0,
+                        sigma: Array | None = None) -> ProbeReport:
     """Sample the growth inequality dist^2 >= gamma * gap near Wbar.
 
     Draws uniform perturbations of (U, V) in the Frobenius ball of the
@@ -226,7 +228,10 @@ def kl_inequality_probe(spec: ModelSpec, Wbar: FactorPair, M, moduli: KLModuli,
     every kept sample. Raises, before sampling, if a hypothesis flag is
     false, gamma is not finite, b is not the measurement A(M) or a shape
     does not match the operator; returns status "no-admissible-samples"
-    when the window rejects everything within 200x oversampling.
+    when the window rejects everything within 200x oversampling. ``sigma``
+    is M's singular values when the caller has them (the radius needs
+    them); otherwise the probe takes M's SVD. Wbar's smooth value and
+    column counts are evaluated once, before sampling.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -244,10 +249,11 @@ def kl_inequality_probe(spec: ModelSpec, Wbar: FactorPair, M, moduli: KLModuli,
     if float(np.linalg.norm(spec.op.apply(M) - spec.b)) > 1e-8 * (1.0 + spec.b_norm):
         raise ValueError("b is not the measurement of M (||A(M) - b|| too large)")
     spec.check_shapes(Wbar)
-    radius = _probe_radius(spec, M)
+    radius = _probe_radius(spec, linalg._svd(M).sigma if sigma is None else sigma)
 
     m, n, kap = spec.op.m, spec.op.n, Wbar.kappa
     dim = (m + n) * kap
+    bar = _gap_terms(spec, Wbar)
     rng = np.random.default_rng(seed)
     kept = 0
     drawn = 0
@@ -258,7 +264,7 @@ def kl_inequality_probe(spec: ModelSpec, Wbar: FactorPair, M, moduli: KLModuli,
         D = rng.standard_normal((m + n, kap))
         scale = radius * rng.random() ** (1.0 / dim) / float(np.linalg.norm(D))
         W = FactorPair(Wbar.U + scale * D[:m], Wbar.V + scale * D[m:])
-        gap = objective_gap(spec, W, Wbar)
+        gap = _gap(spec, _gap_terms(spec, W), bar)
         if not lo < gap < hi:
             continue
         kept += 1

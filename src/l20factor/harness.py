@@ -32,7 +32,7 @@ import numpy as np
 from . import linalg
 from .diagnostics import (certify_optimal_pair, exact_penalty_threshold,
                           kl_inequality_probe, kl_moduli)
-from .objective import MODELS, FactorPair, ModelSpec, build_balanced_factors
+from .objective import MODELS, FactorPair, ModelSpec, balanced_factors
 from .penalty import PenaltyParams
 from .sampling import (FullOperator, GaussianOperator, SamplingOperator,
                        UniformMaskOperator, estimate_restricted_eigs)
@@ -553,9 +553,10 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
     Emits diagnosis.json with: the optimal-pair certificate, restricted
     eigenvalue estimates, growth moduli and hypothesis flags, the exact
     penalty threshold, and a sampling probe of the growth inequality around
-    the balanced optimum of M. Mask brackets are exact (alpha = 0 once an
-    entry is missed, which skips the moduli), as are full and dense-Gram
-    ones. Only Monte Carlo brackets are one-sided, so the moduli use the
+    the balanced optimum of M. M's SVD is taken once and gives the
+    spectrum, that optimum and the probe's radius. Mask brackets are exact
+    (alpha = 0 once an entry is missed, which skips the moduli), as are full
+    and dense-Gram ones. Only Monte Carlo brackets are one-sided, so the moduli use the
     optimistic pair (alpha_upper, beta_lower): if even those fail the
     hypotheses, the theory certainly does not apply. A lambda = 0 solution
     has no nu = 1/lambda, so its moduli, threshold and probe are skipped.
@@ -607,9 +608,9 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
         except ValueError as err:
             report["threshold"] = {"status": "hypothesis-failed", "message": str(err)}
         try:
-            Wbar = build_balanced_factors(M, W.kappa)
-            probe = kl_inequality_probe(spec, Wbar, M, moduli,
-                                        samples=probe_samples, seed=seed)
+            Wbar = balanced_factors(dec, W.kappa)
+            probe = kl_inequality_probe(spec, Wbar, M, moduli, samples=probe_samples,
+                                        seed=seed, sigma=dec.sigma)
             report["probe"] = dataclasses.asdict(probe)
         except ValueError as err:
             report["probe"] = {"status": "skipped", "message": str(err)}

@@ -76,10 +76,13 @@ def build_balanced_factors(X, kappa: int) -> FactorPair:
     1e-8 * sigma_1) are treated as zero, so both factors have exactly
     min(kappa, numerical_rank(sigma)) nonzero columns.
     """
-    X = linalg.as_matrix(X)
-    if not 1 <= kappa <= min(X.shape):
-        raise ValueError(f"kappa must lie in [1, {min(X.shape)}], got {kappa}")
-    dec = linalg.svd(X)
+    return balanced_factors(linalg.svd(X), kappa)
+
+
+def balanced_factors(dec: linalg.SvdResult, kappa: int) -> FactorPair:
+    """``build_balanced_factors`` of X from its thin SVD ``dec``."""
+    if not 1 <= kappa <= dec.sigma.size:
+        raise ValueError(f"kappa must lie in [1, {dec.sigma.size}], got {kappa}")
     sigma = dec.sigma[:kappa].copy()
     sigma[linalg.numerical_rank(dec.sigma):] = 0.0
     root = np.sqrt(sigma)
@@ -214,13 +217,22 @@ def objective_gap(spec: ModelSpec, W: FactorPair, Wbar: FactorPair) -> float:
     constants (1/2 per surviving column) that would otherwise swamp small
     gaps in floating point.
     """
-    nu = spec.params.nu
-    smooth_diff = smooth_value(spec, W) - smooth_value(spec, Wbar)
+    return _gap(spec, _gap_terms(spec, W), _gap_terms(spec, Wbar))
+
+
+def _gap_terms(spec: ModelSpec, W: FactorPair) -> tuple[float, float]:
+    """The two values of W that ``objective_gap`` differences: the smooth
+    part, and the column count (l20) or the penalty value (dc)."""
     if spec.model == "l20":
-        count_diff = (
-            linalg.l20_norm(W.U) + linalg.l20_norm(W.V)
-            - linalg.l20_norm(Wbar.U) - linalg.l20_norm(Wbar.V)
-        )
-        return nu * smooth_diff + 0.5 * count_diff
-    pen_diff = column_penalty_value(spec, W) - column_penalty_value(spec, Wbar)
-    return nu * (smooth_diff + pen_diff)
+        return smooth_value(spec, W), linalg.l20_norm(W.U) + linalg.l20_norm(W.V)
+    return smooth_value(spec, W), column_penalty_value(spec, W)
+
+
+def _gap(spec: ModelSpec, terms: tuple[float, float],
+         bar: tuple[float, float]) -> float:
+    """``objective_gap`` from the ``_gap_terms`` of W and of Wbar."""
+    nu = spec.params.nu
+    smooth_diff = terms[0] - bar[0]
+    if spec.model == "l20":
+        return nu * smooth_diff + 0.5 * (terms[1] - bar[1])
+    return nu * (smooth_diff + (terms[1] - bar[1]))

@@ -11,7 +11,9 @@ operator's ``restricted(Q, side)`` map takes Z to A(Z Q^T) (side "u", Q = V)
 or to A(Q Z^T) (side "v", Q = U), with the matching adjoint. The base map
 forms the product and calls the operator's own apply and adjoint. A Gaussian
 operator's map is its block B = G @ Q, p x (rows * k), built once, after
-which an apply or adjoint is one matrix-vector product. The solver takes
+which an apply or adjoint is one matrix-vector product; a map's
+``regauged(Q T, T)`` fixes Q T instead, and a Gaussian one gets it as B's
+product with T, without a pass over G. The solver takes
 every substep through such a map, and the module uses the map's matrix to
 estimate restricted eigenvalue brackets
     alpha <= ||A(X)||^2 / ||X||_F^2 <= beta   for all rank-k X != 0
@@ -232,6 +234,11 @@ class RestrictedMap:
         R = self.op.adjoint(r)
         return self._restrict(R), other, other._restrict(R)
 
+    def regauged(self, Q: Array, T: Array) -> "RestrictedMap":
+        """The map that fixes Q = self.Q @ T, for a k x k matrix T. The base
+        form is a new map over Q; a Gaussian map reuses its block."""
+        return RestrictedMap(self.op, Q, self.side)
+
     def matrix(self) -> Array:
         """The p x (rows * k) matrix of the map on Z flattened row-major, from
         one apply per basis matrix."""
@@ -251,10 +258,13 @@ class _GaussianRestrictedMap(RestrictedMap):
     on "u" and B = G^T @ U, (p, n, k), on "v", kept as p x (rows * k). An
     apply or an adjoint is then one matrix-vector product."""
 
-    def __init__(self, op: GaussianOperator, Q: Array, side: str):
+    def __init__(self, op: GaussianOperator, Q: Array, side: str,
+                 B: Array | None = None):
         super().__init__(op, Q, side)
-        G = op.G if side == "u" else op.G.transpose(0, 2, 1)
-        self.B = (G @ Q).reshape(op.p, -1)
+        if B is None:
+            G = op.G if side == "u" else op.G.transpose(0, 2, 1)
+            B = (G @ Q).reshape(op.p, -1)
+        self.B = B
 
     def apply(self, Z: Array) -> Array:
         return self.B @ Z.ravel()
@@ -265,6 +275,13 @@ class _GaussianRestrictedMap(RestrictedMap):
     def flip(self, Z: Array, r: Array) -> tuple[Array, RestrictedMap, Array]:
         other = self.op.restricted(Z, _OTHER_SIDE[self.side])
         return self.adjoint(r), other, other.adjoint(r)
+
+    def regauged(self, Q: Array, T: Array) -> RestrictedMap:
+        """G @ (self.Q T) is (G @ self.Q) T: one p*rows x k by k x k product,
+        p*rows*k^2 flops, instead of a pass over G."""
+        k = T.shape[0]
+        B = (self.B.reshape(-1, k) @ T).reshape(self.op.p, -1)
+        return _GaussianRestrictedMap(self.op, Q, self.side, B)
 
     def matrix(self) -> Array:
         return self.B

@@ -35,6 +35,22 @@ the previous iterate leaves the working set, so every apply, adjoint, Gram
 and step constant runs at the live column count; results are padded back
 to the caller's kappa.
 
+Then, for the hard model only, ``solve`` may apply a gauge move
+(``_rebalance``). The objective is invariant under (U, V) -> (U T, V T^-T)
+except for the balance term (mu/4) ||U^T U - V^T V||^2, which at a small mu
+pins the gauge only weakly: without the move, ``gauss-l20-40`` spends most
+of its 2254 iterations drifting along the gauge. The move takes the pair to
+the balanced pair with the same U V^T, aligned to the old one by an
+orthogonal Procrustes rotation, with k x k work on the Grams the step
+carried; W_prev and the restricted map that fixes V are mapped along, so
+the extrapolation keeps its momentum and no block is rebuilt. It fires when
+the balance term it removes is larger than the decrease of the smooth part
+that the step and prune just made, and not while a singular value of U V^T
+is near the prox's keep threshold (see ``_rebalance``). The paper's PALM
+analysis does not cover the move; like the prune, it is a descent step
+between iterations. The dc penalty depends on column norms, which the move
+changes, so dc takes no move and its iterates are those of the plain method.
+
 Inputs are checked where they enter (``solve`` checks the start's shapes
 once; ``ModelSpec`` checks b and keeps ||b||). A step works on plain arrays
 and checks only what it computes: the extrapolated point, the balance Gram,
@@ -75,6 +91,9 @@ _STEP_FLOOR = 1e-8
 _MARGIN = 1.1
 # Grid iterates the trace holds for the distance backfill (plus the latest).
 _KEPT = 64
+# The gauge move waits while a singular value of U V^T is within this factor
+# of the hard prox's keep threshold lam / L (see ``_rebalance``).
+_KEEP_MARGIN = 2.0
 
 
 class DivergenceError(RuntimeError):
@@ -111,7 +130,11 @@ class SolverState:
     residual left it for the next U-substep; ``step`` builds a new one when
     W.V is not its fixed factor (at the start, after a prune or a cut).
     ``nnz_u`` and ``nnz_v`` are ``linalg.l20_norm`` of W.U and W.V, -1 until
-    a step sets them; the l20 penalty and the trace read them.
+    set (``solve`` sets them at the start, a step after it); the l20
+    penalty, the trace and the gauge move read them. ``grams`` is
+    (W.U^T W.U, W.V^T W.V) as the step's V-substep formed them, None where
+    they are not known (at the start and after a gauge move); the move reads
+    them.
     """
 
     W: FactorPair
@@ -128,6 +151,7 @@ class SolverState:
     umap: RestrictedMap | None = None
     nnz_u: int = -1
     nnz_v: int = -1
+    grams: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -247,7 +271,7 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
     value come from one evaluation of the linearization point; each candidate
     costs one more, whose balance takes the fixed factor's Gram from
     ``grams``. Returns (accepted candidate, gradient at ``at``, final L,
-    evaluation of the accepted pair).
+    evaluation of the accepted pair, the candidate's Gram).
     """
     which = amap.side
     gu, gv = grams
@@ -269,12 +293,13 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
         if not np.all(np.isfinite(Znew)):
             raise DivergenceError(iteration, f"non-finite prox point ({which})")
         cand = prox_matrix(Znew, L, spec.params, spec.model)
-        ev = evaluate(cand, cand.T @ cand)
+        gram = cand.T @ cand
+        ev = evaluate(cand, gram)
         diff = cand - at
         bound = base + float(np.sum(grad * diff)) \
             + 0.5 * L * float(np.sum(diff * diff))
         if ev.value <= bound + 1e-12 * max(1.0, abs(base)):
-            return cand, grad, L, ev
+            return cand, grad, L, ev, gram
         L *= _BACKTRACK_FACTOR
     raise DivergenceError(
         iteration, f"backtracking exceeded {_MAX_DOUBLINGS} doublings ({which})"
@@ -306,23 +331,24 @@ def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState) -> SolverState:
         if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
             raise DivergenceError(it, "non-finite extrapolated point")
         lu, _, grams = _step_constants(spec, Ut, V, it)
-        Unew, gU, lu, _ = _prox_substep(spec, umap, Ut, grams, lu, it)
+        Unew, gU, lu, _, _ = _prox_substep(spec, umap, Ut, grams, lu, it)
         _, lv, grams = _step_constants(spec, Unew, Vt, it)
         vmap = spec.op.restricted(Unew, "v")
-        Vnew, gV, lv, ev = _prox_substep(spec, vmap, Vt, grams, lv, it)
+        Vnew, gV, lv, ev, gram_v = _prox_substep(spec, vmap, Vt, grams, lv, it)
         nnz = linalg._column_count(Unew), linalg._column_count(Vnew)
         obj = ev.value + _column_penalty(spec, Unew, Vnew, nnz[0] + nnz[1])
         if not math.isfinite(obj):
             raise DivergenceError(it, "non-finite objective")
-        return _unchecked_pair(Unew, Vnew), nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap
+        return (_unchecked_pair(Unew, Vnew), nnz, Ut, Vt, gU, gV, lu, lv, ev, obj,
+                vmap, (grams[0], gram_v))
 
     w = (st.tk_prev - 1.0) / st.tk if cfg.accelerate else 0.0
-    Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(w)
+    Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap, grams = take(w)
     restarted = False
     tk, tk_prev = st.tk, st.tk_prev
     if w != 0.0 and obj > prev_obj:
         tk = tk_prev = 1.0
-        Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(0.0)
+        Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap, grams = take(0.0)
         restarted = True
 
     data_v, umap, data_u = vmap.flip(Wnew.V, ev.residual)
@@ -337,7 +363,7 @@ def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState) -> SolverState:
         W=Wnew, W_prev=st.W, tk=tk_next, tk_prev=tk, iteration=it,
         LU=lu, LV=lv, restarted=restarted,
         res_u=res_u, res_v=res_v, obj_scaled=obj, umap=umap,
-        nnz_u=nnz[0], nnz_v=nnz[1],
+        nnz_u=nnz[0], nnz_v=nnz[1], grams=grams,
     )
 
 
@@ -371,6 +397,8 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
     When the state's column counts equal the live width, every column is
     above the zero tolerance in both factors, so there is nothing to do. A
     prune recomputes the counts; a cut drops only zero columns and keeps them.
+    Both carry the state's Grams for the gauge move: a prune zeroes the
+    orphans' rows and columns, a cut drops the cut columns' ones.
     """
     width = st.W.U.shape[1]
     if st.nnz_u == width and st.nnz_v == width:
@@ -386,9 +414,11 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
         W = _unchecked_pair(zeroed(st.W.U), zeroed(st.W.V))
         W_prev = _unchecked_pair(zeroed(st.W_prev.U), zeroed(st.W_prev.V))
         nnz_u, nnz_v = linalg._column_count(W.U), linalg._column_count(W.V)
+        kept = np.outer(~orphan, ~orphan)
         st = replace(st, W=W, W_prev=W_prev, nnz_u=nnz_u, nnz_v=nnz_v,
                      obj_scaled=smooth_value(spec, W)
-                     + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v))
+                     + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v),
+                     grams=st.grams and tuple(G * kept for G in st.grams))
     # After the prune a column is nonzero in both factors or in neither.
     used = ((nz_u & nz_v) | np.any(st.W_prev.U != 0.0, axis=0)
             | np.any(st.W_prev.V != 0.0, axis=0))
@@ -399,7 +429,77 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
 
     def cut(W):
         return _unchecked_pair(W.U[:, used], W.V[:, used])
-    return replace(st, W=cut(st.W), W_prev=cut(st.W_prev)), live[used]
+    grams = st.grams and tuple(G[np.ix_(used, used)] for G in st.grams)
+    return replace(st, W=cut(st.W), W_prev=cut(st.W_prev), grams=grams), live[used]
+
+
+def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverState:
+    """The gauge move of the l20 model: (U, V) -> (U T, V T^-T), balanced.
+
+    U T (V T^-T)^T = U V^T, so the residual and the l20 penalty keep their
+    values, and the balance term (mu/4) ||U^T U - V^T V||^2 drops to zero.
+    T comes from k x k work on the Grams the step carried: Cholesky factors
+    U^T U = L_U L_U^T and V^T V = L_V L_V^T, the SVD L_U^T L_V = P S Z^T,
+    then T = L_U^-T P sqrt(S) O and T^-T = L_V^-T Z sqrt(S) O, which gives
+    U T and V T^-T the Gram O^T S O (Procrustes flow's closed form). O is
+    the orthogonal Procrustes rotation that takes the balanced pair closest
+    to (U, V), so columns keep their order and sign from one iterate to the
+    next.
+    W_prev is mapped by the same T, so the extrapolation keeps its momentum,
+    and a restricted map that fixes V is re-gauged, not rebuilt. The
+    objective falls by the balance term, up to rounding; the columns are
+    recounted, since a balanced split can put a column under the zero
+    tolerance, and the penalty follows the count.
+
+    The move fires only when all of these hold; otherwise ``st`` is
+    returned as it is.
+    - Every live column is nonzero in both factors.
+    - The core has full numerical rank: both Cholesky factorizations succeed
+      and ``linalg.numerical_rank`` counts every singular value of the core.
+    - The balance term is larger than the decrease of the smooth part Phi
+      from ``before``, the state the step started from, to ``st``. Phi is
+      the objective less the penalty, which only counts the support, so a
+      step that kills a column does not hold the move back.
+    - Every singular value s_j of U V^T exceeds ``_KEEP_MARGIN`` lam / L,
+      L the smaller step constant. Balanced, column j has halves of squared
+      norm about s_j, and the hard prox keeps a half when its squared norm
+      exceeds lam / L; near that threshold the move would shield a column
+      that the prox, fed its smaller unbalanced half, could drop.
+    """
+    width = st.W.U.shape[1]
+    if st.grams is None or st.nnz_u != width or st.nnz_v != width:
+        return st
+    bal = st.grams[0] - st.grams[1]
+    gain = 0.25 * spec.params.mu_tilde * float(np.sum(bal * bal))
+    lam = spec.params.lam
+    decrease = before.obj_scaled - st.obj_scaled \
+        - 0.5 * lam * (before.nnz_u + before.nnz_v - st.nnz_u - st.nnz_v)
+    if not gain > max(decrease, 0.0):
+        return st
+    try:
+        lu, lv = np.linalg.cholesky(np.stack(st.grams))
+        P, s, Zt = np.linalg.svd(lu.T @ lv)
+        if linalg.numerical_rank(s) < width \
+                or s[-1] <= _KEEP_MARGIN * lam / min(st.LU, st.LV):
+            return st
+        root = np.sqrt(s)
+        # O is the orthogonal polar factor of (U T0)^T U + (V T0^-T)^T V,
+        # T0 = T O^T, which is sqrt(S) (P^T L_U^T + Z^T L_V^T).
+        X, _, Yt = np.linalg.svd(root[:, None] * (P.T @ lu.T + Zt @ lv.T))
+    except np.linalg.LinAlgError:
+        return st
+    # L_U^T L_V = P S Z^T turns L_U^-T P sqrt(S) into L_V Z / sqrt(S), and
+    # L_V^-T Z sqrt(S) into L_U P / sqrt(S): T and T^-T without a solve.
+    O = X @ Yt
+    tu, tv = (lv @ (Zt.T / root)) @ O, (lu @ (P / root)) @ O
+    U, V = st.W.U @ tu, st.W.V @ tv
+    nnz_u, nnz_v = linalg._column_count(U), linalg._column_count(V)
+    umap = st.umap
+    umap = umap.regauged(V, tv) if umap is not None and umap.Q is st.W.V else None
+    obj = st.obj_scaled - gain + 0.5 * lam * (nnz_u + nnz_v - st.nnz_u - st.nnz_v)
+    return replace(st, W=_unchecked_pair(U, V),
+                   W_prev=_unchecked_pair(st.W_prev.U @ tu, st.W_prev.V @ tv),
+                   obj_scaled=obj, umap=umap, nnz_u=nnz_u, nnz_v=nnz_v, grams=None)
 
 
 def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
@@ -414,8 +514,13 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     both (a prune; it never raises the objective and costs one apply), and
     a column that is zero in both factors and in the previous iterate leaves
     the working set: it has a zero gradient and would stay zero. Every
-    product then runs at the live column count. The returned pair is padded
-    back to the start's column count, dead columns exactly zero in place.
+    product then runs at the live column count. For the hard model a gauge
+    move may then replace the pair by the balanced pair with the same
+    product (``_rebalance``); it lowers the objective by the balance term.
+    The paper's PALM analysis does not cover it: like the prune, it is a
+    descent step between iterations. ||A|| is computed before the trace
+    clock starts. The returned pair is padded back to the start's column
+    count, dead columns exactly zero in place.
     The trace holds at most ``_KEPT + 1`` iterates at their live width (see
     ``SolveTrace``), so its memory does not grow with ``max_iters``; a
     record whose iterate was not held has NaN ``dist_*_final``.
@@ -436,17 +541,25 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     spec.check_shapes(W0)
 
     trace = SolveTrace()
-    st = SolverState(W=W0.copy(), W_prev=W0.copy())
-    st.obj_scaled = smooth_value(spec, st.W) + column_penalty_value(spec, st.W)
+    st = SolverState(W=W0.copy(), W_prev=W0.copy(),
+                     nnz_u=linalg.l20_norm(W0.U), nnz_v=linalg.l20_norm(W0.V))
+    st.obj_scaled = smooth_value(spec, st.W) \
+        + _column_penalty(spec, st.W.U, st.W.V, st.nnz_u + st.nnz_v)
     kappa = W0.kappa
     live = np.arange(kappa)
 
+    # ||A|| is computed once, here (a Gaussian's is one Gram eigvalsh), so
+    # the trace clock counts iterations only.
+    spec.op.operator_norm()
     start = time.monotonic()
     reason = "budget"
     lam = spec.params.lam
     for _ in range(cfg.max_iters):
+        before = st
         st = step(spec, cfg, st)
         st, live = _shed_columns(spec, st, live)
+        if spec.model == "l20":
+            st = _rebalance(spec, st, before)
         trace.record(TraceRecord(
             iteration=st.iteration,
             obj_scaled=st.obj_scaled,

@@ -273,16 +273,18 @@ def test_kl_moduli_validation():
 
 
 def test_probe_radius_values():
+    """The radius comes from M's singular values, here those of diag(4, 1)."""
     M = np.diag([4.0, 1.0])
+    sigma = np.array([4.0, 1.0])
     l20 = full_spec(M, lam=0.5, mu_tilde=0.5)
-    assert _probe_radius(l20, M) == pytest.approx(0.25)
+    assert _probe_radius(l20, sigma) == pytest.approx(0.25)
     dc = full_spec(M, lam=0.5, mu_tilde=0.5, model="dc", a=3.0, rho=2.0)
     nu, mu = 2.0, 1.0
     expect = min(0.25, (2.0 / 4.0) / 2.0, 2.0 / (4.0 * math.sqrt(nu) + 16.0 * mu * 4.0))
-    assert _probe_radius(dc, M) == pytest.approx(expect, rel=1e-12)
-    assert _probe_radius(dc, M) <= 0.25
+    assert _probe_radius(dc, sigma) == pytest.approx(expect, rel=1e-12)
+    assert _probe_radius(dc, sigma) <= 0.25
     with pytest.raises(ValueError, match="zero"):
-        _probe_radius(l20, np.zeros((2, 2)))
+        _probe_radius(l20, np.zeros(2))
 
 
 def test_probe_holds_near_certified_optimum():
@@ -328,10 +330,10 @@ def test_probe_checks_data_before_sampling():
 
 
 def test_probe_cost_per_kept_sample(monkeypatch):
-    """On full sampling a drawn sample costs two applies (the gap's smooth
-    values) and a kept one an apply and an adjoint more (the distance's
-    gradient); the data check before the loop costs one apply, and M passes
-    through ``as_matrix`` once per probe."""
+    """On full sampling a drawn sample costs one apply (its smooth value in
+    the gap) and a kept one an apply and an adjoint more (the distance's
+    gradient); before the loop the data check and Wbar's smooth value cost
+    one apply each, and M passes through ``as_matrix`` once per probe."""
     M = np.diag([2.0, 2.0])
     spec = full_spec(M, lam=0.5, mu_tilde=0.5)
     Wbar = build_balanced_factors(M, 2)
@@ -350,7 +352,7 @@ def test_probe_cost_per_kept_sample(monkeypatch):
     monkeypatch.setattr(linalg, "as_matrix", as_matrix)
     rep = kl_inequality_probe(spec, Wbar, M, mod, samples=20, seed=0)
     assert rep.kept == 20
-    assert calls["apply"] <= 1 + 2 * rep.drawn + rep.kept
+    assert calls["apply"] <= 2 + rep.drawn + rep.kept
     assert calls["adjoint"] <= rep.kept
     assert calls["M"] == 1
 

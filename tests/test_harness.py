@@ -621,6 +621,29 @@ def test_diagnose_certifies_recovered_solution(tmp_path):
     assert on_disk["probe"]["slack"] == probe["slack"]
 
 
+def test_diagnose_takes_the_svd_of_m_once(tmp_path, monkeypatch):
+    """The spectrum, the probe's balanced optimum and its radius share one
+    SVD of M; the certificate takes one more, of U V^T."""
+    M, op, b = crafted_instance()
+    cfg = ExperimentConfig(m=12, n=10, r=2, kappa=2, sample_ratio=1.0,
+                           operator_kind="full", model="l20", mu_tilde=1e-3,
+                           lambda_rule="0.5", max_iters=500, seed=0)
+    inst, sol = str(tmp_path / "inst"), str(tmp_path / "sol")
+    save_instance(inst, cfg, M, op, b)
+    run_experiment(cfg, sol, instance=(M, op, b))
+    of_m = []
+    svd = linalg._svd
+
+    def counting_svd(A):
+        of_m.append(np.array_equal(A, M))
+        return svd(A)
+
+    monkeypatch.setattr(linalg, "_svd", counting_svd)
+    report = diagnose(inst, sol, probe_samples=5)
+    assert report["probe"]["status"] == "ok"
+    assert sorted(of_m) == [False, True]
+
+
 def test_diagnose_reports_failed_hypotheses(tmp_path):
     M, op, b = crafted_instance()
     cfg = ExperimentConfig(m=12, n=10, r=2, kappa=2, sample_ratio=1.0,

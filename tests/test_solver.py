@@ -1,5 +1,7 @@
 import math
+import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from l20factor.objective import (FactorPair, ModelSpec, column_penalty_value,
                                  smooth_gradient, smooth_value)
 from l20factor.penalty import PenaltyParams
 from l20factor.sampling import (FullOperator, GaussianOperator,
-                                UniformMaskOperator)
+                                UniformMaskOperator, _GaussianRestrictedMap)
 from l20factor.solver import (DivergenceError, SolverConfig, SolverState,
                               initial_point, solve, step)
 
@@ -222,7 +224,8 @@ def test_backtracking_bound_is_scale_free():
         W0 = initial_point(spec.op, spec.b, 4)
         LU, _, grams = solver._step_constants(spec, W0.U, W0.V, 0)
         umap = spec.op.restricted(W0.V, "u")
-        U, _, L, _ = solver._prox_substep(spec, umap, W0.U, grams, LU * 2.0 ** -20, 1)
+        U, _, L, _, _ = solver._prox_substep(spec, umap, W0.U, grams,
+                                             LU * 2.0 ** -20, 1)
         accepted.append((L / LU, U / math.sqrt(c)))
         assert L / LU == accepted[0][0]
         assert_allclose(U / math.sqrt(c), accepted[0][1], rtol=1e-9, atol=1e-12)
@@ -368,11 +371,12 @@ def test_step_validation_budget(model, rho, lam, monkeypatch):
 def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch):
     """A state's objective and column counts are those of the public
     evaluators at its iterate, through restarts, backtracks (the step
-    constant's margin is cut to 0.3, so substeps backtrack), prunes and cuts.
-    The objective is exact where it is computed, after a step and after a
-    prune; a cut drops exactly-zero columns and keeps it, which can move the
-    public sums by an ulp. Every trace record's counts are ``l20_norm`` of
-    the iterate recorded with it."""
+    constant's margin is cut to 0.3, so substeps backtrack), prunes, cuts
+    and (for l20) gauge moves. The objective is exact where it is computed,
+    after a step and after a prune; a cut drops exactly-zero columns and
+    keeps it, which can move the public sums by an ulp, and a move lowers it
+    by the balance term, which holds up to rounding. Every trace record's
+    counts are ``l20_norm`` of the iterate recorded with it."""
     monkeypatch.setattr(solver, "_MARGIN", 0.3)
     spec, _ = mask_instance(seed=1, model=model, rho=rho, lam=lam, mu_tilde=0.1)
     W0 = initial_point(spec.op, spec.b, 4)
@@ -396,6 +400,7 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
     st = SolverState(W=W0, W_prev=W0.copy(), obj_scaled=public(W0)[0])
     live = np.arange(4)
     for _ in range(60):
+        before = st
         st = step(spec, SolverConfig(), st)
         events["restart"] += st.restarted
         assert (st.obj_scaled, st.nnz_u, st.nnz_v) == public(st.W)
@@ -409,7 +414,15 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
             assert st.obj_scaled == obj
         else:
             assert st.obj_scaled == pytest.approx(obj, rel=1e-14, abs=0.0)
-    assert min(events[k] for k in ("restart", "backtrack", "prune", "cut")) > 0
+        if model == "l20":
+            moved = solver._rebalance(spec, st, before)
+            events["move"] += moved is not st
+            st = moved
+            obj, nnz_u, nnz_v = public(st.W)
+            assert (st.nnz_u, st.nnz_v) == (nnz_u, nnz_v)
+            assert st.obj_scaled == pytest.approx(obj, rel=1e-12, abs=0.0)
+    kinds = ["restart", "backtrack", "prune", "cut"] + ["move"] * (model == "l20")
+    assert min(events[k] for k in kinds) > 0
 
     record = solver.SolveTrace.record
     recorded = []
@@ -686,7 +699,8 @@ def test_pruning_never_raises_the_objective(model, seed, lam):
     (1/2) g(s) - (tau/4) s^2 = (lam/2) theta(rho s) >= 0, and through the
     same Gram row and column: theta >= 0 and the Gram loses row/column j, so
     the objective does not rise. Columns zero in all four of U, V, U_prev
-    and V_prev leave the working set; the rest keep their values."""
+    and V_prev leave the working set; the rest keep their values. The Grams
+    the state carries for the gauge move are the pruned and cut pair's."""
     rng = np.random.default_rng(seed)
     spec, _ = mask_instance(seed=seed % 7, lam=lam, model=model,
                             rho=0.5 if model == "dc" else None)
@@ -701,8 +715,11 @@ def test_pruning_never_raises_the_objective(model, seed, lam):
     Up[:, prev_dead] = Vp[:, prev_dead] = 0.0
     W = FactorPair(U, V)
     obj = smooth_value(spec, W) + column_penalty_value(spec, W)
-    st = SolverState(W=W, W_prev=FactorPair(Up, Vp), obj_scaled=obj)
+    st = SolverState(W=W, W_prev=FactorPair(Up, Vp), obj_scaled=obj,
+                     grams=(U.T @ U, V.T @ V))
     st2, live = solver._shed_columns(spec, st, np.arange(kappa))
+    for G, F in zip(st2.grams, (st2.W.U, st2.W.V)):
+        assert_allclose(G, F.T @ F, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(G).max()))
 
     orphan = (kind == 1) | (kind == 2)
     dead = orphan | prev_dead
@@ -743,3 +760,166 @@ def test_solve_pads_dead_columns_back_in_place(model, rho, lam, dead):
     for rec, ref in zip(trace.records, trace_r.records):
         assert (rec.nnz_u, rec.nnz_v) == (ref.nnz_u, ref.nnz_v)
         assert rec.dist_u_final == pytest.approx(ref.dist_u_final, rel=1e-8, abs=1e-12)
+
+
+def moved_state(spec, U, V, Up, Vp):
+    """A state at (U, V) with W_prev (Up, Vp), its carried Grams, counts and
+    objective, and unit step constants. Passed as its own ``before``, it
+    makes the step's decrease 0, so any balance gain clears the gain test."""
+    W = FactorPair(U, V)
+    return SolverState(W=W, W_prev=FactorPair(Up, Vp), LU=1.0, LV=1.0,
+                       obj_scaled=smooth_value(spec, W) + column_penalty_value(spec, W),
+                       nnz_u=linalg.l20_norm(U), nnz_v=linalg.l20_norm(V),
+                       grams=(U.T @ U, V.T @ V))
+
+
+def balance_gain(spec, W):
+    bal = W.U.T @ W.U - W.V.T @ W.V
+    return 0.25 * spec.params.mu_tilde * float(np.sum(bal * bal))
+
+
+def rel_dist(A, B):
+    return float(np.linalg.norm(A - B) / np.linalg.norm(B))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=hst.integers(0, 2 ** 16), k=hst.integers(1, 4),
+       extra=hst.integers(2, 5), log_scale=hst.integers(-3, 3))
+def test_gauge_move_keeps_the_product_and_balances(seed, k, extra, log_scale):
+    """On a random full-rank pair, unbalanced by a factor 10^log_scale, the
+    move keeps U V^T and the previous iterate's product, balances the pair,
+    lowers the objective by exactly the balance term (up to rounding) and
+    lands no farther from the old pair than any rotation of the plainly
+    balanced pair P sqrt(S), Q sqrt(S) from the SVD of U V^T."""
+    rng = np.random.default_rng(seed)
+    m, n = k + extra, k + extra + 1
+    spec, _ = mask_instance(seed=seed % 5, m=m, n=n, r=1, ratio=0.7, lam=1e-6)
+    c = 10.0 ** log_scale
+    U, V = c * rng.standard_normal((m, k)), rng.standard_normal((n, k)) / c
+    Up, Vp = rng.standard_normal((m, k)), rng.standard_normal((n, k))
+    st = moved_state(spec, U, V, Up, Vp)
+    out = solver._rebalance(spec, st, st)
+    assert out is not st
+    U2, V2 = out.W.U, out.W.V
+    assert rel_dist(U2 @ V2.T, U @ V.T) <= 1e-12
+    assert rel_dist(U2.T @ U2, V2.T @ V2) <= 1e-12
+    assert rel_dist(out.W_prev.U @ out.W_prev.V.T, Up @ Vp.T) <= 1e-12
+    gain = balance_gain(spec, st.W)
+    public = smooth_value(spec, out.W) + column_penalty_value(spec, out.W)
+    assert out.obj_scaled == st.obj_scaled - gain
+    assert public == pytest.approx(out.obj_scaled, rel=1e-12, abs=1e-12 * gain)
+    assert (out.nnz_u, out.nnz_v) == (linalg.l20_norm(U2), linalg.l20_norm(V2))
+    dist = np.linalg.norm(U2 - U) ** 2 + np.linalg.norm(V2 - V) ** 2
+    plain = linalg.svd(U @ V.T)
+    root = np.sqrt(plain.sigma[:k])
+    Pk, Qk = plain.P[:, :k] * root, plain.Q[:, :k] * root
+    scale = np.linalg.norm(U) ** 2 + np.linalg.norm(V) ** 2
+    rotations = [np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(3)]
+    for R in [np.eye(k)] + rotations:
+        other = np.linalg.norm(Pk @ R - U) ** 2 + np.linalg.norm(Qk @ R - V) ** 2
+        assert dist <= other + 1e-10 * scale
+
+
+def test_gauge_move_is_skipped_where_it_does_not_apply(monkeypatch):
+    """No move for a dead column, for a rank-deficient core (an exactly
+    singular Gram, where Cholesky fails, and a nearly singular one), when
+    the step's decrease beats the balance gain, or while a singular value of
+    U V^T is near the prox's keep threshold lam / L. A dc solve never calls
+    the move; an l20 solve does."""
+    rng = np.random.default_rng(0)
+    spec, _ = mask_instance(lam=1e-6)
+    U, V = rng.standard_normal((10, 2)), 3.0 * rng.standard_normal((10, 2))
+    Up, Vp = U.copy(), V.copy()
+    st = moved_state(spec, U, V, Up, Vp)
+    assert solver._rebalance(spec, st, st) is not st
+
+    dead = U.copy()
+    dead[:, 1] = 0.0
+    st_dead = moved_state(spec, dead, V, Up, Vp)
+    assert solver._rebalance(spec, st_dead, st_dead) is st_dead
+
+    u = np.zeros(10)
+    u[:2] = (3.0, 4.0)  # ||u||^2 = 25: the Gram of [u, 2u] is exactly singular
+    for bad in (np.column_stack([u, 2.0 * u]),
+                np.column_stack([U[:, 0], U[:, 0] + 1e-12 * U[:, 1]])):
+        st_bad = moved_state(spec, bad, V, Up, Vp)
+        assert solver._rebalance(spec, st_bad, st_bad) is st_bad
+
+    gain = balance_gain(spec, st.W)
+    ahead = replace(st, obj_scaled=st.obj_scaled + 2.0 * gain)
+    assert solver._rebalance(spec, st, ahead) is st
+
+    s_min = linalg.svd(U @ V.T).sigma[1]
+    near = replace(st, LU=spec.params.lam / s_min, LV=1e9)
+    assert solver._rebalance(spec, near, near) is near
+
+    moves = Counter()
+    count_calls(monkeypatch, moves, solver, "_rebalance")
+    for model, rho in (("dc", 0.05), ("l20", None)):
+        solve(mask_instance(model=model, rho=rho, lam=1e-4)[0],
+              SolverConfig(max_iters=20), "auto", kappa=2)
+        moves[model] = moves.pop("_rebalance", 0)
+    assert moves == {"dc": 0, "l20": 20}
+
+
+def test_gaussian_solve_regauges_the_carried_map(monkeypatch):
+    """A plain Gaussian iteration after a move makes the same 2 block builds
+    as one without: the move maps the carried block, G @ (V T^-T) =
+    (G @ V) T^-T, and builds none. The mapped block matches a fresh build."""
+    spec, _ = gaussian_instance()
+    step_fn, rebalance = solver.step, solver._rebalance
+    builds = Counter()
+    count_calls(monkeypatch, builds, spec.op, "restricted")
+    log = []  # per iteration: [builds in the step, restarted, moved]
+
+    def stepped(spec, cfg, st):
+        before = builds["restricted"]
+        out = step_fn(spec, cfg, st)
+        log.append([builds["restricted"] - before, out.restarted, False])
+        return out
+
+    def moved(spec, st, before):
+        out = rebalance(spec, st, before)
+        if out is not st:
+            log[-1][2] = True
+            assert out.umap.Q is out.W.V and out.umap.side == "u"
+            fresh = _GaussianRestrictedMap(spec.op, out.W.V, "u")
+            assert_allclose(out.umap.B, fresh.B, rtol=1e-10,
+                            atol=1e-12 * np.abs(fresh.B).max())
+        return out
+    monkeypatch.setattr(solver, "step", stepped)
+    monkeypatch.setattr(solver, "_rebalance", moved)
+    _, _, reason = solve(spec, SolverConfig(max_iters=3000), "auto", kappa=4)
+    assert reason == "converged"
+    after_move = [made for (made, restarted, _), (_, _, fired) in zip(log[1:], log)
+                  if fired and not restarted]
+    assert len(after_move) >= 10
+    assert set(after_move) == {2}
+
+
+def test_solve_computes_the_operator_norm_once_before_the_clock(monkeypatch):
+    """A Gaussian operator's ||A|| (one Gram eigvalsh) is computed exactly
+    once, before the trace clock starts and before the first step, so the
+    first record's time_s counts the iteration alone."""
+    spec, _ = gaussian_instance()
+    events = []
+    norm, step_fn = GaussianOperator.operator_norm, solver.step
+    monotonic = time.monotonic
+
+    def counted_norm(op):
+        events.append("computed" if op._norm is None else "kept")
+        return norm(op)
+
+    def counted_step(*args):
+        events.append("step")
+        return step_fn(*args)
+
+    def clock():
+        events.append("clock")
+        return monotonic()
+    monkeypatch.setattr(GaussianOperator, "operator_norm", counted_norm)
+    monkeypatch.setattr(solver, "step", counted_step)
+    monkeypatch.setattr(solver.time, "monotonic", clock)
+    solve(spec, SolverConfig(max_iters=3), "auto", kappa=4)
+    assert events.count("computed") == 1
+    assert events.index("computed") < events.index("clock") < events.index("step")

@@ -11,10 +11,14 @@ package's ``__all__`` is exactly what its ``__init__.py`` imports, and the
 test oracles import nothing from the library they check. The solver's inner
 loop is checked on the syntax tree as well: it names no checked function that
 has an unchecked kernel, on every branch. So is the growth probe's sampling
-loop, which checks its data before it starts and re-checks none of it.
+loop, which checks its data before it starts and re-checks none of it. The
+benchmark's three workloads, copied here, are solved at one BLAS thread, as
+the benchmark runs them: each must pass the benchmark's answer gate within
+an iteration ceiling, so losing the gauge move's iteration drop fails here.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -138,3 +142,44 @@ def test_probe_sampling_loop_rechecks_no_data():
     names = {n.id for n in ast.walk(loops[0]) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(loops[0]) if isinstance(n, ast.Attribute)}
     assert names & {"M", "as_matrix", "as_vector", "ModelSpec"} == set()
+
+
+# perfbench/bench.py's WORKLOADS configurations, with an iteration ceiling
+# each: the l20 ones take 299 and 232 iterations with the gauge move and
+# 540 and 2254 without it; dc, which the move leaves alone, takes 273.
+BENCH_WORKLOADS = {
+    "mask-l20-300": (dict(m=300, n=300, r=5, kappa=15, sample_ratio=0.25,
+                          operator_kind="mask", model="l20", mu_tilde=1e-3,
+                          epsilon=1e-10), 300),
+    "mask-dc-300": (dict(m=300, n=300, r=5, kappa=15, sample_ratio=0.25,
+                         operator_kind="mask", model="dc", mu_tilde=1e-2,
+                         epsilon=1e-10), 300),
+    "gauss-l20-40": (dict(m=40, n=40, r=2, kappa=6, sample_ratio=0.4,
+                          operator_kind="gaussian", model="l20", mu_tilde=1e-3,
+                          lambda_rule="28 * specnorm(X0)", epsilon=1e-10), 300),
+}
+
+_SOLVE_WORKLOADS = """
+import json, sys
+from l20factor import harness
+out = {}
+for name, cfg in json.loads(sys.argv[1]).items():
+    s = harness.run_experiment(harness.ExperimentConfig(**cfg))["summary"]
+    keys = ("reason", "rel_error", "nnz_u", "nnz_v", "iterations")
+    out[name] = {k: s[k] for k in keys}
+print(json.dumps(out))
+"""
+
+
+def test_benchmark_workloads_pass_their_gate_within_the_iteration_ceiling():
+    configs = {name: cfg for name, (cfg, _) in BENCH_WORKLOADS.items()}
+    res = _run(["-c", _SOLVE_WORKLOADS, json.dumps(configs)], OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    assert res.returncode == 0, res.stderr
+    runs = json.loads(res.stdout.strip().splitlines()[-1])
+    for name, (cfg, ceiling) in BENCH_WORKLOADS.items():
+        run = runs[name]
+        assert run["reason"] == "converged", (name, run)
+        assert run["rel_error"] <= 1e-8, (name, run)
+        assert run["nnz_u"] == run["nnz_v"] == cfg["r"], (name, run)
+        assert run["iterations"] <= ceiling, (name, run)
