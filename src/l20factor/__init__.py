@@ -19,13 +19,13 @@ from .diagnostics import (KLModuli, OptimalSetCertificate, ProbeReport,
 from .harness import (ExperimentConfig, diagnose, gen_instance,
                       run_experiment, run_fig3)
 from .objective import (FactorPair, ModelSpec, SmoothGradient,
-                        build_balanced_factors, full_value, objective_gap,
+                        build_balanced_factors, objective_gap,
                         smooth_gradient, smooth_value)
-from .penalty import PenaltyParams, g_scalar, phi, psi_star, theta, theta_prime_plus
+from .penalty import PenaltyParams, g_scalar, psi_star, theta, theta_prime_plus
 from .prox import prox_matrix
 from .sampling import (FullOperator, GaussianOperator, RestrictedEigEstimate,
                        SamplingOperator, UniformMaskOperator,
-                       check_restricted_inner_product, estimate_restricted_eigs)
+                       estimate_restricted_eigs)
 from .solver import (DivergenceError, SolveTrace, SolverConfig, SolverState,
                      initial_point, solve)
 
@@ -37,12 +37,11 @@ __all__ = [
     "PenaltyParams", "ProbeReport", "RestrictedEigEstimate",
     "SamplingOperator", "SmoothGradient", "SolveTrace", "SolverConfig",
     "SolverState", "UniformMaskOperator", "build_balanced_factors",
-    "certify_optimal_pair", "check_restricted_inner_product", "diagnose",
-    "estimate_restricted_eigs",
-    "exact_penalty_threshold", "full_value", "g_scalar", "gen_instance",
+    "certify_optimal_pair", "diagnose", "estimate_restricted_eigs",
+    "exact_penalty_threshold", "g_scalar", "gen_instance",
     "initial_point", "kl_inequality_probe", "kl_moduli",
     "objective_gap", "ones_counterexample", "ones_counterexample_point",
-    "phi", "prox_matrix", "psi_star",
+    "prox_matrix", "psi_star",
     "run_experiment", "run_fig3", "smooth_gradient", "smooth_value",
     "solve", "subdiff_distance", "theta", "theta_prime_plus",
 ]

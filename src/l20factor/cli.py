@@ -82,9 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--instance", required=True)
     p_diag.add_argument("--solution", required=True)
     p_diag.add_argument("--out-dir", help="defaults to the solution directory")
-    p_diag.add_argument("--probe-samples", type=int)
-    p_diag.add_argument("--eig-samples", type=int)
-    p_diag.add_argument("--seed", type=int)
 
     p_exp = sub.add_parser("experiment", help="generate + solve in one shot")
     p_exp.add_argument("figure", choices=["fig1", "fig2", "fig3"])
@@ -117,9 +114,7 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_diagnose(args) -> None:
-    options = {key: value for key, value in vars(args).items()
-               if key in ("probe_samples", "eig_samples", "seed") and value is not None}
-    report = harness.diagnose(args.instance, args.solution, args.out_dir, **options)
+    report = harness.diagnose(args.instance, args.solution, args.out_dir)
     cert = report["certificate"]
     probe = report.get("probe", {})
     print(f"certificate: passed={cert['passed']} "

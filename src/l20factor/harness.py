@@ -54,6 +54,12 @@ _OPERATOR_SEED_OFFSET = 1000003
 # fail fast, not by OOM.
 GAUSSIAN_MAX_BYTES = 2 * 2**30
 
+# ``diagnose``'s sampling: growth-probe samples, Monte Carlo restricted
+# eigenvalue samples, and the seed of both.
+_PROBE_SAMPLES = 100
+_EIG_SAMPLES = 6
+_DIAGNOSE_SEED = 0
+
 
 class ConfigError(ValueError):
     """Invalid configuration or rule expression (CLI exit category: config)."""
@@ -211,6 +217,8 @@ def eval_rule(rule: str, a: float, specnorm_x0: float) -> float:
         raise ConfigError(f"rule {rule!r}: division by zero") from err
     except OverflowError as err:
         raise ConfigError(f"rule {rule!r} evaluated to a non-finite value") from err
+    if isinstance(value, complex):
+        raise ConfigError(f"rule {rule!r} evaluated to a non-real value")
     if not math.isfinite(value):
         raise ConfigError(f"rule {rule!r} evaluated to a non-finite value")
     return value
@@ -518,17 +526,23 @@ def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dic
 
     Each run takes ``rules_at_scale(cfg.model, c)``: lambda = c * ||X0|| for
     the hard model, the quadratic lambda rule and matched rho rule for the
-    dc model. Emits sweep.csv with one row per c.
+    dc model. Emits sweep.csv with one row per c, and each run's files in
+    ``c_{c:g}``; two c values that share that name are a ConfigError, raised
+    before any solve.
     """
     c_values = [float(c) for c in c_values]
     if len(c_values) < 2:
         raise ConfigError("fig3 needs at least 2 c values")
+    names = [f"c_{c:g}" for c in c_values]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise ConfigError(f"fig3 c values {c_values} share run directories {shared}")
     instance = gen_instance(cfg)
     runs = []
-    for c in c_values:
+    for c, name in zip(c_values, names):
         lam_rule, rho_rule = rules_at_scale(cfg.model, c)
         sub = dataclasses.replace(cfg, lambda_rule=lam_rule, rho_rule=rho_rule)
-        sub_dir = None if out_dir is None else os.path.join(out_dir, f"c_{c:g}")
+        sub_dir = None if out_dir is None else os.path.join(out_dir, name)
         bundle = run_experiment(sub, sub_dir, instance=instance)
         runs.append({"c": c, **bundle["summary"]})
     if out_dir is not None:
@@ -546,8 +560,7 @@ def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dic
     return {"runs": runs, "instance": instance}
 
 
-def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
-             probe_samples: int = 100, eig_samples: int = 6, seed: int = 0) -> dict:
+def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None) -> dict:
     """Certify a stored solution and evaluate the growth-inequality theory.
 
     Emits diagnosis.json with: the optimal-pair certificate, restricted
@@ -560,6 +573,12 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
     optimistic pair (alpha_upper, beta_lower): if even those fail the
     hypotheses, the theory certainly does not apply. A lambda = 0 solution
     has no nu = 1/lambda, so its moduli, threshold and probe are skipped.
+
+    The probe draws ``_PROBE_SAMPLES`` points and the Monte Carlo brackets
+    ``_EIG_SAMPLES`` starts, both seeded with ``_DIAGNOSE_SEED``, so the
+    report is deterministic. A solution whose factors do not fit the
+    instance's operator is a ValueError naming solution.npz, raised before
+    anything is written.
     """
     meta, M, op, b = load_instance(instance_dir)
     W, summary = load_solution(solution_dir)
@@ -568,6 +587,10 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
         a=summary["a"], rho=summary["rho"],
     )
     spec = ModelSpec(model=summary["model"], op=op, b=b, params=params)
+    try:
+        spec.check_shapes(W)
+    except ValueError as err:
+        raise ValueError(f"{os.path.join(solution_dir, 'solution.npz')}: {err}") from err
 
     report: dict = {"schema": "l20factor-diagnosis-v1"}
     cert = certify_optimal_pair(W, M)
@@ -581,7 +604,7 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
     report["spectrum"] = {"rank": rank, "sigma1": sigma1, "sigma_r": sigma_r}
 
     k = min(2 * max(rank, 1), min(op.m, op.n))
-    eigs = estimate_restricted_eigs(op, k, samples=eig_samples, seed=seed)
+    eigs = estimate_restricted_eigs(op, k, samples=_EIG_SAMPLES, seed=_DIAGNOSE_SEED)
     report["restricted_eigs"] = dataclasses.asdict(eigs)
     alpha, beta = eigs.alpha_upper, max(eigs.beta_lower, eigs.alpha_upper)
 
@@ -609,8 +632,8 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None,
             report["threshold"] = {"status": "hypothesis-failed", "message": str(err)}
         try:
             Wbar = balanced_factors(dec, W.kappa)
-            probe = kl_inequality_probe(spec, Wbar, M, moduli, samples=probe_samples,
-                                        seed=seed, sigma=dec.sigma)
+            probe = kl_inequality_probe(spec, Wbar, M, moduli, samples=_PROBE_SAMPLES,
+                                        seed=_DIAGNOSE_SEED, sigma=dec.sigma)
             report["probe"] = dataclasses.asdict(probe)
         except ValueError as err:
             report["probe"] = {"status": "skipped", "message": str(err)}

@@ -17,7 +17,6 @@ obj_paper.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -198,14 +197,6 @@ def _column_penalty(spec: ModelSpec, U: Array, V: Array, nnz: int) -> float:
     return 0.5 * float(
         np.sum(penalty._g(spec.params, su)) + np.sum(penalty._g(spec.params, sv))
     )
-
-
-def full_value(spec: ModelSpec, W: FactorPair) -> tuple[float, float]:
-    """(scaled, unscaled) objective values; unscaled = scaled/lam, NaN at lam = 0."""
-    scaled = smooth_value(spec, W) + column_penalty_value(spec, W)
-    lam = spec.params.lam
-    unscaled = scaled / lam if lam > 0 else math.nan
-    return scaled, unscaled
 
 
 def objective_gap(spec: ModelSpec, W: FactorPair, Wbar: FactorPair) -> float:

@@ -84,13 +84,6 @@ def _maybe_scalar(out, template):
     return out
 
 
-def phi(params: PenaltyParams, t):
-    """((a-1) t^2 + 2 t)/(a+1); quadratic potential with phi(0) = 0, phi(1) = 1."""
-    a = params.a
-    tv = np.asarray(t, dtype=float)
-    return _maybe_scalar(((a - 1) * tv ** 2 + 2 * tv) / (a + 1), t)
-
-
 def psi_star(params: PenaltyParams, s):
     """Convex conjugate of the extended phi: 0, quadratic, then s - 1."""
     a = params.a

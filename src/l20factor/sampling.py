@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .linalg import Array
 
 
@@ -400,23 +399,3 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     alpha_upper = max(min(alpha_upper, beta_upper), 0.0)
     return RestrictedEigEstimate(k, 0.0, alpha_upper, beta_lower, beta_upper,
                                  samples, "monte-carlo")
-
-
-def check_restricted_inner_product(op: SamplingOperator, alpha: float, beta: float,
-                                   X, Y) -> float:
-    """Slack of the restricted inner-product bound for a concrete pair.
-
-        ((beta - alpha)/(beta + alpha)) ||X||_F ||Y||_F
-            - | (2/(alpha + beta)) <A(X), A(Y)> - <X, Y> |
-
-    Nonnegative slack means the pair satisfies the bound. Requires
-    0 <= alpha <= beta with beta > 0.
-    """
-    if not (0 <= alpha <= beta) or beta <= 0:
-        raise ValueError(f"need 0 <= alpha <= beta with beta > 0, got {alpha}, {beta}")
-    X = linalg.as_matrix(X, "X")
-    Y = linalg.as_matrix(Y, "Y")
-    ax, ay = op.apply(X), op.apply(Y)
-    lhs = abs(2.0 / (alpha + beta) * float(ax @ ay) - float(np.sum(X * Y)))
-    bound = (beta - alpha) / (beta + alpha) * np.linalg.norm(X) * np.linalg.norm(Y)
-    return float(bound - lhs)

@@ -41,8 +41,8 @@ except for the balance term (mu/4) ||U^T U - V^T V||^2, which at a small mu
 pins the gauge only weakly: without the move, ``gauss-l20-40`` spends most
 of its 2254 iterations drifting along the gauge. The move takes the pair to
 the balanced pair with the same U V^T, aligned to the old one by an
-orthogonal Procrustes rotation, with k x k work on the Grams the step
-carried; W_prev and the restricted map that fixes V are mapped along, so
+orthogonal Procrustes rotation, with k x k work on the pair's two Grams;
+W_prev and the restricted map that fixes V are mapped along, so
 the extrapolation keeps its momentum and no block is rebuilt. It fires when
 the balance term it removes is larger than the decrease of the smooth part
 that the step and prune just made, and not while a singular value of U V^T
@@ -106,14 +106,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Tuning knobs of the solver loop.
-
-    accelerate=False freezes t_k at 1, recovering the non-accelerated method.
-    """
+    """Stopping rule of the solver loop: the residual tolerance and the
+    iteration budget."""
 
     epsilon: float = 1e-10
     max_iters: int = 100000
-    accelerate: bool = True
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -131,10 +128,7 @@ class SolverState:
     W.V is not its fixed factor (at the start, after a prune or a cut).
     ``nnz_u`` and ``nnz_v`` are ``linalg.l20_norm`` of W.U and W.V, -1 until
     set (``solve`` sets them at the start, a step after it); the l20
-    penalty, the trace and the gauge move read them. ``grams`` is
-    (W.U^T W.U, W.V^T W.V) as the step's V-substep formed them, None where
-    they are not known (at the start and after a gauge move); the move reads
-    them.
+    penalty, the trace and the gauge move read them.
     """
 
     W: FactorPair
@@ -151,7 +145,6 @@ class SolverState:
     umap: RestrictedMap | None = None
     nnz_u: int = -1
     nnz_v: int = -1
-    grams: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -271,7 +264,7 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
     value come from one evaluation of the linearization point; each candidate
     costs one more, whose balance takes the fixed factor's Gram from
     ``grams``. Returns (accepted candidate, gradient at ``at``, final L,
-    evaluation of the accepted pair, the candidate's Gram).
+    evaluation of the accepted pair).
     """
     which = amap.side
     gu, gv = grams
@@ -293,20 +286,19 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
         if not np.all(np.isfinite(Znew)):
             raise DivergenceError(iteration, f"non-finite prox point ({which})")
         cand = prox_matrix(Znew, L, spec.params, spec.model)
-        gram = cand.T @ cand
-        ev = evaluate(cand, gram)
+        ev = evaluate(cand, cand.T @ cand)
         diff = cand - at
         bound = base + float(np.sum(grad * diff)) \
             + 0.5 * L * float(np.sum(diff * diff))
         if ev.value <= bound + 1e-12 * max(1.0, abs(base)):
-            return cand, grad, L, ev, gram
+            return cand, grad, L, ev
         L *= _BACKTRACK_FACTOR
     raise DivergenceError(
         iteration, f"backtracking exceeded {_MAX_DOUBLINGS} doublings ({which})"
     )
 
 
-def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState) -> SolverState:
+def step(spec: ModelSpec, st: SolverState) -> SolverState:
     """One full U-then-V update; advances t; restarts on objective increase.
 
     Shapes are checked by ``solve``; ||A|| is the operator's, computed once.
@@ -331,24 +323,23 @@ def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState) -> SolverState:
         if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
             raise DivergenceError(it, "non-finite extrapolated point")
         lu, _, grams = _step_constants(spec, Ut, V, it)
-        Unew, gU, lu, _, _ = _prox_substep(spec, umap, Ut, grams, lu, it)
+        Unew, gU, lu, _ = _prox_substep(spec, umap, Ut, grams, lu, it)
         _, lv, grams = _step_constants(spec, Unew, Vt, it)
         vmap = spec.op.restricted(Unew, "v")
-        Vnew, gV, lv, ev, gram_v = _prox_substep(spec, vmap, Vt, grams, lv, it)
+        Vnew, gV, lv, ev = _prox_substep(spec, vmap, Vt, grams, lv, it)
         nnz = linalg._column_count(Unew), linalg._column_count(Vnew)
         obj = ev.value + _column_penalty(spec, Unew, Vnew, nnz[0] + nnz[1])
         if not math.isfinite(obj):
             raise DivergenceError(it, "non-finite objective")
-        return (_unchecked_pair(Unew, Vnew), nnz, Ut, Vt, gU, gV, lu, lv, ev, obj,
-                vmap, (grams[0], gram_v))
+        return _unchecked_pair(Unew, Vnew), nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap
 
-    w = (st.tk_prev - 1.0) / st.tk if cfg.accelerate else 0.0
-    Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap, grams = take(w)
+    w = (st.tk_prev - 1.0) / st.tk
+    Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(w)
     restarted = False
     tk, tk_prev = st.tk, st.tk_prev
     if w != 0.0 and obj > prev_obj:
         tk = tk_prev = 1.0
-        Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap, grams = take(0.0)
+        Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(0.0)
         restarted = True
 
     data_v, umap, data_u = vmap.flip(Wnew.V, ev.residual)
@@ -358,12 +349,12 @@ def step(spec: ModelSpec, cfg: SolverConfig, st: SolverState) -> SolverState:
     res_u = float(np.linalg.norm(gU - gnew_u + lu * (Wnew.U - Ut))) / nb
     res_v = float(np.linalg.norm(gV - gnew_v + lv * (Wnew.V - Vt))) / nb
 
-    tk_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk)) if cfg.accelerate else 1.0
+    tk_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
     return SolverState(
         W=Wnew, W_prev=st.W, tk=tk_next, tk_prev=tk, iteration=it,
         LU=lu, LV=lv, restarted=restarted,
         res_u=res_u, res_v=res_v, obj_scaled=obj, umap=umap,
-        nnz_u=nnz[0], nnz_v=nnz[1], grams=grams,
+        nnz_u=nnz[0], nnz_v=nnz[1],
     )
 
 
@@ -397,8 +388,6 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
     When the state's column counts equal the live width, every column is
     above the zero tolerance in both factors, so there is nothing to do. A
     prune recomputes the counts; a cut drops only zero columns and keeps them.
-    Both carry the state's Grams for the gauge move: a prune zeroes the
-    orphans' rows and columns, a cut drops the cut columns' ones.
     """
     width = st.W.U.shape[1]
     if st.nnz_u == width and st.nnz_v == width:
@@ -414,11 +403,9 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
         W = _unchecked_pair(zeroed(st.W.U), zeroed(st.W.V))
         W_prev = _unchecked_pair(zeroed(st.W_prev.U), zeroed(st.W_prev.V))
         nnz_u, nnz_v = linalg._column_count(W.U), linalg._column_count(W.V)
-        kept = np.outer(~orphan, ~orphan)
         st = replace(st, W=W, W_prev=W_prev, nnz_u=nnz_u, nnz_v=nnz_v,
                      obj_scaled=smooth_value(spec, W)
-                     + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v),
-                     grams=st.grams and tuple(G * kept for G in st.grams))
+                     + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v))
     # After the prune a column is nonzero in both factors or in neither.
     used = ((nz_u & nz_v) | np.any(st.W_prev.U != 0.0, axis=0)
             | np.any(st.W_prev.V != 0.0, axis=0))
@@ -429,8 +416,7 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
 
     def cut(W):
         return _unchecked_pair(W.U[:, used], W.V[:, used])
-    grams = st.grams and tuple(G[np.ix_(used, used)] for G in st.grams)
-    return replace(st, W=cut(st.W), W_prev=cut(st.W_prev), grams=grams), live[used]
+    return replace(st, W=cut(st.W), W_prev=cut(st.W_prev)), live[used]
 
 
 def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverState:
@@ -438,7 +424,7 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
 
     U T (V T^-T)^T = U V^T, so the residual and the l20 penalty keep their
     values, and the balance term (mu/4) ||U^T U - V^T V||^2 drops to zero.
-    T comes from k x k work on the Grams the step carried: Cholesky factors
+    T comes from k x k work on the Grams of (U, V): Cholesky factors
     U^T U = L_U L_U^T and V^T V = L_V L_V^T, the SVD L_U^T L_V = P S Z^T,
     then T = L_U^-T P sqrt(S) O and T^-T = L_V^-T Z sqrt(S) O, which gives
     U T and V T^-T the Gram O^T S O (Procrustes flow's closed form). O is
@@ -467,9 +453,10 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
       that the prox, fed its smaller unbalanced half, could drop.
     """
     width = st.W.U.shape[1]
-    if st.grams is None or st.nnz_u != width or st.nnz_v != width:
+    if st.nnz_u != width or st.nnz_v != width:
         return st
-    bal = st.grams[0] - st.grams[1]
+    grams = st.W.U.T @ st.W.U, st.W.V.T @ st.W.V
+    bal = grams[0] - grams[1]
     gain = 0.25 * spec.params.mu_tilde * float(np.sum(bal * bal))
     lam = spec.params.lam
     decrease = before.obj_scaled - st.obj_scaled \
@@ -477,7 +464,7 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
     if not gain > max(decrease, 0.0):
         return st
     try:
-        lu, lv = np.linalg.cholesky(np.stack(st.grams))
+        lu, lv = np.linalg.cholesky(np.stack(grams))
         P, s, Zt = np.linalg.svd(lu.T @ lv)
         if linalg.numerical_rank(s) < width \
                 or s[-1] <= _KEEP_MARGIN * lam / min(st.LU, st.LV):
@@ -499,7 +486,7 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
     obj = st.obj_scaled - gain + 0.5 * lam * (nnz_u + nnz_v - st.nnz_u - st.nnz_v)
     return replace(st, W=_unchecked_pair(U, V),
                    W_prev=_unchecked_pair(st.W_prev.U @ tu, st.W_prev.V @ tv),
-                   obj_scaled=obj, umap=umap, nnz_u=nnz_u, nnz_v=nnz_v, grams=None)
+                   obj_scaled=obj, umap=umap, nnz_u=nnz_u, nnz_v=nnz_v)
 
 
 def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
@@ -556,7 +543,7 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     lam = spec.params.lam
     for _ in range(cfg.max_iters):
         before = st
-        st = step(spec, cfg, st)
+        st = step(spec, st)
         st, live = _shed_columns(spec, st, live)
         if spec.model == "l20":
             st = _rebalance(spec, st, before)

@@ -105,17 +105,14 @@ def smooth_gradient_direct(spec, U, V):
     return gU, gV
 
 
-def stopping_residuals(spec, cfg, st_prev, st_new):
+def stopping_residuals(spec, st_prev, st_new):
     """Recompute the stopping residuals of the solver transition st_prev -> st_new.
 
     Everything is rebuilt from scratch (extrapolation point, residuals,
     gradients), whereas the solver reuses each point's cached residual; the
     tests hold the two routes to 1e-12 of each other.
     """
-    if st_new.restarted or not cfg.accelerate:
-        w = 0.0
-    else:
-        w = (st_prev.tk_prev - 1.0) / st_prev.tk
+    w = 0.0 if st_new.restarted else (st_prev.tk_prev - 1.0) / st_prev.tk
     U, V = st_prev.W.U, st_prev.W.V
     Unew, Vnew = st_new.W.U, st_new.W.V
     Ut = U + w * (U - st_prev.W_prev.U)
@@ -163,6 +160,21 @@ def operator_matrix(op):
             E[i, j] = 1.0
             S[:, j * op.m + i] = op.apply(E)
     return S
+
+
+def inner_product_slack(op, alpha, beta, X, Y):
+    """Slack of the restricted inner-product bound for the pair (X, Y):
+
+        ((beta - alpha)/(beta + alpha)) ||X||_F ||Y||_F
+            - | (2/(alpha + beta)) <A(X), A(Y)> - <X, Y> |
+
+    Nonnegative slack means the pair satisfies the bound; 0 <= alpha <= beta
+    with beta > 0 is the caller's to ensure.
+    """
+    lhs = abs(2.0 / (alpha + beta) * float(op.apply(X) @ op.apply(Y))
+              - float(np.sum(X * Y)))
+    bound = (beta - alpha) / (beta + alpha) * np.linalg.norm(X) * np.linalg.norm(Y)
+    return float(bound - lhs)
 
 
 def theta_prime_plus_direct(a, t):

@@ -189,13 +189,17 @@ def test_oversized_gaussian_exits_2(tmp_path):
 
 
 def test_bad_rule_exits_2(tmp_path):
+    """A rule outside the grammar, or one whose value is complex, is a config
+    error (exit 2) and not a traceback."""
     inst = str(tmp_path / "inst")
     assert run_cli(*gen_args(inst)).returncode == 0
-    res = run_cli("solve", "--instance", inst, "--out-dir",
-                  str(tmp_path / "s"), "--lambda-rule", "frotz(X0)")
-    assert res.returncode == 2
-    assert "error(config):" in res.stderr
-    assert "unsupported syntax" in res.stderr
+    for rule, message in (("frotz(X0)", "unsupported syntax"),
+                          ("(-1)^0.5", "non-real value")):
+        res = run_cli("solve", "--instance", inst, "--out-dir",
+                      str(tmp_path / "s"), "--lambda-rule", rule)
+        assert res.returncode == 2
+        assert "error(config):" in res.stderr
+        assert message in res.stderr
 
 
 def test_bad_c_values_exit_2(tmp_path):
@@ -229,6 +233,19 @@ def test_config_flags_cover_every_field():
              for name in ("gen", "solve", "experiment")}
     assert dests == {"gen": fields, "solve": fields - set(INSTANCE_FIELDS),
                      "experiment": fields}
+
+
+def test_diagnose_takes_no_sampling_flags(capsys):
+    """diagnose's sample counts and seed are fixed, so its output is too: it
+    has the instance, solution and output flags only."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for a in sub.choices["diagnose"]._actions for flag in a.option_strings}
+    assert flags == {"-h", "--help", "--instance", "--solution", "--out-dir"}
+    with pytest.raises(SystemExit) as exit_info:
+        main(["diagnose", "--instance", "i", "--solution", "s", "--probe-samples", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --probe-samples" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +309,14 @@ MALFORMED = {
         p, lambda d: d.pop("mu_tilde")), r"summary\.json: missing key 'mu_tilde'"),
     "solution-without-V": ("sol", "solution.npz", _drop_v,
                            r"solution\.npz: missing key 'V'"),
+    "solution-one-row-U": ("sol", "solution.npz", lambda p: np.savez(
+        p, U=np.ones((1, 3)), V=np.ones((20, 3))),
+        r"solution\.npz: factor shapes \(1, 3\), \(20, 3\) do not match the "
+        r"20x20 operator"),
+    "solution-too-large": ("sol", "solution.npz", lambda p: np.savez(
+        p, U=np.ones((30, 3)), V=np.ones((30, 3))),
+        r"solution\.npz: factor shapes \(30, 3\), \(30, 3\) do not match the "
+        r"20x20 operator"),
     "mask-non-integer": ("mask", "mask.txt", lambda p: _edit_lines(
         p, lambda t: t.append("1 x")), r"mask\.txt: could not convert string 'x'"),
     "mask-out-of-range": ("mask", "mask.txt", lambda p: _edit_lines(

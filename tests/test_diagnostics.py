@@ -14,7 +14,8 @@ from l20factor.diagnostics import (KLModuli, certify_optimal_pair,
                                    ones_counterexample_point, _probe_radius,
                                    subdiff_distance)
 from l20factor.objective import (FactorPair, ModelSpec, build_balanced_factors,
-                                 full_value, objective_gap, smooth_gradient)
+                                 column_penalty_value, objective_gap,
+                                 smooth_gradient, smooth_value)
 from l20factor.penalty import PenaltyParams
 from l20factor.sampling import FullOperator, UniformMaskOperator
 from l20factor.solver import SolverConfig, solve
@@ -159,8 +160,11 @@ def test_theta_distance_matches_finite_differences():
     U = rng.standard_normal((5, 3))
     V = rng.standard_normal((4, 3))
     dist = subdiff_distance(spec, FactorPair(U, V))
-    fU = fd_gradient(lambda X: full_value(spec, FactorPair(X, V))[1], U, step=1e-6)
-    fV = fd_gradient(lambda X: full_value(spec, FactorPair(U, X))[1], V, step=1e-6)
+
+    def unscaled(W):
+        return (smooth_value(spec, W) + column_penalty_value(spec, W)) / spec.params.lam
+    fU = fd_gradient(lambda X: unscaled(FactorPair(X, V)), U, step=1e-6)
+    fV = fd_gradient(lambda X: unscaled(FactorPair(U, X)), V, step=1e-6)
     fd_dist = math.sqrt(float(np.sum(fU * fU)) + float(np.sum(fV * fV)))
     assert dist == pytest.approx(fd_dist, abs=1e-4)
 

@@ -132,6 +132,9 @@ def test_eval_rule_rejects_bad_literals_and_arithmetic():
         eval_rule("1e400", 3.7, 1.0)
     with pytest.raises(ConfigError, match="non-finite"):
         eval_rule("10^400", 3.7, 1.0)
+    for rule in ("(-1)^0.5", "(-8)^(1/3)"):
+        with pytest.raises(ConfigError, match="non-real value"):
+            eval_rule(rule, 3.7, 1.0)
 
 
 # ---------------------------------------------------- config file / merge
@@ -583,6 +586,20 @@ def test_fig3_needs_two_values():
         run_fig3(small_cfg(), [1.0])
 
 
+def test_fig3_rejects_scales_that_share_a_directory(tmp_path, monkeypatch):
+    """Two c values with the same ``c_{c:g}`` name would write one run over
+    the other: that is a config error, raised before any instance or solve."""
+    calls = []
+    monkeypatch.setattr(harness, "gen_instance", lambda cfg: calls.append(cfg))
+    out = tmp_path / "sweep"
+    for c_values, shared in (([0.1234561, 0.1234562], "c_0.123456"),
+                             ([5.0, 1.0, 5.0], "c_5")):
+        with pytest.raises(ConfigError) as info:
+            run_fig3(small_cfg(), c_values, out_dir=str(out))
+        assert str(info.value).endswith(f"share run directories ['{shared}']")
+    assert calls == [] and not out.exists()
+
+
 # -------------------------------------------------------------- diagnose
 
 
@@ -639,7 +656,8 @@ def test_diagnose_takes_the_svd_of_m_once(tmp_path, monkeypatch):
         return svd(A)
 
     monkeypatch.setattr(linalg, "_svd", counting_svd)
-    report = diagnose(inst, sol, probe_samples=5)
+    monkeypatch.setattr(harness, "_PROBE_SAMPLES", 5)
+    report = diagnose(inst, sol)
     assert report["probe"]["status"] == "ok"
     assert sorted(of_m) == [False, True]
 
@@ -679,7 +697,9 @@ def test_diagnose_computes_gaussian_norm_once(tmp_path, monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    report = diagnose(inst, sol, probe_samples=5, eig_samples=1)
+    monkeypatch.setattr(harness, "_PROBE_SAMPLES", 5)
+    monkeypatch.setattr(harness, "_EIG_SAMPLES", 1)
+    report = diagnose(inst, sol)
     assert report["restricted_eigs"]["method"] == "monte-carlo"
     assert report["threshold"]["status"] != "skipped"
     assert calls == [(op.p, op.p)]

@@ -3,8 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from l20factor.objective import (FactorPair, ModelSpec, column_penalty_value,
-                                 full_value, objective_gap, smooth_gradient,
-                                 smooth_value)
+                                 objective_gap, smooth_gradient, smooth_value)
 from l20factor.penalty import PenaltyParams
 from l20factor.sampling import (FullOperator, GaussianOperator,
                                 UniformMaskOperator)
@@ -125,12 +124,17 @@ def test_gradient_matches_finite_differences(model):
         assert np.abs(g.grad_v - fV).max() <= 1e-5 * scale
 
 
+def scaled_value(spec, W):
+    """The scaled objective: smooth part plus column penalty."""
+    return smooth_value(spec, W) + column_penalty_value(spec, W)
+
+
 def test_full_value_at_exact_fit_counts_columns():
     for lam in (0.25, 1.0, 3.0):
         spec, W = ones_instance(lam=lam)
-        scaled, unscaled = full_value(spec, W)
+        scaled = scaled_value(spec, W)
         assert scaled == pytest.approx(lam * 4.0, rel=1e-15)
-        assert unscaled == pytest.approx(4.0, rel=1e-15)
+        assert scaled / lam == pytest.approx(4.0, rel=1e-15)
 
 
 def test_full_value_zero_pair_is_half_data_norm():
@@ -139,18 +143,9 @@ def test_full_value_zero_pair_is_half_data_norm():
     lam = 0.5
     spec = ModelSpec(model="l20", op=op, b=b,
                      params=PenaltyParams(lam=lam, mu_tilde=1.0))
-    scaled, unscaled = full_value(spec, FactorPair(np.zeros((2, 1)), np.zeros((2, 1))))
+    scaled = scaled_value(spec, FactorPair(np.zeros((2, 1)), np.zeros((2, 1))))
     assert scaled == pytest.approx(0.5 * 30.0)
-    assert unscaled == pytest.approx((1.0 / lam) * 0.5 * 30.0)
-
-
-def test_full_value_unscaled_nan_when_lam_zero():
-    op = FullOperator(2, 2)
-    spec = ModelSpec(model="l20", op=op, b=np.ones(4),
-                     params=PenaltyParams(lam=0.0, mu_tilde=0.0))
-    scaled, unscaled = full_value(spec, FactorPair(np.zeros((2, 1)), np.zeros((2, 1))))
-    assert scaled == pytest.approx(2.0)
-    assert np.isnan(unscaled)
+    assert scaled / lam == pytest.approx((1.0 / lam) * 0.5 * 30.0)
 
 
 def test_swap_symmetry_under_transposed_measurements():
@@ -185,8 +180,7 @@ def test_regularizer_counts_columns_exactly():
     U2[:, 2] = 0.0
     W2 = FactorPair(U2, V)
     assert objective_gap(spec, W2, W) == -0.5
-    s1, _ = full_value(spec, W)
-    s2, _ = full_value(spec, W2)
+    s1, s2 = scaled_value(spec, W), scaled_value(spec, W2)
     assert s2 - s1 == pytest.approx(-0.5 * 0.7, rel=1e-13)
 
 
@@ -204,7 +198,7 @@ def test_dc_equals_l20_when_saturated():
                    params=PenaltyParams(lam=lam, mu_tilde=0.6, a=a, rho=rho))
     hard = ModelSpec(model="l20", op=op, b=b,
                      params=PenaltyParams(lam=lam, mu_tilde=0.6))
-    assert full_value(dc, W)[0] == pytest.approx(full_value(hard, W)[0], rel=1e-13)
+    assert scaled_value(dc, W) == pytest.approx(scaled_value(hard, W), rel=1e-13)
 
 
 def test_objective_gap_on_quartic_curve():
@@ -221,7 +215,7 @@ def test_objective_gap_matches_direct_difference_when_large():
     for model, rho in (("l20", None), ("dc", 1.2)):
         spec, W = random_spec(rng, model, "gaussian")
         W2 = FactorPair(W.U + 0.5, W.V - 0.25)
-        direct = full_value(spec, W2)[1] - full_value(spec, W)[1]
+        direct = (scaled_value(spec, W2) - scaled_value(spec, W)) / spec.params.lam
         assert objective_gap(spec, W2, W) == pytest.approx(direct, rel=1e-10)
 
 

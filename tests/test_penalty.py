@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l20factor import penalty
-from l20factor.penalty import (PenaltyParams, g_scalar, phi, psi_star, theta,
+from l20factor.penalty import (PenaltyParams, g_scalar, psi_star, theta,
                                theta_prime_plus)
 from oracles import grid_conjugate, phi_direct
 
@@ -37,23 +37,6 @@ def test_params_derived_quantities():
 def test_tau_requires_rho():
     with pytest.raises(ValueError, match="rho"):
         P().tau
-
-
-def test_phi_examples():
-    assert phi(P(a=3.0), 0.0) == 0.0
-    assert phi(P(a=3.0), 1.0) == 1.0
-    assert phi(P(a=3.7), 0.5) == pytest.approx((2.7 * 0.25 + 1.0) / 4.7)
-    assert phi(P(a=3.0), 2.0) == pytest.approx(3.0)
-    assert phi(P(a=3.0), -1.0) == pytest.approx(0.0)
-
-
-def test_phi_matches_direct_formula():
-    rng = np.random.default_rng(0)
-    for a in (2.0, 3.0, 3.7, 10.0):
-        t = rng.uniform(-2.0, 3.0, size=50)
-        vals = phi(P(a=a), t)
-        for ti, vi in zip(t, vals):
-            assert vi == pytest.approx(phi_direct(a, ti), rel=1e-14, abs=1e-14)
 
 
 def test_psi_star_examples():
@@ -162,7 +145,6 @@ def test_g_scalar_is_convex():
 def test_array_broadcasting():
     p = P(a=3.0)
     t = np.array([0.0, 0.5, 1.0, 2.0])
-    assert phi(p, t).shape == t.shape
     assert theta(p, t).shape == t.shape
     assert psi_star(p, t).shape == t.shape
-    assert isinstance(phi(p, 0.5), float)
+    assert isinstance(theta(p, 0.5), float)

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from oracles import operator_matrix, restricted_quadratic_form
+from oracles import (inner_product_slack, operator_matrix,
+                     restricted_quadratic_form)
 
 from l20factor import sampling
 from l20factor.sampling import (FullOperator, GaussianOperator,
                                 SamplingOperator, UniformMaskOperator,
-                                check_restricted_inner_product,
                                 estimate_restricted_eigs)
 
 
@@ -359,8 +359,8 @@ def test_inner_product_slack_full_operator():
     rng = np.random.default_rng(12)
     X = rng.standard_normal((4, 4))
     Y = rng.standard_normal((4, 4))
-    assert check_restricted_inner_product(op, 1.0, 1.0, X, Y) >= -1e-12
-    assert check_restricted_inner_product(op, 1.0, 1.0, np.zeros((4, 4)), Y) == 0.0
+    assert inner_product_slack(op, 1.0, 1.0, X, Y) >= -1e-12
+    assert inner_product_slack(op, 1.0, 1.0, np.zeros((4, 4)), Y) == 0.0
 
 
 def test_inner_product_slack_gaussian_with_exact_eigs():
@@ -370,12 +370,5 @@ def test_inner_product_slack_gaussian_with_exact_eigs():
     for _ in range(100):
         X = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
         Y = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
-        slack = check_restricted_inner_product(op, est.alpha_lower,
-                                               est.beta_upper, X, Y)
+        slack = inner_product_slack(op, est.alpha_lower, est.beta_upper, X, Y)
         assert slack >= -1e-10
-
-
-def test_inner_product_validation():
-    op = FullOperator(2, 2)
-    with pytest.raises(ValueError, match="alpha"):
-        check_restricted_inner_product(op, 2.0, 1.0, np.eye(2), np.eye(2))

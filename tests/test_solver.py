@@ -150,7 +150,7 @@ def test_t_sequence_first_update():
     spec, _ = mask_instance()
     W0 = initial_point(spec.op, spec.b, 2)
     st = SolverState(W=W0, W_prev=W0.copy())
-    st2 = step(spec, SolverConfig(), st)
+    st2 = step(spec, st)
     assert st2.tk == pytest.approx(0.5 * (1.0 + math.sqrt(5.0)), abs=1e-15)
     assert st2.tk_prev == 1.0
     assert st2.iteration == 1
@@ -163,7 +163,7 @@ def test_zero_pair_is_a_fixed_point():
     Z = FactorPair(np.zeros((3, 2)), np.zeros((3, 2)))
     st = SolverState(W=Z, W_prev=Z.copy())
     for _ in range(3):
-        st = step(spec, SolverConfig(), st)
+        st = step(spec, st)
         assert_allclose(st.W.U, 0.0)
         assert_allclose(st.W.V, 0.0)
         assert st.res_u == 0.0 and st.res_v == 0.0
@@ -178,7 +178,7 @@ def test_restart_on_objective_increase():
     st = SolverState(W=W, W_prev=FactorPair(U - 5.0, V + 5.0),
                      tk=1.0, tk_prev=100.0)
     st.obj_scaled = smooth_value(spec, W) + column_penalty_value(spec, W)
-    st2 = step(spec, SolverConfig(), st)
+    st2 = step(spec, st)
     assert st2.restarted
     assert st2.obj_scaled <= st.obj_scaled
     assert st2.tk == pytest.approx(0.5 * (1.0 + math.sqrt(5.0)))
@@ -195,7 +195,7 @@ def test_divergence_error_carries_iteration():
     for obj_scaled in (math.nan, 1.0):
         st = SolverState(W=big, W_prev=big.copy(), obj_scaled=obj_scaled)
         with pytest.raises(DivergenceError, match="iteration 1") as info:
-            step(spec, SolverConfig(), st)
+            step(spec, st)
         assert info.value.iteration == 1
 
 
@@ -224,8 +224,8 @@ def test_backtracking_bound_is_scale_free():
         W0 = initial_point(spec.op, spec.b, 4)
         LU, _, grams = solver._step_constants(spec, W0.U, W0.V, 0)
         umap = spec.op.restricted(W0.V, "u")
-        U, _, L, _, _ = solver._prox_substep(spec, umap, W0.U, grams,
-                                             LU * 2.0 ** -20, 1)
+        U, _, L, _ = solver._prox_substep(spec, umap, W0.U, grams,
+                                          LU * 2.0 ** -20, 1)
         accepted.append((L / LU, U / math.sqrt(c)))
         assert L / LU == accepted[0][0]
         assert_allclose(U / math.sqrt(c), accepted[0][1], rtol=1e-9, atol=1e-12)
@@ -250,13 +250,12 @@ def test_rescaled_problem_runs_alike(seed):
 @pytest.mark.parametrize("model,rho,lam", [("l20", None, 1e-5), ("dc", 0.05, 1e-4)])
 def test_stopping_residuals_match_recomputation(model, rho, lam):
     spec, _ = mask_instance(model=model, rho=rho, lam=lam)
-    cfg = SolverConfig()
     st = SolverState(W=initial_point(spec.op, spec.b, 2),
                      W_prev=initial_point(spec.op, spec.b, 2))
     for _ in range(8):
         prev = st
-        st = step(spec, cfg, prev)
-        ru, rv = stopping_residuals(spec, cfg, prev, st)
+        st = step(spec, prev)
+        ru, rv = stopping_residuals(spec, prev, st)
         assert st.res_u == pytest.approx(ru, abs=1e-12, rel=1e-12)
         assert st.res_v == pytest.approx(rv, abs=1e-12, rel=1e-12)
 
@@ -278,7 +277,7 @@ def warm_state(model, rho, lam, instance=mask_instance):
     st = SolverState(W=W0, W_prev=W0.copy())
     st.obj_scaled = smooth_value(spec, W0) + column_penalty_value(spec, W0)
     for _ in range(5):
-        st = step(spec, SolverConfig(), st)
+        st = step(spec, st)
     return spec, st
 
 
@@ -304,7 +303,7 @@ def test_step_operator_call_budget(model, rho, lam, monkeypatch):
     count_calls(monkeypatch, calls, spec.op, "apply")
     count_calls(monkeypatch, calls, spec.op, "adjoint")
     count_calls(monkeypatch, calls, solver, "prox_matrix", "prox")
-    st2 = step(spec, SolverConfig(), st)
+    st2 = step(spec, st)
     assert st.tk_prev > 1.0 and not st2.restarted and calls["prox"] == 2
     assert (calls["apply"], calls["adjoint"]) == (4, 3)
 
@@ -319,7 +318,7 @@ def test_step_operator_call_budget_gaussian(monkeypatch):
     for attr in ("apply", "adjoint", "restricted"):
         count_calls(monkeypatch, calls, spec.op, attr)
     count_calls(monkeypatch, calls, solver, "prox_matrix", "prox")
-    st2 = step(spec, SolverConfig(), st)
+    st2 = step(spec, st)
     assert st.tk_prev > 1.0 and not st2.restarted and calls["prox"] == 2
     assert (calls["apply"], calls["adjoint"], calls["restricted"]) == (0, 0, 2)
     assert st2.umap.Q is st2.W.V and st2.umap.side == "u"
@@ -359,7 +358,7 @@ def test_step_validation_budget(model, rho, lam, monkeypatch):
     count_calls(monkeypatch, calls, penalty, "g_scalar")
     count_calls(monkeypatch, calls, FactorPair, "__post_init__", "FactorPair")
     count_calls(monkeypatch, calls, ModelSpec, "check_shapes")
-    st2 = step(spec, SolverConfig(), st)
+    st2 = step(spec, st)
     assert not st2.restarted and calls["prox"] == 2
     assert (calls["FactorPair"], calls["check_shapes"], calls["as_vector"]) == (0, 0, 0)
     assert (calls["l20_norm"], calls["g_scalar"]) == (0, 0)
@@ -401,7 +400,7 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
     live = np.arange(4)
     for _ in range(60):
         before = st
-        st = step(spec, SolverConfig(), st)
+        st = step(spec, st)
         events["restart"] += st.restarted
         assert (st.obj_scaled, st.nnz_u, st.nnz_v) == public(st.W)
         width, nnz = st.W.U.shape[1], (st.nnz_u, st.nnz_v)
@@ -444,8 +443,7 @@ def test_residual_denominator_is_one_for_zero_data():
                      params=PenaltyParams(lam=0.01, mu_tilde=0.2))
     W0 = FactorPair(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
     st = SolverState(W=W0, W_prev=W0.copy())
-    cfg = SolverConfig()
-    st2 = step(spec, cfg, st)
+    st2 = step(spec, st)
     # first step has zero extrapolation, so the linearization points are W0
     gU = smooth_gradient(spec, FactorPair(W0.U, W0.V)).grad_u
     gV = smooth_gradient(spec, FactorPair(st2.W.U, W0.V)).grad_v
@@ -607,16 +605,6 @@ def test_trace_holds_at_most_kept_iterates_at_any_budget():
         assert len(kept) == len(trace._held()) <= solver._KEPT + 1
 
 
-def test_no_acceleration_freezes_t():
-    spec, _ = mask_instance()
-    cfg = SolverConfig(accelerate=False, max_iters=5)
-    st = SolverState(W=initial_point(spec.op, spec.b, 2),
-                     W_prev=initial_point(spec.op, spec.b, 2))
-    for _ in range(3):
-        st = step(spec, cfg, st)
-        assert st.tk == 1.0 and st.tk_prev == 1.0
-
-
 @hst.composite
 def degenerate_problems(draw):
     """Small full or mask instances with degenerate data, parameters and starts."""
@@ -699,8 +687,7 @@ def test_pruning_never_raises_the_objective(model, seed, lam):
     (1/2) g(s) - (tau/4) s^2 = (lam/2) theta(rho s) >= 0, and through the
     same Gram row and column: theta >= 0 and the Gram loses row/column j, so
     the objective does not rise. Columns zero in all four of U, V, U_prev
-    and V_prev leave the working set; the rest keep their values. The Grams
-    the state carries for the gauge move are the pruned and cut pair's."""
+    and V_prev leave the working set; the rest keep their values."""
     rng = np.random.default_rng(seed)
     spec, _ = mask_instance(seed=seed % 7, lam=lam, model=model,
                             rho=0.5 if model == "dc" else None)
@@ -715,11 +702,8 @@ def test_pruning_never_raises_the_objective(model, seed, lam):
     Up[:, prev_dead] = Vp[:, prev_dead] = 0.0
     W = FactorPair(U, V)
     obj = smooth_value(spec, W) + column_penalty_value(spec, W)
-    st = SolverState(W=W, W_prev=FactorPair(Up, Vp), obj_scaled=obj,
-                     grams=(U.T @ U, V.T @ V))
+    st = SolverState(W=W, W_prev=FactorPair(Up, Vp), obj_scaled=obj)
     st2, live = solver._shed_columns(spec, st, np.arange(kappa))
-    for G, F in zip(st2.grams, (st2.W.U, st2.W.V)):
-        assert_allclose(G, F.T @ F, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(G).max()))
 
     orphan = (kind == 1) | (kind == 2)
     dead = orphan | prev_dead
@@ -763,14 +747,13 @@ def test_solve_pads_dead_columns_back_in_place(model, rho, lam, dead):
 
 
 def moved_state(spec, U, V, Up, Vp):
-    """A state at (U, V) with W_prev (Up, Vp), its carried Grams, counts and
-    objective, and unit step constants. Passed as its own ``before``, it
+    """A state at (U, V) with W_prev (Up, Vp), its counts and objective, and
+    unit step constants. Passed as its own ``before``, it
     makes the step's decrease 0, so any balance gain clears the gain test."""
     W = FactorPair(U, V)
     return SolverState(W=W, W_prev=FactorPair(Up, Vp), LU=1.0, LV=1.0,
                        obj_scaled=smooth_value(spec, W) + column_penalty_value(spec, W),
-                       nnz_u=linalg.l20_norm(U), nnz_v=linalg.l20_norm(V),
-                       grams=(U.T @ U, V.T @ V))
+                       nnz_u=linalg.l20_norm(U), nnz_v=linalg.l20_norm(V))
 
 
 def balance_gain(spec, W):
@@ -872,9 +855,9 @@ def test_gaussian_solve_regauges_the_carried_map(monkeypatch):
     count_calls(monkeypatch, builds, spec.op, "restricted")
     log = []  # per iteration: [builds in the step, restarted, moved]
 
-    def stepped(spec, cfg, st):
+    def stepped(spec, st):
         before = builds["restricted"]
-        out = step_fn(spec, cfg, st)
+        out = step_fn(spec, st)
         log.append([builds["restricted"] - before, out.restarted, False])
         return out
 
