@@ -3,6 +3,7 @@
 Subcommands:
 
 * ``gen``: draw a fully seeded instance (M, operator, b) into a directory.
+  It takes the instance fields only, which are all that meta.json keeps.
 * ``solve``: run the solver on a stored instance, writing solution.npz,
   trace.csv, summary.json. The instance fields, the seed among them, come
   from meta.json; a config file may repeat them but not change them.
@@ -23,39 +24,27 @@ import argparse
 import sys
 
 from . import harness
-from .harness import (CONFIG_FIELDS, OPERATOR_KINDS, ConfigError, ExperimentConfig,
-                      build_config, parse_config_file)
+from .harness import (CONFIG_FIELDS, INSTANCE_FIELDS, OPERATOR_KINDS, ConfigError,
+                      ExperimentConfig, build_config, parse_config_file)
 from .objective import MODELS
 from .solver import DivergenceError
 
-# The config fields that describe the instance: flags of gen and experiment
-# only, since solve reads them from meta.json.
-INSTANCE_FIELDS = ("m", "n", "r", "kappa", "sample_ratio", "operator_kind", "seed")
+_CHOICES = {"operator_kind": OPERATOR_KINDS, "model": MODELS}
 
 
-def _add_config_flags(p: argparse.ArgumentParser, instance: bool = True) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, fields) -> None:
+    """Add --config and one flag per field, named after it (``--operator`` for
+    operator_kind); the values stay strings until ``build_config``."""
     p.add_argument("--config", help="key=value config file (flags override it)")
-    if instance:
-        p.add_argument("--m", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--r", type=int)
-        p.add_argument("--kappa", type=int)
-        p.add_argument("--sample-ratio", dest="sample_ratio", type=float)
-        p.add_argument("--operator", dest="operator_kind",
-                       choices=OPERATOR_KINDS)
-        p.add_argument("--seed", type=int)
-    p.add_argument("--model", choices=MODELS)
-    p.add_argument("--a", type=float)
-    p.add_argument("--mu-tilde", dest="mu_tilde", type=float)
-    p.add_argument("--lambda-rule", dest="lambda_rule")
-    p.add_argument("--rho-rule", dest="rho_rule")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
+    for key in fields:
+        flag = "--operator" if key == "operator_kind" else "--" + key.replace("_", "-")
+        p.add_argument(flag, dest=key, choices=_CHOICES.get(key))
 
 
-def _gather(args, *base) -> ExperimentConfig:
-    """Merge ``base`` mappings, then the --config file, then the set flags."""
-    file_values = parse_config_file(args.config) if args.config else {}
+def _gather(args, keys, *base) -> ExperimentConfig:
+    """Merge ``base`` mappings, then the --config file (which may set
+    ``keys``), then the set flags."""
+    file_values = parse_config_file(args.config, keys) if args.config else {}
     flags = {key: value for key, value in vars(args).items() if key in CONFIG_FIELDS}
     return build_config(*base, file_values, flags)
 
@@ -69,11 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance directory")
-    _add_config_flags(p_gen)
+    _add_config_flags(p_gen, INSTANCE_FIELDS)
     p_gen.add_argument("--out-dir", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a stored instance")
-    _add_config_flags(p_solve, instance=False)
+    _add_config_flags(p_solve, [key for key in CONFIG_FIELDS if key not in INSTANCE_FIELDS])
     p_solve.add_argument("--instance", required=True,
                          help="instance directory from `gen`")
     p_solve.add_argument("--out-dir", required=True)
@@ -85,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="generate + solve in one shot")
     p_exp.add_argument("figure", choices=["fig1", "fig2", "fig3"])
-    _add_config_flags(p_exp)
+    _add_config_flags(p_exp, CONFIG_FIELDS)
     p_exp.add_argument("--out-dir", required=True)
     p_exp.add_argument("--c-values", dest="c_values", default="0.5,5,50,500",
                        help="comma-separated c grid for fig3")
@@ -93,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> None:
-    cfg = _gather(args)
+    cfg = _gather(args, INSTANCE_FIELDS)
     M, op, b = harness.gen_instance(cfg)
     harness.save_instance(args.out_dir, cfg, M, op, b)
     print(f"instance written to {args.out_dir} "
@@ -102,7 +91,7 @@ def _cmd_gen(args) -> None:
 
 def _cmd_solve(args) -> None:
     meta, M, op, b = harness.load_instance(args.instance)
-    cfg = _gather(args, {key: meta[key] for key in meta if key in CONFIG_FIELDS})
+    cfg = _gather(args, CONFIG_FIELDS, {key: meta[key] for key in INSTANCE_FIELDS})
     for key in INSTANCE_FIELDS:
         if getattr(cfg, key) != meta[key]:
             raise ConfigError(f"{args.config}: {key} is {getattr(cfg, key)!r}, "
@@ -124,7 +113,7 @@ def _cmd_diagnose(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
-    cfg = _gather(args, {"model": "dc"} if args.figure == "fig2" else {})
+    cfg = _gather(args, CONFIG_FIELDS, {"model": "dc"} if args.figure == "fig2" else {})
     if args.figure in ("fig1", "fig2"):
         model = "l20" if args.figure == "fig1" else "dc"
         if cfg.model != model:
@@ -155,16 +144,13 @@ def main(argv=None) -> int:
     }
     try:
         handlers[args.command](args)
-    except ConfigError as err:
-        print(f"error(config): {err}", file=sys.stderr)
-        return 2
     except DivergenceError as err:
         print(f"error(divergence): {err}", file=sys.stderr)
         return 3
     except OSError as err:
         print(f"error(io): {err}", file=sys.stderr)
         return 4
-    except ValueError as err:
+    except ValueError as err:  # ConfigError among them
         print(f"error(config): {err}", file=sys.stderr)
         return 2
     return 0

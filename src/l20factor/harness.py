@@ -123,12 +123,17 @@ class ExperimentConfig:
 
 # Field -> type: the config-file keys, the CLI flag dests and the coercions.
 CONFIG_FIELDS = typing.get_type_hints(ExperimentConfig)
+# The fields that describe the instance: gen's flags and config keys.
+# meta.json holds them plus schema, p and a Gaussian operator's seed.
+INSTANCE_FIELDS = ("m", "n", "r", "kappa", "sample_ratio", "operator_kind", "seed")
 _NOUNS = {int: "an integer", float: "a number"}
 
 
-def parse_config_file(path: str) -> dict:
-    """Read a key=value config file; '#' starts a comment; keys match fields."""
+def parse_config_file(path: str, fields) -> dict:
+    """Read a key=value config file; '#' starts a comment; each key is one
+    of ``fields`` and appears once."""
     out: dict = {}
+    lines: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -137,8 +142,11 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_FIELDS:
+            if key not in fields:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+            lines[key] = lineno
             out[key] = value
     return out
 
@@ -414,14 +422,8 @@ def _require(path: str, mapping, keys) -> None:
 def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
                   b) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    meta = {
-        "schema": "l20factor-instance-v1",
-        "m": op.m, "n": op.n, "p": op.p,
-        "r": cfg.r, "kappa": cfg.kappa,
-        "sample_ratio": cfg.sample_ratio,
-        "operator_kind": op.kind,
-        "seed": cfg.seed,
-    }
+    meta = {"schema": "l20factor-instance-v1", "p": op.p,
+            **{key: getattr(cfg, key) for key in INSTANCE_FIELDS}}
     if isinstance(op, GaussianOperator):
         meta["operator_seed"] = op.seed
     _atomic_array(os.path.join(out_dir, "M.npy"), lambda f: np.save(f, M))
@@ -437,8 +439,7 @@ def load_instance(in_dir: str):
     meta_path = os.path.join(in_dir, "meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    _require(meta_path, meta, ("schema", "m", "n", "p", "r", "kappa",
-                               "sample_ratio", "operator_kind", "seed"))
+    _require(meta_path, meta, ("schema", "p", *INSTANCE_FIELDS))
     M_path, b_path = os.path.join(in_dir, "M.npy"), os.path.join(in_dir, "b.npy")
     M = linalg.as_matrix(np.load(M_path), "M")
     b = linalg.as_vector(np.load(b_path), "b")
@@ -527,8 +528,8 @@ def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dic
     Each run takes ``rules_at_scale(cfg.model, c)``: lambda = c * ||X0|| for
     the hard model, the quadratic lambda rule and matched rho rule for the
     dc model. Emits sweep.csv with one row per c, and each run's files in
-    ``c_{c:g}``; two c values that share that name are a ConfigError, raised
-    before any solve.
+    ``c_{c:g}``. Two c values that share that name, or a c whose rules do
+    not resolve on the instance, are a ConfigError, raised before any solve.
     """
     c_values = [float(c) for c in c_values]
     if len(c_values) < 2:
@@ -538,10 +539,13 @@ def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dic
     if shared:
         raise ConfigError(f"fig3 c values {c_values} share run directories {shared}")
     instance = gen_instance(cfg)
-    runs = []
-    for c, name in zip(c_values, names):
+    subs = []
+    for c in c_values:
         lam_rule, rho_rule = rules_at_scale(cfg.model, c)
-        sub = dataclasses.replace(cfg, lambda_rule=lam_rule, rho_rule=rho_rule)
+        subs.append(dataclasses.replace(cfg, lambda_rule=lam_rule, rho_rule=rho_rule))
+        build_model_spec(subs[-1], *instance[1:])
+    runs = []
+    for c, name, sub in zip(c_values, names, subs):
         sub_dir = None if out_dir is None else os.path.join(out_dir, name)
         bundle = run_experiment(sub, sub_dir, instance=instance)
         runs.append({"c": c, **bundle["summary"]})

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from l20factor import harness
-from l20factor.cli import INSTANCE_FIELDS, build_parser, main
+from l20factor.cli import build_parser, main
+from l20factor.harness import INSTANCE_FIELDS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -163,6 +164,26 @@ def test_bad_shape_config_exits_2(tmp_path):
                   "--out-dir", str(tmp_path / "g"))
     assert res.returncode == 2
     assert res.stderr.startswith("error(config):")
+    res = run_cli("gen", "--m", "1.5", "--out-dir", str(tmp_path / "g"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error(config): m must be an integer")
+    assert not (tmp_path / "g").exists()
+
+
+def test_gen_takes_instance_fields_only(tmp_path, capsys):
+    """meta.json keeps the instance fields only, so gen offers no other:
+    a solver flag, or a solver key in its config file, exits 2 and writes
+    nothing."""
+    out = tmp_path / "g"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", "--m", "12", "--model", "dc", "--out-dir", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --model dc" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = dc\nm = 12\n")
+    assert main(["gen", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error(config): {cfg}:1: unknown key 'model'\n"
+    assert not out.exists()
 
 
 def test_oversized_gaussian_exits_2(tmp_path):
@@ -224,14 +245,15 @@ def test_unknown_operator_choice_rejected(tmp_path):
 
 
 def test_config_flags_cover_every_field():
-    """Each ExperimentConfig field is the dest of a flag on gen and experiment;
-    solve takes its shape from the instance, so it has the others only."""
+    """Each ExperimentConfig field is the dest of a flag on experiment; gen
+    has the instance fields, and solve, which reads those from the instance,
+    has the others."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     fields = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
     dests = {name: {a.dest for a in sub.choices[name]._actions} & fields
              for name in ("gen", "solve", "experiment")}
-    assert dests == {"gen": fields, "solve": fields - set(INSTANCE_FIELDS),
+    assert dests == {"gen": set(INSTANCE_FIELDS), "solve": fields - set(INSTANCE_FIELDS),
                      "experiment": fields}
 
 

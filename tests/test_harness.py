@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from l20factor import harness, linalg
-from l20factor.harness import (ConfigError, ExperimentConfig, build_config,
+from l20factor.harness import (CONFIG_FIELDS, INSTANCE_FIELDS, ConfigError,
+                               ExperimentConfig, build_config,
                                build_model_spec, convergence_fit, diagnose,
                                eval_rule, fit_loglinear, gen_instance,
                                load_instance, load_mask, load_solution,
@@ -149,7 +150,7 @@ def test_parse_config_file(tmp_path):
         "\n"
         "lambda_rule = 0.5 * specnorm(X0)\n"
     )
-    got = parse_config_file(str(path))
+    got = parse_config_file(str(path), CONFIG_FIELDS)
     assert got == {"m": "12", "n": "10",
                    "lambda_rule": "0.5 * specnorm(X0)"}
 
@@ -158,11 +159,18 @@ def test_parse_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("m = 12\njust words\n")
     with pytest.raises(ConfigError, match=r"bad\.cfg:2"):
-        parse_config_file(str(bad))
+        parse_config_file(str(bad), CONFIG_FIELDS)
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("rows = 12\n")
     with pytest.raises(ConfigError, match=r"unknown\.cfg:1.*unknown key"):
-        parse_config_file(str(unknown))
+        parse_config_file(str(unknown), CONFIG_FIELDS)
+    unknown.write_text("m = 12\nmodel = dc\n")
+    with pytest.raises(ConfigError, match=r"unknown\.cfg:2: unknown key 'model'"):
+        parse_config_file(str(unknown), INSTANCE_FIELDS)
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("seed = 1\nm = 12\n\nseed = 7\n")
+    with pytest.raises(ConfigError, match=r"repeated\.cfg:4: key 'seed' repeats line 1$"):
+        parse_config_file(str(repeated), CONFIG_FIELDS)
 
 
 def test_build_config_precedence_and_coercion():
@@ -362,6 +370,8 @@ def test_instance_roundtrip_all_kinds(tmp_path):
         meta, M2, op2, b2 = load_instance(str(out))
         assert meta["schema"] == "l20factor-instance-v1"
         assert meta["operator_kind"] == kind
+        seed_key = {"operator_seed"} if kind == "gaussian" else set()
+        assert set(meta) == {"schema", "p", *INSTANCE_FIELDS} | seed_key
         assert (meta["m"], meta["n"], meta["p"]) == (op.m, op.n, op.p)
         assert np.array_equal(M, M2) and np.array_equal(b, b2)
         assert np.array_equal(op2.apply(M2), op.apply(M))
@@ -598,6 +608,18 @@ def test_fig3_rejects_scales_that_share_a_directory(tmp_path, monkeypatch):
             run_fig3(small_cfg(), c_values, out_dir=str(out))
         assert str(info.value).endswith(f"share run directories ['{shared}']")
     assert calls == [] and not out.exists()
+
+
+def test_fig3_resolves_every_scale_before_solving(tmp_path):
+    """A scale whose rules do not resolve on the instance (a negative lambda,
+    or a dc rho rule dividing by zero) fails before the first run is solved
+    or written."""
+    out = tmp_path / "sweep"
+    for model, c_values, message in (("l20", [1.0, -1.0], "< 0"),
+                                     ("dc", [1.0, 0.0], "division by zero")):
+        with pytest.raises(ConfigError, match=message):
+            run_fig3(small_cfg(model=model), c_values, out_dir=str(out))
+        assert not out.exists()
 
 
 # -------------------------------------------------------------- diagnose

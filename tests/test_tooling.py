@@ -4,26 +4,28 @@ The benchmark's tracer wraps library names listed in its own tables, so a
 rename in the library breaks it; its self-test is run here so that such a
 rename fails this suite too. A plain ``import l20factor`` must not load
 scipy, which only ``linalg.svd``'s fallback imports, lazily. The README's
-library quickstart is run as written, so an API change that breaks it
-fails here. With no linter installed, three import rules are checked on
-the syntax tree: no library module imports a name it never uses, the
-package's ``__all__`` is exactly what its ``__init__.py`` imports, and the
-test oracles import nothing from the library they check. The solver's inner
-loop is checked on the syntax tree as well: it names no checked function that
-has an unchecked kernel, on every branch. So is the growth probe's sampling
-loop, which checks its data before it starts and re-checks none of it. Every
-public function, class and method of the library must be named somewhere in
-the system (the library, the demos or the benchmark) outside its own
-definition, or be on a short allowlist that gives the reason it stays. The
-benchmark's three workloads, copied here, are solved at one BLAS thread, as
-the benchmark runs them: each must pass the benchmark's answer gate within
-an iteration ceiling, so losing the gauge move's iteration drop fails here.
+library and command-line quickstarts are run as written, so an API or flag
+change that breaks them fails here. With no linter installed, three import
+rules are checked on the syntax tree: no library module imports a name it
+never uses, the package's ``__all__`` is exactly what its ``__init__.py``
+imports, and the test oracles import nothing from the library they check.
+The solver's inner loop is checked on the syntax tree as well: it names no
+checked function that has an unchecked kernel, on every branch. So is the
+growth probe's sampling loop, which checks its data before it starts and
+re-checks none of it. Every public function, class and method of the library
+must be named somewhere in the system (the library, the demos or the
+benchmark) outside its own definition, or be on a short allowlist that gives
+the reason it stays. The benchmark's three workloads, copied here, are
+solved at one BLAS thread, as the benchmark runs them: each must pass the
+benchmark's answer gate within an iteration ceiling, so losing the gauge
+move's iteration drop fails here.
 """
 
 import ast
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -33,12 +35,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
 
-def _run(args, **env_overrides):
+def _run(args, cwd=ROOT, **env_overrides):
     env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (SRC, env.get("PYTHONPATH")) if part)
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, cwd=ROOT, env=env)
+                          text=True, cwd=cwd, env=env)
 
 
 def test_benchmark_self_test_passes():
@@ -62,6 +64,20 @@ def test_readme_quickstart_runs():
     assert res.returncode == 0, res.stderr
     assert "converged" in res.stdout
     assert "passed=True" in res.stdout
+
+
+def test_readme_cli_quickstart_runs(tmp_path):
+    """Each ``l20factor`` line of the README's sh blocks, continuation lines
+    joined, runs in order in one directory and exits 0."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("l20factor ")]
+    assert {argv[0] for argv in commands} == {"gen", "solve", "diagnose", "experiment"}
+    for argv in commands:
+        res = _run(["-m", "l20factor.cli", *argv], cwd=tmp_path, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        assert res.returncode == 0, (argv, res.stderr)
 
 
 def _imports(tree):
