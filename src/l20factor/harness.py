@@ -397,7 +397,8 @@ def read_trace_csv(path: str) -> list[TraceRecord]:
 def save_mask(op: UniformMaskOperator, path: str) -> None:
     """Write a mask as text: first line "m n", then one 0-based "i j" per entry."""
     lines = [f"{op.m} {op.n}"]
-    lines.extend(f"{i} {j}" for i, j in zip(op.rows, op.cols))
+    # Python ints format about twice as fast as numpy scalars.
+    lines.extend(f"{i} {j}" for i, j in zip(op.rows.tolist(), op.cols.tolist()))
     _atomic_text(path, "\n".join(lines) + "\n")
 
 

@@ -6,8 +6,17 @@ step in V against the fresh U, and advances t. Step constants come from a
 spectral-norm upper estimate of the blockwise Lipschitz constants, guarded
 by a backtracking majorization check (the balance term is quartic, so no
 global constant exists) that doubles the constant until the check holds.
-A restart retakes the step without extrapolation whenever the objective
-increases.
+
+Momentum is dropped by two tests (O'Donoghue and Candes, adaptive restart).
+The function test retakes an extrapolated step without extrapolation when
+the objective rises by more than rounding, ``_ROUNDING`` max(1, |previous|),
+the slack the majorization check allows too; a rise within it is noise. The
+gradient test resets t to 1 after a kept extrapolated step whose
+prox-gradient move from the extrapolated point (U~, V~) points back against
+the step taken, <U~ - U+, U+ - U> + <V~ - V+, V+ - V> > 0, so the next step
+does not extrapolate. It needs no objective difference, so it still acts
+once that difference is below one ulp, and it costs two inner products and
+no retake.
 
 Each substep holds one factor fixed, so the loss is linear in the active
 factor through the operator's restricted map (``SamplingOperator.restricted``):
@@ -21,11 +30,12 @@ that fixes V+, the gradient of the stopping residuals; the map that fixes V+
 is kept for the next U-substep. A substep builds only the gradient half it
 uses. For a base-class map (full and mask operators) an iteration that
 neither backtracks nor restarts costs 4 operator applies and 3 adjoints;
-each backtrack adds one apply, and a restart repeats the 4 applies and the
-two substep adjoints. A Gaussian map is a block built once, so a Gaussian
-iteration costs 2 block builds (the maps fixing U+ and V+) and no full pass
-over the tensor; a backtrack or a restart adds only small matrix-vector
-products, and a restart one more build.
+each backtrack adds one apply, a restart repeats the 4 applies and the
+two substep adjoints, and a gradient-test reset adds none. A Gaussian map
+is a block built once, so a Gaussian iteration costs 2 block builds (the
+maps fixing U+ and V+) and no full pass over the tensor; a backtrack or a
+restart adds only small matrix-vector products, and a restart one more
+build.
 
 After each step ``solve`` prunes and compacts. A column that is zero in
 exactly one factor is zeroed in the other as well, which never raises the
@@ -94,6 +104,9 @@ _KEPT = 64
 # The gauge move waits while a singular value of U V^T is within this factor
 # of the hard prox's keep threshold lam / L (see ``_rebalance``).
 _KEEP_MARGIN = 2.0
+# Relative rounding slack of an objective comparison: the majorization check
+# and the function-value restart allow a rise of this times max(1, |base|).
+_ROUNDING = 1e-12
 
 
 class DivergenceError(RuntimeError):
@@ -290,7 +303,7 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
         diff = cand - at
         bound = base + float(np.sum(grad * diff)) \
             + 0.5 * L * float(np.sum(diff * diff))
-        if ev.value <= bound + 1e-12 * max(1.0, abs(base)):
+        if ev.value <= bound + _ROUNDING * max(1.0, abs(base)):
             return cand, grad, L, ev
         L *= _BACKTRACK_FACTOR
     raise DivergenceError(
@@ -299,7 +312,10 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
 
 
 def step(spec: ModelSpec, st: SolverState) -> SolverState:
-    """One full U-then-V update; advances t; restarts on objective increase.
+    """One full U-then-V update; advances t. An extrapolated step is retaken
+    without extrapolation when the objective rises by more than rounding,
+    and otherwise resets t to 1 when the gradient test fires (see the module
+    docstring).
 
     Shapes are checked by ``solve``; ||A|| is the operator's, computed once.
     The U-substep goes through ``st.umap`` (built here if W.V is not its
@@ -336,11 +352,17 @@ def step(spec: ModelSpec, st: SolverState) -> SolverState:
     w = (st.tk_prev - 1.0) / st.tk
     Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(w)
     restarted = False
-    tk, tk_prev = st.tk, st.tk_prev
-    if w != 0.0 and obj > prev_obj:
-        tk = tk_prev = 1.0
+    tk = st.tk
+    if w != 0.0 and obj > prev_obj + _ROUNDING * max(1.0, abs(prev_obj)):
+        tk = 1.0
         Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(0.0)
         restarted = True
+    elif w != 0.0 and np.vdot(Ut - Wnew.U, Wnew.U - st.W.U) \
+            + np.vdot(Vt - Wnew.V, Wnew.V - st.W.V) > 0.0:
+        # The gradient test: the prox-gradient step from the extrapolated
+        # point undoes part of the move from the current one, so the next
+        # step starts without momentum.
+        tk = 1.0
 
     data_v, umap, data_u = vmap.flip(Wnew.V, ev.residual)
     gnew_u = _gradient_half(spec, data_u, Wnew.U, Wnew.V, ev.balance, "u")

@@ -119,7 +119,7 @@ def test_criterion_2_far_start_prunes_orphan_columns(capsys):
     solver zeroes the other half at once instead of waiting for the weak
     balance gradient to shrink it, so the run reaches the truth's support
     well inside the budget and the rate fit reads the linear tail. The
-    trace ends holding at most _KEPT + 1 iterates of the 2000-odd."""
+    trace ends holding at most _KEPT + 1 iterates of the 1300-odd."""
     t0 = time.monotonic()
     delta = 5e-2
     _, reason, iters, rel_error, r2, nnz_u, nnz_v, held = \

@@ -737,6 +737,8 @@ def test_mask_serialization_roundtrip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "7 5"
     assert len(text) == 1 + op.p
+    assert path.read_bytes() == ("7 5\n" + "".join(
+        f"{int(i)} {int(j)}\n" for i, j in zip(op.rows, op.cols))).encode()
     back = load_mask(str(path))
     assert np.array_equal(back.rows, op.rows)
     assert np.array_equal(back.cols, op.cols)

@@ -12,6 +12,7 @@ from oracles import operator_matrix, stopping_residuals
 from test_sampling import DenseTestOperator
 
 from l20factor import linalg, penalty, solver
+from l20factor.harness import ExperimentConfig, run_experiment
 from l20factor.objective import (FactorPair, ModelSpec, column_penalty_value,
                                  smooth_gradient, smooth_value)
 from l20factor.penalty import PenaltyParams
@@ -324,6 +325,68 @@ def test_step_operator_call_budget_gaussian(monkeypatch):
     assert st2.umap.Q is st2.W.V and st2.umap.side == "u"
 
 
+@pytest.mark.parametrize("model,rho,lam", BUDGET_CASES)
+def test_function_restart_allows_a_rise_within_rounding(model, rho, lam):
+    """The function-value restart retakes an extrapolated step only when the
+    objective rises by more than the rounding slack, 1e-12 max(1, |previous|):
+    against a previous objective half a slack below the step's, the step is
+    kept; two slacks below, it is retaken without extrapolation."""
+    spec, st = warm_state(model, rho, lam)
+    first = step(spec, st)
+    assert st.tk_prev > 1.0 and not first.restarted
+    obj = first.obj_scaled
+    slack = solver._ROUNDING * max(1.0, abs(obj))
+    kept = step(spec, replace(st, obj_scaled=obj - 0.5 * slack))
+    retaken = step(spec, replace(st, obj_scaled=obj - 2.0 * slack))
+    assert not kept.restarted and kept.obj_scaled == obj
+    assert retaken.restarted and retaken.tk_prev == 1.0
+
+
+@pytest.mark.parametrize("model,rho,lam", BUDGET_CASES)
+def test_gradient_test_resets_the_momentum(model, rho, lam):
+    """An extrapolated step that the function test keeps resets the momentum
+    (returns t_prev = 1) exactly when <U~ - U+, U+ - U> + <V~ - V+, V+ - V>
+    is positive. The step after a reset takes w = 0: it does not read the
+    previous iterate, so a far one changes nothing."""
+    spec, _ = mask_instance(model=model, rho=rho, lam=lam)
+    W0 = initial_point(spec.op, spec.b, 2)
+    st = SolverState(W=W0, W_prev=W0.copy())
+    outcomes = Counter()
+    for _ in range(60):
+        nxt = step(spec, st)
+        w = (st.tk_prev - 1.0) / st.tk
+        if w != 0.0 and not nxt.restarted:
+            (U, V), (Up, Vp) = (st.W.U, st.W.V), (nxt.W.U, nxt.W.V)
+            Ut, Vt = U + w * (U - st.W_prev.U), V + w * (V - st.W_prev.V)
+            reset = np.vdot(Ut - Up, Up - U) + np.vdot(Vt - Vp, Vp - V) > 0.0
+            assert (nxt.tk_prev == 1.0) == reset
+            outcomes[reset] += 1
+            if reset:
+                after = step(spec, nxt)
+                far = step(spec, replace(nxt, W_prev=FactorPair(Up + 1.0, Vp - 1.0)))
+                assert np.array_equal(after.W.U, far.W.U)
+                assert np.array_equal(after.W.V, far.W.V)
+                assert after.obj_scaled == far.obj_scaled
+        st = nxt
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+@pytest.mark.parametrize("model,seed", [("l20", seed) for seed in range(9)]
+                         + [("dc", seed) for seed in (1, 3, 6)])
+def test_benchmark_configurations_converge_linearly_across_seeds(model, seed):
+    """The mask-l20-300 and mask-dc-300 configurations on other instance
+    seeds recover the rank-5 truth, and the rate fit of the tail reads
+    R^2 >= 0.95. With the function-value restart alone, l20 seeds 5 and 8
+    and dc seeds 1, 3 and 6 read 0.91-0.96."""
+    cfg = ExperimentConfig(m=300, n=300, r=5, kappa=15, sample_ratio=0.25,
+                           operator_kind="mask", model=model,
+                           mu_tilde=1e-3 if model == "l20" else 1e-2,
+                           epsilon=1e-10, max_iters=3000, seed=seed)
+    s = run_experiment(cfg)["summary"]
+    assert s["reason"] == "converged" and s["rel_error"] <= 1e-8, s
+    assert s["nnz_u"] == s["nnz_v"] == 5 and s["r2"] >= 0.95, s
+
+
 def test_gaussian_blocks_solve_like_the_base_map():
     """The same Gaussian instance solved through the Gaussian blocks and, as
     a DenseTestOperator over the same matrix, through the base-class map
@@ -369,9 +432,13 @@ def test_step_validation_budget(model, rho, lam, monkeypatch):
 @pytest.mark.parametrize("model,rho,lam", [("l20", None, 5.0), ("dc", 0.5, 0.5)])
 def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch):
     """A state's objective and column counts are those of the public
-    evaluators at its iterate, through restarts, backtracks (the step
-    constant's margin is cut to 0.3, so substeps backtrack), prunes, cuts
-    and (for l20) gauge moves. The objective is exact where it is computed,
+    evaluators at its iterate, through restarts, momentum resets by the
+    gradient test, backtracks (the step constant's margin is cut to 0.3, so
+    substeps backtrack), prunes, cuts and (for l20) gauge moves. Two events
+    are forced: a restart at step 10, by a far previous iterate and a large t
+    as in ``test_restart_on_objective_increase``, and at step 20 a pair put
+    off balance, (3 U, V / 3) with the same product, after which l20 moves.
+    The objective is exact where it is computed,
     after a step and after a prune; a cut drops exactly-zero columns and
     keeps it, which can move the public sums by an ulp, and a move lowers it
     by the balance term, which holds up to rounding. Every trace record's
@@ -398,10 +465,19 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
     monkeypatch.setattr(solver, "_prox_substep", counted)
     st = SolverState(W=W0, W_prev=W0.copy(), obj_scaled=public(W0)[0])
     live = np.arange(4)
-    for _ in range(60):
+    for i in range(60):
+        if i == 10:
+            st = replace(st, W_prev=FactorPair(st.W.U - 5.0, st.W.V + 5.0),
+                         tk_prev=100.0)
+        if i == 20:
+            W = FactorPair(3.0 * st.W.U, st.W.V / 3.0)
+            st = replace(st, W=W, obj_scaled=public(W)[0],
+                         W_prev=FactorPair(3.0 * st.W_prev.U, st.W_prev.V / 3.0))
         before = st
         st = step(spec, st)
         events["restart"] += st.restarted
+        events["reset"] += before.tk_prev > 1.0 and st.tk_prev == 1.0 \
+            and not st.restarted
         assert (st.obj_scaled, st.nnz_u, st.nnz_v) == public(st.W)
         width, nnz = st.W.U.shape[1], (st.nnz_u, st.nnz_v)
         st, live = solver._shed_columns(spec, st, live)
@@ -420,8 +496,8 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
             obj, nnz_u, nnz_v = public(st.W)
             assert (st.nnz_u, st.nnz_v) == (nnz_u, nnz_v)
             assert st.obj_scaled == pytest.approx(obj, rel=1e-12, abs=0.0)
-    kinds = ["restart", "backtrack", "prune", "cut"] + ["move"] * (model == "l20")
-    assert min(events[k] for k in kinds) > 0
+    kinds = ["restart", "reset", "backtrack", "prune", "cut"] + ["move"] * (model == "l20")
+    assert min(events[k] for k in kinds) > 0, events
 
     record = solver.SolveTrace.record
     recorded = []
