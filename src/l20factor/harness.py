@@ -49,9 +49,8 @@ _DEFAULT_SCALE = {"l20": 55, "dc": 0.03}
 # that draws M, so the measurements stay independent of the signal.
 _OPERATOR_SEED_OFFSET = 1000003
 
-# Largest Gaussian operator memory: its tensor (8*p*m*n bytes) and, in a
-# solve, the two restricted-map blocks (8*p*(m+n)*kappa bytes). Bigger ones
-# fail fast, not by OOM.
+# Largest Gaussian operator memory at its peak (see _check_gaussian_size).
+# Bigger ones fail fast, not by OOM.
 GAUSSIAN_MAX_BYTES = 2 * 2**30
 
 # ``diagnose``'s sampling: growth-probe samples, Monte Carlo restricted
@@ -66,13 +65,25 @@ class ConfigError(ValueError):
 
 
 def _check_gaussian_size(p: int, m: int, n: int, kappa: int) -> None:
-    """Fail if the tensor, plus the solver's blocks at ``kappa``, is over the limit."""
-    need = 8 * int(p) * (int(m) * int(n) + (int(m) + int(n)) * int(kappa))
+    """Fail if the operator's peak memory is over the limit.
+
+    The peak is the p x m x n tensor plus the larger of two things that are
+    never alive together. ``operator_norm`` forms a Gram of min(p, m n)^2
+    doubles, and ``eigvalsh`` copies it. A solve at ``kappa`` holds at most
+    three restricted-map blocks of p x (rows * kappa) doubles: inside a
+    step the map that fixes V, the one that fixes U+ and the one that fixes
+    V+ (rows m, n and m); during a gauge move the maps of the state before
+    the step, of the state after it and the re-gauged one (rows m).
+    """
+    p, m, n, kappa = int(p), int(m), int(n), int(kappa)
+    need = 8 * (p * m * n + max(2 * min(p, m * n) ** 2,
+                                p * kappa * (2 * m + max(m, n))))
     if need > GAUSSIAN_MAX_BYTES:
         blocks = f" and kappa={kappa} blocks" if kappa else ""
         raise ConfigError(
             f"gaussian operator needs {need / 2**30:.1f} GiB for its {p}x{m}x{n} "
-            f"tensor{blocks}, over the {GAUSSIAN_MAX_BYTES / 2**30:g} GiB limit")
+            f"tensor, its norm's Gram{blocks}, over the "
+            f"{GAUSSIAN_MAX_BYTES / 2**30:g} GiB limit")
 
 
 @dataclass
@@ -265,7 +276,18 @@ def build_model_spec(cfg: ExperimentConfig, op: SamplingOperator, b) -> ModelSpe
     """Resolve the parameter rules against X0 = A*(b) and assemble the spec;
     an unset rule takes ``rules_at_scale`` at its model's default scale."""
     b = linalg.as_vector(b, "b")
-    x0_norm = float(np.linalg.norm(op.adjoint(b), 2))
+    return _resolve_spec(cfg, op, b, _x0_norm(op, b))
+
+
+def _x0_norm(op: SamplingOperator, b) -> float:
+    """||X0||_2 of X0 = A*(b), the ``specnorm(X0)`` of the rules."""
+    return float(np.linalg.norm(op.adjoint(b), 2))
+
+
+def _resolve_spec(cfg: ExperimentConfig, op: SamplingOperator, b,
+                  x0_norm: float) -> ModelSpec:
+    """``build_model_spec`` with ||X0||_2 given, for callers that resolve
+    several configs on one instance."""
     default_lam, default_rho = rules_at_scale(cfg.model, _DEFAULT_SCALE[cfg.model])
     lam_rule = cfg.lambda_rule if cfg.lambda_rule is not None else default_lam
     lam = eval_rule(lam_rule, cfg.a, x0_norm)
@@ -310,22 +332,17 @@ def fit_loglinear(xs, ys) -> tuple[float, float]:
 def convergence_fit(trace: SolveTrace) -> tuple[float, float]:
     """Slope/R^2 of log ||U^k - U^f||_F from the last support change onward.
 
-    The fit starts at the last record whose (nnz_u, nnz_v) differs from the
-    record before it (at the first record if the support never changes):
-    the linear rate is a property of the tail where the support is fixed,
-    and a plateau before a late prune would otherwise swamp it. Fewer than
-    10 records from that change on give (nan, nan). The trace holds a
-    bounded reservoir of iterates, evenly spaced from the same change
-    (``SolveTrace``); a record whose iterate it dropped has a NaN distance,
-    which ``fit_loglinear`` drops, so the fit reads the evenly thinned tail.
+    The fit starts at the trace's ``anchor``, the last record whose
+    (nnz_u, nnz_v) differs from the record before it (the first record if
+    the support never changes): the linear rate is a property of the tail
+    where the support is fixed, and a plateau before a late prune would
+    otherwise swamp it. Fewer than 10 records from that change on give
+    (nan, nan). The trace holds a bounded reservoir of iterates, evenly
+    spaced from the same change (``SolveTrace``); a record whose iterate it
+    dropped has a NaN distance, which ``fit_loglinear`` drops, so the fit
+    reads the evenly thinned tail.
     """
-    recs = trace.records
-    start = 0
-    for i in range(len(recs) - 1, 0, -1):
-        if (recs[i].nnz_u, recs[i].nnz_v) != (recs[i - 1].nnz_u, recs[i - 1].nnz_v):
-            start = i
-            break
-    tail = recs[start:]
+    tail = [rec for rec in trace.records if rec.iteration >= trace.anchor]
     if len(tail) < 10:
         return math.nan, math.nan
     xs = [rec.iteration for rec in tail]
@@ -451,7 +468,8 @@ def load_instance(in_dir: str):
         op = load_mask(os.path.join(in_dir, "mask.txt"))
     elif kind == "gaussian":
         _require(meta_path, meta, ("operator_seed",))
-        # Diagnose loads instances too and builds no solver blocks.
+        # Diagnose loads instances too; it takes the norm but builds no
+        # solver blocks.
         _check_gaussian_size(meta["p"], meta["m"], meta["n"], kappa=0)
         op = GaussianOperator(meta["m"], meta["n"], meta["p"],
                               seed=meta["operator_seed"])
@@ -500,7 +518,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         M, op, b = gen_instance(cfg)
     else:
         M, op, b = instance
-    spec = build_model_spec(cfg, op, b)
+    return _solve_and_summarize(cfg, build_model_spec(cfg, op, b), M, out_dir,
+                                started)
+
+
+def _solve_and_summarize(cfg: ExperimentConfig, spec: ModelSpec, M,
+                         out_dir: str | None, started: float) -> dict:
+    """Solve ``spec`` from the spectral start, summarize against M, and save
+    to ``out_dir`` if given; ``time_s`` counts from ``started``."""
     solver_cfg = SolverConfig(epsilon=cfg.epsilon, max_iters=cfg.max_iters)
     W, trace, reason = solve(spec, solver_cfg, "auto", kappa=cfg.kappa)
     slope, r2 = convergence_fit(trace)
@@ -539,16 +564,17 @@ def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dic
     shared = sorted({name for name in names if names.count(name) > 1})
     if shared:
         raise ConfigError(f"fig3 c values {c_values} share run directories {shared}")
-    instance = gen_instance(cfg)
+    M, op, b = instance = gen_instance(cfg)
+    x0_norm = _x0_norm(op, b)
     subs = []
     for c in c_values:
         lam_rule, rho_rule = rules_at_scale(cfg.model, c)
-        subs.append(dataclasses.replace(cfg, lambda_rule=lam_rule, rho_rule=rho_rule))
-        build_model_spec(subs[-1], *instance[1:])
+        sub = dataclasses.replace(cfg, lambda_rule=lam_rule, rho_rule=rho_rule)
+        subs.append((sub, _resolve_spec(sub, op, b, x0_norm)))
     runs = []
-    for c, name, sub in zip(c_values, names, subs):
+    for c, name, (sub, spec) in zip(c_values, names, subs):
         sub_dir = None if out_dir is None else os.path.join(out_dir, name)
-        bundle = run_experiment(sub, sub_dir, instance=instance)
+        bundle = _solve_and_summarize(sub, spec, M, sub_dir, time.monotonic())
         runs.append({"c": c, **bundle["summary"]})
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -7,16 +7,16 @@ spectral-norm upper estimate of the blockwise Lipschitz constants, guarded
 by a backtracking majorization check (the balance term is quartic, so no
 global constant exists) that doubles the constant until the check holds.
 
-Momentum is dropped by two tests (O'Donoghue and Candes, adaptive restart).
-The function test retakes an extrapolated step without extrapolation when
-the objective rises by more than rounding, ``_ROUNDING`` max(1, |previous|),
-the slack the majorization check allows too; a rise within it is noise. The
+Momentum is dropped by two tests (O'Donoghue and Candes, adaptive restart),
+both in ``_take``, which builds the candidate state. The function test
+rejects an extrapolated candidate whose objective rises by more than
+rounding, ``_ROUNDING`` max(1, |previous|), the slack the majorization check
+allows too; ``step`` then retakes the step without extrapolation. The
 gradient test resets t to 1 after a kept extrapolated step whose
 prox-gradient move from the extrapolated point (U~, V~) points back against
 the step taken, <U~ - U+, U+ - U> + <V~ - V+, V+ - V> > 0, so the next step
 does not extrapolate. It needs no objective difference, so it still acts
-once that difference is below one ulp, and it costs two inner products and
-no retake.
+once that difference is below one ulp, and it costs two inner products.
 
 Each substep holds one factor fixed, so the loss is linear in the active
 factor through the operator's restricted map (``SamplingOperator.restricted``):
@@ -30,12 +30,13 @@ that fixes V+, the gradient of the stopping residuals; the map that fixes V+
 is kept for the next U-substep. A substep builds only the gradient half it
 uses. For a base-class map (full and mask operators) an iteration that
 neither backtracks nor restarts costs 4 operator applies and 3 adjoints;
-each backtrack adds one apply, a restart repeats the 4 applies and the
-two substep adjoints, and a gradient-test reset adds none. A Gaussian map
-is a block built once, so a Gaussian iteration costs 2 block builds (the
-maps fixing U+ and V+) and no full pass over the tensor; a backtrack or a
-restart adds only small matrix-vector products, and a restart one more
-build.
+each backtrack adds one apply, and a restart adds the rejected candidate's
+4 applies and 2 adjoints (it is rejected before the stopping residual). A
+Gaussian map is a block built once, so a Gaussian iteration costs 2 block
+builds (the maps fixing U+ and V+) and no full pass over the tensor; a
+backtrack adds only small matrix-vector products, and a restart one more
+build. A prune or a cut drops the state's map with the V it fixed, so a
+solve holds at most three blocks.
 
 After each step ``solve`` prunes and compacts. A column that is zero in
 exactly one factor is zeroed in the other as well, which never raises the
@@ -88,8 +89,7 @@ import numpy as np
 from . import linalg
 from .objective import (FactorPair, ModelSpec, _column_penalty, _evaluate,
                         _gradient_half, _unchecked_pair,
-                        build_balanced_factors, column_penalty_value,
-                        smooth_value)
+                        build_balanced_factors, smooth_value)
 from .prox import prox_matrix
 from .sampling import RestrictedMap
 
@@ -136,16 +136,18 @@ class SolverConfig:
 class SolverState:
     """Solver iterate: current and previous pair, t-scalars, step constants.
 
-    ``umap`` is the operator restricted to W.V held fixed, as the stopping
-    residual left it for the next U-substep; ``step`` builds a new one when
-    W.V is not its fixed factor (at the start, after a prune or a cut).
-    ``nnz_u`` and ``nnz_v`` are ``linalg.l20_norm`` of W.U and W.V, -1 until
-    set (``solve`` sets them at the start, a step after it); the l20
-    penalty, the trace and the gauge move read them.
+    ``obj_scaled`` is the objective at W, ``nnz_u`` and ``nnz_v`` are
+    ``linalg.l20_norm`` of W.U and W.V (set by ``_start_state``, kept by
+    every step and move). ``umap`` is the operator restricted to W.V held
+    fixed, as the stopping residual left it for the next U-substep, or None
+    (at the start, after a prune or a cut); ``step`` then builds one.
     """
 
     W: FactorPair
     W_prev: FactorPair
+    obj_scaled: float
+    nnz_u: int
+    nnz_v: int
     tk: float = 1.0
     tk_prev: float = 1.0
     iteration: int = 0
@@ -154,10 +156,7 @@ class SolverState:
     restarted: bool = False
     res_u: float = math.nan
     res_v: float = math.nan
-    obj_scaled: float = math.nan
     umap: RestrictedMap | None = None
-    nnz_u: int = -1
-    nnz_v: int = -1
 
 
 @dataclass
@@ -182,9 +181,10 @@ class SolveTrace:
     """Records plus a bounded reservoir of the solver's own iterates, at live
     width, for the distance backfill.
 
-    The reservoir is anchored at the last record whose (nnz_u, nnz_v) differs
-    from the record before it (the first record if none does), the tail that
-    ``harness.convergence_fit`` reads. It keeps iteration k when
+    ``anchor`` is the iteration of the last record whose (nnz_u, nnz_v)
+    differs from the record before it (the first record if none does): the
+    tail that ``harness.convergence_fit`` reads starts there, and so does
+    the reservoir. It keeps iteration k when
     (k - anchor) is a multiple of its stride; when more than ``_KEPT``
     iterates are on that grid it doubles the stride and drops the ones off
     it, and a support change empties it. The latest iterate is held too, so
@@ -192,7 +192,7 @@ class SolveTrace:
     """
 
     records: list[TraceRecord] = field(default_factory=list)
-    _anchor: int = field(default=0, init=False, repr=False)
+    anchor: int = field(default=0, init=False)
     _stride: int = field(default=1, init=False, repr=False)
     _grid: list[tuple] = field(default_factory=list, init=False, repr=False)
     _last: tuple | None = field(default=None, init=False, repr=False)
@@ -204,14 +204,14 @@ class SolveTrace:
         prev = self.records[-1] if self.records else None
         self.records.append(rec)
         if prev is None or (rec.nnz_u, rec.nnz_v) != (prev.nnz_u, prev.nnz_v):
-            self._anchor, self._stride, self._grid = rec.iteration, 1, []
+            self.anchor, self._stride, self._grid = rec.iteration, 1, []
         self._last = (rec.iteration, live, W.U, W.V)
-        if (rec.iteration - self._anchor) % self._stride == 0:
+        if (rec.iteration - self.anchor) % self._stride == 0:
             self._grid.append(self._last)
             if len(self._grid) > _KEPT:
                 self._stride *= 2
                 self._grid = [it for it in self._grid
-                              if (it[0] - self._anchor) % self._stride == 0]
+                              if (it[0] - self.anchor) % self._stride == 0]
 
     def _held(self) -> dict[int, tuple]:
         """The held iterates by iteration: the grid and the latest."""
@@ -311,73 +311,76 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
     )
 
 
-def step(spec: ModelSpec, st: SolverState) -> SolverState:
-    """One full U-then-V update; advances t. An extrapolated step is retaken
-    without extrapolation when the objective rises by more than rounding,
-    and otherwise resets t to 1 when the gradient test fires (see the module
-    docstring).
-
-    Shapes are checked by ``solve``; ||A|| is the operator's, computed once.
-    The U-substep goes through ``st.umap`` (built here if W.V is not its
-    fixed factor), the V-substep through a map that fixes U+; that map also
-    gives both gradient halves at (U+, V+) and the next step's ``umap``.
-    """
+def _take(spec: ModelSpec, st: SolverState, umap: RestrictedMap, w: float,
+          tk: float) -> SolverState | None:
+    """The state after the step from ``st`` extrapolated with weight w, t = tk,
+    or None when w != 0 and the function test rejects it, before the
+    stopping residuals. ``umap`` fixes W.V for the U-substep; the V-substep
+    goes through a map that fixes U+, whose ``flip`` gives both gradient
+    halves at (U+, V+) and the next state's map. A kept extrapolated step
+    whose gradient test fires takes t = 1."""
     it = st.iteration + 1
-    prev_obj = st.obj_scaled
-    if math.isnan(prev_obj):
-        prev_obj = smooth_value(spec, st.W) + column_penalty_value(spec, st.W)
-    if not math.isfinite(prev_obj):
-        raise DivergenceError(it, "non-finite objective at the current iterate")
-    umap = st.umap
-    if umap is None or umap.Q is not st.W.V:
-        umap = spec.op.restricted(st.W.V, "u")
-
-    def take(w: float):
-        U, V = st.W.U, st.W.V
-        Ut = U + w * (U - st.W_prev.U) if w != 0.0 else U
-        Vt = V + w * (V - st.W_prev.V) if w != 0.0 else V
-        if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
-            raise DivergenceError(it, "non-finite extrapolated point")
-        lu, _, grams = _step_constants(spec, Ut, V, it)
-        Unew, gU, lu, _ = _prox_substep(spec, umap, Ut, grams, lu, it)
-        _, lv, grams = _step_constants(spec, Unew, Vt, it)
-        vmap = spec.op.restricted(Unew, "v")
-        Vnew, gV, lv, ev = _prox_substep(spec, vmap, Vt, grams, lv, it)
-        nnz = linalg._column_count(Unew), linalg._column_count(Vnew)
-        obj = ev.value + _column_penalty(spec, Unew, Vnew, nnz[0] + nnz[1])
-        if not math.isfinite(obj):
-            raise DivergenceError(it, "non-finite objective")
-        return _unchecked_pair(Unew, Vnew), nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap
-
-    w = (st.tk_prev - 1.0) / st.tk
-    Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(w)
-    restarted = False
-    tk = st.tk
-    if w != 0.0 and obj > prev_obj + _ROUNDING * max(1.0, abs(prev_obj)):
-        tk = 1.0
-        Wnew, nnz, Ut, Vt, gU, gV, lu, lv, ev, obj, vmap = take(0.0)
-        restarted = True
-    elif w != 0.0 and np.vdot(Ut - Wnew.U, Wnew.U - st.W.U) \
-            + np.vdot(Vt - Wnew.V, Wnew.V - st.W.V) > 0.0:
+    U, V = st.W.U, st.W.V
+    Ut = U + w * (U - st.W_prev.U) if w != 0.0 else U
+    Vt = V + w * (V - st.W_prev.V) if w != 0.0 else V
+    if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
+        raise DivergenceError(it, "non-finite extrapolated point")
+    lu, _, grams = _step_constants(spec, Ut, V, it)
+    Unew, gU, lu, _ = _prox_substep(spec, umap, Ut, grams, lu, it)
+    _, lv, grams = _step_constants(spec, Unew, Vt, it)
+    vmap = spec.op.restricted(Unew, "v")
+    Vnew, gV, lv, ev = _prox_substep(spec, vmap, Vt, grams, lv, it)
+    nnz_u, nnz_v = linalg._column_count(Unew), linalg._column_count(Vnew)
+    obj = ev.value + _column_penalty(spec, Unew, Vnew, nnz_u + nnz_v)
+    if not math.isfinite(obj):
+        raise DivergenceError(it, "non-finite objective")
+    if w != 0.0:
+        prev = st.obj_scaled
+        if obj > prev + _ROUNDING * max(1.0, abs(prev)):
+            return None
         # The gradient test: the prox-gradient step from the extrapolated
         # point undoes part of the move from the current one, so the next
         # step starts without momentum.
-        tk = 1.0
+        if np.vdot(Ut - Unew, Unew - U) + np.vdot(Vt - Vnew, Vnew - V) > 0.0:
+            tk = 1.0
 
-    data_v, umap, data_u = vmap.flip(Wnew.V, ev.residual)
-    gnew_u = _gradient_half(spec, data_u, Wnew.U, Wnew.V, ev.balance, "u")
-    gnew_v = _gradient_half(spec, data_v, Wnew.U, Wnew.V, ev.balance, "v")
+    data_v, umap, data_u = vmap.flip(Vnew, ev.residual)
+    gnew_u = _gradient_half(spec, data_u, Unew, Vnew, ev.balance, "u")
+    gnew_v = _gradient_half(spec, data_v, Unew, Vnew, ev.balance, "v")
     nb = 1.0 + spec.b_norm
-    res_u = float(np.linalg.norm(gU - gnew_u + lu * (Wnew.U - Ut))) / nb
-    res_v = float(np.linalg.norm(gV - gnew_v + lv * (Wnew.V - Vt))) / nb
-
-    tk_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
     return SolverState(
-        W=Wnew, W_prev=st.W, tk=tk_next, tk_prev=tk, iteration=it,
-        LU=lu, LV=lv, restarted=restarted,
-        res_u=res_u, res_v=res_v, obj_scaled=obj, umap=umap,
-        nnz_u=nnz[0], nnz_v=nnz[1],
+        W=_unchecked_pair(Unew, Vnew), W_prev=st.W, obj_scaled=obj,
+        nnz_u=nnz_u, nnz_v=nnz_v,
+        tk=0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk)), tk_prev=tk,
+        iteration=it, LU=lu, LV=lv,
+        res_u=float(np.linalg.norm(gU - gnew_u + lu * (Unew - Ut))) / nb,
+        res_v=float(np.linalg.norm(gV - gnew_v + lv * (Vnew - Vt))) / nb,
+        umap=umap,
     )
+
+
+def step(spec: ModelSpec, st: SolverState) -> SolverState:
+    """One full U-then-V update; advances t. A candidate that the function
+    test rejects is retaken without extrapolation and with t = 1, and marked
+    ``restarted`` (see ``_take``). ``st.umap`` is rebuilt when it does not
+    fix W.V. Shapes are checked by ``solve``."""
+    umap = st.umap
+    if umap is None or umap.Q is not st.W.V:
+        umap = spec.op.restricted(st.W.V, "u")
+    nxt = _take(spec, st, umap, (st.tk_prev - 1.0) / st.tk, st.tk)
+    if nxt is None:
+        nxt = replace(_take(spec, st, umap, 0.0, 1.0), restarted=True)
+    return nxt
+
+
+def _start_state(spec: ModelSpec, W0: FactorPair) -> SolverState:
+    """The state at the start W0: W0, copied, as both iterates, with its
+    column counts and its objective."""
+    W = W0.copy()
+    nnz_u, nnz_v = linalg.l20_norm(W.U), linalg.l20_norm(W.V)
+    return SolverState(W=W, W_prev=W, nnz_u=nnz_u, nnz_v=nnz_v,
+                       obj_scaled=smooth_value(spec, W)
+                       + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v))
 
 
 def _padded(W: FactorPair, live: np.ndarray,
@@ -410,6 +413,7 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
     When the state's column counts equal the live width, every column is
     above the zero tolerance in both factors, so there is nothing to do. A
     prune recomputes the counts; a cut drops only zero columns and keeps them.
+    Both replace W.V, so both drop the state's ``umap``, which fixed the old V.
     """
     width = st.W.U.shape[1]
     if st.nnz_u == width and st.nnz_v == width:
@@ -427,7 +431,8 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
         nnz_u, nnz_v = linalg._column_count(W.U), linalg._column_count(W.V)
         st = replace(st, W=W, W_prev=W_prev, nnz_u=nnz_u, nnz_v=nnz_v,
                      obj_scaled=smooth_value(spec, W)
-                     + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v))
+                     + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v),
+                     umap=None)
     # After the prune a column is nonzero in both factors or in neither.
     used = ((nz_u & nz_v) | np.any(st.W_prev.U != 0.0, axis=0)
             | np.any(st.W_prev.V != 0.0, axis=0))
@@ -438,7 +443,7 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
 
     def cut(W):
         return _unchecked_pair(W.U[:, used], W.V[:, used])
-    return replace(st, W=cut(st.W), W_prev=cut(st.W_prev)), live[used]
+    return replace(st, W=cut(st.W), W_prev=cut(st.W_prev), umap=None), live[used]
 
 
 def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverState:
@@ -519,17 +524,12 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     Returns (final pair, trace, reason) with reason "converged" or "budget";
     non-finite values raise DivergenceError.
 
-    After each step a column that is zero in exactly one factor is zeroed in
-    both (a prune; it never raises the objective and costs one apply), and
-    a column that is zero in both factors and in the previous iterate leaves
-    the working set: it has a zero gradient and would stay zero. Every
-    product then runs at the live column count. For the hard model a gauge
-    move may then replace the pair by the balanced pair with the same
-    product (``_rebalance``); it lowers the objective by the balance term.
-    The paper's PALM analysis does not cover it: like the prune, it is a
-    descent step between iterations. ||A|| is computed before the trace
-    clock starts. The returned pair is padded back to the start's column
-    count, dead columns exactly zero in place.
+    After each step ``_shed_columns`` prunes and compacts, and for the hard
+    model ``_rebalance`` may make a gauge move: descent steps between
+    iterations that the paper's PALM analysis does not cover (see the module
+    docstring). ||A|| is computed before the trace clock starts. The
+    returned pair is padded back to the start's column count, dead columns
+    exactly zero in place.
     The trace holds at most ``_KEPT + 1`` iterates at their live width (see
     ``SolveTrace``), so its memory does not grow with ``max_iters``; a
     record whose iterate was not held has NaN ``dist_*_final``.
@@ -550,10 +550,7 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     spec.check_shapes(W0)
 
     trace = SolveTrace()
-    st = SolverState(W=W0.copy(), W_prev=W0.copy(),
-                     nnz_u=linalg.l20_norm(W0.U), nnz_v=linalg.l20_norm(W0.V))
-    st.obj_scaled = smooth_value(spec, st.W) \
-        + _column_penalty(spec, st.W.U, st.W.V, st.nnz_u + st.nnz_v)
+    st = _start_state(spec, W0)
     kappa = W0.kappa
     live = np.arange(kappa)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -243,10 +244,13 @@ def test_fit_loglinear_drops_nonpositive_points():
 
 
 def synthetic_trace(supports, dists):
+    """A trace recorded through ``SolveTrace.record``, one record per support
+    and distance, each with the same placeholder iterate."""
     trace = SolveTrace()
+    W, live = FactorPair(np.zeros((2, 1)), np.zeros((2, 1))), np.arange(1)
     for k, ((nu, nv), d) in enumerate(zip(supports, dists), start=1):
-        trace.records.append(TraceRecord(k, 0.0, 0.0, 0.0, 0.0, nu, nv,
-                                         d, d, 0.0))
+        trace.record(TraceRecord(k, 0.0, 0.0, 0.0, 0.0, nu, nv, d, d, 0.0),
+                     W, live)
     return trace
 
 
@@ -396,27 +400,35 @@ def test_instance_data_checked_where_it_enters(tmp_path):
 
 def test_gaussian_size_guard(tmp_path, monkeypatch):
     """A Gaussian operator over the byte limit is a ConfigError, from a config
-    or from a stored meta.json, before anything is allocated. A config counts
-    the tensor and the solver's two kappa-column blocks; a stored instance,
-    which diagnose also loads, counts the tensor alone."""
-    with pytest.raises(ConfigError, match=r"needs 16\.6 GiB for its 22500x300x300 "
-                                          r"tensor and kappa=15 blocks, over the "
-                                          r"2 GiB limit"):
+    or from a stored meta.json, before anything is allocated. Both count the
+    tensor plus the larger of the norm's Gram (with eigvalsh's copy of it)
+    and, for a config, the solver's three kappa-column blocks; a stored
+    instance, which diagnose also loads, builds no blocks."""
+    with pytest.raises(ConfigError, match=r"needs 22\.6 GiB for its 22500x300x300 "
+                                          r"tensor, its norm's Gram and kappa=15 "
+                                          r"blocks, over the 2 GiB limit"):
         ExperimentConfig(operator_kind="gaussian")
     ExperimentConfig(operator_kind="mask")
-    shape = dict(m=15, n=12, kappa=3, operator_kind="gaussian", sample_ratio=0.5)
-    tensor = 8 * 90 * 15 * 12  # p = 0.5 * 15 * 12 = 90
-    need = tensor + 8 * 90 * (15 + 12) * 3
-    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", need)
+    shape = dict(m=15, n=12, kappa=3, operator_kind="gaussian", sample_ratio=0.2)
+    p = 36  # 0.2 * 15 * 12
+    tensor = 8 * p * 15 * 12
+    gram = 8 * 2 * p * p
+    blocks = 8 * p * 3 * 15 * 3  # a gauge move's three maps that fix a V
+    assert blocks > gram
+    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", tensor + blocks)
     cfg = small_cfg(**shape)
-    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", need - 1)
-    with pytest.raises(ConfigError, match="90x15x12 tensor and kappa=3 blocks"):
+    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", tensor + blocks - 1)
+    with pytest.raises(ConfigError, match="36x15x12 tensor, its norm's Gram "
+                                          "and kappa=3 blocks"):
         small_cfg(**shape)
 
     M, op, b = gen_instance(cfg)
     save_instance(str(tmp_path), cfg, M, op, b)
-    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", tensor)
+    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", tensor + gram)
     load_instance(str(tmp_path))
+    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", tensor + gram - 1)
+    with pytest.raises(ConfigError, match="36x15x12 tensor, its norm's Gram, over"):
+        load_instance(str(tmp_path))
     monkeypatch.undo()
     meta_path = tmp_path / "meta.json"
     meta = json.loads(meta_path.read_text())
@@ -620,6 +632,32 @@ def test_fig3_resolves_every_scale_before_solving(tmp_path):
         with pytest.raises(ConfigError, match=message):
             run_fig3(small_cfg(model=model), c_values, out_dir=str(out))
         assert not out.exists()
+
+
+def test_fig3_takes_the_norm_of_x0_once(monkeypatch):
+    """A sweep computes ||A*(b)||_2 once for its instance and resolves each
+    scale's rules once, and each run's summary is the one ``run_experiment``
+    gives for that scale, apart from the timing."""
+    calls = {"norm": 0, "resolve": 0}
+    norm, resolve = harness._x0_norm, harness._resolve_spec
+
+    def counted_norm(*args):
+        calls["norm"] += 1
+        return norm(*args)
+
+    def counted_resolve(*args):
+        calls["resolve"] += 1
+        return resolve(*args)
+    monkeypatch.setattr(harness, "_x0_norm", counted_norm)
+    monkeypatch.setattr(harness, "_resolve_spec", counted_resolve)
+    cfg = small_cfg(m=20, n=20, max_iters=20)
+    runs = run_fig3(cfg, [1.0, 28.0, 500.0])["runs"]
+    assert calls == {"norm": 1, "resolve": 3}
+    monkeypatch.undo()
+    lam_rule, _ = harness.rules_at_scale("l20", 28.0)
+    alone = run_experiment(dataclasses.replace(cfg, lambda_rule=lam_rule))["summary"]
+    del alone["time_s"]
+    assert {k: v for k, v in runs[1].items() if k not in ("c", "time_s")} == alone
 
 
 # -------------------------------------------------------------- diagnose

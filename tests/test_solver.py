@@ -1,5 +1,6 @@
 import math
 import time
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -18,8 +19,7 @@ from l20factor.objective import (FactorPair, ModelSpec, column_penalty_value,
 from l20factor.penalty import PenaltyParams
 from l20factor.sampling import (FullOperator, GaussianOperator,
                                 UniformMaskOperator, _GaussianRestrictedMap)
-from l20factor.solver import (DivergenceError, SolverConfig, SolverState,
-                              initial_point, solve, step)
+from l20factor.solver import DivergenceError, SolverConfig, initial_point, solve, step
 
 OVERFLOW_WARNINGS = pytest.mark.filterwarnings("ignore:overflow encountered",
                                                "ignore:invalid value encountered")
@@ -149,8 +149,7 @@ def test_step_constants_majorize_on_probes():
 
 def test_t_sequence_first_update():
     spec, _ = mask_instance()
-    W0 = initial_point(spec.op, spec.b, 2)
-    st = SolverState(W=W0, W_prev=W0.copy())
+    st = solver._start_state(spec, initial_point(spec.op, spec.b, 2))
     st2 = step(spec, st)
     assert st2.tk == pytest.approx(0.5 * (1.0 + math.sqrt(5.0)), abs=1e-15)
     assert st2.tk_prev == 1.0
@@ -161,8 +160,7 @@ def test_zero_pair_is_a_fixed_point():
     op = FullOperator(3, 3)
     spec = ModelSpec(model="l20", op=op, b=op.apply(np.eye(3)),
                      params=PenaltyParams(lam=100.0, mu_tilde=1.0))
-    Z = FactorPair(np.zeros((3, 2)), np.zeros((3, 2)))
-    st = SolverState(W=Z, W_prev=Z.copy())
+    st = solver._start_state(spec, FactorPair(np.zeros((3, 2)), np.zeros((3, 2))))
     for _ in range(3):
         st = step(spec, st)
         assert_allclose(st.W.U, 0.0)
@@ -175,10 +173,8 @@ def test_restart_on_objective_increase():
     spec, _ = mask_instance()
     U = rng.standard_normal((10, 2))
     V = rng.standard_normal((10, 2))
-    W = FactorPair(U, V)
-    st = SolverState(W=W, W_prev=FactorPair(U - 5.0, V + 5.0),
-                     tk=1.0, tk_prev=100.0)
-    st.obj_scaled = smooth_value(spec, W) + column_penalty_value(spec, W)
+    st = replace(solver._start_state(spec, FactorPair(U, V)),
+                 W_prev=FactorPair(U - 5.0, V + 5.0), tk_prev=100.0)
     st2 = step(spec, st)
     assert st2.restarted
     assert st2.obj_scaled <= st.obj_scaled
@@ -188,16 +184,13 @@ def test_restart_on_objective_increase():
 
 @OVERFLOW_WARNINGS
 def test_divergence_error_carries_iteration():
-    """An overflowing state raises DivergenceError whether the step computes
-    the current objective itself (unset) or takes it from the state, as
-    every step inside ``solve`` does (set)."""
+    """A step from an overflowing start raises DivergenceError with its
+    iteration."""
     spec, _ = mask_instance()
     big = FactorPair(1e200 * np.ones((10, 2)), 1e200 * np.ones((10, 2)))
-    for obj_scaled in (math.nan, 1.0):
-        st = SolverState(W=big, W_prev=big.copy(), obj_scaled=obj_scaled)
-        with pytest.raises(DivergenceError, match="iteration 1") as info:
-            step(spec, st)
-        assert info.value.iteration == 1
+    with pytest.raises(DivergenceError, match="iteration 1") as info:
+        step(spec, solver._start_state(spec, big))
+    assert info.value.iteration == 1
 
 
 SCALES = (1.0, 1e10, 1e20)
@@ -251,8 +244,7 @@ def test_rescaled_problem_runs_alike(seed):
 @pytest.mark.parametrize("model,rho,lam", [("l20", None, 1e-5), ("dc", 0.05, 1e-4)])
 def test_stopping_residuals_match_recomputation(model, rho, lam):
     spec, _ = mask_instance(model=model, rho=rho, lam=lam)
-    st = SolverState(W=initial_point(spec.op, spec.b, 2),
-                     W_prev=initial_point(spec.op, spec.b, 2))
+    st = solver._start_state(spec, initial_point(spec.op, spec.b, 2))
     for _ in range(8):
         prev = st
         st = step(spec, prev)
@@ -274,9 +266,7 @@ def warm_state(model, rho, lam, instance=mask_instance):
     """An instance and the state after five steps, where the next step
     extrapolates without restarting or backtracking."""
     spec, _ = instance(model=model, rho=rho, lam=lam)
-    W0 = initial_point(spec.op, spec.b, 2)
-    st = SolverState(W=W0, W_prev=W0.copy())
-    st.obj_scaled = smooth_value(spec, W0) + column_penalty_value(spec, W0)
+    st = solver._start_state(spec, initial_point(spec.op, spec.b, 2))
     for _ in range(5):
         st = step(spec, st)
     return spec, st
@@ -294,35 +284,78 @@ def count_calls(monkeypatch, calls, owner, attr, name=None):
 BUDGET_CASES = [("l20", None, 1e-5), ("dc", 0.05, 1e-4)]
 
 
+def restart_state(spec, st):
+    """``st`` with its objective set two rounding slacks below the next
+    step's, so that the function test rejects the extrapolated candidate."""
+    obj = step(spec, st).obj_scaled
+    return replace(st, obj_scaled=obj - 2.0 * solver._ROUNDING * max(1.0, abs(obj)))
+
+
 @pytest.mark.parametrize("model,rho,lam", BUDGET_CASES)
 def test_step_operator_call_budget(model, rho, lam, monkeypatch):
     """A step that neither restarts nor backtracks evaluates four points,
     (U~, V), (U+, V), (U+, V~) and (U+, V+), each with one apply; the two
-    linearization points and (U+, V+) each take one adjoint."""
+    linearization points and (U+, V+) each take one adjoint. A restart
+    adds the rejected candidate's two substeps, 4 applies and 2 adjoints:
+    the candidate is dropped before the stopping residual's adjoint."""
     spec, st = warm_state(model, rho, lam)
+    cases = ((st, False, (2, 4, 3)), (restart_state(spec, st), True, (4, 8, 5)))
     calls = Counter()
     count_calls(monkeypatch, calls, spec.op, "apply")
     count_calls(monkeypatch, calls, spec.op, "adjoint")
     count_calls(monkeypatch, calls, solver, "prox_matrix", "prox")
-    st2 = step(spec, st)
-    assert st.tk_prev > 1.0 and not st2.restarted and calls["prox"] == 2
-    assert (calls["apply"], calls["adjoint"]) == (4, 3)
+    assert st.tk_prev > 1.0
+    for start, restarted, budget in cases:
+        calls.clear()
+        assert step(spec, start).restarted == restarted
+        assert (calls["prox"], calls["apply"], calls["adjoint"]) == budget
 
 
 def test_step_operator_call_budget_gaussian(monkeypatch):
     """A Gaussian step that neither restarts nor backtracks makes no full
     apply or adjoint: the U-substep goes through the map the last step left,
     and it builds two maps, one fixing U+ for the V-substep and one fixing
-    V+ for the stopping residual and the next step."""
+    V+ for the stopping residual and the next step. A restart builds the
+    map fixing U+ once more, for the retake; from a state that carries no
+    map it also builds the one fixing V."""
     spec, st = warm_state("l20", None, 100.0, gaussian_instance)
+    rejected = restart_state(spec, st)
+    cases = ((st, False, (2, 2)), (rejected, True, (4, 3)),
+             (replace(rejected, umap=None), True, (4, 4)))
     calls = Counter()
     for attr in ("apply", "adjoint", "restricted"):
         count_calls(monkeypatch, calls, spec.op, attr)
     count_calls(monkeypatch, calls, solver, "prox_matrix", "prox")
-    st2 = step(spec, st)
-    assert st.tk_prev > 1.0 and not st2.restarted and calls["prox"] == 2
-    assert (calls["apply"], calls["adjoint"], calls["restricted"]) == (0, 0, 2)
-    assert st2.umap.Q is st2.W.V and st2.umap.side == "u"
+    assert st.tk_prev > 1.0
+    for start, restarted, (prox, builds) in cases:
+        calls.clear()
+        st2 = step(spec, start)
+        assert st2.restarted == restarted and calls["prox"] == prox
+        assert (calls["apply"], calls["adjoint"], calls["restricted"]) == (0, 0, builds)
+        assert st2.umap.Q is st2.W.V and st2.umap.side == "u"
+
+
+def test_gaussian_solve_holds_at_most_three_blocks(monkeypatch):
+    """A Gaussian solve that prunes, and a restart step, never hold more
+    than three restricted-map blocks alive, the count the harness's memory
+    guard budgets: a prune or a cut drops the state's map with the V it
+    fixed, and a rejected candidate drops its map before the retake builds
+    one."""
+    live, peak = weakref.WeakSet(), [0]
+    init = _GaussianRestrictedMap.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.add(self)
+        peak[0] = max(peak[0], len(live))
+    monkeypatch.setattr(_GaussianRestrictedMap, "__init__", counted)
+    spec, _ = gaussian_instance()
+    _, trace, reason = solve(spec, SolverConfig(max_iters=3000), "auto", kappa=4)
+    assert reason == "converged"
+    assert trace.records[0].nnz_u > trace.records[-1].nnz_u
+    spec, st = warm_state("l20", None, 100.0, gaussian_instance)
+    assert step(spec, restart_state(spec, st)).restarted
+    assert peak[0] == 3
 
 
 @pytest.mark.parametrize("model,rho,lam", BUDGET_CASES)
@@ -349,8 +382,7 @@ def test_gradient_test_resets_the_momentum(model, rho, lam):
     is positive. The step after a reset takes w = 0: it does not read the
     previous iterate, so a far one changes nothing."""
     spec, _ = mask_instance(model=model, rho=rho, lam=lam)
-    W0 = initial_point(spec.op, spec.b, 2)
-    st = SolverState(W=W0, W_prev=W0.copy())
+    st = solver._start_state(spec, initial_point(spec.op, spec.b, 2))
     outcomes = Counter()
     for _ in range(60):
         nxt = step(spec, st)
@@ -463,7 +495,7 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
         events["backtrack"] += out[2] > L
         return out
     monkeypatch.setattr(solver, "_prox_substep", counted)
-    st = SolverState(W=W0, W_prev=W0.copy(), obj_scaled=public(W0)[0])
+    st = solver._start_state(spec, W0)
     live = np.arange(4)
     for i in range(60):
         if i == 10:
@@ -518,8 +550,7 @@ def test_residual_denominator_is_one_for_zero_data():
     spec = ModelSpec(model="l20", op=op, b=np.zeros(16),
                      params=PenaltyParams(lam=0.01, mu_tilde=0.2))
     W0 = FactorPair(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
-    st = SolverState(W=W0, W_prev=W0.copy())
-    st2 = step(spec, st)
+    st2 = step(spec, solver._start_state(spec, W0))
     # first step has zero extrapolation, so the linearization points are W0
     gU = smooth_gradient(spec, FactorPair(W0.U, W0.V)).grad_u
     gV = smooth_gradient(spec, FactorPair(st2.W.U, W0.V)).grad_v
@@ -778,7 +809,7 @@ def test_pruning_never_raises_the_objective(model, seed, lam):
     Up[:, prev_dead] = Vp[:, prev_dead] = 0.0
     W = FactorPair(U, V)
     obj = smooth_value(spec, W) + column_penalty_value(spec, W)
-    st = SolverState(W=W, W_prev=FactorPair(Up, Vp), obj_scaled=obj)
+    st = replace(solver._start_state(spec, W), W_prev=FactorPair(Up, Vp))
     st2, live = solver._shed_columns(spec, st, np.arange(kappa))
 
     orphan = (kind == 1) | (kind == 2)
@@ -826,10 +857,8 @@ def moved_state(spec, U, V, Up, Vp):
     """A state at (U, V) with W_prev (Up, Vp), its counts and objective, and
     unit step constants. Passed as its own ``before``, it
     makes the step's decrease 0, so any balance gain clears the gain test."""
-    W = FactorPair(U, V)
-    return SolverState(W=W, W_prev=FactorPair(Up, Vp), LU=1.0, LV=1.0,
-                       obj_scaled=smooth_value(spec, W) + column_penalty_value(spec, W),
-                       nnz_u=linalg.l20_norm(U), nnz_v=linalg.l20_norm(V))
+    return replace(solver._start_state(spec, FactorPair(U, V)),
+                   W_prev=FactorPair(Up, Vp), LU=1.0, LV=1.0)
 
 
 def balance_gain(spec, W):

@@ -132,20 +132,21 @@ def test_oracles_import_nothing_from_the_library():
 
 
 def test_solver_inner_loop_names_no_checked_function():
-    """``solver.step`` and ``solver._prox_substep``, with their nested helpers
-    and their restart and backtrack branches, name neither the checked
+    """``solver.step``, ``solver._take`` and ``solver._prox_substep``, with
+    their restart and backtrack branches, name neither the checked
     FactorPair constructor nor a checked function whose unchecked kernel the
     solver calls. ``prox_matrix`` is the one checked call left in the loop:
     the benchmark's tracer counts the prox through it."""
     tree = ast.parse((ROOT / "src" / "l20factor" / "solver.py").read_text())
     banned = {"as_matrix", "as_vector", "l20_norm", "g_scalar", "FactorPair"}
+    loop = ("step", "_take", "_prox_substep")
     named = {}
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in ("step", "_prox_substep"):
+        if isinstance(node, ast.FunctionDef) and node.name in loop:
             names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
             named[node.name] = names & banned
-    assert named == {"step": set(), "_prox_substep": set()}
+    assert named == {name: set() for name in loop}
 
 
 def test_probe_sampling_loop_rechecks_no_data():
