@@ -26,8 +26,7 @@ from .prox import prox_matrix
 from .sampling import (FullOperator, GaussianOperator, RestrictedEigEstimate,
                        SamplingOperator, UniformMaskOperator,
                        estimate_restricted_eigs)
-from .solver import (DivergenceError, SolveTrace, SolverConfig, SolverState,
-                     initial_point, solve)
+from .solver import DivergenceError, SolveTrace, SolverConfig, SolverState, solve
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,7 @@ __all__ = [
     "SolverState", "UniformMaskOperator", "build_balanced_factors",
     "certify_optimal_pair", "diagnose", "estimate_restricted_eigs",
     "exact_penalty_threshold", "g_scalar", "gen_instance",
-    "initial_point", "kl_inequality_probe", "kl_moduli",
+    "kl_inequality_probe", "kl_moduli",
     "objective_gap", "ones_counterexample", "ones_counterexample_point",
     "prox_matrix", "psi_star",
     "run_experiment", "run_fig3", "smooth_gradient", "smooth_value",

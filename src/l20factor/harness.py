@@ -32,7 +32,8 @@ import numpy as np
 from . import linalg
 from .diagnostics import (certify_optimal_pair, exact_penalty_threshold,
                           kl_inequality_probe, kl_moduli)
-from .objective import MODELS, FactorPair, ModelSpec, balanced_factors
+from .objective import (MODELS, FactorPair, ModelSpec, balanced_factors,
+                        build_balanced_factors)
 from .penalty import PenaltyParams
 from .sampling import (FullOperator, GaussianOperator, SamplingOperator,
                        UniformMaskOperator, estimate_restricted_eigs)
@@ -276,12 +277,12 @@ def build_model_spec(cfg: ExperimentConfig, op: SamplingOperator, b) -> ModelSpe
     """Resolve the parameter rules against X0 = A*(b) and assemble the spec;
     an unset rule takes ``rules_at_scale`` at its model's default scale."""
     b = linalg.as_vector(b, "b")
-    return _resolve_spec(cfg, op, b, _x0_norm(op, b))
+    return _resolve_spec(cfg, op, b, _x0_norm(op.adjoint(b)))
 
 
-def _x0_norm(op: SamplingOperator, b) -> float:
-    """||X0||_2 of X0 = A*(b), the ``specnorm(X0)`` of the rules."""
-    return float(np.linalg.norm(op.adjoint(b), 2))
+def _x0_norm(X0) -> float:
+    """numpy's ||X0||_2, the rules' ``specnorm(X0)``, not sigma_1 of an SVD."""
+    return float(np.linalg.norm(X0, 2))
 
 
 def _resolve_spec(cfg: ExperimentConfig, op: SamplingOperator, b,
@@ -518,16 +519,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         M, op, b = gen_instance(cfg)
     else:
         M, op, b = instance
-    return _solve_and_summarize(cfg, build_model_spec(cfg, op, b), M, out_dir,
-                                started)
+    b = linalg.as_vector(b, "b")
+    X0 = op.adjoint(b)
+    return _solve_and_summarize(cfg, _resolve_spec(cfg, op, b, _x0_norm(X0)),
+                                build_balanced_factors(X0, cfg.kappa), M, out_dir, started)
 
 
-def _solve_and_summarize(cfg: ExperimentConfig, spec: ModelSpec, M,
-                         out_dir: str | None, started: float) -> dict:
-    """Solve ``spec`` from the spectral start, summarize against M, and save
-    to ``out_dir`` if given; ``time_s`` counts from ``started``."""
+def _solve_and_summarize(cfg: ExperimentConfig, spec: ModelSpec, W0: FactorPair,
+                         M, out_dir: str | None, started: float) -> dict:
+    """Solve ``spec`` from the instance's spectral start W0, summarize against
+    M, and save to ``out_dir`` if given; ``time_s`` counts from ``started``."""
     solver_cfg = SolverConfig(epsilon=cfg.epsilon, max_iters=cfg.max_iters)
-    W, trace, reason = solve(spec, solver_cfg, "auto", kappa=cfg.kappa)
+    W, trace, reason = solve(spec, solver_cfg, W0)
     slope, r2 = convergence_fit(trace)
     summary = {
         **{k: v for k, v in dataclasses.asdict(cfg).items() if not k.endswith("_rule")},
@@ -556,6 +559,7 @@ def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dic
     dc model. Emits sweep.csv with one row per c, and each run's files in
     ``c_{c:g}``. Two c values that share that name, or a c whose rules do
     not resolve on the instance, are a ConfigError, raised before any solve.
+    X0 = A*(b), its norm and the start are taken once; every run copies it.
     """
     c_values = [float(c) for c in c_values]
     if len(c_values) < 2:
@@ -565,16 +569,18 @@ def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dic
     if shared:
         raise ConfigError(f"fig3 c values {c_values} share run directories {shared}")
     M, op, b = instance = gen_instance(cfg)
-    x0_norm = _x0_norm(op, b)
+    X0 = op.adjoint(b)
+    x0_norm = _x0_norm(X0)
     subs = []
     for c in c_values:
         lam_rule, rho_rule = rules_at_scale(cfg.model, c)
         sub = dataclasses.replace(cfg, lambda_rule=lam_rule, rho_rule=rho_rule)
         subs.append((sub, _resolve_spec(sub, op, b, x0_norm)))
+    W0 = build_balanced_factors(X0, cfg.kappa)
     runs = []
     for c, name, (sub, spec) in zip(c_values, names, subs):
         sub_dir = None if out_dir is None else os.path.join(out_dir, name)
-        bundle = _solve_and_summarize(sub, spec, M, sub_dir, time.monotonic())
+        bundle = _solve_and_summarize(sub, spec, W0, M, sub_dir, time.monotonic())
         runs.append({"c": c, **bundle["summary"]})
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

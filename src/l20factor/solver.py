@@ -232,14 +232,6 @@ class SolveTrace:
                 rec.dist_v_final = float(np.linalg.norm(V - final.V[:, live]))
 
 
-def initial_point(op, b, kappa: int) -> FactorPair:
-    """Balanced spectral start from X0 = A*(b): U0 = P sqrt(S), V0 = Q sqrt(S).
-
-    Columns past the numerical rank of X0 are exactly zero
-    (``build_balanced_factors``)."""
-    return build_balanced_factors(op.adjoint(b), kappa)
-
-
 def _step_constants(spec, U, V, iteration) -> tuple[float, float, tuple]:
     """Spectral upper estimates of the blockwise Lipschitz constants at (U, V).
 
@@ -520,7 +512,10 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
           kappa: int | None = None) -> tuple[FactorPair, SolveTrace, str]:
     """Run the accelerated method until both residuals are <= epsilon.
 
-    W0="auto" builds the balanced spectral start, which requires ``kappa``.
+    W0="auto" builds the balanced spectral start of A*(b), which requires
+    ``kappa``. The harness builds that start once per instance, with X0's
+    norm, and passes it; "auto" stays for library callers that hold only a
+    spec. A ``kappa`` other than a given W0's column count is a ValueError.
     Returns (final pair, trace, reason) with reason "converged" or "budget";
     non-finite values raise DivergenceError.
 
@@ -530,9 +525,8 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     docstring). ||A|| is computed before the trace clock starts. The
     returned pair is padded back to the start's column count, dead columns
     exactly zero in place.
-    The trace holds at most ``_KEPT + 1`` iterates at their live width (see
-    ``SolveTrace``), so its memory does not grow with ``max_iters``; a
-    record whose iterate was not held has NaN ``dist_*_final``.
+    The trace holds at most ``_KEPT + 1`` iterates (``SolveTrace``), however
+    long the run; a record whose iterate it did not hold has NaN distances.
 
     For the hard model the method reaches a critical point or stops on
     budget; it does not promise the global minimizer from an arbitrary
@@ -546,13 +540,14 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
             raise ValueError(f'W0 must be a FactorPair or "auto", got {W0!r}')
         if kappa is None:
             raise ValueError('W0="auto" requires kappa')
-        W0 = initial_point(spec.op, spec.b, kappa)
+        W0 = build_balanced_factors(spec.op.adjoint(spec.b), kappa)
+    elif kappa is not None and kappa != W0.kappa:
+        raise ValueError(f"kappa={kappa} does not match W0's {W0.kappa} columns")
     spec.check_shapes(W0)
 
     trace = SolveTrace()
     st = _start_state(spec, W0)
-    kappa = W0.kappa
-    live = np.arange(kappa)
+    live = np.arange(W0.kappa)
 
     # ||A|| is computed once, here (a Gaussian's is one Gram eigvalsh), so
     # the trace clock counts iterations only.
@@ -581,6 +576,6 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
         if st.res_u <= cfg.epsilon and st.res_v <= cfg.epsilon:
             reason = "converged"
             break
-    W = FactorPair(*_padded(st.W, live, kappa))
+    W = FactorPair(*_padded(st.W, live, W0.kappa))
     trace.backfill_distances(W)
     return W, trace, reason

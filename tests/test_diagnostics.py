@@ -60,6 +60,43 @@ def test_build_balanced_kappa_range():
         build_balanced_factors(np.eye(3), 4)
 
 
+def test_build_balanced_truncated_is_balanced():
+    """The solver's start from a full-rank mask X0 = A*(b), kappa below its
+    rank: the leading kappa triples still give a balanced pair."""
+    rng = np.random.default_rng(1)
+    op = UniformMaskOperator.from_ratio(7, 6, 0.5, rng)
+    X0 = op.adjoint(rng.standard_normal(op.p))
+    assert linalg.numerical_rank(np.linalg.svd(X0, compute_uv=False)) > 4
+    W = build_balanced_factors(X0, 4)
+    bal = np.linalg.norm(W.U.T @ W.U - W.V.T @ W.V)
+    assert bal <= 1e-8 * np.linalg.norm(X0)
+
+
+def test_build_balanced_zeroes_columns_past_the_rank():
+    """A rank-2 X with kappa 4 gives exactly 2 nonzero columns: the
+    singular values at roundoff level give zero columns, not sqrt(1e-16).
+    On diagonal X, whose SVD is exact, the pair has min(kappa,
+    numerical_rank(sigma)) nonzero columns with sigma_2 at 1e-8 sigma_1 and
+    one ulp either side of it: the factors and the rank share one rule."""
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((9, 2)) @ rng.standard_normal((7, 2)).T
+    W = build_balanced_factors(M, 4)
+    assert W.kappa == 4
+    assert np.count_nonzero(np.linalg.norm(W.U, axis=0)) == 2
+    assert np.count_nonzero(np.linalg.norm(W.V, axis=0)) == 2
+    assert_allclose(W.product(), M, atol=1e-12)
+
+    edge = 1e-8 * 2.0
+    for s2, rank in ((edge, 1), (np.nextafter(edge, 1.0), 2),
+                     (np.nextafter(edge, 0.0), 1)):
+        sigma = np.array([2.0, s2, 0.0])
+        assert linalg.numerical_rank(sigma) == rank
+        for kappa in (1, 2, 3):
+            W = build_balanced_factors(np.diag(sigma), kappa)
+            for F in (W.U, W.V):
+                assert np.count_nonzero(np.linalg.norm(F, axis=0)) == min(kappa, rank)
+
+
 def test_certificate_fails_on_unbalanced_pair():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((5, 2)) @ rng.standard_normal((4, 2)).T

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from l20factor import harness, linalg
+from l20factor import harness, linalg, solver
 from l20factor.harness import (CONFIG_FIELDS, INSTANCE_FIELDS, ConfigError,
                                ExperimentConfig, build_config,
                                build_model_spec, convergence_fit, diagnose,
@@ -19,8 +19,9 @@ from l20factor.harness import (CONFIG_FIELDS, INSTANCE_FIELDS, ConfigError,
                                save_instance, save_mask, save_solution,
                                write_trace_csv)
 from l20factor.objective import FactorPair
-from l20factor.sampling import FullOperator, GaussianOperator, UniformMaskOperator
-from l20factor.solver import SolveTrace, TraceRecord
+from l20factor.sampling import (FullOperator, GaussianOperator, SamplingOperator,
+                                UniformMaskOperator)
+from l20factor.solver import SolveTrace, SolverConfig, TraceRecord, solve
 from oracles import operator_matrix
 
 
@@ -634,30 +635,66 @@ def test_fig3_resolves_every_scale_before_solving(tmp_path):
         assert not out.exists()
 
 
-def test_fig3_takes_the_norm_of_x0_once(monkeypatch):
-    """A sweep computes ||A*(b)||_2 once for its instance and resolves each
-    scale's rules once, and each run's summary is the one ``run_experiment``
-    gives for that scale, apart from the timing."""
-    calls = {"norm": 0, "resolve": 0}
-    norm, resolve = harness._x0_norm, harness._resolve_spec
+def test_one_x0_and_one_start_per_instance(monkeypatch):
+    """``run_experiment`` and a three-scale ``run_fig3`` each take
+    X0 = A*(b) once and build the spectral start once for their instance
+    (``solve`` builds none), and resolve each scale's rules once; each fig3
+    run's summary is the one ``run_experiment`` gives for that scale, apart
+    from the timing."""
+    calls = {"adjoint_b": 0, "start": 0, "resolve": 0}
+    gen, adjoint = harness.gen_instance, SamplingOperator.adjoint
+    build, resolve = harness.build_balanced_factors, harness._resolve_spec
+    instances = []
 
-    def counted_norm(*args):
-        calls["norm"] += 1
-        return norm(*args)
+    def counted_gen(cfg):
+        instances.append(gen(cfg))
+        return instances[-1]
+
+    def counted_adjoint(op, y):
+        calls["adjoint_b"] += np.array_equal(y, instances[-1][2])
+        return adjoint(op, y)
+
+    def counted_build(X, kappa):
+        calls["start"] += 1
+        return build(X, kappa)
 
     def counted_resolve(*args):
         calls["resolve"] += 1
         return resolve(*args)
-    monkeypatch.setattr(harness, "_x0_norm", counted_norm)
+    monkeypatch.setattr(harness, "gen_instance", counted_gen)
+    monkeypatch.setattr(SamplingOperator, "adjoint", counted_adjoint)
+    monkeypatch.setattr(harness, "build_balanced_factors", counted_build)
+    monkeypatch.setattr(solver, "build_balanced_factors", counted_build)
     monkeypatch.setattr(harness, "_resolve_spec", counted_resolve)
     cfg = small_cfg(m=20, n=20, max_iters=20)
-    runs = run_fig3(cfg, [1.0, 28.0, 500.0])["runs"]
-    assert calls == {"norm": 1, "resolve": 3}
-    monkeypatch.undo()
     lam_rule, _ = harness.rules_at_scale("l20", 28.0)
     alone = run_experiment(dataclasses.replace(cfg, lambda_rule=lam_rule))["summary"]
+    assert calls == {"adjoint_b": 1, "start": 1, "resolve": 1}
+    runs = run_fig3(cfg, [1.0, 28.0, 500.0])["runs"]
+    assert calls == {"adjoint_b": 2, "start": 2, "resolve": 4}
     del alone["time_s"]
     assert {k: v for k, v in runs[1].items() if k not in ("c", "time_s")} == alone
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(max_iters=300),
+    dict(m=12, n=12, kappa=3, operator_kind="gaussian", max_iters=300),
+], ids=["mask", "gaussian"])
+def test_harness_start_matches_solve_auto(overrides):
+    """The start the harness builds and ``solve``'s "auto" start give the
+    same run: W bitwise, and every trace record apart from its time."""
+    cfg = small_cfg(**overrides)
+    M, op, b = gen_instance(cfg)
+    bundle = run_experiment(cfg, instance=(M, op, b))
+    W, trace, _ = solve(build_model_spec(cfg, op, b),
+                        SolverConfig(epsilon=cfg.epsilon, max_iters=cfg.max_iters),
+                        "auto", kappa=cfg.kappa)
+    assert np.array_equal(bundle["W"].U, W.U) and np.array_equal(bundle["W"].V, W.V)
+
+    def untimed(trace):
+        return np.array([astuple(dataclasses.replace(rec, time_s=0.0))
+                         for rec in trace.records])
+    assert np.array_equal(untimed(bundle["trace"]), untimed(trace), equal_nan=True)
 
 
 # -------------------------------------------------------------- diagnose

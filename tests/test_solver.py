@@ -14,12 +14,13 @@ from test_sampling import DenseTestOperator
 
 from l20factor import linalg, penalty, solver
 from l20factor.harness import ExperimentConfig, run_experiment
-from l20factor.objective import (FactorPair, ModelSpec, column_penalty_value,
-                                 smooth_gradient, smooth_value)
+from l20factor.objective import (FactorPair, ModelSpec, build_balanced_factors,
+                                 column_penalty_value, smooth_gradient,
+                                 smooth_value)
 from l20factor.penalty import PenaltyParams
 from l20factor.sampling import (FullOperator, GaussianOperator,
                                 UniformMaskOperator, _GaussianRestrictedMap)
-from l20factor.solver import DivergenceError, SolverConfig, initial_point, solve, step
+from l20factor.solver import DivergenceError, SolverConfig, solve, step
 
 OVERFLOW_WARNINGS = pytest.mark.filterwarnings("ignore:overflow encountered",
                                                "ignore:invalid value encountered")
@@ -35,74 +36,16 @@ def mask_instance(seed=3, m=10, n=10, r=2, ratio=0.8, lam=1e-5, mu_tilde=0.1,
     return ModelSpec(model=model, op=op, b=b, params=params), M
 
 
+def spectral_start(spec, kappa):
+    """The balanced start of A*(b) that ``solve(..., "auto")`` builds."""
+    return build_balanced_factors(spec.op.adjoint(spec.b), kappa)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="epsilon"):
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=0)
-
-
-def test_initial_point_diagonal():
-    op = FullOperator(2, 2)
-    b = op.apply(np.diag([3.0, 1.0]))
-    W = initial_point(op, b, 2)
-    assert_allclose(np.abs(W.U), np.diag([np.sqrt(3.0), 1.0]), atol=1e-14)
-    assert_allclose(np.abs(W.V), np.diag([np.sqrt(3.0), 1.0]), atol=1e-14)
-    assert_allclose(W.product(), np.diag([3.0, 1.0]), atol=1e-14)
-    assert_allclose(W.U.T @ W.U - W.V.T @ W.V, 0.0, atol=1e-14)
-
-
-def test_initial_point_rank_one_exact():
-    rng = np.random.default_rng(0)
-    M = np.outer(rng.standard_normal(5), rng.standard_normal(4))
-    op = FullOperator(5, 4)
-    W = initial_point(op, op.apply(M), 1)
-    assert_allclose(W.product(), M, atol=1e-12)
-
-
-def test_initial_point_is_balanced():
-    rng = np.random.default_rng(1)
-    op = UniformMaskOperator.from_ratio(7, 6, 0.5, rng)
-    b = rng.standard_normal(op.p)
-    W = initial_point(op, b, 4)
-    X0 = op.adjoint(b)
-    bal = np.linalg.norm(W.U.T @ W.U - W.V.T @ W.V)
-    assert bal <= 1e-8 * np.linalg.norm(X0)
-
-
-def test_initial_point_kappa_range():
-    op = FullOperator(3, 4)
-    with pytest.raises(ValueError, match="kappa"):
-        initial_point(op, np.zeros(12), 0)
-    with pytest.raises(ValueError, match="kappa"):
-        initial_point(op, np.zeros(12), 4)
-
-
-def test_initial_point_zeroes_columns_past_the_rank():
-    """A rank-2 X0 with kappa 4 starts with exactly 2 nonzero columns: the
-    singular values at roundoff level give zero columns, not sqrt(1e-16).
-    On diagonal X0, whose SVD is exact, the start has min(kappa,
-    numerical_rank(sigma)) nonzero columns with sigma_2 at 1e-8 sigma_1 and
-    one ulp either side of it: the start and the rank share one rule."""
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((9, 2)) @ rng.standard_normal((7, 2)).T
-    op = FullOperator(9, 7)
-    W = initial_point(op, op.apply(M), 4)
-    assert W.kappa == 4
-    assert np.count_nonzero(np.linalg.norm(W.U, axis=0)) == 2
-    assert np.count_nonzero(np.linalg.norm(W.V, axis=0)) == 2
-    assert_allclose(W.product(), M, atol=1e-12)
-
-    op = FullOperator(3, 3)
-    edge = 1e-8 * 2.0
-    for s2, rank in ((edge, 1), (np.nextafter(edge, 1.0), 2),
-                     (np.nextafter(edge, 0.0), 1)):
-        sigma = np.array([2.0, s2, 0.0])
-        assert linalg.numerical_rank(sigma) == rank
-        for kappa in (1, 2, 3):
-            W = initial_point(op, op.apply(np.diag(sigma)), kappa)
-            for F in (W.U, W.V):
-                assert np.count_nonzero(np.linalg.norm(F, axis=0)) == min(kappa, rank)
 
 
 def test_step_constants_floor_at_zero_pair():
@@ -149,7 +92,7 @@ def test_step_constants_majorize_on_probes():
 
 def test_t_sequence_first_update():
     spec, _ = mask_instance()
-    st = solver._start_state(spec, initial_point(spec.op, spec.b, 2))
+    st = solver._start_state(spec, spectral_start(spec, 2))
     st2 = step(spec, st)
     assert st2.tk == pytest.approx(0.5 * (1.0 + math.sqrt(5.0)), abs=1e-15)
     assert st2.tk_prev == 1.0
@@ -215,7 +158,7 @@ def test_backtracking_bound_is_scale_free():
     accepted = []
     for c in SCALES:
         spec = scaled_dc_instance(0, c)
-        W0 = initial_point(spec.op, spec.b, 4)
+        W0 = spectral_start(spec, 4)
         LU, _, grams = solver._step_constants(spec, W0.U, W0.V, 0)
         umap = spec.op.restricted(W0.V, "u")
         U, _, L, _ = solver._prox_substep(spec, umap, W0.U, grams,
@@ -244,7 +187,7 @@ def test_rescaled_problem_runs_alike(seed):
 @pytest.mark.parametrize("model,rho,lam", [("l20", None, 1e-5), ("dc", 0.05, 1e-4)])
 def test_stopping_residuals_match_recomputation(model, rho, lam):
     spec, _ = mask_instance(model=model, rho=rho, lam=lam)
-    st = solver._start_state(spec, initial_point(spec.op, spec.b, 2))
+    st = solver._start_state(spec, spectral_start(spec, 2))
     for _ in range(8):
         prev = st
         st = step(spec, prev)
@@ -266,7 +209,7 @@ def warm_state(model, rho, lam, instance=mask_instance):
     """An instance and the state after five steps, where the next step
     extrapolates without restarting or backtracking."""
     spec, _ = instance(model=model, rho=rho, lam=lam)
-    st = solver._start_state(spec, initial_point(spec.op, spec.b, 2))
+    st = solver._start_state(spec, spectral_start(spec, 2))
     for _ in range(5):
         st = step(spec, st)
     return spec, st
@@ -382,7 +325,7 @@ def test_gradient_test_resets_the_momentum(model, rho, lam):
     is positive. The step after a reset takes w = 0: it does not read the
     previous iterate, so a far one changes nothing."""
     spec, _ = mask_instance(model=model, rho=rho, lam=lam)
-    st = solver._start_state(spec, initial_point(spec.op, spec.b, 2))
+    st = solver._start_state(spec, spectral_start(spec, 2))
     outcomes = Counter()
     for _ in range(60):
         nxt = step(spec, st)
@@ -477,7 +420,7 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
     counts are ``l20_norm`` of the iterate recorded with it."""
     monkeypatch.setattr(solver, "_MARGIN", 0.3)
     spec, _ = mask_instance(seed=1, model=model, rho=rho, lam=lam, mu_tilde=0.1)
-    W0 = initial_point(spec.op, spec.b, 4)
+    W0 = spectral_start(spec, 4)
     U0, V0 = W0.U.copy(), W0.V.copy()
     U0[:, 1] *= 0.05  # an unbalanced column: its U half dies first, an orphan
     V0[:, 1] *= 20.0
@@ -615,6 +558,9 @@ def test_solve_auto_requires_kappa():
         solve(spec, SolverConfig(), "auto")
     with pytest.raises(ValueError, match="auto"):
         solve(spec, SolverConfig(), "spectral", kappa=2)
+    W0 = spectral_start(spec, 3)
+    with pytest.raises(ValueError, match="kappa=5 does not match W0's 3 columns"):
+        solve(spec, SolverConfig(), W0, kappa=5)
 
 
 def test_solve_rejects_mismatched_start():
