@@ -98,7 +98,7 @@ def _solve_near_truth(delta, max_iters):
 def test_criterion_2_hard_model_small_penalty_scale(capsys):
     # Each perturbed zero column has norm about delta * sqrt(300) = 0.017, an
     # order of magnitude below the hard-prox keep threshold
-    # sqrt(lambda / L_U) = 0.19 at the truth.
+    # sqrt(lambda / L_U) = 0.29 at the truth.
     t0 = time.monotonic()
     delta = 1e-3
     spec, reason, iters, rel_error, r2, nnz_u, _, _ = _solve_near_truth(delta, 6000)

@@ -236,6 +236,59 @@ def test_mask_closed_form_is_exact(op, seed):
             assert est.alpha_upper - 1e-12 <= ratio <= est.beta_upper + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(op=masks(), kappa=st.integers(1, 4), side=st.sampled_from(["u", "v"]),
+       seed=st.integers(0, 2**16))
+@example(op=UniformMaskOperator(3, 4, *np.unravel_index(np.arange(12), (3, 4))),
+         kappa=3, side="u", seed=0)
+@example(op=UniformMaskOperator(4, 3, [2], [1]), kappa=2, side="v", seed=0)
+@example(op=UniformMaskOperator.from_ratio(60, 50, 0.3, np.random.default_rng(5)),
+         kappa=4, side="v", seed=1)
+def test_mask_curvature_is_the_top_eigenvalue_of_the_map_gram(op, kappa, side, seed):
+    """A mask map's curvature is the top eigenvalue of matrix()^T matrix(),
+    also when Q has zero columns, and scales with Q's square at scales whose
+    squares under- or overflow; on a fully observed mask it is ||Q||_2^2,
+    which is also what the full operator's map gives. A mask map's
+    ``regauged`` is a mask map, with the curvature of its own Gram."""
+    rng = np.random.default_rng(seed)
+    Q = rng.standard_normal((op.n if side == "u" else op.m, kappa))
+    Q[:, rng.random(kappa) < 0.3] = 0.0
+
+    def gram_top(amap):
+        B = amap.matrix()
+        return float(np.linalg.eigvalsh(B.T @ B)[-1])
+
+    amap = op.restricted(Q, side)
+    norm2 = float(np.linalg.norm(Q, 2) ** 2)
+    assert amap.curvature() == pytest.approx(gram_top(amap), rel=1e-12, abs=1e-12)
+    for c in (1e-150, 1e150):
+        assert op.restricted(c * Q, side).curvature() / (c * c) \
+            == pytest.approx(amap.curvature(), rel=1e-12, abs=1e-12)
+    if op.p == op.m * op.n:
+        assert amap.curvature() == pytest.approx(norm2, rel=1e-12, abs=1e-12)
+    full = FullOperator(op.m, op.n).restricted(Q, side)
+    assert type(full) is sampling.RestrictedMap
+    assert full.curvature() == pytest.approx(norm2, rel=1e-12, abs=1e-12)
+    T = rng.standard_normal((kappa, kappa)) + 3.0 * np.eye(kappa)
+    moved = amap.regauged(Q @ T, T)
+    assert type(moved) is type(amap) is sampling._MaskRestrictedMap
+    assert moved.side == side
+    assert moved.curvature() == pytest.approx(gram_top(moved), rel=1e-12, abs=1e-12)
+
+
+def test_mask_curvature_checks_blocks_past_the_first_pass():
+    """Rows 0-2 of Z observe two orthonormal rows of V, blocks with
+    eigenvalues (1, 1, 0) whose eigenvalue bounds (about 1.3) head the
+    order; row 3 observes one row of squared norm 1.01, whose block's top
+    eigenvalue, 1.01, is the curvature, and whose bound is 1.01, so a bound
+    a percent low would skip it. The first pass takes k = 3 blocks, rows
+    0-2, so only the second finds 1.01."""
+    R, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    V = np.vstack([R[0], R[1], np.sqrt(1.01) * R[2]])
+    op = UniformMaskOperator(4, 3, [0, 0, 1, 1, 2, 2, 3], [0, 1, 0, 1, 0, 1, 2])
+    assert op.restricted(V, "u").curvature() == pytest.approx(1.01, rel=1e-12)
+
+
 def test_restricted_eigs_brackets_are_ordered():
     op = GaussianOperator(6, 5, 18, seed=11)
     est = estimate_restricted_eigs(op, k=2, samples=4, seed=2)
