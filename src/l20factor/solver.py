@@ -3,15 +3,16 @@
 One iteration extrapolates both factors with the Nesterov t-sequence,
 takes a prox-gradient step in U against the current V, then a prox-gradient
 step in V against the fresh U, and advances t. Each substep's step constant
-is the data part, the curvature of the restricted map that fixes the other
-factor, plus a bound on the balance part, guarded by a backtracking
-majorization check (the balance term is quartic, so no global constant
-exists) that doubles the constant until the check holds. The curvature is
-taken only when the fixed factor's (live width, nnz) changes, as a ratio to
-||A||^2 ||Q||_2^2 that scales that bound until the next change. For every
-operator but a mask the ratio is 1, so the data term is the spectral-norm
-upper bound; for a mask it is exact when taken and an estimate, which the
-check guards, until the next change.
+(``_step_constant``) is 1.1 times a data term plus a bound on the balance
+term, floored at 1e-8, and a backtracking majorization check (the balance
+term is quartic, so no global constant exists) doubles it until the check
+holds. The data term is ratio ||A||^2 ||Q||_2^2, Q the fixed factor, with
+the ratio the restricted map's ``curvature()`` over that bound (1 when the
+bound is 0), taken only when Q's (live width, nnz) changes. The base and
+Gaussian maps' curvature is the bound itself, so their ratio is 1; a mask
+map's is exact, so its data term is exact when taken and an estimate,
+which the check guards, until the next change. Another data term is one
+``curvature()`` override.
 
 Momentum is dropped by two tests (O'Donoghue and Candes, adaptive restart),
 both in ``_take``, which builds the candidate state. The function test
@@ -147,8 +148,9 @@ class SolverState:
     every step and move). ``umap`` is the operator restricted to W.V held
     fixed, as the stopping residual left it for the next U-substep, or None
     (at the start, after a prune or a cut); ``step`` then builds one.
-    ``ratio_u`` and ``ratio_v`` are the U- and V-substeps' data-term ratios
-    as ``_data_ratio`` returns them, or None before the first step.
+    ``ratio_u`` and ``ratio_v`` are the U- and V-substeps' data-term
+    (key, ratio) as ``_step_constant`` returns them, or None before the
+    first step.
     """
 
     W: FactorPair
@@ -242,55 +244,32 @@ class SolveTrace:
                 rec.dist_v_final = float(np.linalg.norm(V - final.V[:, live]))
 
 
-def _data_ratio(amap: RestrictedMap, nnz: int, held: tuple | None,
-                iteration: int) -> tuple[tuple[int, int], float]:
-    """(key, ratio) for the substep through ``amap``: ``held`` when its key is
-    the fixed factor's (live width, nnz), else that key with the ratio of
-    the map's curvature to the base bound ||A||^2 ||Q||_2^2 that
-    ``_step_constants`` scales by it. The ratio is exactly 1 for a base or
-    Gaussian map, whose curvature is that bound, and 1 when Q is zero.
-    A non-finite Gram of Q would fail inside LAPACK, so it is reported
-    first."""
-    key = (amap.Q.shape[1], nnz)
-    if held is not None and held[0] == key:
-        return held
-    if not np.all(np.isfinite(amap.Q.T @ amap.Q)):
-        raise DivergenceError(iteration, "non-finite Gram of the fixed factor")
-    bound = RestrictedMap.curvature(amap)
-    return key, (amap.curvature() / bound if bound > 0.0 else 1.0)
-
-
-def _step_constants(spec, U, V, iteration, ratio_u=1.0,
-                    ratio_v=1.0) -> tuple[float, float, tuple]:
-    """Estimates of the blockwise Lipschitz constants at (U, V).
-
-    LU estimates the curvature of Phi(., V); LV of Phi(U, .). The data terms
-    are ratio_u ||A||^2 ||V||_2^2 and ratio_v ||A||^2 ||U||_2^2: with ratio 1,
-    the default and the ratio of every operator but a mask, an upper
-    bound; on a mask, the exact curvature of the restricted map where the
-    ratio was taken and an estimate elsewhere, which the backtracking check
-    guards. Both are floored at a small positive value so degenerate (zero)
-    factors still give finite steps. The dc model's extra -tau/2 identity
-    term only lowers curvature, so the same estimate applies. Returns
-    (LU, LV, (U^T U, V^T V)); the substep linearized at (U, V) reuses the
-    two Grams for its balance terms.
-    """
-    a2 = spec.op.operator_norm() ** 2
-    mu = spec.params.mu_tilde
-    # ||U||_2^2 and ||V||_2^2 are the top eigenvalues of the kappa x kappa
+def _step_constant(spec, amap, at, held, nnz, iteration):
+    """(L, (U^T U, V^T V), (key, ratio)) of the substep through ``amap``
+    from ``at``: its starting step constant, the Grams its balance terms
+    reuse, and its data term's ratio, ``held`` when the key there is the
+    fixed factor's (live width, ``nnz``) and taken anew otherwise. The dc
+    model's -tau/2 identity term only lowers curvature, so the same
+    constant applies."""
+    Q = amap.Q
+    ga, gq = at.T @ at, Q.T @ Q
+    gu, gv = (ga, gq) if amap.side == "u" else (gq, ga)
+    # ||at||_2^2 and ||Q||_2^2 are the top eigenvalues of the kappa x kappa
     # Grams, and the balance Gram is symmetric, so one batched eigvalsh gives
     # all three norms. A non-finite Gram would fail inside LAPACK, so it is
     # reported first.
-    gu, gv = U.T @ U, V.T @ V
-    grams = np.stack([gu, gv, gu - gv])
+    grams = np.stack([ga, gq, gu - gv])
     if not np.all(np.isfinite(grams)):
-        raise DivergenceError(iteration, "non-finite balance U^T U - V^T V")
+        raise DivergenceError(iteration, f"non-finite Gram ({amap.side})")
     eig = np.linalg.eigvalsh(grams)
-    nu2, nv2 = eig[0, -1], eig[1, -1]
-    nbal = max(-eig[2, 0], eig[2, -1])
-    lu = _MARGIN * (ratio_u * a2 * nv2 + mu * (2 * nu2 + nbal))
-    lv = _MARGIN * (ratio_v * a2 * nu2 + mu * (2 * nv2 + nbal))
-    return float(max(lu, _STEP_FLOOR)), float(max(lv, _STEP_FLOOR)), (gu, gv)
+    na2, nq2, nbal = eig[0, -1], eig[1, -1], max(-eig[2, 0], eig[2, -1])
+    a2 = spec.op.operator_norm() ** 2
+    key = (Q.shape[1], nnz)
+    if held is None or held[0] != key:
+        bound = a2 * float(nq2)
+        held = key, (amap.curvature() / bound if bound > 0.0 else 1.0)
+    L = _MARGIN * (held[1] * a2 * nq2 + spec.params.mu_tilde * (2 * na2 + nbal))
+    return float(max(L, _STEP_FLOOR)), (gu, gv), held
 
 
 def _prox_substep(spec, amap, at, grams, L, iteration):
@@ -298,7 +277,7 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
 
     ``amap`` is the operator restricted to the fixed factor, on the side of
     the active one; ``at`` is the active factor's linearization point and
-    ``grams`` = (U^T U, V^T V) there, as ``_step_constants`` formed them. All
+    ``grams`` = (U^T U, V^T V) there, as ``_step_constant`` formed them. All
     are arrays the solver has checked. The active gradient half and the base
     value come from one evaluation of the linearization point; each candidate
     costs one more, whose balance takes the fixed factor's Gram from
@@ -344,21 +323,18 @@ def _take(spec: ModelSpec, st: SolverState, umap: RestrictedMap, w: float,
     stopping residuals. ``umap`` fixes W.V for the U-substep; the V-substep
     goes through a map that fixes U+, whose ``flip`` gives both gradient
     halves at (U+, V+) and the next state's map. A kept extrapolated step
-    whose gradient test fires takes t = 1. Each substep's data-term ratio
-    is the state's unless the fixed factor's (live width, nnz) changed."""
+    whose gradient test fires takes t = 1."""
     it = st.iteration + 1
     U, V = st.W.U, st.W.V
     Ut = U + w * (U - st.W_prev.U) if w != 0.0 else U
     Vt = V + w * (V - st.W_prev.V) if w != 0.0 else V
     if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
         raise DivergenceError(it, "non-finite extrapolated point")
-    ratio_u = _data_ratio(umap, st.nnz_v, st.ratio_u, it)
-    lu, _, grams = _step_constants(spec, Ut, V, it, ratio_u=ratio_u[1])
+    lu, grams, ratio_u = _step_constant(spec, umap, Ut, st.ratio_u, st.nnz_v, it)
     Unew, gU, lu, _ = _prox_substep(spec, umap, Ut, grams, lu, it)
     nnz_u = linalg._column_count(Unew)
     vmap = spec.op.restricted(Unew, "v")
-    ratio_v = _data_ratio(vmap, nnz_u, st.ratio_v, it)
-    _, lv, grams = _step_constants(spec, Unew, Vt, it, ratio_v=ratio_v[1])
+    lv, grams, ratio_v = _step_constant(spec, vmap, Vt, st.ratio_v, nnz_u, it)
     Vnew, gV, lv, ev = _prox_substep(spec, vmap, Vt, grams, lv, it)
     nnz_v = linalg._column_count(Vnew)
     obj = ev.value + _column_penalty(spec, Unew, Vnew, nnz_u + nnz_v)

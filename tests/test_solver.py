@@ -48,10 +48,20 @@ def test_config_validation():
         SolverConfig(max_iters=0)
 
 
+def side_constant(spec, U, V, side, ratio=None):
+    """``solver._step_constant`` of the substep on ``side`` at (U, V), its
+    data-term ratio taken anew or, when given, held at ``ratio``."""
+    at, Q = (U, V) if side == "u" else (V, U)
+    key = (Q.shape[1], linalg.l20_norm(Q))
+    held = None if ratio is None else (key, ratio)
+    return solver._step_constant(spec, spec.op.restricted(Q, side), at, held,
+                                 key[1], 0)
+
+
 def test_step_constants_floor_at_zero_pair():
     spec, _ = mask_instance()
-    W = FactorPair(np.zeros((10, 2)), np.zeros((10, 2)))
-    assert solver._step_constants(spec, W.U, W.V, 0)[:2] == (1e-8, 1e-8)
+    Z = np.zeros((10, 2))
+    assert [side_constant(spec, Z, Z, side)[0] for side in "uv"] == [1e-8, 1e-8]
 
 
 def test_step_constants_identity_factor():
@@ -59,7 +69,8 @@ def test_step_constants_identity_factor():
     spec = ModelSpec(model="l20", op=op, b=np.zeros(12),
                      params=PenaltyParams(lam=1.0, mu_tilde=0.0))
     W = FactorPair(np.zeros((4, 3)), np.eye(3))
-    LU, LV, _ = solver._step_constants(spec, W.U, W.V, 0)
+    LU, _, _ = side_constant(spec, W.U, W.V, "u")
+    LV, _, _ = side_constant(spec, W.U, W.V, "v")
     assert LU == pytest.approx(1.1)
     assert LV == 1e-8
 
@@ -74,7 +85,7 @@ def test_step_constants_majorize_on_probes():
     U = rng.standard_normal((6, 3))
     V = rng.standard_normal((5, 3))
     W = FactorPair(U, V)
-    LU, _, _ = solver._step_constants(spec, U, V, 0)
+    LU, _, _ = side_constant(spec, U, V, "u")
     g = smooth_gradient(spec, W)
     base = smooth_value(spec, W)
     doublings = 0
@@ -128,12 +139,15 @@ def test_restart_on_objective_increase():
 @OVERFLOW_WARNINGS
 def test_divergence_error_carries_iteration():
     """A step from an overflowing start raises DivergenceError with its
-    iteration."""
+    iteration, also when only the fixed factor overflows its Gram (U small,
+    V = 1e200): the Gram is checked before LAPACK, which would raise
+    LinAlgError, sees it."""
     spec, _ = mask_instance()
-    big = FactorPair(1e200 * np.ones((10, 2)), 1e200 * np.ones((10, 2)))
-    with pytest.raises(DivergenceError, match="iteration 1") as info:
-        step(spec, solver._start_state(spec, big))
-    assert info.value.iteration == 1
+    big = 1e200 * np.ones((10, 2))
+    for U in (big, 1e-3 * np.ones((10, 2))):
+        with pytest.raises(DivergenceError, match="iteration 1") as info:
+            step(spec, solver._start_state(spec, FactorPair(U, big)))
+        assert info.value.iteration == 1
 
 
 SCALES = (1.0, 1e10, 1e20)
@@ -152,14 +166,15 @@ def scaled_dc_instance(seed, c):
 
 def test_backtracking_bound_is_scale_free():
     """The substep doubles its starting step constant at most 60 times, at
-    any problem scale: started 2^-20 below the spectral estimate it accepts
-    the same L / L_U at every scale, and 2^-80 below it gives up at every
-    scale. (An absolute cap on L made the 1e20 problem fail at once.)"""
+    any problem scale: started 2^-20 below the spectral estimate (a held
+    data-term ratio of 1) it accepts the same L / L_U at every scale, and
+    2^-80 below it gives up at every scale. (An absolute cap on L made the
+    1e20 problem fail at once.)"""
     accepted = []
     for c in SCALES:
         spec = scaled_dc_instance(0, c)
         W0 = spectral_start(spec, 4)
-        LU, _, grams = solver._step_constants(spec, W0.U, W0.V, 0)
+        LU, grams, _ = side_constant(spec, W0.U, W0.V, "u", ratio=1.0)
         umap = spec.op.restricted(W0.V, "u")
         U, _, L, _ = solver._prox_substep(spec, umap, W0.U, grams,
                                           LU * 2.0 ** -20, 1)
@@ -201,6 +216,15 @@ def gaussian_instance(seed=1, m=10, n=9, r=2, p=60, lam=100.0, mu_tilde=0.1,
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((m, r)) @ rng.standard_normal((n, r)).T
     op = GaussianOperator(m, n, p, seed=seed)
+    params = PenaltyParams(lam=lam, mu_tilde=mu_tilde, a=3.7, rho=rho)
+    return ModelSpec(model=model, op=op, b=op.apply(M), params=params), M
+
+
+def full_instance(seed=3, m=10, n=10, r=2, lam=1e-5, mu_tilde=0.1, model="l20",
+                  rho=None):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((m, r)) @ rng.standard_normal((n, r)).T
+    op = FullOperator(m, n)
     params = PenaltyParams(lam=lam, mu_tilde=mu_tilde, a=3.7, rho=rho)
     return ModelSpec(model=model, op=op, b=op.apply(M), params=params), M
 
@@ -283,11 +307,15 @@ def test_data_ratio_is_taken_only_when_the_support_changes(monkeypatch):
     factor's (live width, nnz) differs from the key of the state's ratio:
     none from a warm state, one per side from a state without ratios, and
     one on side "v" when only that key is stale. The ratio is the exact
-    curvature over ||A||^2 ||Q||_2^2, below 1 on this half-observed mask. A
-    Gaussian ratio is exactly 1, so its step constants are those of the
-    spectral bound."""
-    spec, st = warm_state("l20", None, 1e-5,
-                          lambda **kw: mask_instance(ratio=0.5, **kw))
+    curvature over ||A||^2 ||Q||_2^2, below 1 on this half-observed mask.
+    Full and Gaussian ratios are exactly 1, so their step constants are
+    those of the spectral bound. A substep makes one eigvalsh call for its
+    three norms and, when its key is stale, the curvature's: a mask or a
+    Gaussian step makes 2 with both keys held and 4 with both stale."""
+    mask = warm_state("l20", None, 1e-5,
+                      lambda **kw: mask_instance(ratio=0.5, **kw))
+    gauss = warm_state("l20", None, 100.0, gaussian_instance)
+    spec, st = mask
     width = st.W.U.shape[1]
     assert st.ratio_u[0] == st.ratio_v[0] == (width, width)
     sides = []
@@ -311,8 +339,15 @@ def test_data_ratio_is_taken_only_when_the_support_changes(monkeypatch):
         exact = curvature(spec.op.restricted(Q, side)) / np.linalg.norm(Q, 2) ** 2
         assert ratio == pytest.approx(exact, rel=1e-12)
         assert 0.0 < ratio < 1.0
-    _, st = warm_state("l20", None, 100.0, gaussian_instance)
-    assert st.ratio_u[1] == st.ratio_v[1] == 1.0
+    calls = Counter()
+    count_calls(monkeypatch, calls, np.linalg, "eigvalsh")
+    for spec, st in (mask, gauss):
+        for start, count in ((st, 2), (replace(st, ratio_u=None, ratio_v=None), 4)):
+            calls.clear()
+            assert not step(spec, start).restarted
+            assert calls["eigvalsh"] == count
+    for spec, st in (gauss, warm_state("l20", None, 1e-5, full_instance)):
+        assert st.ratio_u[1] == st.ratio_v[1] == 1.0
 
 
 def test_gaussian_solve_holds_at_most_three_blocks(monkeypatch):

@@ -9,7 +9,8 @@ change that breaks them fails here. With no linter installed, three import
 rules are checked on the syntax tree: no library module imports a name it
 never uses, the package's ``__all__`` is exactly what its ``__init__.py``
 imports, and the test oracles import nothing from the library they check.
-The solver's inner loop is checked on the syntax tree as well: it names no
+The solver's inner loop (``step``, ``_take``, ``_step_constant`` and
+``_prox_substep``) is checked on the syntax tree as well: it names no
 checked function that has an unchecked kernel, on every branch. So is the
 growth probe's sampling loop, which checks its data before it starts and
 re-checks none of it. Every public function, class and method of the library
@@ -132,14 +133,15 @@ def test_oracles_import_nothing_from_the_library():
 
 
 def test_solver_inner_loop_names_no_checked_function():
-    """``solver.step``, ``solver._take`` and ``solver._prox_substep``, with
-    their restart and backtrack branches, name neither the checked
-    FactorPair constructor nor a checked function whose unchecked kernel the
-    solver calls. ``prox_matrix`` is the one checked call left in the loop:
-    the benchmark's tracer counts the prox through it."""
+    """``solver.step``, ``solver._take``, ``solver._step_constant`` and
+    ``solver._prox_substep``, with their restart, ratio-refresh and
+    backtrack branches, name neither the checked FactorPair constructor nor
+    a checked function whose unchecked kernel the solver calls.
+    ``prox_matrix`` is the one checked call left in the loop: the
+    benchmark's tracer counts the prox through it."""
     tree = ast.parse((ROOT / "src" / "l20factor" / "solver.py").read_text())
     banned = {"as_matrix", "as_vector", "l20_norm", "g_scalar", "FactorPair"}
-    loop = ("step", "_take", "_prox_substep")
+    loop = ("step", "_take", "_step_constant", "_prox_substep")
     named = {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name in loop:
