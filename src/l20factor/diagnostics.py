@@ -90,22 +90,28 @@ class ProbeReport:
     window: tuple[float, float] = PROBE_WINDOW
 
 
-def certify_optimal_pair(W: FactorPair, M) -> OptimalSetCertificate:
+def certify_optimal_pair(W: FactorPair, M,
+                         sigma: Array | None = None) -> OptimalSetCertificate:
     """Certificate that W is a balanced exact factorization of M.
 
     The tolerances are fixed: relative product error <= 1e-8 and balance
     error <= 1e-8 * ||M||_2, with both column counts equal to the numerical
-    rank of U V^T (see ``OptimalSetCertificate``).
+    rank of U V^T (see ``OptimalSetCertificate``). That rank is read from
+    the singular values of the core R_U R_V^T (at most kappa x kappa) of
+    the thin QRs U = Q_U R_U and V = Q_V R_V, which are those of U V^T.
+    ``sigma`` is M's singular values when the caller has them (||M||_2 is
+    the first); otherwise ||M||_2 is computed here.
     """
     M = linalg.as_matrix(M, "M")
     nm = float(np.linalg.norm(M))
     if nm == 0:
         raise ValueError("M must be nonzero to certify against")
-    max_balance = _CERT_TOL * float(np.linalg.norm(M, 2))
-    prod = W.product()
-    perr = float(np.linalg.norm(prod - M)) / nm
+    norm2 = np.linalg.norm(M, 2) if sigma is None else sigma[0]
+    max_balance = _CERT_TOL * float(norm2)
+    perr = float(np.linalg.norm(W.product() - M)) / nm
     berr = float(np.linalg.norm(W.U.T @ W.U - W.V.T @ W.V))
-    rank = linalg.numerical_rank(linalg.svd(prod).sigma)
+    core = np.linalg.qr(W.U, mode="r") @ np.linalg.qr(W.V, mode="r").T
+    rank = linalg.numerical_rank(linalg.svd(core).sigma)
     cu = linalg.l20_norm(W.U)
     cv = linalg.l20_norm(W.V)
     passed = perr <= _CERT_TOL and berr <= max_balance and cu == cv == rank

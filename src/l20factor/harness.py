@@ -603,13 +603,16 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None) -
     Emits diagnosis.json with: the optimal-pair certificate, restricted
     eigenvalue estimates, growth moduli and hypothesis flags, the exact
     penalty threshold, and a sampling probe of the growth inequality around
-    the balanced optimum of M. M's SVD is taken once and gives the
-    spectrum, that optimum and the probe's radius. Mask brackets are exact
-    (alpha = 0 once an entry is missed, which skips the moduli), as are full
-    and dense-Gram ones. Only Monte Carlo brackets are one-sided, so the moduli use the
-    optimistic pair (alpha_upper, beta_lower): if even those fail the
-    hypotheses, the theory certainly does not apply. A lambda = 0 solution
-    has no nu = 1/lambda, so its moduli, threshold and probe are skipped.
+    the balanced optimum of M. M's SVD is taken once, before the
+    certificate, and gives ||M||_2, the spectrum, that optimum and the
+    probe's radius; the certificate's rank comes from the kappa x kappa QR
+    core of U V^T, so M is the only m x n matrix decomposed. Mask brackets
+    are exact (alpha = 0 once an entry is missed, which skips the moduli),
+    as are full and dense-Gram ones. Only Monte Carlo brackets are
+    one-sided, so the moduli use the optimistic pair (alpha_upper,
+    beta_lower): if even those fail the hypotheses, the theory certainly
+    does not apply. A lambda = 0 solution has no nu = 1/lambda, so its
+    moduli, threshold and probe are skipped.
 
     The probe draws ``_PROBE_SAMPLES`` points and the Monte Carlo brackets
     ``_EIG_SAMPLES`` starts, both seeded with ``_DIAGNOSE_SEED``, so the
@@ -630,11 +633,11 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None) -
         raise ValueError(f"{os.path.join(solution_dir, 'solution.npz')}: {err}") from err
 
     report: dict = {"schema": "l20factor-diagnosis-v1"}
-    cert = certify_optimal_pair(W, M)
+    dec = linalg.svd(M)
+    cert = certify_optimal_pair(W, M, sigma=dec.sigma)
     report["certificate"] = dataclasses.asdict(cert)
     report["rel_error"] = cert.product_error
 
-    dec = linalg.svd(M)
     rank = linalg.numerical_rank(dec.sigma)
     sigma1 = float(dec.sigma[0])
     sigma_r = float(dec.sigma[rank - 1]) if rank else 0.0

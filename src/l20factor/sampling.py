@@ -125,7 +125,9 @@ class UniformMaskOperator(SamplingOperator):
         if cols.size and (cols.min() < 0 or cols.max() >= n):
             raise ValueError("column index out of range")
         flat = rows * n + cols
-        if np.unique(flat).size != flat.size:
+        seen = np.zeros(m * n, dtype=bool)
+        seen[flat] = True
+        if np.count_nonzero(seen) != flat.size:
             raise ValueError("mask contains duplicate entries")
         self.rows = rows
         self.cols = cols
@@ -395,41 +397,49 @@ def _orthonormalize(F: Array) -> Array:
     return Q
 
 
-def _refine_factor(amap: RestrictedMap, want_max: bool):
+def _refine_factor(amap: RestrictedMap):
     """Exactly optimize ||A(X)||^2 over unit-Frobenius X with one factor fixed.
 
     ``amap`` fixes an orthonormal Q with k columns: X = F Q^T with F m x k
     on side "u", X = Q F^T with F n x k on side "v". Its matrix B acts on F
-    flattened row-major, so the extremal eigenpair of B^T B is the exact
-    optimum. Returns (value, X) with ||X||_F = 1 and ||A(X)||^2 = value.
+    flattened row-major, so the extremal eigenpairs of B^T B are the exact
+    optima. Returns ((value, X) at the minimum, (value, X) at the maximum),
+    both from one ``eigh``, with ||X||_F = 1 and ||A(X)||^2 = value.
     """
     Q, B = amap.Q, amap.matrix()
     w, vecs = np.linalg.eigh(B.T @ B)
-    idx = -1 if want_max else 0
-    F = vecs[:, idx].reshape(-1, Q.shape[1])
-    return max(float(w[idx]), 0.0), (F @ Q.T if amap.side == "u" else Q @ F.T)
+    ends = []
+    for idx in (0, -1):
+        F = vecs[:, idx].reshape(-1, Q.shape[1])
+        ends.append((max(float(w[idx]), 0.0),
+                     F @ Q.T if amap.side == "u" else Q @ F.T))
+    return tuple(ends)
 
 
-def _refined_rayleigh(op: SamplingOperator, L0: Array, want_max: bool) -> float:
-    """Alternating exact refinement of ||A(RL^T)||^2 / ||RL^T||_F^2 from L0.
+def _refined_bracket(op: SamplingOperator, L0: Array) -> tuple[float, float]:
+    """Alternating exact refinement of ||A(RL^T)||^2 / ||RL^T||_F^2 from L0,
+    toward the minimum and toward the maximum.
 
-    Three times over, one factor's column space is fixed (first L0's) and
-    the other solved for exactly with ``_refine_factor``. Every such value
-    is attained by a rank-k X, so each is a valid one-sided bound; the best
-    is returned.
+    Each chain makes three sweeps: one factor's column space is fixed
+    (first L0's, on side "u") and the other solved for exactly with
+    ``_refine_factor``. The first sweep is the same for both chains, so it
+    is taken once and its two ends start them. Every such value is attained
+    by a rank-k X, so each is a valid one-sided bound; returns the min
+    chain's least value and the max chain's greatest.
     """
-    fixed, side = L0, "u"
-    vals = []
-    for _ in range(3):
-        Q = _orthonormalize(fixed)
-        val, X = _refine_factor(op.restricted(Q, side), want_max)
-        vals.append(val)
-        if side == "u":
-            # X = F Q^T: next sweep fixes the left factor of X.
-            fixed, side = X @ Q, "v"
-        else:
-            fixed, side = X.T @ Q, "u"
-    return max(vals) if want_max else min(vals)
+    Q = _orthonormalize(L0)
+    first = _refine_factor(op.restricted(Q, "u"))
+    best = []
+    for end, (val, X) in enumerate(first):
+        # X = F Q^T: the next sweep fixes the left factor of X.
+        vals, fixed, side = [val], X @ Q, "v"
+        for _ in range(2):
+            Qs = _orthonormalize(fixed)
+            val, X = _refine_factor(op.restricted(Qs, side))[end]
+            vals.append(val)
+            fixed, side = (X @ Qs, "v") if side == "u" else (X.T @ Qs, "u")
+        best.append(max(vals) if end else min(vals))
+    return tuple(best)
 
 
 def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
@@ -444,9 +454,12 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     (rank-k is then unrestricted). Otherwise Monte Carlo: each sample starts
     from a random rank-k factor pair and is refined by alternating exact
     single-factor eigenproblems, once toward the minimum and once toward the
-    maximum, so alpha_upper and beta_lower are one-sided; beta_upper is
-    ||A||^2, which bounds beta_k for every k. Every random draw comes from
-    ``seed``, so equal arguments give equal estimates.
+    maximum, so alpha_upper and beta_lower are one-sided. The two chains
+    share their first sweep, so a sample costs 5 block builds and 5
+    ``eigh`` calls. A chain's last sweep needs only its value but keeps the
+    full ``eigh``: ``eigvalsh`` changes the extreme eigenvalues' last bits.
+    beta_upper is ||A||^2, which bounds beta_k for every k. Every random
+    draw comes from ``seed``, so equal arguments give equal estimates.
     """
     if not 1 <= k <= min(op.m, op.n):
         raise ValueError(f"k must lie in [1, {min(op.m, op.n)}], got {k}")
@@ -474,8 +487,9 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
         # right start L0 matters; the left draw keeps the seeded stream.
         rng.standard_normal((op.m, k))
         L0 = rng.standard_normal((op.n, k))
-        alpha_upper = min(alpha_upper, _refined_rayleigh(op, L0, want_max=False))
-        beta_lower = max(beta_lower, _refined_rayleigh(op, L0, want_max=True))
+        lo, hi = _refined_bracket(op, L0)
+        alpha_upper = min(alpha_upper, lo)
+        beta_lower = max(beta_lower, hi)
     beta_lower = min(beta_lower, beta_upper)
     alpha_upper = max(min(alpha_upper, beta_upper), 0.0)
     return RestrictedEigEstimate(k, 0.0, alpha_upper, beta_lower, beta_upper,

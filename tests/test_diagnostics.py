@@ -129,6 +129,37 @@ def test_certificate_fails_on_wrong_product():
     assert not certify_optimal_pair(W, X).passed
 
 
+def _core_rank_cases():
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((6, 2)) @ rng.standard_normal((5, 2)).T
+    W = build_balanced_factors(M, 2)
+    dead = FactorPair(np.column_stack([W.U[:, 0], np.zeros(6), W.U[:, 1], np.zeros(6)]),
+                      np.column_stack([W.V[:, 0], np.zeros(5), W.V[:, 1], np.zeros(5)]))
+    wide = FactorPair(rng.standard_normal((3, 5)), rng.standard_normal((4, 5)))
+    zero = FactorPair(np.zeros((6, 3)), np.zeros((5, 3)))
+    cases = {"dead-columns": (dead, M), "kappa>m": (wide, wide.product()),
+             "zero-W": (zero, M)}
+    P, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+    for ratio in (1e-7, 1e-9):
+        s = np.sqrt([1.0, 0.5, ratio])
+        pair = FactorPair(P * s, Q * s)
+        cases[f"ratio={ratio:g}"] = (pair, pair.product())
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_core_rank_cases()))
+def test_certificate_core_rank_matches_full_svd_rank(case):
+    """The rank read from the QR core of U V^T is the rank of U V^T's own
+    singular values, on both sides of the 1e-8 cut."""
+    W, M = _core_rank_cases()[case]
+    full = linalg.numerical_rank(np.linalg.svd(W.product(), compute_uv=False))
+    assert certify_optimal_pair(W, M).rank_product == full
+    expected = {"dead-columns": 2, "kappa>m": 3, "zero-W": 0,
+                "ratio=1e-07": 3, "ratio=1e-09": 2}
+    assert full == expected[case]
+
+
 def test_certificate_rejects_zero_target():
     with pytest.raises(ValueError, match="nonzero"):
         certify_optimal_pair(build_balanced_factors(np.eye(2), 2), np.zeros((2, 2)))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from l20factor import harness, linalg, solver
+from l20factor.diagnostics import certify_optimal_pair
 from l20factor.harness import (CONFIG_FIELDS, INSTANCE_FIELDS, ConfigError,
                                ExperimentConfig, build_config,
                                build_model_spec, convergence_fit, diagnose,
@@ -739,8 +741,9 @@ def test_diagnose_certifies_recovered_solution(tmp_path):
 
 
 def test_diagnose_takes_the_svd_of_m_once(tmp_path, monkeypatch):
-    """The spectrum, the probe's balanced optimum and its radius share one
-    SVD of M; the certificate takes one more, of U V^T."""
+    """||M||_2, the spectrum, the probe's balanced optimum and its radius
+    share one SVD of M, and no other m x n matrix is decomposed: the
+    certificate's rank comes from a kappa x kappa core."""
     M, op, b = crafted_instance()
     cfg = ExperimentConfig(m=12, n=10, r=2, kappa=2, sample_ratio=1.0,
                            operator_kind="full", model="l20", mu_tilde=1e-3,
@@ -749,17 +752,54 @@ def test_diagnose_takes_the_svd_of_m_once(tmp_path, monkeypatch):
     save_instance(inst, cfg, M, op, b)
     run_experiment(cfg, sol, instance=(M, op, b))
     of_m = []
-    svd = linalg._svd
+    svd = np.linalg.svd
 
-    def counting_svd(A):
-        of_m.append(np.array_equal(A, M))
-        return svd(A)
+    def counting_svd(a, *args, **kwargs):
+        if np.shape(a) == M.shape:
+            of_m.append(np.array_equal(a, M))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_svd", counting_svd)
+    # np.linalg.norm(X, 2) calls the implementation module's own svd.
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(sys.modules[np.linalg.norm.__module__], "svd", counting_svd)
     monkeypatch.setattr(harness, "_PROBE_SAMPLES", 5)
     report = diagnose(inst, sol)
     assert report["probe"]["status"] == "ok"
-    assert sorted(of_m) == [False, True]
+    assert of_m == [True]
+
+
+@pytest.fixture(scope="module", params=[
+    dict(max_iters=300),
+    dict(m=12, n=12, kappa=3, operator_kind="gaussian", max_iters=300),
+], ids=["mask", "gaussian"])
+def solved_dirs(request, tmp_path_factory):
+    """A seeded small instance directory, its solution directory and M."""
+    cfg = small_cfg(**request.param)
+    M, op, b = gen_instance(cfg)
+    root = tmp_path_factory.mktemp(request.param.get("operator_kind", "mask"))
+    inst, sol = str(root / "inst"), str(root / "sol")
+    save_instance(inst, cfg, M, op, b)
+    run_experiment(cfg, sol, instance=(M, op, b))
+    return inst, sol, M
+
+
+def test_diagnose_is_deterministic(solved_dirs, tmp_path):
+    """Two diagnoses of the same directories write byte-identical reports."""
+    inst, sol, _ = solved_dirs
+    reports = []
+    for name in ("first", "second"):
+        diagnose(inst, sol, out_dir=str(tmp_path / name))
+        with open(tmp_path / name / "diagnosis.json", "rb") as fh:
+            reports.append(fh.read())
+    assert reports[0] == reports[1]
+
+
+def test_certificate_takes_m_spectrum_from_caller(solved_dirs):
+    """Passing M's singular values changes nothing in the certificate."""
+    _, sol, M = solved_dirs
+    W, _ = load_solution(sol)
+    sigma = linalg.svd(M).sigma
+    assert certify_optimal_pair(W, M, sigma) == certify_optimal_pair(W, M)
 
 
 def test_diagnose_reports_failed_hypotheses(tmp_path):

@@ -8,8 +8,8 @@ from oracles import (inner_product_slack, operator_matrix,
 
 from l20factor import sampling
 from l20factor.sampling import (FullOperator, GaussianOperator,
-                                SamplingOperator, UniformMaskOperator,
-                                estimate_restricted_eigs)
+                                RestrictedEigEstimate, SamplingOperator,
+                                UniformMaskOperator, estimate_restricted_eigs)
 
 
 class DenseTestOperator(SamplingOperator):
@@ -69,6 +69,12 @@ def test_mask_flat_index_matches_2d_index():
 def test_mask_validation():
     with pytest.raises(ValueError, match="duplicate"):
         UniformMaskOperator(2, 2, rows=[0, 0], cols=[1, 1])
+    # Duplicates at the first and the last flat index, rows * n + cols.
+    for rows, cols in (([0, 1, 0], [0, 2, 0]), ([2, 0, 2], [2, 1, 2])):
+        with pytest.raises(ValueError, match="mask contains duplicate entries"):
+            UniformMaskOperator(3, 3, rows=rows, cols=cols)
+    full = UniformMaskOperator(3, 2, rows=[2, 1, 0, 0, 1, 2], cols=[1, 1, 1, 0, 0, 0])
+    assert full.p == 6
     with pytest.raises(ValueError, match="out of range"):
         UniformMaskOperator(2, 2, rows=[2], cols=[0])
 
@@ -304,6 +310,52 @@ def test_restricted_eigs_reproducible():
     assert a == b
 
 
+def unshared_bracket(op, k, samples, seed):
+    """The Monte Carlo bracket with each chain making its own first sweep:
+    per sample, all three sweeps toward the minimum, then all three toward
+    the maximum, each from ``sampling._refine_factor``."""
+    def chain(L0, end):
+        fixed, side, vals = L0, "u", []
+        for _ in range(3):
+            Q = sampling._orthonormalize(fixed)
+            val, X = sampling._refine_factor(op.restricted(Q, side))[end]
+            vals.append(val)
+            fixed, side = (X @ Q, "v") if side == "u" else (X.T @ Q, "u")
+        return max(vals) if end else min(vals)
+
+    beta_upper = op.operator_norm() ** 2
+    alpha_upper, beta_lower = np.inf, 0.0
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        rng.standard_normal((op.m, k))
+        L0 = rng.standard_normal((op.n, k))
+        alpha_upper = min(alpha_upper, chain(L0, 0))
+        beta_lower = max(beta_lower, chain(L0, 1))
+    return RestrictedEigEstimate(k, 0.0, max(min(alpha_upper, beta_upper), 0.0),
+                                 min(beta_lower, beta_upper), beta_upper,
+                                 samples, "monte-carlo")
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_restricted_eigs_share_the_first_sweep(k, samples, seed, monkeypatch):
+    """Sharing each sample's first sweep between its two chains gives the
+    unshared estimate exactly, with 5 eigh calls per sample instead of 6."""
+    op = GaussianOperator(6, 5, 18, seed=11)
+    expected = unshared_bracket(op, k, samples, seed)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert estimate_restricted_eigs(op, k, samples=samples, seed=seed) == expected
+    assert len(calls) == 5 * samples
+
+
 MAP_OPERATORS = pytest.mark.parametrize("make_op", [
     lambda G: GaussianOperator.from_matrices(G),
     lambda G: DenseTestOperator(G.transpose(0, 2, 1).reshape(G.shape[0], -1),
@@ -316,7 +368,8 @@ MAP_OPERATORS = pytest.mark.parametrize("make_op", [
 @MAP_OPERATORS
 def test_refine_factor_matches_column_oracle(make_op, side, monkeypatch):
     """B^T B equals the quadratic form built column by column from apply and
-    adjoint, and the returned X is a unit extremal point of it."""
+    adjoint, and one eigh of it gives both returned ends, each X a unit
+    extremal point of it."""
     rng = np.random.default_rng(21)
     op = make_op(rng.standard_normal((13, 5, 4)) / np.sqrt(13))
     k = 2
@@ -331,9 +384,10 @@ def test_refine_factor_matches_column_oracle(make_op, side, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     w = np.linalg.eigvalsh(H)
-    for want_max in (False, True):
-        val, X = sampling._refine_factor(op.restricted(Q, side), want_max)
-        assert_allclose(seen[-1], H, rtol=0, atol=1e-12 * np.abs(H).max())
+    ends = sampling._refine_factor(op.restricted(Q, side))
+    assert len(seen) == 1
+    assert_allclose(seen[0], H, rtol=0, atol=1e-12 * np.abs(H).max())
+    for want_max, (val, X) in zip((False, True), ends):
         assert val == pytest.approx(w[-1] if want_max else w[0], rel=1e-12)
         assert np.linalg.norm(X) == pytest.approx(1.0, rel=1e-12)
         assert float(np.sum(op.apply(X) ** 2)) == pytest.approx(val, rel=1e-12)
