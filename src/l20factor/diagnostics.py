@@ -17,7 +17,6 @@ objective): fidelity weight nu = 1/lam and per-column regularizer weight 1/2.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -121,25 +120,13 @@ def certify_optimal_pair(W: FactorPair, M,
     )
 
 
-def _nu_smooth_grads(spec: ModelSpec, W: FactorPair) -> tuple[Array, Array]:
-    """nu-normalized gradients of the shared smooth part (fidelity + balance).
-
-    This is the smooth component common to both models, i.e. the hard
-    model's smooth part; the dc model's identity-shift term belongs to its
-    column penalty in this normalization.
-    """
-    if spec.model == "dc":
-        spec = dataclasses.replace(spec, model="l20")
-    nu = spec.params.nu
-    g = smooth_gradient(spec, W)
-    return nu * g.grad_u, nu * g.grad_v
-
-
 def subdiff_distance(spec: ModelSpec, W: FactorPair) -> float:
     """Distance from 0 to the subdifferential of the spec's model at W.
 
-    A live column (one ``linalg.l20_norm`` counts) contributes its component
-    of the smooth gradient G, plus for ``dc`` the radial term
+    G is the nu-weighted gradient of the smooth part both models share: the
+    spec's ``smooth_gradient``, with the (nu tau/2) F that ``dc`` moves into
+    its penalty added back. A live column (one ``linalg.l20_norm`` counts)
+    contributes its component of G, plus for ``dc`` the radial term
     (rho/2) theta'_+(rho s) u/s of its penalty, s = ||u||. A zero column
     contributes 0 for ``l20``, whose penalty's subdifferential there is all
     of space, and max(0, ||G_j|| - rho/2)^2 for ``dc``. The ``l20`` value is
@@ -148,18 +135,21 @@ def subdiff_distance(spec: ModelSpec, W: FactorPair) -> float:
     column's contribution is a lower bound on its true one.
     """
     spec.check_shapes(W)
-    G, H = _nu_smooth_grads(spec, W)
-    rho = spec.params.rho
+    nu, rho = spec.params.nu, spec.params.rho
+    g = smooth_gradient(spec, W)
     total = 0.0
-    for grad, F in ((G, W.U), (H, W.V)):
+    for grad, F in ((g.grad_u, W.U), (g.grad_v, W.V)):
         live = linalg._live_columns(F)
-        comp = grad[:, live]
+        grad = nu * grad
         if spec.model == "dc":
+            grad = grad + (0.5 * nu * spec.params.tau) * F
             s = np.linalg.norm(F[:, live], axis=0)
             radial = 0.5 * rho * penalty.theta_prime_plus(spec.params, rho * s)
-            comp = comp + radial * F[:, live] / s
+            comp = grad[:, live] + radial * F[:, live] / s
             dead = np.maximum(0.0, np.linalg.norm(grad[:, ~live], axis=0) - 0.5 * rho)
             total += float(np.sum(dead ** 2))
+        else:
+            comp = grad[:, live]
         total += float(np.sum(comp ** 2))
     return math.sqrt(total)
 

@@ -438,8 +438,18 @@ def _require(path: str, mapping, keys) -> None:
             raise ValueError(f"{path}: missing key {key!r}")
 
 
+# meta.json's integer keys and their least values (numpy seeds from 0).
+_META_INTS = {"m": 1, "n": 1, "p": 1, "r": 1, "kappa": 1, "seed": 0,
+              "operator_seed": 0}
+
+
 def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
                   b) -> None:
+    """A Gaussian operator is stored as its seed, so one built from
+    matrices, which has none, is refused before any file is written."""
+    if isinstance(op, GaussianOperator) and op.seed < 0:
+        raise ValueError("a Gaussian operator built from matrices has no seed, "
+                         "and an instance stores the operator as its seed")
     os.makedirs(out_dir, exist_ok=True)
     meta = {"schema": "l20factor-instance-v1", "p": op.p,
             **{key: getattr(cfg, key) for key in INSTANCE_FIELDS}}
@@ -454,11 +464,16 @@ def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
 
 def load_instance(in_dir: str):
     """Returns (meta, M, op, b) from a directory written by save_instance;
-    meta's m, n and p, M's shape and b's length must fit the operator."""
+    meta's integer keys must be ints in range, and its m, n and p, M's
+    shape and b's length must fit the operator."""
     meta_path = os.path.join(in_dir, "meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
     _require(meta_path, meta, ("schema", "p", *INSTANCE_FIELDS))
+    for key, least in _META_INTS.items():
+        if key in meta and (type(meta[key]) is not int or meta[key] < least):
+            raise ValueError(f"{meta_path}: {key} must be an integer >= {least}, "
+                             f"got {meta[key]!r}")
     M_path, b_path = os.path.join(in_dir, "M.npy"), os.path.join(in_dir, "b.npy")
     M = linalg.as_matrix(np.load(M_path), "M")
     b = linalg.as_vector(np.load(b_path), "b")

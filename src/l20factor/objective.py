@@ -141,7 +141,9 @@ def _evaluate(spec: ModelSpec, U: Array, V: Array, image: Array,
               bal: Array | None = None) -> _Evaluation:
     """Residual, balance and smooth value at checked arrays (U, V), given
     image = A(U V^T) from the operator or from one of its restricted maps,
-    and the balance U^T U - V^T V when the caller has formed it already."""
+    and the balance U^T U - V^T V when the caller has formed it already.
+    The value is symmetric in the pair's order (at (V, U) only the balance
+    is negated), so a substep passes its active factor first."""
     r = image - spec.b
     if bal is None:
         bal = U.T @ U - V.T @ V
@@ -151,17 +153,13 @@ def _evaluate(spec: ModelSpec, U: Array, V: Array, image: Array,
     return _Evaluation(r, bal, val)
 
 
-def _gradient_half(spec: ModelSpec, data: Array, U: Array, V: Array, bal: Array,
-                   which: str) -> Array:
-    """The U (which="u") or V half of the smooth gradient, from its data term:
-    A*(residual) V for "u", A*(residual)^T U for "v"."""
-    mu = spec.params.mu_tilde
-    if which == "u":
-        g, own = data + mu * (U @ bal), U
-    else:
-        g, own = data - mu * (V @ bal), V
+def _gradient_half(spec: ModelSpec, data: Array, Z: Array, bal: Array) -> Array:
+    """The smooth gradient's half in the factor Z, Q the other, from its
+    data term (A*(residual) V for U, A*(residual)^T U for V) and
+    bal = Z^T Z - Q^T Q."""
+    g = data + spec.params.mu_tilde * (Z @ bal)
     if spec.model == "dc":
-        g = g - 0.5 * spec.params.tau * own
+        g = g - 0.5 * spec.params.tau * Z
     return g
 
 
@@ -177,8 +175,8 @@ def smooth_gradient(spec: ModelSpec, W: FactorPair) -> SmoothGradient:
     U, V = W.U, W.V
     ev = _evaluate(spec, U, V, spec.op.apply(U @ V.T))
     R = spec.op.adjoint(ev.residual)
-    return SmoothGradient(_gradient_half(spec, R @ V, U, V, ev.balance, "u"),
-                          _gradient_half(spec, R.T @ U, U, V, ev.balance, "v"))
+    return SmoothGradient(_gradient_half(spec, R @ V, U, ev.balance),
+                          _gradient_half(spec, R.T @ U, V, -ev.balance))
 
 
 def column_penalty_value(spec: ModelSpec, W: FactorPair) -> float:

@@ -19,13 +19,12 @@ base and Gaussian maps give the bound ||A||^2 ||Q||_2^2, exact for ``full``;
 a mask's map gives the exact value, the largest over the free factor's rows
 of the top eigenvalue of the Gram of the fixed rows observed with that row,
 all rows at once from one product with the stored 0/1 pattern. The solver
-takes every substep through such a map, and the module uses the map's matrix to
-estimate restricted eigenvalue brackets
+takes every substep through such a map. Restricted eigenvalue brackets
     alpha <= ||A(X)||^2 / ||X||_F^2 <= beta   for all rank-k X != 0
-in closed form for ``full`` and ``mask``, from the Gram spectrum of A's
-p x (m*n) matrix when rank k is unrestricted and small, and otherwise by
-Monte Carlo with alternating refinement, each step one dense
-eigendecomposition of A restricted to one free factor.
+are in closed form for ``full`` and ``mask``; a Gaussian one reads its maps'
+blocks: the Gram spectrum of A's p x (m*n) matrix when rank k is
+unrestricted and small, otherwise Monte Carlo with alternating refinement,
+each step one dense eigendecomposition of a block. Other kinds have none.
 """
 
 from __future__ import annotations
@@ -183,7 +182,9 @@ class GaussianOperator(SamplingOperator):
 
     @classmethod
     def from_matrices(cls, G) -> "GaussianOperator":
-        """Build from an explicit (p, m, n) stack; used by tests with known matrices."""
+        """Build from an explicit (p, m, n) stack; used by tests with known
+        matrices. Such an operator has no seed (``seed`` is -1), so
+        ``harness.save_instance`` refuses it."""
         G = np.asarray(G, dtype=float)
         if G.ndim != 3:
             raise ValueError("G must have shape (p, m, n)")
@@ -266,19 +267,6 @@ class RestrictedMap:
         """||A||^2 ||Q||_2^2, from the top eigenvalue of the k x k Gram."""
         return self.op.operator_norm() ** 2 \
             * float(np.linalg.eigvalsh(self.Q.T @ self.Q)[-1])
-
-    def matrix(self) -> Array:
-        """The p x (rows * k) matrix of the map on Z flattened row-major, from
-        one apply per basis matrix."""
-        rows = self.op.m if self.side == "u" else self.op.n
-        size = rows * self.Q.shape[1]
-        B = np.empty((self.op.p, size))
-        E = np.zeros(size)
-        for c in range(size):
-            E[c] = 1.0
-            B[:, c] = self.apply(E.reshape(rows, -1))
-            E[c] = 0.0
-        return B
 
 
 class _MaskRestrictedMap(RestrictedMap):
@@ -365,9 +353,6 @@ class _GaussianRestrictedMap(RestrictedMap):
         B = (self.B.reshape(-1, k) @ T).reshape(self.op.p, -1)
         return _GaussianRestrictedMap(self.op, Q, self.side, B)
 
-    def matrix(self) -> Array:
-        return self.B
-
 
 @dataclass(frozen=True)
 class RestrictedEigEstimate:
@@ -397,16 +382,17 @@ def _orthonormalize(F: Array) -> Array:
     return Q
 
 
-def _refine_factor(amap: RestrictedMap):
+def _refine_factor(amap: _GaussianRestrictedMap):
     """Exactly optimize ||A(X)||^2 over unit-Frobenius X with one factor fixed.
 
-    ``amap`` fixes an orthonormal Q with k columns: X = F Q^T with F m x k
-    on side "u", X = Q F^T with F n x k on side "v". Its matrix B acts on F
-    flattened row-major, so the extremal eigenpairs of B^T B are the exact
-    optima. Returns ((value, X) at the minimum, (value, X) at the maximum),
-    both from one ``eigh``, with ||X||_F = 1 and ||A(X)||^2 = value.
+    ``amap`` is a Gaussian map that fixes an orthonormal Q with k columns:
+    X = F Q^T with F m x k on side "u", X = Q F^T with F n x k on side "v".
+    Its block B acts on F flattened row-major, so the extremal eigenpairs of
+    B^T B are the exact optima. Returns ((value, X) at the minimum,
+    (value, X) at the maximum), both from one ``eigh``, with ||X||_F = 1 and
+    ||A(X)||^2 = value.
     """
-    Q, B = amap.Q, amap.matrix()
+    Q, B = amap.Q, amap.B
     w, vecs = np.linalg.eigh(B.T @ B)
     ends = []
     for idx in (0, -1):
@@ -416,7 +402,7 @@ def _refine_factor(amap: RestrictedMap):
     return tuple(ends)
 
 
-def _refined_bracket(op: SamplingOperator, L0: Array) -> tuple[float, float]:
+def _refined_bracket(op: GaussianOperator, L0: Array) -> tuple[float, float]:
     """Alternating exact refinement of ||A(RL^T)||^2 / ||RL^T||_F^2 from L0,
     toward the minimum and toward the maximum.
 
@@ -449,8 +435,9 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     Exact for the full operator (alpha = beta = 1) and for a mask, where
     A*A projects onto the observed entries: beta = 1 (an observed e_i e_j^T)
     and alpha = 0 (a missed e_i e_j^T), or 1 if every entry is observed.
-    Exact via the Gram spectrum of S, A's p x (m*n) matrix in vec_F order
-    (the matrix of the map that fixes U = I), when k = min(m, n) with m*n <= 400
+    A Gaussian bracket reads its maps' blocks: exact via the Gram spectrum
+    of S, A's p x (m*n) matrix in vec_F order (the block of the map that
+    fixes U = I), when k = min(m, n) with m*n <= 400
     (rank-k is then unrestricted). Otherwise Monte Carlo: each sample starts
     from a random rank-k factor pair and is refined by alternating exact
     single-factor eigenproblems, once toward the minimum and once toward the
@@ -460,6 +447,7 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     full ``eigh``: ``eigvalsh`` changes the extreme eigenvalues' last bits.
     beta_upper is ||A||^2, which bounds beta_k for every k. Every random
     draw comes from ``seed``, so equal arguments give equal estimates.
+    Any other operator kind is a TypeError.
     """
     if not 1 <= k <= min(op.m, op.n):
         raise ValueError(f"k must lie in [1, {min(op.m, op.n)}], got {k}")
@@ -470,10 +458,12 @@ def estimate_restricted_eigs(op: SamplingOperator, k: int, samples: int = 8,
     if isinstance(op, UniformMaskOperator):
         alpha = 1.0 if op.p == op.m * op.n else 0.0
         return RestrictedEigEstimate(k, alpha, alpha, 1.0, 1.0, 0, "exact-mask")
+    if not isinstance(op, GaussianOperator):
+        raise TypeError(f"no restricted-eigenvalue bracket for operator kind {op.kind!r}")
     if k == min(op.m, op.n) and op.m * op.n <= 400:
-        # With U = I fixed, Z = X^T is the free factor, so the map's matrix
-        # is A's in the vec_F basis, the operators' own vectorization order.
-        S = op.restricted(np.eye(op.m), "v").matrix()
+        # With U = I fixed, Z = X^T is the free factor, so the map's block is
+        # A's matrix in the vec_F basis, the operators' own vectorization order.
+        S = op.restricted(np.eye(op.m), "v").B
         w = np.linalg.eigvalsh(S.T @ S)
         lo, hi = max(float(w[0]), 0.0), max(float(w[-1]), 0.0)
         return RestrictedEigEstimate(k, lo, lo, hi, hi, 0, "exact-dense")

@@ -28,8 +28,12 @@ once that difference is below one ulp, and it costs two inner products.
 Each substep holds one factor fixed, so the loss is linear in the active
 factor through the operator's restricted map (``SamplingOperator.restricted``):
 the U-substep goes through the map that fixes V, the V-substep through the
-map that fixes U+. Each point's residual A(U V^T) - b and balance
-U^T U - V^T V are computed once and reused for its value and its gradient.
+map that fixes U+. The objective does not change when U and V swap roles,
+so one substep serves both, on the active factor Z and the map over the
+fixed factor Q, with balance Z^T Z - Q^T Q; only the maps, and the two
+``restricted`` calls that pick Q, name the side. Each point's residual
+A(U V^T) - b and balance are computed once and reused for its value and
+its gradient.
 An iteration evaluates four points: (U~, V) and (U+, V) in the U-substep,
 (U+, V~) and (U+, V+) in the V-substep. The accepted (U+, V+) evaluation
 gives both the new objective and, through the V-substep's map and the map
@@ -245,66 +249,57 @@ class SolveTrace:
 
 
 def _step_constant(spec, amap, at, held, nnz, iteration):
-    """(L, (U^T U, V^T V), (key, ratio)) of the substep through ``amap``
-    from ``at``: its starting step constant, the Grams its balance terms
-    reuse, and its data term's ratio, ``held`` when the key there is the
-    fixed factor's (live width, ``nnz``) and taken anew otherwise. The dc
-    model's -tau/2 identity term only lowers curvature, so the same
-    constant applies."""
+    """(L, (Z^T Z, Q^T Q), (key, ratio)) of the substep through ``amap``
+    from its active factor Z = ``at``, Q = ``amap.Q`` the fixed one: its
+    starting step constant, the Grams its balance terms reuse, and its data
+    term's ratio, ``held`` when the key there is the fixed factor's (live
+    width, ``nnz``) and taken anew otherwise. The dc model's -tau/2
+    identity term only lowers curvature, so the same constant applies."""
     Q = amap.Q
-    ga, gq = at.T @ at, Q.T @ Q
-    gu, gv = (ga, gq) if amap.side == "u" else (gq, ga)
-    # ||at||_2^2 and ||Q||_2^2 are the top eigenvalues of the kappa x kappa
+    gz, gq = at.T @ at, Q.T @ Q
+    # ||Z||_2^2 and ||Q||_2^2 are the top eigenvalues of the kappa x kappa
     # Grams, and the balance Gram is symmetric, so one batched eigvalsh gives
     # all three norms. A non-finite Gram would fail inside LAPACK, so it is
     # reported first.
-    grams = np.stack([ga, gq, gu - gv])
+    grams = np.stack([gz, gq, gz - gq])
     if not np.all(np.isfinite(grams)):
         raise DivergenceError(iteration, f"non-finite Gram ({amap.side})")
     eig = np.linalg.eigvalsh(grams)
-    na2, nq2, nbal = eig[0, -1], eig[1, -1], max(-eig[2, 0], eig[2, -1])
+    nz2, nq2, nbal = eig[0, -1], eig[1, -1], max(-eig[2, 0], eig[2, -1])
     a2 = spec.op.operator_norm() ** 2
     key = (Q.shape[1], nnz)
     if held is None or held[0] != key:
         bound = a2 * float(nq2)
         held = key, (amap.curvature() / bound if bound > 0.0 else 1.0)
-    L = _MARGIN * (held[1] * a2 * nq2 + spec.params.mu_tilde * (2 * na2 + nbal))
-    return float(max(L, _STEP_FLOOR)), (gu, gv), held
+    L = _MARGIN * (held[1] * a2 * nq2 + spec.params.mu_tilde * (2 * nz2 + nbal))
+    return float(max(L, _STEP_FLOOR)), (gz, gq), held
 
 
 def _prox_substep(spec, amap, at, grams, L, iteration):
     """One prox-gradient substep with backtracking on the majorization check.
 
-    ``amap`` is the operator restricted to the fixed factor, on the side of
-    the active one; ``at`` is the active factor's linearization point and
-    ``grams`` = (U^T U, V^T V) there, as ``_step_constant`` formed them. All
-    are arrays the solver has checked. The active gradient half and the base
-    value come from one evaluation of the linearization point; each candidate
-    costs one more, whose balance takes the fixed factor's Gram from
-    ``grams``. Returns (accepted candidate, gradient at ``at``, final L,
-    evaluation of the accepted pair).
+    ``amap`` is the operator restricted to the fixed factor Q = ``amap.Q``;
+    ``at`` is the active factor Z's linearization point and ``grams`` =
+    (Z^T Z, Q^T Q) there, as ``_step_constant`` formed them. All are arrays
+    the solver has checked. The gradient half and the base value come from
+    one evaluation of the pair (Z, Q) at ``at``; each candidate costs one
+    more, whose balance takes Q^T Q from ``grams``. Returns (accepted
+    candidate, gradient at ``at``, final L, evaluation of the accepted pair
+    (Z, Q), whose balance is Z^T Z - Q^T Q).
     """
-    which = amap.side
-    gu, gv = grams
-
-    def evaluate(Z, gram):
-        """The evaluation at the pair whose active factor is Z, Z^T Z = gram."""
-        if which == "u":
-            return _evaluate(spec, Z, amap.Q, amap.apply(Z), gram - gv)
-        return _evaluate(spec, amap.Q, Z, amap.apply(Z), gu - gram)
-
-    U, V = (at, amap.Q) if which == "u" else (amap.Q, at)
-    ev = evaluate(at, gu if which == "u" else gv)
-    grad = _gradient_half(spec, amap.adjoint(ev.residual), U, V, ev.balance, which)
+    Q, gq = amap.Q, grams[1]
+    ev = _evaluate(spec, at, Q, amap.apply(at), grams[0] - gq)
+    grad = _gradient_half(spec, amap.adjoint(ev.residual), at, ev.balance)
     if not np.all(np.isfinite(grad)):
-        raise DivergenceError(iteration, f"non-finite gradient in the {which}-substep")
+        raise DivergenceError(iteration,
+                              f"non-finite gradient in the {amap.side}-substep")
     base = ev.value
     for _ in range(_MAX_DOUBLINGS + 1):
         Znew = at - grad / L
         if not np.all(np.isfinite(Znew)):
-            raise DivergenceError(iteration, f"non-finite prox point ({which})")
+            raise DivergenceError(iteration, f"non-finite prox point ({amap.side})")
         cand = prox_matrix(Znew, L, spec.params, spec.model)
-        ev = evaluate(cand, cand.T @ cand)
+        ev = _evaluate(spec, cand, Q, amap.apply(cand), cand.T @ cand - gq)
         diff = cand - at
         bound = base + float(np.sum(grad * diff)) \
             + 0.5 * L * float(np.sum(diff * diff))
@@ -312,7 +307,7 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
             return cand, grad, L, ev
         L *= _BACKTRACK_FACTOR
     raise DivergenceError(
-        iteration, f"backtracking exceeded {_MAX_DOUBLINGS} doublings ({which})"
+        iteration, f"backtracking exceeded {_MAX_DOUBLINGS} doublings ({amap.side})"
     )
 
 
@@ -322,8 +317,9 @@ def _take(spec: ModelSpec, st: SolverState, umap: RestrictedMap, w: float,
     or None when w != 0 and the function test rejects it, before the
     stopping residuals. ``umap`` fixes W.V for the U-substep; the V-substep
     goes through a map that fixes U+, whose ``flip`` gives both gradient
-    halves at (U+, V+) and the next state's map. A kept extrapolated step
-    whose gradient test fires takes t = 1."""
+    halves at (U+, V+) and the next state's map; its evaluation is of
+    (V+, U+), so the U half takes its balance negated. A kept extrapolated
+    step whose gradient test fires takes t = 1."""
     it = st.iteration + 1
     U, V = st.W.U, st.W.V
     Ut = U + w * (U - st.W_prev.U) if w != 0.0 else U
@@ -351,8 +347,8 @@ def _take(spec: ModelSpec, st: SolverState, umap: RestrictedMap, w: float,
             tk = 1.0
 
     data_v, umap, data_u = vmap.flip(Vnew, ev.residual)
-    gnew_u = _gradient_half(spec, data_u, Unew, Vnew, ev.balance, "u")
-    gnew_v = _gradient_half(spec, data_v, Unew, Vnew, ev.balance, "v")
+    gnew_u = _gradient_half(spec, data_u, Unew, -ev.balance)
+    gnew_v = _gradient_half(spec, data_v, Vnew, ev.balance)
     nb = 1.0 + spec.b_norm
     return SolverState(
         W=_unchecked_pair(Unew, Vnew), W_prev=st.W, obj_scaled=obj,

@@ -321,6 +321,15 @@ MALFORMED = {
         p, lambda d: d.pop("r")), r"meta\.json: missing key 'r'"),
     "meta-without-operator_seed": ("gaussian", "meta.json", lambda p: _edit_json(
         p, lambda d: d.pop("operator_seed")), r"meta\.json: missing key 'operator_seed'"),
+    "meta-operator_seed-negative": ("gaussian", "meta.json", lambda p: _edit_json(
+        p, lambda d: d.update(operator_seed=-1)),
+        r"meta\.json: operator_seed must be an integer >= 0, got -1"),
+    "meta-operator_seed-fraction": ("gaussian", "meta.json", lambda p: _edit_json(
+        p, lambda d: d.update(operator_seed=1.5)),
+        r"meta\.json: operator_seed must be an integer >= 0, got 1\.5"),
+    "meta-m-string": ("mask", "meta.json", lambda p: _edit_json(
+        p, lambda d: d.update(m="20")),
+        r"meta\.json: m must be an integer >= 1, got '20'"),
     "meta-m-off-the-mask": ("mask", "meta.json", lambda p: _edit_json(
         p, lambda d: d.update(m=25)), r"meta\.json: m is 25, the operator's is 20"),
     "M-wrong-shape": ("mask", "M.npy", lambda p: np.save(p, np.ones((20, 21))),
@@ -352,24 +361,25 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_stored_file_exits_2(case, stored_runs, tmp_path, capsys):
-    """A stored file missing a key or not fitting the operator is a config
-    error (exit 2) naming the file and key, raised before any solve."""
+    """A stored file missing a key, holding a malformed value or not
+    fitting the operator is a config error (exit 2) naming the file and key,
+    raised before any solve: a broken instance from both ``solve`` and
+    ``diagnose``, a broken solution from ``diagnose``."""
     which, name, corrupt, message = MALFORMED[case]
     for part in ("mask", "gaussian", "sol"):
         shutil.copytree(stored_runs / part, tmp_path / part)
     corrupt(str(tmp_path / which / name))
     inst = str(tmp_path / ("gaussian" if which == "gaussian" else "mask"))
     out = tmp_path / "out"
-    if which == "sol":
-        argv = ["diagnose", "--instance", inst, "--solution", str(tmp_path / "sol"),
+    diagnose = ["diagnose", "--instance", inst, "--solution", str(tmp_path / "sol"),
                 "--out-dir", str(out)]
-    else:
-        argv = ["solve", "--instance", inst, "--out-dir", str(out), "--max-iters", "5"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error(config): ")
-    assert re.search(message, err), err
-    assert not out.exists()
+    solve = ["solve", "--instance", inst, "--out-dir", str(out), "--max-iters", "5"]
+    for argv in [diagnose] if which == "sol" else [solve, diagnose]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error(config): ")
+        assert re.search(message, err), err
+        assert not out.exists()
 
 
 def test_solve_config_must_match_instance(stored_runs, tmp_path, capsys):

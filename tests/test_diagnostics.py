@@ -429,6 +429,29 @@ def test_probe_cost_per_kept_sample(monkeypatch):
     assert calls["M"] == 1
 
 
+def test_dc_distance_and_probe_build_no_spec(monkeypatch):
+    """subdiff_distance on a dc spec takes the spec's own smooth gradient,
+    so neither it nor a dc probe builds a ModelSpec, which would re-check b
+    and re-take ||b|| on every kept sample."""
+    M = np.diag([2.0, 2.0])
+    spec = full_spec(M, lam=0.5, mu_tilde=0.5, model="dc", a=3.0, rho=2.0)
+    Wbar = build_balanced_factors(M, 2)
+    mod = kl_moduli(2.0, 2.0, 2, 2.0, 1.0, 1.0, 1.0, spec.params)
+    W = FactorPair(Wbar.U + 0.1, Wbar.V - 0.1)
+    built = []
+    checks = ModelSpec.__post_init__
+
+    def counted(self):
+        built.append(self.model)
+        checks(self)
+    monkeypatch.setattr(ModelSpec, "__post_init__", counted)
+    assert subdiff_distance(spec, W) > 0.0
+    assert built == []
+    rep = kl_inequality_probe(spec, Wbar, M, mod, samples=10, seed=0)
+    assert rep.status == "ok" and rep.kept == 10
+    assert built == []
+
+
 def test_probe_window_can_reject_everything():
     """Huge nu scales every sampled gap beyond 1/2, so nothing is kept."""
     M = np.diag([2.0, 2.0])

@@ -401,6 +401,40 @@ def test_instance_data_checked_where_it_enters(tmp_path):
         load_instance(str(tmp_path))
 
 
+def test_save_instance_refuses_a_seedless_gaussian(tmp_path):
+    """An instance stores a Gaussian operator as its seed, so one built from
+    matrices, which has none, is refused before any file is written."""
+    cfg = small_cfg(m=15, n=12, kappa=3, operator_kind="gaussian", sample_ratio=0.2)
+    M, op, b = gen_instance(cfg)
+    seedless = GaussianOperator.from_matrices(op.G)
+    out = tmp_path / "inst"
+    with pytest.raises(ValueError, match="built from matrices has no seed"):
+        save_instance(str(out), cfg, M, seedless, b)
+    assert not out.exists()
+
+
+# meta.json integer keys that load_instance refuses, with the value written.
+BAD_META_INTS = [("operator_seed", -1), ("operator_seed", 1.5), ("m", "6"),
+                 ("kappa", True), ("seed", -2), ("p", 0), ("r", 2.0)]
+
+
+@pytest.mark.parametrize("key,value", BAD_META_INTS)
+def test_load_instance_requires_integer_meta_fields(tmp_path, key, value):
+    """m, n, p, r, kappa, seed and a Gaussian's operator_seed must be ints,
+    not bools, in range: a fractional seed would load a different operator,
+    and a string or a negative one would fail deep inside numpy. Each is a
+    ValueError naming meta.json and the key."""
+    cfg = small_cfg(m=15, n=12, kappa=3, operator_kind="gaussian", sample_ratio=0.2)
+    save_instance(str(tmp_path), cfg, *gen_instance(cfg))
+    meta_path = tmp_path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=rf"meta\.json: {key} must be an integer "
+                                         rf">= [01], got {value!r}"):
+        load_instance(str(tmp_path))
+
+
 def test_gaussian_size_guard(tmp_path, monkeypatch):
     """A Gaussian operator over the byte limit is a ConfigError, from a config
     or from a stored meta.json, before anything is allocated. Both count the

@@ -11,12 +11,15 @@ never uses, the package's ``__all__`` is exactly what its ``__init__.py``
 imports, and the test oracles import nothing from the library they check.
 The solver's inner loop (``step``, ``_take``, ``_step_constant`` and
 ``_prox_substep``) is checked on the syntax tree as well: it names no
-checked function that has an unchecked kernel, on every branch. So is the
-growth probe's sampling loop, which checks its data before it starts and
-re-checks none of it. Every public function, class and method of the library
-must be named somewhere in the system (the library, the demos or the
-benchmark) outside its own definition, or be on a short allowlist that gives
-the reason it stays. The benchmark's three workloads, copied here, are
+checked function that has an unchecked kernel, on every branch. That loop
+and ``objective`` also branch on no factor side: no comparison or
+conditional there names a map's ``side``, a ``which`` or a "u" / "v"
+literal, since one substep and one gradient half serve both factors. The
+growth probe's sampling loop is checked too: it checks its data before it
+starts and re-checks none of it. Every public function, class and method
+of the library must be named somewhere in the system (the library, the
+demos or the benchmark) outside its own definition, or be on a short
+allowlist that gives the reason it stays. The benchmark's three workloads, copied here, are
 solved at one BLAS thread, as the benchmark runs them: each must pass the
 benchmark's answer gate within an iteration ceiling, so losing the gauge
 move's or the adaptive restart's iteration drop fails here.
@@ -132,6 +135,16 @@ def test_oracles_import_nothing_from_the_library():
     assert not [name for name in modules if name.split(".")[0] == "l20factor"]
 
 
+SOLVER_LOOP = ("step", "_take", "_step_constant", "_prox_substep")
+
+
+def _solver_loop():
+    """The syntax trees of the solver's inner-loop functions, by name."""
+    tree = ast.parse((ROOT / "src" / "l20factor" / "solver.py").read_text())
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in SOLVER_LOOP}
+
+
 def test_solver_inner_loop_names_no_checked_function():
     """``solver.step``, ``solver._take``, ``solver._step_constant`` and
     ``solver._prox_substep``, with their restart, ratio-refresh and
@@ -139,16 +152,45 @@ def test_solver_inner_loop_names_no_checked_function():
     a checked function whose unchecked kernel the solver calls.
     ``prox_matrix`` is the one checked call left in the loop: the
     benchmark's tracer counts the prox through it."""
-    tree = ast.parse((ROOT / "src" / "l20factor" / "solver.py").read_text())
     banned = {"as_matrix", "as_vector", "l20_norm", "g_scalar", "FactorPair"}
-    loop = ("step", "_take", "_step_constant", "_prox_substep")
     named = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in loop:
-            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            named[node.name] = names & banned
-    assert named == {name: set() for name in loop}
+    for name, node in _solver_loop().items():
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        named[name] = names & banned
+    assert named == {name: set() for name in SOLVER_LOOP}
+
+
+def test_substeps_and_gradient_halves_branch_on_no_side():
+    """``objective`` and the solver's inner loop hold no comparison, and no
+    if, conditional expression, while, assert or comprehension filter whose
+    test names a ``.side`` attribute, a ``which`` or a "u" / "v" literal:
+    each substep works on (active factor, map over the fixed one), so only
+    ``sampling``'s restricted maps know the side. Reading ``amap.side`` for
+    an error message stays allowed."""
+    def names_side(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "side"
+                   or isinstance(n, ast.Name) and n.id == "which"
+                   or isinstance(n, ast.Constant) and n.value in ("u", "v")
+                   for n in ast.walk(node))
+
+    loop = _solver_loop()
+    assert set(loop) == set(SOLVER_LOOP)
+    scopes = [ast.parse((ROOT / "src" / "l20factor" / "objective.py").read_text()),
+              *loop.values()]
+    found = []
+    for scope in scopes:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Compare):
+                tests = [node]
+            elif isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+                tests = [node.test]
+            elif isinstance(node, ast.comprehension):
+                tests = node.ifs
+            else:
+                tests = []
+            found += [ast.unparse(test) for test in tests if names_side(test)]
+    assert found == []
 
 
 def test_probe_sampling_loop_rechecks_no_data():
@@ -171,9 +213,6 @@ def test_probe_sampling_loop_rechecks_no_data():
 KEPT_UNCALLED = {
     "sampling.GaussianOperator.from_matrices":
         "lets tests build a Gaussian operator from a chosen tensor",
-    "sampling.RestrictedMap.matrix":
-        "the base form lets a test-substituted operator reach the Monte Carlo "
-        "brackets (the name scan sees the Gaussian override's calls)",
     "harness.read_trace_csv": "reads back the format that write_trace_csv defines",
     "penalty.g_scalar": "the documented, checked evaluator of g",
 }
