@@ -441,6 +441,7 @@ def _require(path: str, mapping, keys) -> None:
 # meta.json's integer keys and their least values (numpy seeds from 0).
 _META_INTS = {"m": 1, "n": 1, "p": 1, "r": 1, "kappa": 1, "seed": 0,
               "operator_seed": 0}
+_INSTANCE_SCHEMA = "l20factor-instance-v1"
 
 
 def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
@@ -451,7 +452,7 @@ def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
         raise ValueError("a Gaussian operator built from matrices has no seed, "
                          "and an instance stores the operator as its seed")
     os.makedirs(out_dir, exist_ok=True)
-    meta = {"schema": "l20factor-instance-v1", "p": op.p,
+    meta = {"schema": _INSTANCE_SCHEMA, "p": op.p,
             **{key: getattr(cfg, key) for key in INSTANCE_FIELDS}}
     if isinstance(op, GaussianOperator):
         meta["operator_seed"] = op.seed
@@ -464,12 +465,16 @@ def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
 
 def load_instance(in_dir: str):
     """Returns (meta, M, op, b) from a directory written by save_instance;
-    meta's integer keys must be ints in range, and its m, n and p, M's
-    shape and b's length must fit the operator."""
+    meta needs this package's schema and ints in range. Its m, n and p, M
+    and b must fit the operator, and so must sample_ratio but for a full
+    instance, by ``gen_instance``'s rule p = round(sample_ratio m n)."""
     meta_path = os.path.join(in_dir, "meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
     _require(meta_path, meta, ("schema", "p", *INSTANCE_FIELDS))
+    if meta["schema"] != _INSTANCE_SCHEMA:
+        raise ValueError(f"{meta_path}: schema must be {_INSTANCE_SCHEMA!r}, "
+                         f"got {meta['schema']!r}")
     for key, least in _META_INTS.items():
         if key in meta and (type(meta[key]) is not int or meta[key] < least):
             raise ValueError(f"{meta_path}: {key} must be an integer >= {least}, "
@@ -496,6 +501,11 @@ def load_instance(in_dir: str):
     for path, key, stored, expected in checks:
         if stored != expected:
             raise ValueError(f"{path}: {key} is {stored}, the operator's is {expected}")
+    ratio = meta["sample_ratio"]
+    if kind != "full" and not (type(ratio) in (int, float) and 0 < ratio <= 1
+                               and round(ratio * op.m * op.n) == op.p):
+        raise ValueError(f"{meta_path}: sample_ratio {ratio!r} does not give "
+                         f"p = {op.p} as round(sample_ratio * m * n)")
     return meta, M, op, b
 
 

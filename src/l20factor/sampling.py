@@ -326,7 +326,7 @@ class _GaussianRestrictedMap(RestrictedMap):
     the base bound, not the exact ||B||^2: under the exact value the
     40 x 40 Gaussian instance at lambda = 28 ||X0|| took 2643 iterations
     on seed 0 and fell to the zero pair on seeds 1-5, a problem outside
-    the recovery regime (ROADMAP item 3)."""
+    the recovery regime (ROADMAP item 6)."""
 
     def __init__(self, op: GaussianOperator, Q: Array, side: str,
                  B: Array | None = None):

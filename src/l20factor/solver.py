@@ -67,8 +67,7 @@ orthogonal Procrustes rotation, with k x k work on the pair's two Grams;
 W_prev and the restricted map that fixes V are mapped along, so
 the extrapolation keeps its momentum and no block is rebuilt. It fires when
 the balance term it removes is larger than the decrease of the smooth part
-that the step and prune just made, and not while a singular value of U V^T
-is near the prox's keep threshold (see ``_rebalance``). The paper's PALM
+that the step and prune just made (see ``_rebalance``). The paper's PALM
 analysis does not cover the move; like the prune, it is a descent step
 between iterations. The dc penalty depends on column norms, which the move
 changes, so dc takes no move and its iterates are those of the plain method.
@@ -112,9 +111,6 @@ _STEP_FLOOR = 1e-8
 _MARGIN = 1.1
 # Grid iterates the trace holds for the distance backfill (plus the latest).
 _KEPT = 64
-# The gauge move waits while a singular value of U V^T is within this factor
-# of the hard prox's keep threshold lam / L (see ``_rebalance``).
-_KEEP_MARGIN = 2.0
 # Relative rounding slack of an objective comparison: the majorization check
 # and the function-value restart allow a rise of this times max(1, |base|).
 _ROUNDING = 1e-12
@@ -466,8 +462,7 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
     recounted, since a balanced split can put a column under the zero
     tolerance, and the penalty follows the count.
 
-    The move fires only when all of these hold; otherwise ``st`` is
-    returned as it is.
+    The move fires only when all of these hold; otherwise it returns ``st``.
     - Every live column is nonzero in both factors.
     - The core has full numerical rank: both Cholesky factorizations succeed
       and ``linalg.numerical_rank`` counts every singular value of the core.
@@ -475,11 +470,6 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
       from ``before``, the state the step started from, to ``st``. Phi is
       the objective less the penalty, which only counts the support, so a
       step that kills a column does not hold the move back.
-    - Every singular value s_j of U V^T exceeds ``_KEEP_MARGIN`` lam / L,
-      L the smaller step constant. Balanced, column j has halves of squared
-      norm about s_j, and the hard prox keeps a half when its squared norm
-      exceeds lam / L; near that threshold the move would shield a column
-      that the prox, fed its smaller unbalanced half, could drop.
     """
     width = st.W.U.shape[1]
     if st.nnz_u != width or st.nnz_v != width:
@@ -495,8 +485,7 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
     try:
         lu, lv = np.linalg.cholesky(np.stack(grams))
         P, s, Zt = np.linalg.svd(lu.T @ lv)
-        if linalg.numerical_rank(s) < width \
-                or s[-1] <= _KEEP_MARGIN * lam / min(st.LU, st.LV):
+        if linalg.numerical_rank(s) < width:
             return st
         root = np.sqrt(s)
         # O is the orthogonal polar factor of (U T0)^T U + (V T0^-T)^T V,

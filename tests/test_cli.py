@@ -330,6 +330,12 @@ MALFORMED = {
     "meta-m-string": ("mask", "meta.json", lambda p: _edit_json(
         p, lambda d: d.update(m="20")),
         r"meta\.json: m must be an integer >= 1, got '20'"),
+    "meta-foreign-schema": ("mask", "meta.json", lambda p: _edit_json(
+        p, lambda d: d.update(schema="something-else")),
+        r"meta\.json: schema must be 'l20factor-instance-v1', got 'something-else'"),
+    "meta-sample_ratio-off-p": ("mask", "meta.json", lambda p: _edit_json(
+        p, lambda d: d.update(sample_ratio=0.9)),
+        r"meta\.json: sample_ratio 0\.9 does not give p = 200 "),
     "meta-m-off-the-mask": ("mask", "meta.json", lambda p: _edit_json(
         p, lambda d: d.update(m=25)), r"meta\.json: m is 25, the operator's is 20"),
     "M-wrong-shape": ("mask", "M.npy", lambda p: np.save(p, np.ones((20, 21))),

@@ -435,6 +435,48 @@ def test_load_instance_requires_integer_meta_fields(tmp_path, key, value):
         load_instance(str(tmp_path))
 
 
+# meta.json edits that load_instance refuses: (kind, key, value, message).
+BAD_META_DESCRIPTIONS = [
+    ("mask", "schema", "something-else",
+     r"schema must be 'l20factor-instance-v1', got 'something-else'"),
+    ("mask", "sample_ratio", 0.9, r"sample_ratio 0\.9 does not give p = 60 "),
+    ("mask", "sample_ratio", "0.5", r"sample_ratio '0\.5' does not give p = 60 "),
+    ("gaussian", "sample_ratio", 0.4, r"sample_ratio 0\.4 does not give p = 60 "),
+]
+
+
+@pytest.mark.parametrize("kind,key,value,message", BAD_META_DESCRIPTIONS)
+def test_load_instance_requires_meta_to_describe_the_instance(
+        tmp_path, kind, key, value, message):
+    """meta.json's schema must be this package's, and a mask or Gaussian
+    instance's sample_ratio must give its p by gen_instance's rule,
+    round(sample_ratio m n): on the 12 x 10 instance with p = 60, a ratio of
+    0.9 would misdescribe it in every summary. Each is a ValueError naming
+    meta.json and the key."""
+    cfg = small_cfg(m=12, n=10, kappa=3, operator_kind=kind, sample_ratio=0.5)
+    save_instance(str(tmp_path), cfg, *gen_instance(cfg))
+    meta_path = tmp_path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["p"] == 60
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=rf"meta\.json: {message}"):
+        load_instance(str(tmp_path))
+
+
+def test_full_instance_ignores_sample_ratio(tmp_path):
+    """A full instance has p = m n whatever its sample_ratio, so it loads
+    with any ratio."""
+    cfg = small_cfg(m=12, n=10, kappa=3, operator_kind="full", sample_ratio=0.5)
+    save_instance(str(tmp_path), cfg, *gen_instance(cfg))
+    meta_path = tmp_path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["sample_ratio"] = 0.9
+    meta_path.write_text(json.dumps(meta))
+    meta, _, op, _ = load_instance(str(tmp_path))
+    assert (meta["sample_ratio"], op.p) == (0.9, 120)
+
+
 def test_gaussian_size_guard(tmp_path, monkeypatch):
     """A Gaussian operator over the byte limit is a ConfigError, from a config
     or from a stored meta.json, before anything is allocated. Both count the
@@ -737,6 +779,28 @@ def test_harness_start_matches_solve_auto(overrides):
 
 
 # -------------------------------------------------------------- diagnose
+
+
+@pytest.mark.parametrize("model,rho_rule", [("l20", None), ("dc", "1")])
+def test_diagnose_at_lambda_zero_skips_the_growth_theory(tmp_path, model, rho_rule):
+    """A lambda = 0 solve is valid, but nu = 1/lambda is undefined, so
+    diagnose reports the certificate and skips the moduli, the threshold
+    and the probe, for either model. With no penalty the solve keeps all
+    kappa = 3 columns, so the certificate fails."""
+    cfg = ExperimentConfig(m=12, n=10, r=2, kappa=3, sample_ratio=0.6, seed=1,
+                           model=model, lambda_rule="0", rho_rule=rho_rule)
+    M, op, b = gen_instance(cfg)
+    inst, sol = str(tmp_path / "inst"), str(tmp_path / "sol")
+    save_instance(inst, cfg, M, op, b)
+    assert run_experiment(cfg, sol, instance=(M, op, b))["summary"]["reason"] \
+        == "converged"
+    report = diagnose(inst, sol)
+    cert = report["certificate"]
+    assert (cert["col_count_u"], cert["col_count_v"], cert["passed"]) == (3, 3, False)
+    assert report["rel_error"] == cert["product_error"]
+    for key in ("moduli", "threshold", "probe"):
+        assert report[key] == {"status": "skipped",
+                               "message": "nu = 1/lambda is undefined at lambda = 0"}
 
 
 def test_diagnose_certifies_recovered_solution(tmp_path):

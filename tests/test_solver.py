@@ -141,12 +141,18 @@ def test_divergence_error_carries_iteration():
     """A step from an overflowing start raises DivergenceError with its
     iteration, also when only the fixed factor overflows its Gram (U small,
     V = 1e200): the Gram is checked before LAPACK, which would raise
-    LinAlgError, sees it."""
+    LinAlgError, sees it. So does a finite state whose extrapolation
+    overflows: W_prev.U = U - 1e308 at t_prev = 100."""
     spec, _ = mask_instance()
-    big = 1e200 * np.ones((10, 2))
-    for U in (big, 1e-3 * np.ones((10, 2))):
-        with pytest.raises(DivergenceError, match="iteration 1") as info:
-            step(spec, solver._start_state(spec, FactorPair(U, big)))
+    big, small = 1e200 * np.ones((10, 2)), 1e-3 * np.ones((10, 2))
+    states = [solver._start_state(spec, FactorPair(U, big)) for U in (big, small)]
+    far = solver._start_state(spec, FactorPair(small, small))
+    states.append(replace(far, W_prev=FactorPair(small - 1e308, small),
+                          tk_prev=100.0))
+    for st, what in zip(states, ("Gram", "Gram", "extrapolated point")):
+        message = f"iteration 1: non-finite {what}"
+        with pytest.raises(DivergenceError, match=message) as info:
+            step(spec, st)
         assert info.value.iteration == 1
 
 
@@ -874,11 +880,11 @@ def test_solve_pads_dead_columns_back_in_place(model, rho, lam, dead):
 
 
 def moved_state(spec, U, V, Up, Vp):
-    """A state at (U, V) with W_prev (Up, Vp), its counts and objective, and
-    unit step constants. Passed as its own ``before``, it
-    makes the step's decrease 0, so any balance gain clears the gain test."""
+    """A state at (U, V) with W_prev (Up, Vp), its counts and objective.
+    Passed as its own ``before``, it makes the step's decrease 0, so any
+    balance gain clears the gain test."""
     return replace(solver._start_state(spec, FactorPair(U, V)),
-                   W_prev=FactorPair(Up, Vp), LU=1.0, LV=1.0)
+                   W_prev=FactorPair(Up, Vp))
 
 
 def balance_gain(spec, W):
@@ -930,10 +936,10 @@ def test_gauge_move_keeps_the_product_and_balances(seed, k, extra, log_scale):
 
 def test_gauge_move_is_skipped_where_it_does_not_apply(monkeypatch):
     """No move for a dead column, for a rank-deficient core (an exactly
-    singular Gram, where Cholesky fails, and a nearly singular one), when
-    the step's decrease beats the balance gain, or while a singular value of
-    U V^T is near the prox's keep threshold lam / L. A dc solve never calls
-    the move; an l20 solve does."""
+    singular Gram, where Cholesky fails, and a nearly singular one), or when
+    the step's decrease beats the balance gain. The move reads no step
+    constant: with a singular value of U V^T at lam / L it still fires and
+    keeps U V^T. A dc solve never calls the move; an l20 solve does."""
     rng = np.random.default_rng(0)
     spec, _ = mask_instance(lam=1e-6)
     U, V = rng.standard_normal((10, 2)), 3.0 * rng.standard_normal((10, 2))
@@ -959,7 +965,9 @@ def test_gauge_move_is_skipped_where_it_does_not_apply(monkeypatch):
 
     s_min = linalg.svd(U @ V.T).sigma[1]
     near = replace(st, LU=spec.params.lam / s_min, LV=1e9)
-    assert solver._rebalance(spec, near, near) is near
+    moved = solver._rebalance(spec, near, near)
+    assert moved is not near
+    assert rel_dist(moved.W.U @ moved.W.V.T, U @ V.T) <= 1e-12
 
     moves = Counter()
     count_calls(monkeypatch, moves, solver, "_rebalance")
