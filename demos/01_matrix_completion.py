@@ -16,7 +16,7 @@ Run: python3 demos/01_matrix_completion.py
 import numpy as np
 
 from l20factor import (FactorPair, ModelSpec, PenaltyParams, SolverConfig,
-                       UniformMaskOperator, certify_optimal_pair, solve)
+                       UniformMaskOperator, certify_optimal_pair, linalg, solve)
 
 
 def main():
@@ -31,8 +31,9 @@ def main():
     print(f"target: {m}x{n}, rank {r}, {op.p} of {m * n} entries observed")
 
     # lambda = 1/nu scales the data term; the rule of thumb that works at
-    # this size is a multiple of the spectral norm of A*(b).
-    x0_norm = float(np.linalg.svd(op.adjoint(b), compute_uv=False)[0])
+    # this size is a multiple of the spectral norm of A*(b), sigma_1 of its
+    # leading triples, as the harness's rules read specnorm(X0).
+    x0_norm = float(linalg.top_svd(op.adjoint(b), kappa).sigma[0])
     lam = 28.0 * x0_norm
     params = PenaltyParams(lam=lam, mu_tilde=1e-3, a=3.7)
     spec = ModelSpec(model="l20", op=op, b=b, params=params)

@@ -13,7 +13,7 @@ Run: python3 demos/02_dc_surrogate.py
 import numpy as np
 
 from l20factor import (ModelSpec, PenaltyParams, SolverConfig,
-                       UniformMaskOperator, solve, theta)
+                       UniformMaskOperator, linalg, solve, theta)
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
     M = rng.standard_normal((m, r)) @ rng.standard_normal((n, r)).T
     op = UniformMaskOperator.from_ratio(m, n, 0.4, rng)
     b = op.apply(M)
-    x0_norm = float(np.linalg.svd(op.adjoint(b), compute_uv=False)[0])
+    x0_norm = float(linalg.top_svd(op.adjoint(b), kappa).sigma[0])
 
     # Matched scales: lambda quadratic in c*||X0||, rho its reciprocal, so
     # that a column of typical size sits on the ramp at the start and ends

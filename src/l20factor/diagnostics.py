@@ -89,6 +89,18 @@ class ProbeReport:
     window: tuple[float, float] = PROBE_WINDOW
 
 
+def rank_revealing_svd(M: Array, kappa: int) -> linalg.SvdResult:
+    """M's leading singular triples, enough of them to give its numerical
+    rank: ``linalg.top_svd`` at kappa (at most min(m, n)), widened to all
+    min(m, n) only when every value it found is above the rank tolerance,
+    so that the rank cannot lie past them. M is a checked float64 matrix."""
+    full = min(M.shape)
+    dec = linalg._top_svd(M, min(kappa, full))
+    if linalg.numerical_rank(dec.sigma) == dec.sigma.size < full:
+        dec = linalg._top_svd(M, full)
+    return dec
+
+
 def certify_optimal_pair(W: FactorPair, M,
                          sigma: Array | None = None) -> OptimalSetCertificate:
     """Certificate that W is a balanced exact factorization of M.
@@ -99,14 +111,15 @@ def certify_optimal_pair(W: FactorPair, M,
     the singular values of the core R_U R_V^T (at most kappa x kappa) of
     the thin QRs U = Q_U R_U and V = Q_V R_V, which are those of U V^T.
     ``sigma`` is M's singular values when the caller has them (||M||_2 is
-    the first); otherwise ||M||_2 is computed here.
+    the first); otherwise they come from ``rank_revealing_svd`` at W's kappa.
     """
     M = linalg.as_matrix(M, "M")
     nm = float(np.linalg.norm(M))
     if nm == 0:
         raise ValueError("M must be nonzero to certify against")
-    norm2 = np.linalg.norm(M, 2) if sigma is None else sigma[0]
-    max_balance = _CERT_TOL * float(norm2)
+    if sigma is None:
+        sigma = rank_revealing_svd(M, W.kappa).sigma
+    max_balance = _CERT_TOL * float(sigma[0])
     perr = float(np.linalg.norm(W.product() - M)) / nm
     berr = float(np.linalg.norm(W.U.T @ W.U - W.V.T @ W.V))
     core = np.linalg.qr(W.U, mode="r") @ np.linalg.qr(W.V, mode="r").T
@@ -226,8 +239,9 @@ def kl_inequality_probe(spec: ModelSpec, Wbar: FactorPair, M, moduli: KLModuli,
     does not match the operator; returns status "no-admissible-samples"
     when the window rejects everything within 200x oversampling. ``sigma``
     is M's singular values when the caller has them (the radius needs
-    them); otherwise the probe takes M's SVD. Wbar's smooth value and
-    column counts are evaluated once, before sampling.
+    them); otherwise they come from ``rank_revealing_svd`` at Wbar's kappa.
+    Wbar's smooth value and column counts are evaluated once, before
+    sampling.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -245,7 +259,9 @@ def kl_inequality_probe(spec: ModelSpec, Wbar: FactorPair, M, moduli: KLModuli,
     if float(np.linalg.norm(spec.op.apply(M) - spec.b)) > 1e-8 * (1.0 + spec.b_norm):
         raise ValueError("b is not the measurement of M (||A(M) - b|| too large)")
     spec.check_shapes(Wbar)
-    radius = _probe_radius(spec, linalg._svd(M).sigma if sigma is None else sigma)
+    if sigma is None:
+        sigma = rank_revealing_svd(M, Wbar.kappa).sigma
+    radius = _probe_radius(spec, sigma)
 
     m, n, kap = spec.op.m, spec.op.n, Wbar.kappa
     dim = (m + n) * kap

@@ -31,9 +31,8 @@ import numpy as np
 
 from . import linalg
 from .diagnostics import (certify_optimal_pair, exact_penalty_threshold,
-                          kl_inequality_probe, kl_moduli)
-from .objective import (MODELS, FactorPair, ModelSpec, balanced_factors,
-                        build_balanced_factors)
+                          kl_inequality_probe, kl_moduli, rank_revealing_svd)
+from .objective import MODELS, FactorPair, ModelSpec, balanced_factors
 from .penalty import PenaltyParams
 from .sampling import (FullOperator, GaussianOperator, SamplingOperator,
                        UniformMaskOperator, estimate_restricted_eigs)
@@ -277,18 +276,23 @@ def build_model_spec(cfg: ExperimentConfig, op: SamplingOperator, b) -> ModelSpe
     """Resolve the parameter rules against X0 = A*(b) and assemble the spec;
     an unset rule takes ``rules_at_scale`` at its model's default scale."""
     b = linalg.as_vector(b, "b")
-    return _resolve_spec(cfg, op, b, _x0_norm(op.adjoint(b)))
+    return _resolve_spec(cfg, op, b, _x0_decomposition(cfg, op, b))
 
 
-def _x0_norm(X0) -> float:
-    """numpy's ||X0||_2, the rules' ``specnorm(X0)``, not sigma_1 of an SVD."""
-    return float(np.linalg.norm(X0, 2))
+def _x0_decomposition(cfg: ExperimentConfig, op: SamplingOperator, b) -> linalg.SvdResult:
+    """The leading cfg.kappa triples of X0 = A*(b) for a checked b
+    (``linalg.top_svd``): sigma_1 is the rules' ``specnorm(X0)``, and
+    ``balanced_factors`` of it is the spectral start, the one
+    ``solve(W0="auto")`` builds."""
+    return linalg._top_svd(op.adjoint(b), cfg.kappa)
 
 
 def _resolve_spec(cfg: ExperimentConfig, op: SamplingOperator, b,
-                  x0_norm: float) -> ModelSpec:
-    """``build_model_spec`` with ||X0||_2 given, for callers that resolve
-    several configs on one instance."""
+                  x0: linalg.SvdResult) -> ModelSpec:
+    """``build_model_spec`` with X0's ``_x0_decomposition`` given, for
+    callers that also start from it or resolve several configs on one
+    instance."""
+    x0_norm = float(x0.sigma[0])
     default_lam, default_rho = rules_at_scale(cfg.model, _DEFAULT_SCALE[cfg.model])
     lam_rule = cfg.lambda_rule if cfg.lambda_rule is not None else default_lam
     lam = eval_rule(lam_rule, cfg.a, x0_norm)
@@ -545,9 +549,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     else:
         M, op, b = instance
     b = linalg.as_vector(b, "b")
-    X0 = op.adjoint(b)
-    return _solve_and_summarize(cfg, _resolve_spec(cfg, op, b, _x0_norm(X0)),
-                                build_balanced_factors(X0, cfg.kappa), M, out_dir, started)
+    x0 = _x0_decomposition(cfg, op, b)
+    return _solve_and_summarize(cfg, _resolve_spec(cfg, op, b, x0),
+                                balanced_factors(x0, cfg.kappa), M, out_dir, started)
 
 
 def _solve_and_summarize(cfg: ExperimentConfig, spec: ModelSpec, W0: FactorPair,
@@ -584,7 +588,8 @@ def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dic
     dc model. Emits sweep.csv with one row per c, and each run's files in
     ``c_{c:g}``. Two c values that share that name, or a c whose rules do
     not resolve on the instance, are a ConfigError, raised before any solve.
-    X0 = A*(b), its norm and the start are taken once; every run copies it.
+    X0 = A*(b) and its one decomposition, which gives ||X0||_2 and the
+    start, are taken once; every run copies the start.
     """
     c_values = [float(c) for c in c_values]
     if len(c_values) < 2:
@@ -594,14 +599,13 @@ def run_fig3(cfg: ExperimentConfig, c_values, out_dir: str | None = None) -> dic
     if shared:
         raise ConfigError(f"fig3 c values {c_values} share run directories {shared}")
     M, op, b = instance = gen_instance(cfg)
-    X0 = op.adjoint(b)
-    x0_norm = _x0_norm(X0)
+    x0 = _x0_decomposition(cfg, op, b)
     subs = []
     for c in c_values:
         lam_rule, rho_rule = rules_at_scale(cfg.model, c)
         sub = dataclasses.replace(cfg, lambda_rule=lam_rule, rho_rule=rho_rule)
-        subs.append((sub, _resolve_spec(sub, op, b, x0_norm)))
-    W0 = build_balanced_factors(X0, cfg.kappa)
+        subs.append((sub, _resolve_spec(sub, op, b, x0)))
+    W0 = balanced_factors(x0, cfg.kappa)
     runs = []
     for c, name, (sub, spec) in zip(c_values, names, subs):
         sub_dir = None if out_dir is None else os.path.join(out_dir, name)
@@ -628,10 +632,13 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None) -
     Emits diagnosis.json with: the optimal-pair certificate, restricted
     eigenvalue estimates, growth moduli and hypothesis flags, the exact
     penalty threshold, and a sampling probe of the growth inequality around
-    the balanced optimum of M. M's SVD is taken once, before the
-    certificate, and gives ||M||_2, the spectrum, that optimum and the
-    probe's radius; the certificate's rank comes from the kappa x kappa QR
-    core of U V^T, so M is the only m x n matrix decomposed. Mask brackets
+    the balanced optimum of M. M is decomposed once, before the
+    certificate, by ``rank_revealing_svd`` at the solution's kappa: its
+    leading triples, widened to all min(m, n) only when every value found
+    is above the rank tolerance, so the rank is exact. They give ||M||_2,
+    the spectrum, that optimum and the probe's radius; the certificate's
+    rank comes from the kappa x kappa QR core of U V^T, so M is the only
+    m x n matrix decomposed. Mask brackets
     are exact (alpha = 0 once an entry is missed, which skips the moduli),
     as are full and dense-Gram ones. Only Monte Carlo brackets are
     one-sided, so the moduli use the optimistic pair (alpha_upper,
@@ -658,7 +665,7 @@ def diagnose(instance_dir: str, solution_dir: str, out_dir: str | None = None) -
         raise ValueError(f"{os.path.join(solution_dir, 'solution.npz')}: {err}") from err
 
     report: dict = {"schema": "l20factor-diagnosis-v1"}
-    dec = linalg.svd(M)
+    dec = rank_revealing_svd(M, W.kappa)
     cert = certify_optimal_pair(W, M, sigma=dec.sigma)
     report["certificate"] = dataclasses.asdict(cert)
     report["rel_error"] = cert.product_error

@@ -3,13 +3,16 @@
 ``as_matrix`` and ``as_vector`` check data where it enters the package
 (factor pairs, model specs, loaders, public evaluators): real inputs of the
 right dimension, finite entries, informative shape errors. ``svd`` falls
-back to gesvd when the default LAPACK routine fails; ``l20_norm`` and
-``numerical_rank`` count columns and singular values above the package's
-fixed zero tolerances (1e-8 * max(1, ||X||_F) and 1e-8 * sigma_1).
+back to gesvd when the default LAPACK routine fails; ``top_svd`` gives the
+leading triples from a seeded block subspace iteration, whose small SVD
+takes the same fallback. ``l20_norm`` and ``numerical_rank`` count columns
+and singular values above the package's fixed zero tolerances
+(1e-8 * max(1, ||X||_F) and 1e-8 * sigma_1).
 ``l20_norm`` is ``as_matrix`` over the unchecked ``_column_count``, which
 the solver calls on iterates it has checked itself; ``_live_columns`` is
-that count's column mask, and ``svd`` is ``as_matrix`` over ``_svd``.
-Norms are numpy's, called directly.
+that count's column mask. ``svd`` and ``top_svd`` are ``as_matrix`` over
+``_svd`` and ``_top_svd``, which the package calls on matrices it has
+checked. Norms are numpy's, called directly.
 """
 
 from __future__ import annotations
@@ -53,10 +56,12 @@ def as_vector(y, name: str = "y") -> Array:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin singular value decomposition X = P @ diag(sigma) @ Q.T.
+    """Thin singular value decomposition X = P @ diag(sigma) @ Q.T, or its
+    leading k triples.
 
-    P is m x k, Q is n x k with k = min(m, n); sigma is nonincreasing
-    and nonnegative.
+    P is m x k and Q is n x k with orthonormal columns; sigma is
+    nonincreasing and nonnegative. ``svd`` gives k = min(m, n); ``top_svd``
+    may give fewer, X's leading k triples.
     """
 
     P: Array
@@ -80,6 +85,49 @@ def _svd(A: Array) -> SvdResult:
 
         P, s, Qh = scipy_svd(A, full_matrices=False, lapack_driver="gesvd")
     return SvdResult(P=P, sigma=s, Q=Qh.T)
+
+
+# Extra columns of top_svd's test matrix past the k triples asked for, its
+# power steps and the seed of its Gaussian draw.
+_OVERSAMPLE = 10
+_POWER_STEPS = 8
+_TOP_SVD_SEED = 0
+
+
+def top_svd(X, k: int) -> SvdResult:
+    """X's leading w = min(k + 10, m, n) singular triples, for 1 <= k <= min(m, n).
+
+    A block subspace iteration (Halko, Martinsson and Tropp, "Finding
+    structure with randomness", SIAM Review 53, 2011): a Gaussian test
+    matrix of width w from a fixed seed, 8 power steps, each half
+    re-orthonormalized by QR, then the small SVD of Q^T X. The draw is
+    seeded, so equal inputs give bitwise-equal results. The values are
+    lower bounds on X's; sigma_1 agrees with ||X||_2 to rounding when it
+    stands clear of sigma_{w+1}, as on the rank-r signal of X0 = A*(b)
+    (on a spectrum with no gap, such as a square Gaussian matrix's, only to
+    about 1e-9), and an X of rank below w is reproduced to rounding. When
+    w reaches min(m, n) the subspace is the whole space, so the result is
+    X's thin SVD itself.
+    """
+    A = as_matrix(X)
+    if not 1 <= k <= min(A.shape):
+        raise ValueError(f"k must lie in [1, {min(A.shape)}], got {k}")
+    return _top_svd(A, k)
+
+
+def _top_svd(A: Array, k: int) -> SvdResult:
+    """``top_svd`` of a float64 matrix the caller has checked, with
+    1 <= k <= min(m, n)."""
+    m, n = A.shape
+    w = min(k + _OVERSAMPLE, m, n)
+    if w == min(m, n):
+        return _svd(A)
+    omega = np.random.default_rng(_TOP_SVD_SEED).standard_normal((n, w))
+    Q = np.linalg.qr(A @ omega)[0]
+    for _ in range(_POWER_STEPS):
+        Q = np.linalg.qr(A @ np.linalg.qr(A.T @ Q)[0])[0]
+    dec = _svd(Q.T @ A)
+    return SvdResult(P=Q @ dec.P, sigma=dec.sigma, Q=dec.Q)
 
 
 def default_zero_tol(X) -> float:

@@ -68,18 +68,23 @@ def _unchecked_pair(U: Array, V: Array) -> FactorPair:
 
 
 def build_balanced_factors(X, kappa: int) -> FactorPair:
-    """Balanced factor pair with UV^T = X (for kappa >= rank) via the SVD.
+    """Balanced factor pair with UV^T = X (for kappa >= rank) from X's
+    leading kappa singular triples, ``linalg.top_svd(X, kappa)``.
 
-    U = P sqrt(S), V = Q sqrt(S) on the leading kappa singular triples;
-    the singular values past ``linalg.numerical_rank`` (those at or below
-    1e-8 * sigma_1) are treated as zero, so both factors have exactly
-    min(kappa, numerical_rank(sigma)) nonzero columns.
+    U = P sqrt(S), V = Q sqrt(S) on those triples; the singular values past
+    ``linalg.numerical_rank`` (those at or below 1e-8 * sigma_1) are treated
+    as zero, so both factors have exactly min(kappa, numerical_rank(sigma))
+    nonzero columns. This is the solver's spectral start from X0 = A*(b).
     """
-    return balanced_factors(linalg.svd(X), kappa)
+    X = linalg.as_matrix(X)
+    if not 1 <= kappa <= min(X.shape):
+        raise ValueError(f"kappa must lie in [1, {min(X.shape)}], got {kappa}")
+    return balanced_factors(linalg._top_svd(X, kappa), kappa)
 
 
 def balanced_factors(dec: linalg.SvdResult, kappa: int) -> FactorPair:
-    """``build_balanced_factors`` of X from its thin SVD ``dec``."""
+    """``build_balanced_factors`` of X from its leading triples ``dec``
+    (at least kappa of them)."""
     if not 1 <= kappa <= dec.sigma.size:
         raise ValueError(f"kappa must lie in [1, {dec.sigma.size}], got {kappa}")
     sigma = dec.sigma[:kappa].copy()

@@ -56,7 +56,7 @@ def prox_matrix(Z, step_l: float, params: PenaltyParams, model: str) -> Array:
     lam, rho, a, tau = params.lam, params.rho, params.a, params.tau
     s1 = 2.0 / ((a + 1) * rho)
     s2 = 2.0 * a / ((a + 1) * rho)
-    z0 = np.array([np.linalg.norm(z) for z in Z.T])
+    z0 = np.linalg.norm(Z, axis=0)
     cand = np.sort(np.stack([
         np.zeros_like(z0),
         np.full_like(z0, s1),

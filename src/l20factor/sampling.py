@@ -3,8 +3,9 @@
 Three operator families are provided: identity vectorization (``full``),
 entrywise subsampling without replacement (``mask``), and dense Gaussian
 sketches (``gaussian``). All of them share the column-major (order="F")
-vectorization convention. Operators are immutable; each knows its exact norm,
-which a Gaussian operator computes once, from the smaller Gram of its matrix.
+vectorization convention. Operators are immutable, but for the work arrays a
+mask keeps for its restricted maps; each knows its exact norm, which a
+Gaussian operator computes once, from the smaller Gram of its matrix.
 
 With one factor of X = U V^T held fixed, A is linear in the other: an
 operator's ``restricted(Q, side)`` map takes Z to A(Z Q^T) (side "u", Q = V)
@@ -109,6 +110,12 @@ class UniformMaskOperator(SamplingOperator):
     orthogonal projection onto the observed support, so the operator norm is
     exactly 1. The restricted maps' curvature reads the same support as an
     m x n 0/1 array, built on first use.
+
+    The restricted maps form their m x n products and scatters in one work
+    array the operator holds, made on first use, so a solve does not
+    allocate (and fault in) an m x n array per call. An operator and its
+    maps are therefore single-threaded; its own ``apply`` and ``adjoint``
+    return fresh arrays and do not touch the work array.
     """
 
     kind = "mask"
@@ -162,6 +169,14 @@ class UniformMaskOperator(SamplingOperator):
         P = np.zeros(self.m * self.n)
         P[self.flat] = 1.0
         return P.reshape(self.m, self.n)
+
+    @cached_property
+    def _work(self) -> Array:
+        """The restricted maps' m x n work array: the product an apply
+        gathers from, or the zero-filled target an adjoint scatters into.
+        Filling it just before the scatter keeps it in cache, where a
+        scatter into an array last written a substep ago is slower."""
+        return np.empty((self.m, self.n))
 
     def restricted(self, Q: Array, side: str) -> "RestrictedMap":
         return _MaskRestrictedMap(self, Q, side)
@@ -274,7 +289,35 @@ class _MaskRestrictedMap(RestrictedMap):
     rows q_j of Q observed with it (j in Omega_i: the entries (i, j) on "u",
     (j, i) on "v"), so the map's Gram is block diagonal with blocks
     G_i = sum_{j in Omega_i} q_j q_j^T, and its top eigenvalue is the
-    largest of theirs."""
+    largest of theirs. Its apply, adjoint and flip use the operator's work
+    array, and their values are bitwise those of the base map: an apply
+    forms the product there and passes it to the operator's apply; an
+    adjoint scatters there itself, so it makes no call of the operator's
+    adjoint."""
+
+    def apply(self, Z: Array) -> Array:
+        prod = self.op._work
+        if self.side == "u":
+            np.matmul(Z, self.Q.T, out=prod)
+        else:
+            np.matmul(self.Q, Z.T, out=prod)
+        return self.op.apply(prod)
+
+    def _scatter(self, r: Array) -> Array:
+        """A*(r), in the operator's work array."""
+        R = self.op._work
+        scatter = R.reshape(-1)
+        scatter.fill(0.0)
+        scatter[self.op.flat] = r
+        return R
+
+    def adjoint(self, r: Array) -> Array:
+        return self._restrict(self._scatter(r))
+
+    def flip(self, Z: Array, r: Array) -> tuple[Array, RestrictedMap, Array]:
+        other = self.op.restricted(Z, _OTHER_SIDE[self.side])
+        R = self._scatter(r)
+        return self._restrict(R), other, other._restrict(R)
 
     def curvature(self) -> float:
         """max_i lambda_max(G_i), to rounding. Q's zero columns add only zero

@@ -718,13 +718,14 @@ def test_fig3_resolves_every_scale_before_solving(tmp_path):
 
 def test_one_x0_and_one_start_per_instance(monkeypatch):
     """``run_experiment`` and a three-scale ``run_fig3`` each take
-    X0 = A*(b) once and build the spectral start once for their instance
-    (``solve`` builds none), and resolve each scale's rules once; each fig3
+    X0 = A*(b) once and decompose it once for their instance, the one
+    ``top_svd`` that gives both ||X0||_2 and the spectral start (``solve``
+    decomposes nothing), and resolve each scale's rules once; each fig3
     run's summary is the one ``run_experiment`` gives for that scale, apart
     from the timing."""
-    calls = {"adjoint_b": 0, "start": 0, "resolve": 0}
+    calls = {"adjoint_b": 0, "decompose": 0, "resolve": 0}
     gen, adjoint = harness.gen_instance, SamplingOperator.adjoint
-    build, resolve = harness.build_balanced_factors, harness._resolve_spec
+    top_svd, resolve = linalg._top_svd, harness._resolve_spec
     instances = []
 
     def counted_gen(cfg):
@@ -735,24 +736,23 @@ def test_one_x0_and_one_start_per_instance(monkeypatch):
         calls["adjoint_b"] += np.array_equal(y, instances[-1][2])
         return adjoint(op, y)
 
-    def counted_build(X, kappa):
-        calls["start"] += 1
-        return build(X, kappa)
+    def counted_top_svd(A, k):
+        calls["decompose"] += 1
+        return top_svd(A, k)
 
     def counted_resolve(*args):
         calls["resolve"] += 1
         return resolve(*args)
     monkeypatch.setattr(harness, "gen_instance", counted_gen)
     monkeypatch.setattr(SamplingOperator, "adjoint", counted_adjoint)
-    monkeypatch.setattr(harness, "build_balanced_factors", counted_build)
-    monkeypatch.setattr(solver, "build_balanced_factors", counted_build)
+    monkeypatch.setattr(linalg, "_top_svd", counted_top_svd)
     monkeypatch.setattr(harness, "_resolve_spec", counted_resolve)
     cfg = small_cfg(m=20, n=20, max_iters=20)
     lam_rule, _ = harness.rules_at_scale("l20", 28.0)
     alone = run_experiment(dataclasses.replace(cfg, lambda_rule=lam_rule))["summary"]
-    assert calls == {"adjoint_b": 1, "start": 1, "resolve": 1}
+    assert calls == {"adjoint_b": 1, "decompose": 1, "resolve": 1}
     runs = run_fig3(cfg, [1.0, 28.0, 500.0])["runs"]
-    assert calls == {"adjoint_b": 2, "start": 2, "resolve": 4}
+    assert calls == {"adjoint_b": 2, "decompose": 2, "resolve": 4}
     del alone["time_s"]
     assert {k: v for k, v in runs[1].items() if k not in ("c", "time_s")} == alone
 
@@ -776,6 +776,23 @@ def test_harness_start_matches_solve_auto(overrides):
         return np.array([astuple(dataclasses.replace(rec, time_s=0.0))
                          for rec in trace.records])
     assert np.array_equal(untimed(bundle["trace"]), untimed(trace), equal_nan=True)
+
+
+def test_zero_measurements_give_the_zero_start_and_lambda_zero():
+    """b = 0 makes X0 = 0: its decomposition has sigma_1 = 0, so every
+    specnorm(X0) rule resolves to lambda = 0, the start is the zero pair,
+    and the run and ``solve``'s "auto" start both stay there."""
+    cfg = small_cfg(m=30, n=24, kappa=3, max_iters=50)
+    M, op, _ = gen_instance(cfg)
+    b = np.zeros(op.p)
+    spec = build_model_spec(cfg, op, b)
+    assert spec.params.lam == 0.0
+    bundle = run_experiment(cfg, instance=(M, op, b))
+    assert bundle["summary"]["lambda"] == 0.0
+    assert bundle["summary"]["reason"] == "converged"
+    W, _, _ = solve(spec, SolverConfig(max_iters=5), "auto", kappa=cfg.kappa)
+    for F in (bundle["W"].U, bundle["W"].V, W.U, W.V):
+        assert not np.any(F)
 
 
 # -------------------------------------------------------------- diagnose
@@ -838,32 +855,72 @@ def test_diagnose_certifies_recovered_solution(tmp_path):
     assert on_disk["probe"]["slack"] == probe["slack"]
 
 
-def test_diagnose_takes_the_svd_of_m_once(tmp_path, monkeypatch):
-    """||M||_2, the spectrum, the probe's balanced optimum and its radius
-    share one SVD of M, and no other m x n matrix is decomposed: the
-    certificate's rank comes from a kappa x kappa core."""
-    M, op, b = crafted_instance()
-    cfg = ExperimentConfig(m=12, n=10, r=2, kappa=2, sample_ratio=1.0,
+def test_no_full_svd_of_an_m_by_n_matrix(tmp_path, monkeypatch):
+    """``build_model_spec``, ``run_experiment``, ``run_fig3``,
+    ``solve(W0="auto")`` and ``diagnose`` take no SVD of an m x n matrix,
+    neither directly nor inside ``np.linalg.norm(X, 2)``: X0 and M are
+    decomposed only through ``top_svd``'s small w x n SVD, with
+    w = kappa + 10 < min(m, n) here. The full-sampling instance is
+    recovered, so diagnose reaches the probe."""
+    cfg = ExperimentConfig(m=30, n=24, r=2, kappa=3, sample_ratio=1.0,
                            operator_kind="full", model="l20", mu_tilde=1e-3,
                            lambda_rule="0.5", max_iters=500, seed=0)
+    M, op, b = gen_instance(cfg)
     inst, sol = str(tmp_path / "inst"), str(tmp_path / "sol")
     save_instance(inst, cfg, M, op, b)
-    run_experiment(cfg, sol, instance=(M, op, b))
     of_m = []
     svd = np.linalg.svd
 
     def counting_svd(a, *args, **kwargs):
         if np.shape(a) == M.shape:
-            of_m.append(np.array_equal(a, M))
+            of_m.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
     # np.linalg.norm(X, 2) calls the implementation module's own svd.
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(sys.modules[np.linalg.norm.__module__], "svd", counting_svd)
     monkeypatch.setattr(harness, "_PROBE_SAMPLES", 5)
+    spec = build_model_spec(cfg, op, b)
+    run_experiment(cfg, sol, instance=(M, op, b))
+    run_fig3(cfg, [28.0, 55.0])
+    solve(spec, SolverConfig(max_iters=5), "auto", kappa=cfg.kappa)
     report = diagnose(inst, sol)
-    assert report["probe"]["status"] == "ok"
-    assert of_m == [True]
+    assert report["certificate"]["passed"]
+    assert report["probe"]["drawn"] > 0
+    assert of_m == []
+
+
+def test_diagnose_widens_past_kappa_only_for_a_high_rank_m(tmp_path, monkeypatch):
+    """``diagnose`` decomposes M at the solution's kappa, and widens to all
+    min(m, n) triples only when every value it found is above the rank
+    tolerance: a hand-edited M of rank 16 > kappa + 10 still reports rank
+    16 and sigma_r exactly, as M's full SVD gives them."""
+    cfg = small_cfg(m=30, n=24, kappa=3, max_iters=300)
+    M, op, b = gen_instance(cfg)
+    inst, sol = str(tmp_path / "inst"), str(tmp_path / "sol")
+    save_instance(inst, cfg, M, op, b)
+    run_experiment(cfg, sol, instance=(M, op, b))
+    widths = []
+    top_svd = linalg._top_svd
+
+    def counted(A, k):
+        widths.append(k)
+        return top_svd(A, k)
+    monkeypatch.setattr(linalg, "_top_svd", counted)
+    monkeypatch.setattr(harness, "_PROBE_SAMPLES", 5)
+    assert diagnose(inst, sol)["spectrum"]["rank"] == cfg.r
+    assert widths == [cfg.kappa]
+
+    rng = np.random.default_rng(3)
+    high = rng.standard_normal((30, 16)) @ rng.standard_normal((24, 16)).T
+    np.save(os.path.join(inst, "M.npy"), high)
+    widths.clear()
+    spectrum = diagnose(inst, sol)["spectrum"]
+    sigma = np.linalg.svd(high, compute_uv=False)
+    assert widths == [cfg.kappa, 24]
+    assert spectrum["rank"] == 16
+    assert spectrum["sigma1"] == pytest.approx(sigma[0], rel=1e-14)
+    assert spectrum["sigma_r"] == pytest.approx(sigma[15], rel=1e-12)
 
 
 @pytest.fixture(scope="module", params=[

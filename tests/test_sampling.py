@@ -435,6 +435,35 @@ def test_restricted_map_matches_operator_matrix(make_op, side, kappa):
     assert_allclose(other.apply(Q), image(Z, Q, side), rtol=0, atol=1e-12 * scale)
 
 
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_mask_map_work_array_is_bitwise_and_private(side):
+    """A mask map's apply, adjoint and flip, which go through the
+    operator's one work array, equal the base map's bitwise, also when the
+    calls interleave; no result shares the work array, so a later call
+    changes no earlier result, and the operator's own apply and adjoint
+    return fresh arrays."""
+    rng = np.random.default_rng(50)
+    op = UniformMaskOperator.from_ratio(9, 7, 0.5, rng)
+    rows, fixed = (op.m, op.n) if side == "u" else (op.n, op.m)
+    Q = rng.standard_normal((fixed, 3))
+    Z = rng.standard_normal((rows, 3))
+    r = rng.standard_normal(op.p)
+    amap, base = op.restricted(Q, side), sampling.RestrictedMap(op, Q, side)
+    y, g = amap.apply(Z), amap.adjoint(r)
+    flipped = amap.flip(Z, r)
+    amap.apply(2.0 * Z)
+    amap.adjoint(2.0 * r)
+    base_flip = base.flip(Z, r)
+    assert np.array_equal(y, base.apply(Z))
+    assert np.array_equal(g, base.adjoint(r))
+    for a, b in ((flipped[0], base_flip[0]), (flipped[2], base_flip[2])):
+        assert np.array_equal(a, b)
+    assert np.array_equal(flipped[1].apply(Q), base_flip[1].apply(Q))
+    X = Z @ Q.T if side == "u" else Q @ Z.T
+    for out in (y, g, flipped[0], flipped[2], op.apply(X), op.adjoint(r)):
+        assert not np.shares_memory(out, op._work)
+
+
 def test_restricted_map_rejects_unknown_side():
     with pytest.raises(ValueError, match="side"):
         FullOperator(3, 2).restricted(np.ones((2, 1)), "right")

@@ -270,12 +270,15 @@ def test_step_operator_call_budget(model, rho, lam, monkeypatch):
     (U~, V), (U+, V), (U+, V~) and (U+, V+), each with one apply; the two
     linearization points and (U+, V+) each take one adjoint. A restart
     adds the rejected candidate's two substeps, 4 applies and 2 adjoints:
-    the candidate is dropped before the stopping residual's adjoint."""
+    the candidate is dropped before the stopping residual's adjoint. A mask
+    map's adjoint scatters into the operator's work array itself, so the
+    adjoints are counted there and at the operator's own adjoint."""
     spec, st = warm_state(model, rho, lam)
     cases = ((st, False, (2, 4, 3)), (restart_state(spec, st), True, (4, 8, 5)))
     calls = Counter()
     count_calls(monkeypatch, calls, spec.op, "apply")
     count_calls(monkeypatch, calls, spec.op, "adjoint")
+    count_calls(monkeypatch, calls, sampling._MaskRestrictedMap, "_scatter", "adjoint")
     count_calls(monkeypatch, calls, solver, "prox_matrix", "prox")
     assert st.tk_prev > 1.0
     for start, restarted, budget in cases:
@@ -465,11 +468,13 @@ def test_step_validation_budget(model, rho, lam, monkeypatch):
     neither restarts nor backtracks builds no checked FactorPair, checks no
     shapes and no vectors, and neither counts columns nor evaluates g through
     the checked public functions. The only matrices it validates are the two
-    prox inputs, each checked by ``prox_matrix`` itself."""
+    prox inputs, each checked by ``prox_matrix`` itself. Adjoints are
+    counted as in ``test_step_operator_call_budget``."""
     spec, st = warm_state(model, rho, lam)
     calls = Counter()
     count_calls(monkeypatch, calls, spec.op, "apply")
     count_calls(monkeypatch, calls, spec.op, "adjoint")
+    count_calls(monkeypatch, calls, sampling._MaskRestrictedMap, "_scatter", "adjoint")
     count_calls(monkeypatch, calls, solver, "prox_matrix", "prox")
     for attr in ("as_matrix", "as_vector", "l20_norm"):
         count_calls(monkeypatch, calls, linalg, attr)

@@ -16,7 +16,8 @@ and ``objective`` also branch on no factor side: no comparison or
 conditional there names a map's ``side``, a ``which`` or a "u" / "v"
 literal, since one substep and one gradient half serve both factors. The
 growth probe's sampling loop is checked too: it checks its data before it
-starts and re-checks none of it. Every public function, class and method
+starts and re-checks none of it. No library call passes ord 2 to ``norm``,
+which in numpy is a full SVD. Every public function, class and method
 of the library must be named somewhere in the system (the library, the
 demos or the benchmark) outside its own definition, or be on a short
 allowlist that gives the reason it stays. The benchmark's three workloads, copied here, are
@@ -207,6 +208,22 @@ def test_probe_sampling_loop_rechecks_no_data():
     names = {n.id for n in ast.walk(loops[0]) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(loops[0]) if isinstance(n, ast.Attribute)}
     assert names & {"M", "as_matrix", "as_vector", "ModelSpec"} == set()
+
+
+def test_library_takes_no_spectral_norm_through_numpy():
+    """No library call passes ord 2 to ``norm`` (numpy's ||X||_2 is a full
+    SVD): ||X0||_2 and ||M||_2 are sigma_1 of ``linalg.top_svd``."""
+    found = []
+    for path in sorted((ROOT / "src" / "l20factor").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "norm"
+                    and any(isinstance(arg, ast.Constant) and arg.value == 2
+                            for arg in [*node.args[1:2],
+                                        *(kw.value for kw in node.keywords
+                                          if kw.arg == "ord")])):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # Public names that nothing in the system calls, each kept for its reason.
