@@ -567,6 +567,8 @@ def _solve_and_summarize(cfg: ExperimentConfig, spec: ModelSpec, W0: FactorPair,
         "lambda": spec.params.lam,
         "rho": spec.params.rho,
         "iterations": len(trace.records),
+        "restarts": trace.restarts,
+        "backtracks": trace.backtracks,
         "reason": reason,
         "rel_error": relative_error(W, M),
         "nnz_u": linalg.l20_norm(W.U),

@@ -86,12 +86,15 @@ def _maybe_scalar(out, template):
 
 def psi_star(params: PenaltyParams, s):
     """Convex conjugate of the extended phi: 0, quadratic, then s - 1."""
+    return _maybe_scalar(_psi_star(params, np.abs(np.asarray(s, dtype=float))), s)
+
+
+def _psi_star(params: PenaltyParams, sv):
+    """``psi_star`` of a float array sv >= 0."""
     a = params.a
-    sv = np.abs(np.asarray(s, dtype=float))
     lo, hi = params.breakpoint_low, params.breakpoint_high
     quad = ((a + 1) * sv - 2) ** 2 / (4 * (a * a - 1))
-    out = np.where(sv <= lo, 0.0, np.where(sv <= hi, quad, sv - 1.0))
-    return _maybe_scalar(out, s)
+    return np.where(sv <= lo, 0.0, np.where(sv <= hi, quad, sv - 1.0))
 
 
 def theta(params: PenaltyParams, t):
@@ -99,6 +102,12 @@ def theta(params: PenaltyParams, t):
     tv = np.abs(np.asarray(t, dtype=float))
     out = tv - np.asarray(psi_star(params, tv))
     return _maybe_scalar(out, t)
+
+
+def _theta(params: PenaltyParams, tv):
+    """``theta`` of a float array tv >= 0 that the caller has checked: the
+    dc penalty's kernel and the dc gauge move's penalty change."""
+    return tv - _psi_star(params, tv)
 
 
 def theta_prime_plus(params: PenaltyParams, t):
@@ -130,5 +139,4 @@ def g_scalar(params: PenaltyParams, t):
 def _g(params: PenaltyParams, t):
     """``g_scalar`` as an array, at t >= 0 and a set rho that the caller has
     checked: the dc prox's radii and the column norms of the dc penalty."""
-    return params.lam * np.asarray(theta(params, params.rho * t)) \
-        + 0.5 * params.tau * t ** 2
+    return params.lam * _theta(params, params.rho * t) + 0.5 * params.tau * t ** 2

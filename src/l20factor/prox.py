@@ -19,8 +19,13 @@ from .objective import MODELS
 from .penalty import PenaltyParams
 
 
-def prox_matrix(Z, step_l: float, params: PenaltyParams, model: str) -> Array:
+def prox_matrix(Z, step_l, params: PenaltyParams, model: str) -> Array:
     """Columnwise prox of the matrix subproblem at Z with step constant step_l.
+
+    ``step_l`` is a positive float, or a positive vector with one step
+    constant per column of Z (a diagonal metric, which keeps each column's
+    problem separate). Every formula below broadcasts over columns, so a
+    constant vector gives exactly the scalar result.
 
     Hard model: a column is kept unchanged when ||z||^2 > lam/stepL and set
     to zero otherwise, so ties go to the sparser minimizer.
@@ -38,7 +43,11 @@ def prox_matrix(Z, step_l: float, params: PenaltyParams, model: str) -> Array:
     is a copy of Z, also on columns whose ||z||^2 underflows to 0.
     """
     Z = linalg.as_matrix(Z, "Z")
-    if not step_l > 0:
+    L = np.asarray(step_l, dtype=float)
+    if L.ndim != 0 and L.shape != (Z.shape[1],):
+        raise ValueError(f"step_l must be a float or one per column of Z's "
+                         f"{Z.shape[1]}, got shape {L.shape}")
+    if not (L > 0).all():
         raise ValueError(f"step_l must be positive, got {step_l}")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -46,7 +55,6 @@ def prox_matrix(Z, step_l: float, params: PenaltyParams, model: str) -> Array:
         raise ValueError("dc prox requires params.rho")
     if params.lam == 0.0:
         return Z.copy()
-    L = step_l
     if model == "l20":
         out = Z.copy()
         thr2 = params.lam / L
@@ -57,14 +65,14 @@ def prox_matrix(Z, step_l: float, params: PenaltyParams, model: str) -> Array:
     s1 = 2.0 / ((a + 1) * rho)
     s2 = 2.0 * a / ((a + 1) * rho)
     z0 = np.linalg.norm(Z, axis=0)
-    cand = np.sort(np.stack([
-        np.zeros_like(z0),
-        np.full_like(z0, s1),
-        np.full_like(z0, s2),
-        np.minimum(np.maximum((L * z0 - 0.5 * lam * rho) / (L + 0.5 * tau), 0.0), s1),
-        np.minimum(np.maximum(z0 - (0.5 * lam * rho / L) * a / (a - 1), s1), s2),
-        np.maximum(L * z0 / (L + 0.5 * tau), s2),
-    ]), axis=0)
+    # Each branch's point is clamped to its interval, so the rows are sorted.
+    cand = np.empty((6, Z.shape[1]))
+    cand[0] = 0.0
+    cand[1] = np.minimum(np.maximum((L * z0 - 0.5 * lam * rho) / (L + 0.5 * tau), 0.0), s1)
+    cand[2] = s1
+    cand[3] = np.minimum(np.maximum(z0 - (0.5 * lam * rho / L) * a / (a - 1), s1), s2)
+    cand[4] = s2
+    cand[5] = np.maximum(L * z0 / (L + 0.5 * tau), s2)
     q = 0.5 * L * (cand - z0) ** 2 + 0.5 * penalty._g(params, cand)
     s = cand[np.argmin(q, axis=0), np.arange(Z.shape[1])]
     out = np.zeros_like(Z)

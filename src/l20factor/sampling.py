@@ -19,8 +19,11 @@ eigenvalue of its Gram, the data part of the solver's block constant: the
 base and Gaussian maps give the bound ||A||^2 ||Q||_2^2, exact for ``full``;
 a mask's map gives the exact value, the largest over the free factor's rows
 of the top eigenvalue of the Gram of the fixed rows observed with that row,
-all rows at once from one product with the stored 0/1 pattern. The solver
-takes every substep through such a map. Restricted eigenvalue brackets
+all rows at once from one product with the stored 0/1 pattern, and from
+the same product each column's largest Gershgorin row sum over those
+Grams, which the solver's per-column step constants read (the other maps
+give None there). The solver takes every substep through such a map.
+Restricted eigenvalue brackets
     alpha <= ||A(X)||^2 / ||X||_F^2 <= beta   for all rank-k X != 0
 are in closed form for ``full`` and ``mask``; a Gaussian one reads its maps'
 blocks: the Gram spectrum of A's p x (m*n) matrix when rank k is
@@ -244,8 +247,9 @@ class RestrictedMap:
     calls the operator's public apply and adjoint, so its values are bitwise
     those of the full operator. ``curvature()`` is the top eigenvalue of the
     map's Gram, the Lipschitz constant of the gradient of
-    Z -> 1/2 ||apply(Z) - r||^2; this base form bounds it by
-    ||A||^2 ||Q||_2^2, which is exact for ``full``.
+    Z -> 1/2 ||apply(Z) - r||^2, and per-column bounds or None; this base
+    form bounds the eigenvalue by ||A||^2 ||Q||_2^2, which is exact for
+    ``full``, and gives no per-column bounds.
     """
 
     def __init__(self, op: SamplingOperator, Q: Array, side: str):
@@ -278,10 +282,11 @@ class RestrictedMap:
         block."""
         return self.op.restricted(Q, self.side)
 
-    def curvature(self) -> float:
-        """||A||^2 ||Q||_2^2, from the top eigenvalue of the k x k Gram."""
+    def curvature(self) -> tuple[float, Array | None]:
+        """(||A||^2 ||Q||_2^2, None): the bound, from the top eigenvalue of
+        the k x k Gram, and no per-column bound."""
         return self.op.operator_norm() ** 2 \
-            * float(np.linalg.eigvalsh(self.Q.T @ self.Q)[-1])
+            * float(np.linalg.eigvalsh(self.Q.T @ self.Q)[-1]), None
 
 
 class _MaskRestrictedMap(RestrictedMap):
@@ -319,33 +324,44 @@ class _MaskRestrictedMap(RestrictedMap):
         R = self._scatter(r)
         return self._restrict(R), other, other._restrict(R)
 
-    def curvature(self) -> float:
-        """max_i lambda_max(G_i), to rounding. Q's zero columns add only zero
-        rows and columns to each G_i, so they are dropped. Column c of
-        pattern @ (Q[:, a] * Q[:, b]), over the pairs a >= b, is G_i[a_c, b_c]
-        for every i at once. Each block's top eigenvalue is at most the
-        smaller of two bounds: Gershgorin's, its largest absolute row sum,
-        and Wolkowicz and Styan's, mean + sqrt(k - 1) std of its eigenvalues,
-        which its trace and Frobenius norm give. The k blocks with the
-        largest bounds go to a batched eigvalsh first; of the others, only
-        those whose bound reaches the largest eigenvalue found can exceed it.
+    def curvature(self) -> tuple[float, Array]:
+        """(max_i lambda_max(G_i), to rounding; c), where c_l is the largest
+        absolute row sum of row l over the blocks G_i, so that diag(c)
+        majorizes every block (a diagonally dominant difference). Q's zero
+        columns add only zero rows and columns to each G_i, so they are
+        dropped, and their c_l is 0. Column c of pattern @ (Q[:, a] * Q[:, b]),
+        over the pairs a >= b, is G_i[a_c, b_c] for every i at once. Each
+        block's top eigenvalue is at most the smaller of two bounds:
+        Gershgorin's, its largest absolute row sum, and Wolkowicz and
+        Styan's, mean + sqrt(k - 1) std of its eigenvalues, which its trace
+        and Frobenius norm give. The k blocks with the largest bounds go to a
+        batched eigvalsh first; of the others, only those whose bound reaches
+        the largest eigenvalue found can exceed it. One batched Cholesky
+        factorization of best I - G_i over those succeeds only when all
+        their eigenvalues are below the best found; when it fails, their
+        eigenvalues are computed.
         """
-        Q = self.Q[:, np.any(self.Q != 0.0, axis=0)]
+        live = np.any(self.Q != 0.0, axis=0)
+        columns = np.zeros(self.Q.shape[1])
+        Q = self.Q[:, live]
         k = Q.shape[1]
         if k == 0:
-            return 0.0
+            return 0.0, columns
         P = self.op._pattern
         a, b = np.tril_indices(k)
         G = (P if self.side == "u" else P.T) @ (Q[:, a] * Q[:, b])
         scale = np.abs(G).max()
         if scale == 0.0:
-            return 0.0
+            return 0.0, columns
         # The bounds are taken on G / scale, whose squares neither overflow
-        # nor underflow. touches[c, l] is 1.0 when pair c is in row l.
+        # nor underflow. touches[c, l] is 1.0 when pair c is in row l, so
+        # rows[i, l] is row l's absolute sum in G_i / scale.
         H = G / scale
         diag = a == b
         touches = ((a[:, None] == np.arange(k)) | (b[:, None] == np.arange(k))) * 1.0
-        gershgorin = (np.abs(H) @ touches).max(axis=1)
+        rows = np.abs(H) @ touches
+        columns[live] = scale * rows.max(axis=0)
+        gershgorin = rows.max(axis=1)
         mean = H[:, diag].sum(axis=1) / k
         mean_sq = (H * H) @ np.where(diag, 1.0, 2.0) / k
         spread = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0) * (k - 1))
@@ -359,7 +375,16 @@ class _MaskRestrictedMap(RestrictedMap):
         order = np.argsort(bound)[::-1]
         best = top(order[:k])
         rest = order[k:][bound[order[k:]] >= best]
-        return max(best, top(rest)) if rest.size else best
+        if rest.size == 0:
+            return best, columns
+        shifted = np.zeros((rest.size, k, k))
+        shifted[:, a, b] = -G[rest]
+        shifted[:, np.arange(k), np.arange(k)] += best
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return max(best, top(rest)), columns
+        return best, columns
 
 
 class _GaussianRestrictedMap(RestrictedMap):

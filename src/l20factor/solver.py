@@ -14,6 +14,22 @@ map's is exact, so its data term is exact when taken and an estimate,
 which the check guards, until the next change. Another data term is one
 ``curvature()`` override.
 
+On a mask the step constant is a vector D, one per column: both penalties
+separate over columns, so a diagonal metric keeps the prox in closed form
+(the variable-metric PALM of Chouzenoux, Pesquet and Repetti, J. Global
+Optim. 66, 2016, and of Frankel, Garrigos and Peypouquet, JOTA 165, 2015),
+and a weak column is no longer held to the step its strong neighbours
+need. The mask map's ``curvature()`` also gives c_l, column l's largest
+Gershgorin row sum over the map's Gram blocks, so diag(c) majorizes the
+data term. Held on the same key is c_l over ||A||^2 sum_l' |Q^T Q|_{ll'},
+and D_l = min(L, 1.1 (that ratio ||A||^2 sum_l' |Q^T Q|_{ll'} + balance
+bound)), floored, with the row sums of the current Q^T Q and L the scalar
+constant above; a column whose Q column is zero meets no data and keeps L.
+The min of two majorizers need not be one, so the check, which reads
+(1/2) sum_l D_l ||Delta_l||^2, guards D and doubles it on failure, and the
+stopping residual takes D times each column of Delta. The base, full and
+Gaussian maps keep the scalar.
+
 Momentum is dropped by two tests (O'Donoghue and Candes, adaptive restart),
 both in ``_take``, which builds the candidate state. The function test
 rejects an extrapolated candidate whose objective rises by more than
@@ -57,20 +73,22 @@ the previous iterate leaves the working set, so every apply, adjoint, Gram
 and step constant runs at the live column count; results are padded back
 to the caller's kappa.
 
-Then, for the hard model only, ``solve`` may apply a gauge move
-(``_rebalance``). The objective is invariant under (U, V) -> (U T, V T^-T)
-except for the balance term (mu/4) ||U^T U - V^T V||^2, which at a small mu
-pins the gauge only weakly: without the move, ``gauss-l20-40`` spends most
-of its 2254 iterations drifting along the gauge. The move takes the pair to
-the balanced pair with the same U V^T, aligned to the old one by an
-orthogonal Procrustes rotation, with k x k work on the pair's two Grams;
-W_prev and the restricted map that fixes V are mapped along, so
-the extrapolation keeps its momentum and no block is rebuilt. It fires when
-the balance term it removes is larger than the decrease of the smooth part
-that the step and prune just made (see ``_rebalance``). The paper's PALM
-analysis does not cover the move; like the prune, it is a descent step
-between iterations. The dc penalty depends on column norms, which the move
-changes, so dc takes no move and its iterates are those of the plain method.
+Then ``solve`` may apply a gauge move (``_rebalance``). The data term is
+invariant under (U, V) -> (U T, V T^-T); the balance term
+(mu/4) ||U^T U - V^T V||^2 is not, and at a small mu it pins the gauge only
+weakly: without the move, ``gauss-l20-40`` spends most of its 2254
+iterations drifting along the gauge. The move takes the pair to the
+balanced pair with the same U V^T, aligned to the old one by an orthogonal
+Procrustes rotation, with k x k work on the pair's two Grams, which the
+state carries from the step; W_prev and the restricted map that fixes V
+are mapped along, so the extrapolation keeps its momentum and no block is
+rebuilt. For l20 it fires when the balance term it removes is larger than
+the decrease of the smooth part that the step and prune just made. The dc
+penalty reads column norms, which the move changes, so a dc move fires
+exactly when it lowers the objective: the balance term's removal plus the
+change of the penalty, which the Grams' diagonals give (see
+``_rebalance``). The paper's PALM analysis does not cover the move; like
+the prune, it is a descent step between iterations.
 
 Inputs are checked where they enter (``solve`` checks the start's shapes
 once; ``ModelSpec`` checks b and keeps ||b||). A step works on plain arrays
@@ -79,7 +97,8 @@ the gradient, the prox point and the objective, raising DivergenceError with
 the iteration on any non-finite value; ``prox_matrix`` still validates its
 own input. Everything else a step needs is computed once per point: the
 Grams U^T U and V^T V that the step constants form give the linearization
-point's balance and, for the fixed factor, each candidate's; the accepted
+point's balance and, for the fixed factor, each candidate's, and the
+accepted pair's two Grams are carried for the gauge move; the accepted
 iterate's column counts are taken once, through the unchecked ``linalg``
 kernel, and carried in ``SolverState`` for the l20 penalty, the trace and
 ``_shed_columns``, which returns at once when every live column is nonzero
@@ -93,12 +112,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import linalg, penalty
+from .linalg import Array
 from .objective import (FactorPair, ModelSpec, _column_penalty, _evaluate,
-                        _gradient_half, _unchecked_pair,
+                        _Evaluation, _gradient_half, _unchecked_pair,
                         build_balanced_factors, smooth_value)
 from .prox import prox_matrix
 from .sampling import RestrictedMap
@@ -114,6 +135,9 @@ _KEPT = 64
 # Relative rounding slack of an objective comparison: the majorization check
 # and the function-value restart allow a rise of this times max(1, |base|).
 _ROUNDING = 1e-12
+# A gauge move keeps the count of a column whose squared norm exceeds this
+# times max(1, ||U||_F^2): 1e4 times the squared zero tolerance of l20_norm.
+_COUNT_MARGIN = 1e-12
 
 
 class DivergenceError(RuntimeError):
@@ -144,13 +168,16 @@ class SolverState:
     """Solver iterate: current and previous pair, t-scalars, step constants.
 
     ``obj_scaled`` is the objective at W, ``nnz_u`` and ``nnz_v`` are
-    ``linalg.l20_norm`` of W.U and W.V (set by ``_start_state``, kept by
-    every step and move). ``umap`` is the operator restricted to W.V held
-    fixed, as the stopping residual left it for the next U-substep, or None
-    (at the start, after a prune or a cut); ``step`` then builds one.
+    ``linalg.l20_norm`` of W.U and W.V, and ``grams`` is (U^T U, V^T V) at
+    W (set by ``_start_state``, kept by every step, prune, cut and move; a
+    move's is the balanced Gram O^T S O, equal to the products to rounding).
+    ``umap`` is the operator restricted to W.V held fixed, as the stopping
+    residual left it for the next U-substep, or None (at the start, after a
+    prune or a cut); ``step`` then builds one. ``LU`` and ``LV`` are the
+    accepted step constants, a float or, on a mask, one per column.
     ``ratio_u`` and ``ratio_v`` are the U- and V-substeps' data-term
-    (key, ratio) as ``_step_constant`` returns them, or None before the
-    first step.
+    (key, ratio, column ratios) as ``_step_constant`` returns them, or None
+    before the first step. ``backtracks`` counts the step's doublings.
     """
 
     W: FactorPair
@@ -158,17 +185,19 @@ class SolverState:
     obj_scaled: float
     nnz_u: int
     nnz_v: int
+    grams: tuple[Array, Array]
     tk: float = 1.0
     tk_prev: float = 1.0
     iteration: int = 0
-    LU: float = math.nan
-    LV: float = math.nan
+    LU: float | Array = math.nan
+    LV: float | Array = math.nan
     restarted: bool = False
+    backtracks: int = 0
     res_u: float = math.nan
     res_v: float = math.nan
     umap: RestrictedMap | None = None
-    ratio_u: tuple[tuple[int, int], float] | None = None
-    ratio_v: tuple[tuple[int, int], float] | None = None
+    ratio_u: tuple[tuple[int, int], float, Array | None] | None = None
+    ratio_v: tuple[tuple[int, int], float, Array | None] | None = None
 
 
 @dataclass
@@ -201,9 +230,13 @@ class SolveTrace:
     iterates are on that grid it doubles the stride and drops the ones off
     it, and a support change empties it. The latest iterate is held too, so
     at most ``_KEPT + 1`` iterates are held, whatever the run's length.
+    ``restarts`` and ``backtracks`` are the solve's totals of function-value
+    restarts and of step-constant doublings, which ``solve`` adds up.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
+    restarts: int = 0
+    backtracks: int = 0
     anchor: int = field(default=0, init=False)
     _stride: int = field(default=1, init=False, repr=False)
     _grid: list[tuple] = field(default_factory=list, init=False, repr=False)
@@ -245,12 +278,18 @@ class SolveTrace:
 
 
 def _step_constant(spec, amap, at, held, nnz, iteration):
-    """(L, (Z^T Z, Q^T Q), (key, ratio)) of the substep through ``amap``
-    from its active factor Z = ``at``, Q = ``amap.Q`` the fixed one: its
-    starting step constant, the Grams its balance terms reuse, and its data
-    term's ratio, ``held`` when the key there is the fixed factor's (live
-    width, ``nnz``) and taken anew otherwise. The dc model's -tau/2
-    identity term only lowers curvature, so the same constant applies."""
+    """(L, (Z^T Z, Q^T Q), (key, ratio, columns)) of the substep through
+    ``amap`` from its active factor Z = ``at``, Q = ``amap.Q`` the fixed
+    one: its starting step constant, the Grams its balance terms reuse, and
+    its data term's ratios, ``held`` when the key there is the fixed
+    factor's (live width, ``nnz``) and taken anew otherwise. The dc model's
+    -tau/2 identity term only lowers curvature, so the same constant applies.
+
+    When the map's ``curvature()`` also gives per-column bounds c (a mask),
+    ``columns`` holds c_l / (||A||^2 sum_l' |Q^T Q|_{ll'}) and L is the
+    vector D_l = min(L, 1.1 (columns_l ||A||^2 sum_l' |Q^T Q|_{ll'} +
+    balance bound)), floored; otherwise ``columns`` is None and L a float.
+    The min of two majorizers need not majorize, so the check guards D."""
     Q = amap.Q
     gz, gq = at.T @ at, Q.T @ Q
     # ||Z||_2^2 and ||Q||_2^2 are the top eigenvalues of the kappa x kappa
@@ -266,9 +305,40 @@ def _step_constant(spec, amap, at, held, nnz, iteration):
     key = (Q.shape[1], nnz)
     if held is None or held[0] != key:
         bound = a2 * float(nq2)
-        held = key, (amap.curvature() / bound if bound > 0.0 else 1.0)
-    L = _MARGIN * (held[1] * a2 * nq2 + spec.params.mu_tilde * (2 * nz2 + nbal))
-    return float(max(L, _STEP_FLOOR)), (gz, gq), held
+        top, columns = amap.curvature()
+        if columns is not None:
+            sums = a2 * np.abs(gq).sum(axis=1)
+            columns = np.divide(columns, sums, out=np.zeros_like(columns),
+                                where=sums > 0.0)
+        held = key, (top / bound if bound > 0.0 else 1.0), columns
+    balance = spec.params.mu_tilde * (2 * nz2 + nbal)
+    L = float(max(_MARGIN * (held[1] * a2 * nq2 + balance), _STEP_FLOOR))
+    if held[2] is None:
+        return L, (gz, gq), held
+    # A column whose Q column is zero meets no data, and keeps L.
+    sums = np.abs(gq).sum(axis=1)
+    D = _MARGIN * (held[2] * (a2 * sums) + balance)
+    return np.where(sums > 0.0, D.clip(_STEP_FLOOR, L), L), (gz, gq), held
+
+
+class _Substep(NamedTuple):
+    """A substep's accepted candidate Z+, the gradient at its linearization
+    point, its final step constant, the evaluation of the pair (Z+, Q), the
+    Gram Z+^T Z+ and the number of doublings it took."""
+
+    Z: Array
+    grad: Array
+    L: float | Array
+    ev: _Evaluation
+    gram: Array
+    backtracks: int
+
+
+def _metric(L, X) -> float:
+    """||X||^2 in the step's metric: L ||X||_F^2, or sum_l L_l ||X_l||^2."""
+    if np.ndim(L) == 0:
+        return L * float(np.sum(X * X))
+    return float((X * X).sum(axis=0) @ L)
 
 
 def _prox_substep(spec, amap, at, grams, L, iteration):
@@ -279,9 +349,10 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
     (Z^T Z, Q^T Q) there, as ``_step_constant`` formed them. All are arrays
     the solver has checked. The gradient half and the base value come from
     one evaluation of the pair (Z, Q) at ``at``; each candidate costs one
-    more, whose balance takes Q^T Q from ``grams``. Returns (accepted
-    candidate, gradient at ``at``, final L, evaluation of the accepted pair
-    (Z, Q), whose balance is Z^T Z - Q^T Q).
+    more, whose balance takes Q^T Q from ``grams``. L is a float or one
+    constant per column, and the check reads the model's quadratic term in
+    that metric. Returns a ``_Substep``; its evaluation's balance is
+    Z^T Z - Q^T Q.
     """
     Q, gq = amap.Q, grams[1]
     ev = _evaluate(spec, at, Q, amap.apply(at), grams[0] - gq)
@@ -290,18 +361,18 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
         raise DivergenceError(iteration,
                               f"non-finite gradient in the {amap.side}-substep")
     base = ev.value
-    for _ in range(_MAX_DOUBLINGS + 1):
+    for doublings in range(_MAX_DOUBLINGS + 1):
         Znew = at - grad / L
         if not np.all(np.isfinite(Znew)):
             raise DivergenceError(iteration, f"non-finite prox point ({amap.side})")
         cand = prox_matrix(Znew, L, spec.params, spec.model)
-        ev = _evaluate(spec, cand, Q, amap.apply(cand), cand.T @ cand - gq)
+        gram = cand.T @ cand
+        ev = _evaluate(spec, cand, Q, amap.apply(cand), gram - gq)
         diff = cand - at
-        bound = base + float(np.sum(grad * diff)) \
-            + 0.5 * L * float(np.sum(diff * diff))
+        bound = base + float(np.sum(grad * diff)) + 0.5 * _metric(L, diff)
         if ev.value <= bound + _ROUNDING * max(1.0, abs(base)):
-            return cand, grad, L, ev
-        L *= _BACKTRACK_FACTOR
+            return _Substep(cand, grad, L, ev, gram, doublings)
+        L = L * _BACKTRACK_FACTOR
     raise DivergenceError(
         iteration, f"backtracking exceeded {_MAX_DOUBLINGS} doublings ({amap.side})"
     )
@@ -323,11 +394,13 @@ def _take(spec: ModelSpec, st: SolverState, umap: RestrictedMap, w: float,
     if not (np.all(np.isfinite(Ut)) and np.all(np.isfinite(Vt))):
         raise DivergenceError(it, "non-finite extrapolated point")
     lu, grams, ratio_u = _step_constant(spec, umap, Ut, st.ratio_u, st.nnz_v, it)
-    Unew, gU, lu, _ = _prox_substep(spec, umap, Ut, grams, lu, it)
+    u = _prox_substep(spec, umap, Ut, grams, lu, it)
+    Unew, gU, lu = u.Z, u.grad, u.L
     nnz_u = linalg._column_count(Unew)
     vmap = spec.op.restricted(Unew, "v")
     lv, grams, ratio_v = _step_constant(spec, vmap, Vt, st.ratio_v, nnz_u, it)
-    Vnew, gV, lv, ev = _prox_substep(spec, vmap, Vt, grams, lv, it)
+    v = _prox_substep(spec, vmap, Vt, grams, lv, it)
+    Vnew, gV, lv, ev = v.Z, v.grad, v.L, v.ev
     nnz_v = linalg._column_count(Vnew)
     obj = ev.value + _column_penalty(spec, Unew, Vnew, nnz_u + nnz_v)
     if not math.isfinite(obj):
@@ -348,9 +421,9 @@ def _take(spec: ModelSpec, st: SolverState, umap: RestrictedMap, w: float,
     nb = 1.0 + spec.b_norm
     return SolverState(
         W=_unchecked_pair(Unew, Vnew), W_prev=st.W, obj_scaled=obj,
-        nnz_u=nnz_u, nnz_v=nnz_v,
+        nnz_u=nnz_u, nnz_v=nnz_v, grams=(grams[1], v.gram),
         tk=0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk)), tk_prev=tk,
-        iteration=it, LU=lu, LV=lv,
+        iteration=it, LU=lu, LV=lv, backtracks=u.backtracks + v.backtracks,
         res_u=float(np.linalg.norm(gU - gnew_u + lu * (Unew - Ut))) / nb,
         res_v=float(np.linalg.norm(gV - gnew_v + lv * (Vnew - Vt))) / nb,
         umap=umap, ratio_u=ratio_u, ratio_v=ratio_v,
@@ -371,12 +444,17 @@ def step(spec: ModelSpec, st: SolverState) -> SolverState:
     return nxt
 
 
+def _grams(W: FactorPair) -> tuple[Array, Array]:
+    """(U^T U, V^T V) of W, the products a step carries."""
+    return W.U.T @ W.U, W.V.T @ W.V
+
+
 def _start_state(spec: ModelSpec, W0: FactorPair) -> SolverState:
     """The state at the start W0: W0, copied, as both iterates, with its
-    column counts and its objective."""
+    column counts, Grams and objective."""
     W = W0.copy()
     nnz_u, nnz_v = linalg.l20_norm(W.U), linalg.l20_norm(W.V)
-    return SolverState(W=W, W_prev=W, nnz_u=nnz_u, nnz_v=nnz_v,
+    return SolverState(W=W, W_prev=W, nnz_u=nnz_u, nnz_v=nnz_v, grams=_grams(W),
                        obj_scaled=smooth_value(spec, W)
                        + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v))
 
@@ -411,7 +489,8 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
     When the state's column counts equal the live width, every column is
     above the zero tolerance in both factors, so there is nothing to do. A
     prune recomputes the counts; a cut drops only zero columns and keeps them.
-    Both replace W.V, so both drop the state's ``umap``, which fixed the old V.
+    Both replace W.V, so both drop the state's ``umap``, which fixed the old V,
+    and both retake the state's Grams.
     """
     width = st.W.U.shape[1]
     if st.nnz_u == width and st.nnz_v == width:
@@ -430,7 +509,7 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
         st = replace(st, W=W, W_prev=W_prev, nnz_u=nnz_u, nnz_v=nnz_v,
                      obj_scaled=smooth_value(spec, W)
                      + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v),
-                     umap=None)
+                     umap=None, grams=_grams(W))
     # After the prune a column is nonzero in both factors or in neither.
     used = ((nz_u & nz_v) | np.any(st.W_prev.U != 0.0, axis=0)
             | np.any(st.W_prev.V != 0.0, axis=0))
@@ -441,15 +520,17 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
 
     def cut(W):
         return _unchecked_pair(W.U[:, used], W.V[:, used])
-    return replace(st, W=cut(st.W), W_prev=cut(st.W_prev), umap=None), live[used]
+    W = cut(st.W)
+    return replace(st, W=W, W_prev=cut(st.W_prev), umap=None,
+                   grams=_grams(W)), live[used]
 
 
 def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverState:
-    """The gauge move of the l20 model: (U, V) -> (U T, V T^-T), balanced.
+    """The gauge move: (U, V) -> (U T, V T^-T), balanced.
 
-    U T (V T^-T)^T = U V^T, so the residual and the l20 penalty keep their
-    values, and the balance term (mu/4) ||U^T U - V^T V||^2 drops to zero.
-    T comes from k x k work on the Grams of (U, V): Cholesky factors
+    U T (V T^-T)^T = U V^T, so the residual keeps its value, and the balance
+    term (mu/4) ||U^T U - V^T V||^2 drops to zero.
+    T comes from k x k work on the state's Grams of (U, V): Cholesky factors
     U^T U = L_U L_U^T and V^T V = L_V L_V^T, the SVD L_U^T L_V = P S Z^T,
     then T = L_U^-T P sqrt(S) O and T^-T = L_V^-T Z sqrt(S) O, which gives
     U T and V T^-T the Gram O^T S O (Procrustes flow's closed form). O is
@@ -458,32 +539,41 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
     next.
     W_prev is mapped by the same T, so the extrapolation keeps its momentum,
     and a restricted map that fixes V is re-gauged, not rebuilt. The
-    objective falls by the balance term, up to rounding; the columns are
-    recounted, since a balanced split can put a column under the zero
-    tolerance, and the penalty follows the count.
+    columns are recounted, since a balanced split can put a column under
+    the zero tolerance.
+
+    The penalty decides what the move changes besides the balance term.
+    - l20: the penalty follows the count, and the objective falls by the
+      balance term, up to rounding.
+    - dc: the -tau/4 ||.||_F^2 of the smooth part cancels the tau/2 t^2 of
+      g, so the objective changes by the balance term's removal plus
+      (lam/2) times the change of sum_j theta(rho ||u_j||) + theta(rho ||v_j||).
+      Both Grams' diagonals give the old column norms and O^T S O's the new,
+      so that change is k-vector work.
 
     The move fires only when all of these hold; otherwise it returns ``st``.
     - Every live column is nonzero in both factors.
     - The core has full numerical rank: both Cholesky factorizations succeed
       and ``linalg.numerical_rank`` counts every singular value of the core.
-    - The balance term is larger than the decrease of the smooth part Phi
-      from ``before``, the state the step started from, to ``st``. Phi is
-      the objective less the penalty, which only counts the support, so a
-      step that kills a column does not hold the move back.
+    - l20: the balance term is larger than the decrease of the smooth part
+      Phi from ``before``, the state the step started from, to ``st``. Phi
+      is the objective less the penalty, which only counts the support, so
+      a step that kills a column does not hold the move back.
+    - dc: the objective change is negative.
     """
     width = st.W.U.shape[1]
     if st.nnz_u != width or st.nnz_v != width:
         return st
-    grams = st.W.U.T @ st.W.U, st.W.V.T @ st.W.V
-    bal = grams[0] - grams[1]
-    gain = 0.25 * spec.params.mu_tilde * float(np.sum(bal * bal))
+    bal = st.grams[0] - st.grams[1]
+    gain = 0.25 * spec.params.mu_tilde * float((bal * bal).sum())
     lam = spec.params.lam
-    decrease = before.obj_scaled - st.obj_scaled \
-        - 0.5 * lam * (before.nnz_u + before.nnz_v - st.nnz_u - st.nnz_v)
-    if not gain > max(decrease, 0.0):
-        return st
+    if spec.model == "l20":
+        decrease = before.obj_scaled - st.obj_scaled \
+            - 0.5 * lam * (before.nnz_u + before.nnz_v - st.nnz_u - st.nnz_v)
+        if not gain > max(decrease, 0.0):
+            return st
     try:
-        lu, lv = np.linalg.cholesky(np.stack(grams))
+        lu, lv = np.linalg.cholesky(np.array(st.grams))
         P, s, Zt = np.linalg.svd(lu.T @ lv)
         if linalg.numerical_rank(s) < width:
             return st
@@ -493,18 +583,34 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
         X, _, Yt = np.linalg.svd(root[:, None] * (P.T @ lu.T + Zt @ lv.T))
     except np.linalg.LinAlgError:
         return st
+    O = X @ Yt
+    gram = (O.T * s) @ O
+    norms2 = gram.diagonal()
+    if spec.model == "dc":
+        # theta at the new norms (U and V alike) and at the old ones.
+        th = penalty._theta(spec.params, spec.params.rho * np.sqrt(np.concatenate(
+            (norms2, st.grams[0].diagonal(), st.grams[1].diagonal()))))
+        rise = 0.5 * lam * float(2.0 * th[:width].sum() - th[width:].sum())
+        if not rise < gain:
+            return st
     # L_U^T L_V = P S Z^T turns L_U^-T P sqrt(S) into L_V Z / sqrt(S), and
     # L_V^-T Z sqrt(S) into L_U P / sqrt(S): T and T^-T without a solve.
-    O = X @ Yt
     tu, tv = (lv @ (Zt.T / root)) @ O, (lu @ (P / root)) @ O
     U, V = st.W.U @ tu, st.W.V @ tv
-    nnz_u, nnz_v = linalg._column_count(U), linalg._column_count(V)
+    # Both factors' squared column norms are diag(O^T S O), to rounding. When
+    # each is 1e4 times the squared zero tolerance, every column counts.
+    if norms2.min() > _COUNT_MARGIN * max(1.0, float(norms2.sum())):
+        nnz_u = nnz_v = width
+    else:
+        nnz_u, nnz_v = linalg._column_count(U), linalg._column_count(V)
+    if spec.model == "l20":
+        rise = 0.5 * lam * (nnz_u + nnz_v - st.nnz_u - st.nnz_v)
     umap = st.umap
     umap = umap.regauged(V, tv) if umap is not None and umap.Q is st.W.V else None
-    obj = st.obj_scaled - gain + 0.5 * lam * (nnz_u + nnz_v - st.nnz_u - st.nnz_v)
     return replace(st, W=_unchecked_pair(U, V),
                    W_prev=_unchecked_pair(st.W_prev.U @ tu, st.W_prev.V @ tv),
-                   obj_scaled=obj, umap=umap, nnz_u=nnz_u, nnz_v=nnz_v)
+                   obj_scaled=st.obj_scaled - gain + rise, umap=umap,
+                   nnz_u=nnz_u, nnz_v=nnz_v, grams=(gram, gram))
 
 
 def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
@@ -518,14 +624,16 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     Returns (final pair, trace, reason) with reason "converged" or "budget";
     non-finite values raise DivergenceError.
 
-    After each step ``_shed_columns`` prunes and compacts, and for the hard
-    model ``_rebalance`` may make a gauge move: descent steps between
-    iterations that the paper's PALM analysis does not cover (see the module
-    docstring). ||A|| is computed before the trace clock starts. The
-    returned pair is padded back to the start's column count, dead columns
-    exactly zero in place.
+    The start is shed like every iterate, and after each step
+    ``_shed_columns`` prunes and compacts and ``_rebalance`` may make a
+    gauge move: descent steps between iterations that the paper's PALM
+    analysis does not cover (see the module docstring). ||A|| is computed
+    before the trace clock starts. The returned pair is padded back to the
+    start's column count, dead columns exactly zero in place.
     The trace holds at most ``_KEPT + 1`` iterates (``SolveTrace``), however
     long the run; a record whose iterate it did not hold has NaN distances.
+    It counts the steps that restarted and the backtracks (doublings) of
+    every substep.
 
     For the hard model the method reaches a critical point or stops on
     budget; it does not promise the global minimizer from an arbitrary
@@ -545,8 +653,9 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     spec.check_shapes(W0)
 
     trace = SolveTrace()
-    st = _start_state(spec, W0)
-    live = np.arange(W0.kappa)
+    # A start's dead columns never reach a step: the solve is that of the
+    # start without them.
+    st, live = _shed_columns(spec, _start_state(spec, W0), np.arange(W0.kappa))
 
     # ||A|| is computed once, here (a Gaussian's is one Gram eigvalsh), so
     # the trace clock counts iterations only.
@@ -557,9 +666,10 @@ def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",
     for _ in range(cfg.max_iters):
         before = st
         st = step(spec, st)
+        trace.restarts += st.restarted
+        trace.backtracks += st.backtracks
         st, live = _shed_columns(spec, st, live)
-        if spec.model == "l20":
-            st = _rebalance(spec, st, before)
+        st = _rebalance(spec, st, before)
         trace.record(TraceRecord(
             iteration=st.iteration,
             obj_scaled=st.obj_scaled,

@@ -47,6 +47,13 @@ def prox_radial_oracle(objective, hi, coarse=2000):
     return golden_min(objective, lo, up)
 
 
+def prox_column_by_column(prox, Z, steps, *args):
+    """A per-column step vector's prox, as one call of the scalar-step
+    ``prox(Z_j, steps[j], *args)`` per one-column matrix Z_j."""
+    return np.column_stack([prox(Z[:, [j]], float(steps[j]), *args)[:, 0]
+                            for j in range(Z.shape[1])])
+
+
 def fd_gradient(f, X, step=1e-5):
     """Central finite differences of a scalar function of a matrix."""
     X = np.asarray(X, dtype=float)

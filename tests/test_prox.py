@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from l20factor.penalty import PenaltyParams, g_scalar, theta
 from l20factor.prox import prox_matrix
-from oracles import prox_radial_oracle
+from oracles import prox_column_by_column, prox_radial_oracle
 
 
 def dc_params(lam=1.0, a=3.0, rho=1.0, mu_tilde=0.0):
@@ -192,6 +192,30 @@ def test_matrix_prox_is_columnwise(model):
     for j in range(5):
         col = prox_matrix(Z[:, [j]], 1.7, p, model)
         assert out[:, j].tobytes() == col[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("model", ["l20", "dc"])
+def test_matrix_prox_takes_one_step_constant_per_column(model):
+    """A step vector gives bitwise the column-by-column scalar calls, with
+    steps over four decades so that columns land on different branches, and
+    a constant vector gives exactly the scalar result. A non-positive or
+    non-finite entry, a vector of the wrong length and a matrix of steps are
+    ValueErrors."""
+    p = dc_params(lam=0.9, a=3.0, rho=1.1)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        Z = rng.standard_normal((4, 6)) * rng.uniform(0.1, 3.0, 6)
+        steps = 10.0 ** rng.uniform(-2.0, 2.0, 6)
+        out = prox_matrix(Z, steps, p, model)
+        assert out.tobytes() == prox_column_by_column(prox_matrix, Z, steps, p,
+                                                      model).tobytes()
+        assert np.array_equal(prox_matrix(Z, np.full(6, 1.7), p, model),
+                              prox_matrix(Z, 1.7, p, model))
+    for bad in (np.array([1.0, 0.0, 1.0]), np.array([1.0, -2.0, 1.0]),
+                np.array([1.0, np.nan, 1.0]), np.ones(2), np.ones(4),
+                np.ones((3, 3))):
+        with pytest.raises(ValueError, match="step_l"):
+            prox_matrix(np.ones((2, 3)), bad, p, model)
 
 
 @pytest.mark.parametrize("model", ["l20", "dc"])

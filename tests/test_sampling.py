@@ -255,8 +255,11 @@ def test_mask_curvature_is_the_top_eigenvalue_of_the_map_gram(op, kappa, side, s
     form, built column by column in tests/oracles.py, also when Q has zero
     columns, and scales with Q's square at scales whose squares under- or
     overflow; on a fully observed mask it is ||Q||_2^2,
-    which is also what the full operator's map gives. A mask map's
-    ``regauged`` is a mask map, with the curvature of its own Gram."""
+    which is also what the full operator's map gives. Its per-column bound
+    is each column's largest absolute row sum over the form's diagonal
+    blocks, 0 on Q's zero columns, and diag(c) majorizes the form; the full
+    map gives none. A mask map's ``regauged`` is a mask map, with the
+    curvature of its own Gram."""
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((op.n if side == "u" else op.m, kappa))
     Q[:, rng.random(kappa) < 0.3] = 0.0
@@ -267,20 +270,30 @@ def test_mask_curvature_is_the_top_eigenvalue_of_the_map_gram(op, kappa, side, s
 
     amap = op.restricted(Q, side)
     norm2 = float(np.linalg.norm(Q, 2) ** 2)
-    assert amap.curvature() == pytest.approx(gram_top(amap), rel=1e-12, abs=1e-12)
+    top, columns = amap.curvature()
+    assert top == pytest.approx(gram_top(amap), rel=1e-12, abs=1e-12)
+    H = restricted_quadratic_form(op, Q, side)
+    blocks = [H[i:i + kappa, i:i + kappa] for i in range(0, H.shape[0], kappa)]
+    sums = np.max([np.abs(B).sum(axis=1) for B in blocks], axis=0)
+    assert_allclose(columns, sums, rtol=1e-12, atol=1e-12 * max(1.0, sums.max()))
+    assert np.all(columns[~np.any(Q != 0.0, axis=0)] == 0.0)
+    excess = np.repeat(columns[None], len(blocks), axis=0).ravel()
+    assert np.linalg.eigvalsh(np.diag(excess) - H)[0] >= -1e-12 * max(1.0, top)
     for c in (1e-150, 1e150):
-        assert op.restricted(c * Q, side).curvature() / (c * c) \
-            == pytest.approx(amap.curvature(), rel=1e-12, abs=1e-12)
+        scaled = op.restricted(c * Q, side).curvature()
+        assert scaled[0] / (c * c) == pytest.approx(top, rel=1e-12, abs=1e-12)
+        assert_allclose(scaled[1] / (c * c), columns, rtol=1e-12, atol=1e-12)
     if op.p == op.m * op.n:
-        assert amap.curvature() == pytest.approx(norm2, rel=1e-12, abs=1e-12)
+        assert top == pytest.approx(norm2, rel=1e-12, abs=1e-12)
     full = FullOperator(op.m, op.n).restricted(Q, side)
     assert type(full) is sampling.RestrictedMap
-    assert full.curvature() == pytest.approx(norm2, rel=1e-12, abs=1e-12)
+    assert full.curvature()[0] == pytest.approx(norm2, rel=1e-12, abs=1e-12)
+    assert full.curvature()[1] is None
     T = rng.standard_normal((kappa, kappa)) + 3.0 * np.eye(kappa)
     moved = amap.regauged(Q @ T, T)
     assert type(moved) is type(amap) is sampling._MaskRestrictedMap
     assert moved.side == side
-    assert moved.curvature() == pytest.approx(gram_top(moved), rel=1e-12, abs=1e-12)
+    assert moved.curvature()[0] == pytest.approx(gram_top(moved), rel=1e-12, abs=1e-12)
 
 
 def test_mask_curvature_checks_blocks_past_the_first_pass():
@@ -293,7 +306,7 @@ def test_mask_curvature_checks_blocks_past_the_first_pass():
     R, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
     V = np.vstack([R[0], R[1], np.sqrt(1.01) * R[2]])
     op = UniformMaskOperator(4, 3, [0, 0, 1, 1, 2, 2, 3], [0, 1, 0, 1, 0, 1, 2])
-    assert op.restricted(V, "u").curvature() == pytest.approx(1.01, rel=1e-12)
+    assert op.restricted(V, "u").curvature()[0] == pytest.approx(1.01, rel=1e-12)
 
 
 def test_restricted_eigs_brackets_are_ordered():

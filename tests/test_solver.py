@@ -50,10 +50,11 @@ def test_config_validation():
 
 def side_constant(spec, U, V, side, ratio=None):
     """``solver._step_constant`` of the substep on ``side`` at (U, V), its
-    data-term ratio taken anew or, when given, held at ``ratio``."""
+    data-term ratio taken anew or, when given, held at the scalar ``ratio``
+    with no column ratios."""
     at, Q = (U, V) if side == "u" else (V, U)
     key = (Q.shape[1], linalg.l20_norm(Q))
-    held = None if ratio is None else (key, ratio)
+    held = None if ratio is None else (key, ratio, None)
     return solver._step_constant(spec, spec.op.restricted(Q, side), at, held,
                                  key[1], 0)
 
@@ -61,7 +62,8 @@ def side_constant(spec, U, V, side, ratio=None):
 def test_step_constants_floor_at_zero_pair():
     spec, _ = mask_instance()
     Z = np.zeros((10, 2))
-    assert [side_constant(spec, Z, Z, side)[0] for side in "uv"] == [1e-8, 1e-8]
+    for side in "uv":
+        assert np.array_equal(side_constant(spec, Z, Z, side)[0], [1e-8, 1e-8])
 
 
 def test_step_constants_identity_factor():
@@ -99,6 +101,39 @@ def test_step_constants_majorize_on_probes():
             doublings += 1
             assert doublings < 60
     assert doublings == 0
+
+
+def test_majorization_check_guards_the_column_constants():
+    """The elementwise min of two majorizers need not majorize. Row 0 of U
+    observes one row v = (1, sqrt(0.1)) of V, so the data Hessian is
+    H = v v^T, with top eigenvalue 1.1 and Gershgorin row sums
+    (1 + sqrt(0.1), 0.1 + sqrt(0.1)). At lam = mu = 0 the constants are
+    D = 1.1 (1.1, 0.1 + sqrt(0.1)) = (1.21, 0.458), and diag(D) - H is
+    indefinite; the gradient step from U = 0 runs along v, where the model
+    under-estimates the rise. The substep backtracks, and the candidate it
+    returns passes the check at the constants it returns."""
+    op = UniformMaskOperator(1, 1, [0], [0])
+    spec = ModelSpec(model="l20", op=op, b=np.array([1.0]),
+                     params=PenaltyParams(lam=0.0, mu_tilde=0.0))
+    v = np.array([1.0, math.sqrt(0.1)])
+    umap = op.restricted(v[None, :], "u")
+    at = np.zeros((1, 2))
+    D, grams, (_, ratio, _) = solver._step_constant(spec, umap, at, None, 2, 1)
+    H = np.outer(v, v)
+    assert ratio == pytest.approx(1.0, rel=1e-12)
+    assert_allclose(D, 1.1 * np.array([1.1, 0.1 + math.sqrt(0.1)]), rtol=1e-12)
+    assert np.linalg.eigvalsh(np.diag(D) - H)[0] < -0.01
+    sub = solver._prox_substep(spec, umap, at, grams, D, 1)
+    assert sub.backtracks == 1 and np.array_equal(sub.L, 2.0 * D)
+    diff = sub.Z - at
+    base = smooth_value(spec, FactorPair(at, v[None, :]))
+    model = base + float(np.sum(sub.grad * diff)) \
+        + 0.5 * float(np.sum(sub.L * diff * diff))
+    assert smooth_value(spec, FactorPair(sub.Z, v[None, :])) <= model
+    first = -sub.grad / D
+    unguarded = base + float(np.sum(sub.grad * first)) \
+        + 0.5 * float(np.sum(D * first * first))
+    assert smooth_value(spec, FactorPair(at + first, v[None, :])) > unguarded + 0.01
 
 
 def test_t_sequence_first_update():
@@ -182,8 +217,9 @@ def test_backtracking_bound_is_scale_free():
         W0 = spectral_start(spec, 4)
         LU, grams, _ = side_constant(spec, W0.U, W0.V, "u", ratio=1.0)
         umap = spec.op.restricted(W0.V, "u")
-        U, _, L, _ = solver._prox_substep(spec, umap, W0.U, grams,
-                                          LU * 2.0 ** -20, 1)
+        sub = solver._prox_substep(spec, umap, W0.U, grams, LU * 2.0 ** -20, 1)
+        U, L = sub.Z, sub.L
+        assert sub.backtracks == math.log2(L / (LU * 2.0 ** -20))
         accepted.append((L / LU, U / math.sqrt(c)))
         assert L / LU == accepted[0][0]
         assert_allclose(U / math.sqrt(c), accepted[0][1], rtol=1e-9, atol=1e-12)
@@ -316,9 +352,10 @@ def test_data_ratio_is_taken_only_when_the_support_changes(monkeypatch):
     factor's (live width, nnz) differs from the key of the state's ratio:
     none from a warm state, one per side from a state without ratios, and
     one on side "v" when only that key is stale. The ratio is the exact
-    curvature over ||A||^2 ||Q||_2^2, below 1 on this half-observed mask.
-    Full and Gaussian ratios are exactly 1, so their step constants are
-    those of the spectral bound. A substep makes one eigvalsh call for its
+    curvature over ||A||^2 ||Q||_2^2, below 1 on this half-observed mask,
+    and the column ratios are the map's per-column bounds over the row sums
+    of |Q^T Q|. Full and Gaussian ratios are exactly 1, with no column
+    ratios, so their step constants are the spectral bound's float. A substep makes one eigvalsh call for its
     three norms and, when its key is stale, the curvature's: a mask or a
     Gaussian step makes 2 with both keys held and 4 with both stale."""
     mask = warm_state("l20", None, 1e-5,
@@ -343,11 +380,13 @@ def test_data_ratio_is_taken_only_when_the_support_changes(monkeypatch):
         assert sides == taken
     assert steps[0].ratio_u == steps[2].ratio_u == st.ratio_u
     fresh = steps[1]
-    for side, Q, (_, ratio) in (("u", st.W.V, fresh.ratio_u),
-                                ("v", fresh.W.U, fresh.ratio_v)):
-        exact = curvature(spec.op.restricted(Q, side)) / np.linalg.norm(Q, 2) ** 2
-        assert ratio == pytest.approx(exact, rel=1e-12)
+    for side, Q, (_, ratio, columns) in (("u", st.W.V, fresh.ratio_u),
+                                         ("v", fresh.W.U, fresh.ratio_v)):
+        top, bounds = curvature(spec.op.restricted(Q, side))
+        assert ratio == pytest.approx(top / np.linalg.norm(Q, 2) ** 2, rel=1e-12)
         assert 0.0 < ratio < 1.0
+        sums = np.abs(Q.T @ Q).sum(axis=1)
+        assert_allclose(columns, bounds / sums, rtol=1e-12)
     calls = Counter()
     count_calls(monkeypatch, calls, np.linalg, "eigvalsh")
     for spec, st in (mask, gauss):
@@ -357,6 +396,8 @@ def test_data_ratio_is_taken_only_when_the_support_changes(monkeypatch):
             assert calls["eigvalsh"] == count
     for spec, st in (gauss, warm_state("l20", None, 1e-5, full_instance)):
         assert st.ratio_u[1] == st.ratio_v[1] == 1.0
+        assert st.ratio_u[2] is st.ratio_v[2] is None
+        assert np.ndim(st.LU) == np.ndim(st.LV) == 0
 
 
 def test_gaussian_solve_holds_at_most_three_blocks(monkeypatch):
@@ -491,18 +532,22 @@ def test_step_validation_budget(model, rho, lam, monkeypatch):
 
 @pytest.mark.parametrize("model,rho,lam", [("l20", None, 5.0), ("dc", 0.5, 0.5)])
 def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch):
-    """A state's objective and column counts are those of the public
+    """A state's objective, column counts and Grams are those of the public
     evaluators at its iterate, through restarts, momentum resets by the
     gradient test, backtracks (the step constant's margin is cut to 0.3, so
-    substeps backtrack), prunes, cuts and (for l20) gauge moves. Two events
+    substeps backtrack), prunes, cuts and gauge moves. Two events
     are forced: a restart at step 10, by a far previous iterate and a large t
     as in ``test_restart_on_objective_increase``, and at step 20 a pair put
-    off balance, (3 U, V / 3) with the same product, after which l20 moves.
-    The objective is exact where it is computed,
+    off balance, (3 U, V / 3) with the same product, after which both
+    models move. The objective is exact where it is computed,
     after a step and after a prune; a cut drops exactly-zero columns and
-    keeps it, which can move the public sums by an ulp, and a move lowers it
-    by the balance term, which holds up to rounding. Every trace record's
-    counts are ``l20_norm`` of the iterate recorded with it."""
+    keeps it, which can move the public sums by an ulp, and a move changes
+    it by the balance term and, for dc, the penalty change its Gram
+    diagonals give, which hold up to rounding (relative to the objective
+    and the balance term removed). The Grams are the products
+    bitwise after a step, a prune and a cut, and to rounding after a move.
+    Every trace record's counts are ``l20_norm`` of the iterate recorded
+    with it."""
     monkeypatch.setattr(solver, "_MARGIN", 0.3)
     spec, _ = mask_instance(seed=1, model=model, rho=rho, lam=lam, mu_tilde=0.1)
     W0 = spectral_start(spec, 4)
@@ -515,14 +560,15 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
         return (smooth_value(spec, W) + column_penalty_value(spec, W),
                 linalg.l20_norm(W.U), linalg.l20_norm(W.V))
 
-    substep = solver._prox_substep
-    events = Counter()
+    def grams_match(st, exact):
+        for gram, X in zip(st.grams, (st.W.U, st.W.V)):
+            if exact:
+                assert np.array_equal(gram, X.T @ X)
+            else:
+                assert_allclose(gram, X.T @ X, rtol=1e-12,
+                                atol=1e-12 * np.abs(gram).max())
 
-    def counted(spec, amap, at, grams, L, iteration):
-        out = substep(spec, amap, at, grams, L, iteration)
-        events["backtrack"] += out[2] > L
-        return out
-    monkeypatch.setattr(solver, "_prox_substep", counted)
+    events = Counter()
     st = solver._start_state(spec, W0)
     live = np.arange(4)
     for i in range(60):
@@ -538,25 +584,30 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
         events["restart"] += st.restarted
         events["reset"] += before.tk_prev > 1.0 and st.tk_prev == 1.0 \
             and not st.restarted
+        events["backtrack"] += st.backtracks > 0
         assert (st.obj_scaled, st.nnz_u, st.nnz_v) == public(st.W)
+        grams_match(st, exact=True)
         width, nnz = st.W.U.shape[1], (st.nnz_u, st.nnz_v)
         st, live = solver._shed_columns(spec, st, live)
         events["prune"] += (st.nnz_u, st.nnz_v) != nnz
         events["cut"] += st.W.U.shape[1] < width
         obj, nnz_u, nnz_v = public(st.W)
         assert (st.nnz_u, st.nnz_v) == (nnz_u, nnz_v)
+        grams_match(st, exact=True)
         if st.W.U.shape[1] == width:
             assert st.obj_scaled == obj
         else:
             assert st.obj_scaled == pytest.approx(obj, rel=1e-14, abs=0.0)
-        if model == "l20":
-            moved = solver._rebalance(spec, st, before)
-            events["move"] += moved is not st
-            st = moved
-            obj, nnz_u, nnz_v = public(st.W)
-            assert (st.nnz_u, st.nnz_v) == (nnz_u, nnz_v)
-            assert st.obj_scaled == pytest.approx(obj, rel=1e-12, abs=0.0)
-    kinds = ["restart", "reset", "backtrack", "prune", "cut"] + ["move"] * (model == "l20")
+        moved = solver._rebalance(spec, st, before)
+        events["move"] += moved is not st
+        assert moved.obj_scaled <= st.obj_scaled
+        gain = balance_gain(spec, st.W) if moved is not st else 0.0
+        st = moved
+        obj, nnz_u, nnz_v = public(st.W)
+        assert (st.nnz_u, st.nnz_v) == (nnz_u, nnz_v)
+        assert st.obj_scaled == pytest.approx(obj, rel=1e-12, abs=1e-12 * gain)
+        grams_match(st, exact=False)
+    kinds = ["restart", "reset", "backtrack", "prune", "cut", "move"]
     assert min(events[k] for k in kinds) > 0, events
 
     record = solver.SolveTrace.record
@@ -944,7 +995,8 @@ def test_gauge_move_is_skipped_where_it_does_not_apply(monkeypatch):
     singular Gram, where Cholesky fails, and a nearly singular one), or when
     the step's decrease beats the balance gain. The move reads no step
     constant: with a singular value of U V^T at lam / L it still fires and
-    keeps U V^T. A dc solve never calls the move; an l20 solve does."""
+    keeps U V^T. A solve calls the move after every step, for dc as for
+    l20."""
     rng = np.random.default_rng(0)
     spec, _ = mask_instance(lam=1e-6)
     U, V = rng.standard_normal((10, 2)), 3.0 * rng.standard_normal((10, 2))
@@ -980,7 +1032,67 @@ def test_gauge_move_is_skipped_where_it_does_not_apply(monkeypatch):
         solve(mask_instance(model=model, rho=rho, lam=1e-4)[0],
               SolverConfig(max_iters=20), "auto", kappa=2)
         moves[model] = moves.pop("_rebalance", 0)
-    assert moves == {"dc": 0, "l20": 20}
+    assert moves == {"dc": 20, "l20": 20}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=hst.integers(0, 2 ** 16), k=hst.integers(1, 4),
+       extra=hst.integers(2, 5), log_scale=hst.integers(-2, 2),
+       log_rho=hst.integers(-1, 1))
+def test_dc_gauge_move_keeps_the_product_and_descends(seed, k, extra, log_scale,
+                                                       log_rho):
+    """On a random full-rank dc pair, unbalanced by 10^log_scale, with column
+    norms on every branch of theta: the move either returns the state or
+    keeps U V^T to 1e-12, zeroes the balance, changes the carried objective
+    by the balance term and the penalty change (which the public evaluators
+    confirm), and never raises it. Pairs off balance by 100x always move."""
+    rng = np.random.default_rng(seed)
+    m, n = k + extra, k + extra + 1
+    spec, _ = mask_instance(seed=seed % 5, m=m, n=n, r=1, ratio=0.7, lam=1e-2,
+                            model="dc", rho=10.0 ** log_rho)
+    c = 10.0 ** log_scale
+    U, V = c * rng.standard_normal((m, k)), rng.standard_normal((n, k)) / c
+    st = moved_state(spec, U, V, rng.standard_normal((m, k)),
+                     rng.standard_normal((n, k)))
+    out = solver._rebalance(spec, st, st)
+    assert out.obj_scaled <= st.obj_scaled
+    if abs(log_scale) == 2:
+        assert out is not st
+    if out is st:
+        return
+    U2, V2 = out.W.U, out.W.V
+    assert rel_dist(U2 @ V2.T, U @ V.T) <= 1e-12
+    assert rel_dist(U2.T @ U2, V2.T @ V2) <= 1e-12
+    gain = balance_gain(spec, st.W)
+    public = smooth_value(spec, out.W) + column_penalty_value(spec, out.W)
+    assert public == pytest.approx(out.obj_scaled, rel=1e-12, abs=1e-12 * gain)
+    before = smooth_value(spec, st.W) + column_penalty_value(spec, st.W)
+    assert public < before
+
+
+def test_dc_gauge_move_is_refused_when_the_penalty_rises():
+    """One column with norms 4 and 1 at rho = 1: theta(4) + theta(1) = 1.856,
+    and the balanced norms 2 and 2 give 2 theta(2) = 2, so balancing raises
+    the penalty by (lam/2) 0.144 = 0.072 at lam = 1. The balance term is
+    (mu/4) (16 - 1)^2 = 56.25 mu: mu = 1e-4 refuses the move, mu = 1e-2
+    takes it, and lowers the objective by the difference."""
+    U, V = np.zeros((3, 1)), np.zeros((4, 1))
+    U[0, 0], V[1, 0] = 4.0, 1.0
+    rise = 0.5 * float(2 * penalty.theta(PenaltyParams(1.0, 0.0, rho=1.0), 2.0)
+                       - penalty.theta(PenaltyParams(1.0, 0.0, rho=1.0), 4.0)
+                       - penalty.theta(PenaltyParams(1.0, 0.0, rho=1.0), 1.0))
+    assert rise == pytest.approx(0.0718, abs=1e-4)
+    for mu, moves in ((1e-4, False), (1e-2, True)):
+        op = FullOperator(3, 4)
+        spec = ModelSpec(model="dc", op=op, b=op.apply(U @ V.T),
+                         params=PenaltyParams(lam=1.0, mu_tilde=mu, rho=1.0))
+        st = moved_state(spec, U, V, U, V)
+        out = solver._rebalance(spec, st, st)
+        assert (out is not st) == moves
+        if moves:
+            assert out.obj_scaled == pytest.approx(
+                st.obj_scaled - 56.25 * mu + rise, rel=1e-14)
+            assert_allclose(np.abs(out.W.U[:, 0]), [2.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_gaussian_solve_regauges_the_carried_map(monkeypatch):
