@@ -99,14 +99,13 @@ def _psi_star(params: PenaltyParams, sv):
 
 def theta(params: PenaltyParams, t):
     """|t| - psi_star(|t|): one-homogeneous near 0, saturating at 1."""
-    tv = np.abs(np.asarray(t, dtype=float))
-    out = tv - np.asarray(psi_star(params, tv))
-    return _maybe_scalar(out, t)
+    return _maybe_scalar(_theta(params, np.abs(np.asarray(t, dtype=float))), t)
 
 
 def _theta(params: PenaltyParams, tv):
     """``theta`` of a float array tv >= 0 that the caller has checked: the
-    dc penalty's kernel and the dc gauge move's penalty change."""
+    kernel of ``theta``, the dc penalty and the dc gauge move's penalty
+    change."""
     return tv - _psi_star(params, tv)
 
 

@@ -22,7 +22,7 @@ from .penalty import PenaltyParams
 def prox_matrix(Z, step_l, params: PenaltyParams, model: str) -> Array:
     """Columnwise prox of the matrix subproblem at Z with step constant step_l.
 
-    ``step_l`` is a positive float, or a positive vector with one step
+    ``step_l`` is a positive finite float, or such a vector with one step
     constant per column of Z (a diagonal metric, which keeps each column's
     problem separate). Every formula below broadcasts over columns, so a
     constant vector gives exactly the scalar result.
@@ -47,8 +47,8 @@ def prox_matrix(Z, step_l, params: PenaltyParams, model: str) -> Array:
     if L.ndim != 0 and L.shape != (Z.shape[1],):
         raise ValueError(f"step_l must be a float or one per column of Z's "
                          f"{Z.shape[1]}, got shape {L.shape}")
-    if not (L > 0).all():
-        raise ValueError(f"step_l must be positive, got {step_l}")
+    if not ((L > 0).all() and np.isfinite(L).all()):
+        raise ValueError(f"step_l must be positive and finite, got {step_l}")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     if model == "dc" and params.rho is None:

@@ -331,15 +331,13 @@ class _MaskRestrictedMap(RestrictedMap):
         columns add only zero rows and columns to each G_i, so they are
         dropped, and their c_l is 0. Column c of pattern @ (Q[:, a] * Q[:, b]),
         over the pairs a >= b, is G_i[a_c, b_c] for every i at once. Each
-        block's top eigenvalue is at most the smaller of two bounds:
-        Gershgorin's, its largest absolute row sum, and Wolkowicz and
-        Styan's, mean + sqrt(k - 1) std of its eigenvalues, which its trace
-        and Frobenius norm give. The k blocks with the largest bounds go to a
+        block's top eigenvalue is at most its Gershgorin bound, its largest
+        absolute row sum. The k blocks with the largest bounds go to a
         batched eigvalsh first; of the others, only those whose bound reaches
         the largest eigenvalue found can exceed it. One batched Cholesky
         factorization of best I - G_i over those succeeds only when all
         their eigenvalues are below the best found; when it fails, their
-        eigenvalues are computed.
+        eigenvalues are computed (so blocks that are all zero give 0).
         """
         live = np.any(self.Q != 0.0, axis=0)
         columns = np.zeros(self.Q.shape[1])
@@ -350,22 +348,12 @@ class _MaskRestrictedMap(RestrictedMap):
         P = self.op._pattern
         a, b = np.tril_indices(k)
         G = (P if self.side == "u" else P.T) @ (Q[:, a] * Q[:, b])
-        scale = np.abs(G).max()
-        if scale == 0.0:
-            return 0.0, columns
-        # The bounds are taken on G / scale, whose squares neither overflow
-        # nor underflow. touches[c, l] is 1.0 when pair c is in row l, so
-        # rows[i, l] is row l's absolute sum in G_i / scale.
-        H = G / scale
-        diag = a == b
+        # touches[c, l] is 1.0 when pair c is in row l, so rows[i, l] is row
+        # l's absolute sum in G_i.
         touches = ((a[:, None] == np.arange(k)) | (b[:, None] == np.arange(k))) * 1.0
-        rows = np.abs(H) @ touches
-        columns[live] = scale * rows.max(axis=0)
-        gershgorin = rows.max(axis=1)
-        mean = H[:, diag].sum(axis=1) / k
-        mean_sq = (H * H) @ np.where(diag, 1.0, 2.0) / k
-        spread = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0) * (k - 1))
-        bound = scale * np.minimum(gershgorin, mean + spread)
+        rows = np.abs(G) @ touches
+        columns[live] = rows.max(axis=0)
+        bound = rows.max(axis=1)
 
         def top(rows):
             blocks = np.zeros((rows.size, k, k))

@@ -80,10 +80,10 @@ weakly: without the move, ``gauss-l20-40`` spends most of its 2254
 iterations drifting along the gauge. The move takes the pair to the
 balanced pair with the same U V^T, aligned to the old one by an orthogonal
 Procrustes rotation, with k x k work on the pair's two Grams, which the
-state carries from the step; W_prev and the restricted map that fixes V
-are mapped along, so the extrapolation keeps its momentum and no block is
-rebuilt. For l20 it fires when the balance term it removes is larger than
-the decrease of the smooth part that the step and prune just made. The dc
+move forms itself; W_prev and the restricted map that fixes V are mapped
+along, so the extrapolation keeps its momentum and no block is rebuilt.
+For l20 it fires when the balance term it removes is larger than the
+decrease of the smooth part that the step and prune just made. The dc
 penalty reads column norms, which the move changes, so a dc move fires
 exactly when it lowers the objective: the balance term's removal plus the
 change of the penalty, which the Grams' diagonals give (see
@@ -97,8 +97,7 @@ the gradient, the prox point and the objective, raising DivergenceError with
 the iteration on any non-finite value; ``prox_matrix`` still validates its
 own input. Everything else a step needs is computed once per point: the
 Grams U^T U and V^T V that the step constants form give the linearization
-point's balance and, for the fixed factor, each candidate's, and the
-accepted pair's two Grams are carried for the gauge move; the accepted
+point's balance and, for the fixed factor, each candidate's; the accepted
 iterate's column counts are taken once, through the unchecked ``linalg``
 kernel, and carried in ``SolverState`` for the l20 penalty, the trace and
 ``_shed_columns``, which returns at once when every live column is nonzero
@@ -135,9 +134,6 @@ _KEPT = 64
 # Relative rounding slack of an objective comparison: the majorization check
 # and the function-value restart allow a rise of this times max(1, |base|).
 _ROUNDING = 1e-12
-# A gauge move keeps the count of a column whose squared norm exceeds this
-# times max(1, ||U||_F^2): 1e4 times the squared zero tolerance of l20_norm.
-_COUNT_MARGIN = 1e-12
 
 
 class DivergenceError(RuntimeError):
@@ -167,17 +163,15 @@ class SolverConfig:
 class SolverState:
     """Solver iterate: current and previous pair, t-scalars, step constants.
 
-    ``obj_scaled`` is the objective at W, ``nnz_u`` and ``nnz_v`` are
-    ``linalg.l20_norm`` of W.U and W.V, and ``grams`` is (U^T U, V^T V) at
-    W (set by ``_start_state``, kept by every step, prune, cut and move; a
-    move's is the balanced Gram O^T S O, equal to the products to rounding).
-    ``umap`` is the operator restricted to W.V held fixed, as the stopping
-    residual left it for the next U-substep, or None (at the start, after a
-    prune or a cut); ``step`` then builds one. ``LU`` and ``LV`` are the
-    accepted step constants, a float or, on a mask, one per column.
-    ``ratio_u`` and ``ratio_v`` are the U- and V-substeps' data-term
-    (key, ratio, column ratios) as ``_step_constant`` returns them, or None
-    before the first step. ``backtracks`` counts the step's doublings.
+    ``obj_scaled`` is the objective at W, and ``nnz_u`` and ``nnz_v`` are
+    ``linalg.l20_norm`` of W.U and W.V. ``umap`` is the operator restricted
+    to W.V held fixed, as the stopping residual left it for the next
+    U-substep, or None (at the start, after a prune or a cut); ``step``
+    then builds one. ``LU`` and ``LV`` are the accepted step constants, a
+    float or, on a mask, one per column. ``ratio_u`` and ``ratio_v`` are
+    the U- and V-substeps' data-term (key, ratio, column ratios) as
+    ``_step_constant`` returns them, or None before the first step.
+    ``backtracks`` counts the step's doublings.
     """
 
     W: FactorPair
@@ -185,7 +179,6 @@ class SolverState:
     obj_scaled: float
     nnz_u: int
     nnz_v: int
-    grams: tuple[Array, Array]
     tk: float = 1.0
     tk_prev: float = 1.0
     iteration: int = 0
@@ -323,14 +316,13 @@ def _step_constant(spec, amap, at, held, nnz, iteration):
 
 class _Substep(NamedTuple):
     """A substep's accepted candidate Z+, the gradient at its linearization
-    point, its final step constant, the evaluation of the pair (Z+, Q), the
-    Gram Z+^T Z+ and the number of doublings it took."""
+    point, its final step constant, the evaluation of the pair (Z+, Q) and
+    the number of doublings it took."""
 
     Z: Array
     grad: Array
     L: float | Array
     ev: _Evaluation
-    gram: Array
     backtracks: int
 
 
@@ -366,12 +358,11 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
         if not np.all(np.isfinite(Znew)):
             raise DivergenceError(iteration, f"non-finite prox point ({amap.side})")
         cand = prox_matrix(Znew, L, spec.params, spec.model)
-        gram = cand.T @ cand
-        ev = _evaluate(spec, cand, Q, amap.apply(cand), gram - gq)
+        ev = _evaluate(spec, cand, Q, amap.apply(cand), cand.T @ cand - gq)
         diff = cand - at
         bound = base + float(np.sum(grad * diff)) + 0.5 * _metric(L, diff)
         if ev.value <= bound + _ROUNDING * max(1.0, abs(base)):
-            return _Substep(cand, grad, L, ev, gram, doublings)
+            return _Substep(cand, grad, L, ev, doublings)
         L = L * _BACKTRACK_FACTOR
     raise DivergenceError(
         iteration, f"backtracking exceeded {_MAX_DOUBLINGS} doublings ({amap.side})"
@@ -421,7 +412,7 @@ def _take(spec: ModelSpec, st: SolverState, umap: RestrictedMap, w: float,
     nb = 1.0 + spec.b_norm
     return SolverState(
         W=_unchecked_pair(Unew, Vnew), W_prev=st.W, obj_scaled=obj,
-        nnz_u=nnz_u, nnz_v=nnz_v, grams=(grams[1], v.gram),
+        nnz_u=nnz_u, nnz_v=nnz_v,
         tk=0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk)), tk_prev=tk,
         iteration=it, LU=lu, LV=lv, backtracks=u.backtracks + v.backtracks,
         res_u=float(np.linalg.norm(gU - gnew_u + lu * (Unew - Ut))) / nb,
@@ -444,17 +435,12 @@ def step(spec: ModelSpec, st: SolverState) -> SolverState:
     return nxt
 
 
-def _grams(W: FactorPair) -> tuple[Array, Array]:
-    """(U^T U, V^T V) of W, the products a step carries."""
-    return W.U.T @ W.U, W.V.T @ W.V
-
-
 def _start_state(spec: ModelSpec, W0: FactorPair) -> SolverState:
     """The state at the start W0: W0, copied, as both iterates, with its
-    column counts, Grams and objective."""
+    column counts and objective."""
     W = W0.copy()
     nnz_u, nnz_v = linalg.l20_norm(W.U), linalg.l20_norm(W.V)
-    return SolverState(W=W, W_prev=W, nnz_u=nnz_u, nnz_v=nnz_v, grams=_grams(W),
+    return SolverState(W=W, W_prev=W, nnz_u=nnz_u, nnz_v=nnz_v,
                        obj_scaled=smooth_value(spec, W)
                        + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v))
 
@@ -489,8 +475,7 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
     When the state's column counts equal the live width, every column is
     above the zero tolerance in both factors, so there is nothing to do. A
     prune recomputes the counts; a cut drops only zero columns and keeps them.
-    Both replace W.V, so both drop the state's ``umap``, which fixed the old V,
-    and both retake the state's Grams.
+    Both replace W.V, so both drop the state's ``umap``, which fixed the old V.
     """
     width = st.W.U.shape[1]
     if st.nnz_u == width and st.nnz_v == width:
@@ -509,7 +494,7 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
         st = replace(st, W=W, W_prev=W_prev, nnz_u=nnz_u, nnz_v=nnz_v,
                      obj_scaled=smooth_value(spec, W)
                      + _column_penalty(spec, W.U, W.V, nnz_u + nnz_v),
-                     umap=None, grams=_grams(W))
+                     umap=None)
     # After the prune a column is nonzero in both factors or in neither.
     used = ((nz_u & nz_v) | np.any(st.W_prev.U != 0.0, axis=0)
             | np.any(st.W_prev.V != 0.0, axis=0))
@@ -520,9 +505,7 @@ def _shed_columns(spec: ModelSpec, st: SolverState,
 
     def cut(W):
         return _unchecked_pair(W.U[:, used], W.V[:, used])
-    W = cut(st.W)
-    return replace(st, W=W, W_prev=cut(st.W_prev), umap=None,
-                   grams=_grams(W)), live[used]
+    return replace(st, W=cut(st.W), W_prev=cut(st.W_prev), umap=None), live[used]
 
 
 def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverState:
@@ -530,7 +513,7 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
 
     U T (V T^-T)^T = U V^T, so the residual keeps its value, and the balance
     term (mu/4) ||U^T U - V^T V||^2 drops to zero.
-    T comes from k x k work on the state's Grams of (U, V): Cholesky factors
+    T comes from k x k work on the Grams of (U, V): Cholesky factors
     U^T U = L_U L_U^T and V^T V = L_V L_V^T, the SVD L_U^T L_V = P S Z^T,
     then T = L_U^-T P sqrt(S) O and T^-T = L_V^-T Z sqrt(S) O, which gives
     U T and V T^-T the Gram O^T S O (Procrustes flow's closed form). O is
@@ -539,8 +522,8 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
     next.
     W_prev is mapped by the same T, so the extrapolation keeps its momentum,
     and a restricted map that fixes V is re-gauged, not rebuilt. The
-    columns are recounted, since a balanced split can put a column under
-    the zero tolerance.
+    columns are recounted with ``linalg._column_count``, since a balanced
+    split can put a column under the zero tolerance.
 
     The penalty decides what the move changes besides the balance term.
     - l20: the penalty follows the count, and the objective falls by the
@@ -564,7 +547,8 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
     width = st.W.U.shape[1]
     if st.nnz_u != width or st.nnz_v != width:
         return st
-    bal = st.grams[0] - st.grams[1]
+    gu, gv = st.W.U.T @ st.W.U, st.W.V.T @ st.W.V
+    bal = gu - gv
     gain = 0.25 * spec.params.mu_tilde * float((bal * bal).sum())
     lam = spec.params.lam
     if spec.model == "l20":
@@ -573,7 +557,7 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
         if not gain > max(decrease, 0.0):
             return st
     try:
-        lu, lv = np.linalg.cholesky(np.array(st.grams))
+        lu, lv = np.linalg.cholesky(np.array((gu, gv)))
         P, s, Zt = np.linalg.svd(lu.T @ lv)
         if linalg.numerical_rank(s) < width:
             return st
@@ -584,12 +568,11 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
     except np.linalg.LinAlgError:
         return st
     O = X @ Yt
-    gram = (O.T * s) @ O
-    norms2 = gram.diagonal()
     if spec.model == "dc":
-        # theta at the new norms (U and V alike) and at the old ones.
+        # theta at the new norms (U and V alike, diag(O^T S O)) and at the
+        # old ones.
         th = penalty._theta(spec.params, spec.params.rho * np.sqrt(np.concatenate(
-            (norms2, st.grams[0].diagonal(), st.grams[1].diagonal()))))
+            (((O.T * s) @ O).diagonal(), gu.diagonal(), gv.diagonal()))))
         rise = 0.5 * lam * float(2.0 * th[:width].sum() - th[width:].sum())
         if not rise < gain:
             return st
@@ -597,12 +580,7 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
     # L_V^-T Z sqrt(S) into L_U P / sqrt(S): T and T^-T without a solve.
     tu, tv = (lv @ (Zt.T / root)) @ O, (lu @ (P / root)) @ O
     U, V = st.W.U @ tu, st.W.V @ tv
-    # Both factors' squared column norms are diag(O^T S O), to rounding. When
-    # each is 1e4 times the squared zero tolerance, every column counts.
-    if norms2.min() > _COUNT_MARGIN * max(1.0, float(norms2.sum())):
-        nnz_u = nnz_v = width
-    else:
-        nnz_u, nnz_v = linalg._column_count(U), linalg._column_count(V)
+    nnz_u, nnz_v = linalg._column_count(U), linalg._column_count(V)
     if spec.model == "l20":
         rise = 0.5 * lam * (nnz_u + nnz_v - st.nnz_u - st.nnz_v)
     umap = st.umap
@@ -610,7 +588,7 @@ def _rebalance(spec: ModelSpec, st: SolverState, before: SolverState) -> SolverS
     return replace(st, W=_unchecked_pair(U, V),
                    W_prev=_unchecked_pair(st.W_prev.U @ tu, st.W_prev.V @ tv),
                    obj_scaled=st.obj_scaled - gain + rise, umap=umap,
-                   nnz_u=nnz_u, nnz_v=nnz_v, grams=(gram, gram))
+                   nnz_u=nnz_u, nnz_v=nnz_v)
 
 
 def solve(spec: ModelSpec, cfg: SolverConfig, W0: FactorPair | str = "auto",

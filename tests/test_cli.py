@@ -210,14 +210,17 @@ def test_oversized_gaussian_exits_2(tmp_path):
 
 
 def test_bad_rule_exits_2(tmp_path):
-    """A rule outside the grammar, or one whose value is complex, is a config
-    error (exit 2) and not a traceback."""
+    """A rule outside the grammar, one whose value is complex, or a dc rho
+    rule that is not positive is a config error (exit 2) and not a
+    traceback."""
     inst = str(tmp_path / "inst")
     assert run_cli(*gen_args(inst)).returncode == 0
-    for rule, message in (("frotz(X0)", "unsupported syntax"),
-                          ("(-1)^0.5", "non-real value")):
+    for flags, message in ((("--lambda-rule", "frotz(X0)"), "unsupported syntax"),
+                           (("--lambda-rule", "(-1)^0.5"), "non-real value"),
+                           (("--model", "dc", "--rho-rule", "0 * specnorm(X0)"),
+                            "evaluated to 0.0 <= 0")):
         res = run_cli("solve", "--instance", inst, "--out-dir",
-                      str(tmp_path / "s"), "--lambda-rule", rule)
+                      str(tmp_path / "s"), *flags)
         assert res.returncode == 2
         assert "error(config):" in res.stderr
         assert message in res.stderr
@@ -333,6 +336,9 @@ MALFORMED = {
     "meta-foreign-schema": ("mask", "meta.json", lambda p: _edit_json(
         p, lambda d: d.update(schema="something-else")),
         r"meta\.json: schema must be 'l20factor-instance-v1', got 'something-else'"),
+    "meta-unknown-operator_kind": ("mask", "meta.json", lambda p: _edit_json(
+        p, lambda d: d.update(operator_kind="sparse")),
+        r"meta\.json: unknown operator_kind 'sparse'"),
     "meta-sample_ratio-off-p": ("mask", "meta.json", lambda p: _edit_json(
         p, lambda d: d.update(sample_ratio=0.9)),
         r"meta\.json: sample_ratio 0\.9 does not give p = 200 "),

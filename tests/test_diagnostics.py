@@ -385,6 +385,12 @@ def test_probe_requires_hypothesis_flags():
                     alpha_ok=True)
     with pytest.raises(ValueError, match="condition_ok"):
         kl_inequality_probe(spec, Wbar, M, bad2, samples=10)
+    # The dc probe reads gamma_prime, which may be NaN with both flags set.
+    dc = full_spec(M, lam=0.5, mu_tilde=0.5, model="dc", rho=1.0)
+    no_gamma = KLModuli(gamma=1.0, gamma_prime=math.nan, condition_ok=True,
+                        alpha_ok=True)
+    with pytest.raises(ValueError, match="gamma is not finite for model 'dc'"):
+        kl_inequality_probe(dc, Wbar, M, no_gamma, samples=10)
     with pytest.raises(ValueError, match="samples"):
         good = kl_moduli(2.0, 2.0, 2, 2.0, 1.0, 1.0, 1.0)
         kl_inequality_probe(spec, Wbar, M, good, samples=0)

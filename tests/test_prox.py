@@ -27,8 +27,9 @@ def prox_dc_col(z, step_l, params):
 
 def test_request_validation():
     p = dc_params()
-    with pytest.raises(ValueError, match="step_l"):
-        prox_matrix(np.ones((2, 2)), 0.0, p, "dc")
+    for bad in (0.0, np.inf, [1.0, np.inf], np.nan):
+        with pytest.raises(ValueError, match="step_l"):
+            prox_matrix(np.ones((2, 2)), bad, p, "dc")
     with pytest.raises(ValueError, match="unknown model"):
         prox_matrix(np.ones((2, 2)), 1.0, p, "soft")
     with pytest.raises(ValueError, match="finite"):

@@ -258,8 +258,9 @@ def test_mask_curvature_is_the_top_eigenvalue_of_the_map_gram(op, kappa, side, s
     which is also what the full operator's map gives. Its per-column bound
     is each column's largest absolute row sum over the form's diagonal
     blocks, 0 on Q's zero columns, and diag(c) majorizes the form; the full
-    map gives none. A mask map's ``regauged`` is a mask map, with the
-    curvature of its own Gram."""
+    map gives none. A Q that is nonzero only on rows that no observed entry
+    meets has all blocks zero, and gives (0, zeros). A mask map's
+    ``regauged`` is a mask map, with the curvature of its own Gram."""
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((op.n if side == "u" else op.m, kappa))
     Q[:, rng.random(kappa) < 0.3] = 0.0
@@ -285,6 +286,12 @@ def test_mask_curvature_is_the_top_eigenvalue_of_the_map_gram(op, kappa, side, s
         assert_allclose(scaled[1] / (c * c), columns, rtol=1e-12, atol=1e-12)
     if op.p == op.m * op.n:
         assert top == pytest.approx(norm2, rel=1e-12, abs=1e-12)
+    unseen = ~op._pattern.any(axis=0 if side == "u" else 1)
+    if unseen.any():
+        blind = np.zeros_like(Q)
+        blind[unseen] = 1.0
+        top0, columns0 = op.restricted(blind, side).curvature()
+        assert top0 == 0.0 and np.array_equal(columns0, np.zeros(kappa))
     full = FullOperator(op.m, op.n).restricted(Q, side)
     assert type(full) is sampling.RestrictedMap
     assert full.curvature()[0] == pytest.approx(norm2, rel=1e-12, abs=1e-12)
@@ -298,7 +305,7 @@ def test_mask_curvature_is_the_top_eigenvalue_of_the_map_gram(op, kappa, side, s
 
 def test_mask_curvature_checks_blocks_past_the_first_pass():
     """Rows 0-2 of Z observe two orthonormal rows of V, blocks with
-    eigenvalues (1, 1, 0) whose eigenvalue bounds (about 1.3) head the
+    eigenvalues (1, 1, 0) whose Gershgorin bounds (about 1.10) head the
     order; row 3 observes one row of squared norm 1.01, whose block's top
     eigenvalue, 1.01, is the curvature, and whose bound is 1.01, so a bound
     a percent low would skip it. The first pass takes k = 3 blocks, rows
@@ -307,6 +314,15 @@ def test_mask_curvature_checks_blocks_past_the_first_pass():
     V = np.vstack([R[0], R[1], np.sqrt(1.01) * R[2]])
     op = UniformMaskOperator(4, 3, [0, 0, 1, 1, 2, 2, 3], [0, 1, 0, 1, 0, 1, 2])
     assert op.restricted(V, "u").curvature()[0] == pytest.approx(1.01, rel=1e-12)
+
+
+def test_orthonormalize_fills_a_rank_deficient_factor():
+    """Two equal columns give a rank-one F; the jittered QR still returns
+    two orthonormal columns."""
+    f = np.random.default_rng(0).standard_normal(6)
+    Q = sampling._orthonormalize(np.column_stack([f, f]))
+    assert Q.shape == (6, 2)
+    assert_allclose(Q.T @ Q, np.eye(2), atol=1e-12)
 
 
 def test_restricted_eigs_brackets_are_ordered():

@@ -177,7 +177,8 @@ def test_divergence_error_carries_iteration():
     iteration, also when only the fixed factor overflows its Gram (U small,
     V = 1e200): the Gram is checked before LAPACK, which would raise
     LinAlgError, sees it. So does a finite state whose extrapolation
-    overflows: W_prev.U = U - 1e308 at t_prev = 100."""
+    overflows: W_prev.U = U - 1e308 at t_prev = 100, and a substep whose
+    gradient step overflows: L = 1e-300 at a start scaled by 1e5."""
     spec, _ = mask_instance()
     big, small = 1e200 * np.ones((10, 2)), 1e-3 * np.ones((10, 2))
     states = [solver._start_state(spec, FactorPair(U, big)) for U in (big, small)]
@@ -189,6 +190,12 @@ def test_divergence_error_carries_iteration():
         with pytest.raises(DivergenceError, match=message) as info:
             step(spec, st)
         assert info.value.iteration == 1
+    W = spectral_start(spec, 2)
+    U, V = 1e5 * W.U, 1e5 * W.V
+    _, grams, _ = side_constant(spec, U, V, "u")
+    message = r"iteration 1: non-finite prox point \(u\)"
+    with pytest.raises(DivergenceError, match=message):
+        solver._prox_substep(spec, spec.op.restricted(V, "u"), U, grams, 1e-300, 1)
 
 
 SCALES = (1.0, 1e10, 1e20)
@@ -532,7 +539,7 @@ def test_step_validation_budget(model, rho, lam, monkeypatch):
 
 @pytest.mark.parametrize("model,rho,lam", [("l20", None, 5.0), ("dc", 0.5, 0.5)])
 def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch):
-    """A state's objective, column counts and Grams are those of the public
+    """A state's objective and column counts are those of the public
     evaluators at its iterate, through restarts, momentum resets by the
     gradient test, backtracks (the step constant's margin is cut to 0.3, so
     substeps backtrack), prunes, cuts and gauge moves. Two events
@@ -544,10 +551,8 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
     keeps it, which can move the public sums by an ulp, and a move changes
     it by the balance term and, for dc, the penalty change its Gram
     diagonals give, which hold up to rounding (relative to the objective
-    and the balance term removed). The Grams are the products
-    bitwise after a step, a prune and a cut, and to rounding after a move.
-    Every trace record's counts are ``l20_norm`` of the iterate recorded
-    with it."""
+    and the balance term removed). Every trace record's counts are
+    ``l20_norm`` of the iterate recorded with it."""
     monkeypatch.setattr(solver, "_MARGIN", 0.3)
     spec, _ = mask_instance(seed=1, model=model, rho=rho, lam=lam, mu_tilde=0.1)
     W0 = spectral_start(spec, 4)
@@ -559,14 +564,6 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
     def public(W):
         return (smooth_value(spec, W) + column_penalty_value(spec, W),
                 linalg.l20_norm(W.U), linalg.l20_norm(W.V))
-
-    def grams_match(st, exact):
-        for gram, X in zip(st.grams, (st.W.U, st.W.V)):
-            if exact:
-                assert np.array_equal(gram, X.T @ X)
-            else:
-                assert_allclose(gram, X.T @ X, rtol=1e-12,
-                                atol=1e-12 * np.abs(gram).max())
 
     events = Counter()
     st = solver._start_state(spec, W0)
@@ -586,14 +583,12 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
             and not st.restarted
         events["backtrack"] += st.backtracks > 0
         assert (st.obj_scaled, st.nnz_u, st.nnz_v) == public(st.W)
-        grams_match(st, exact=True)
         width, nnz = st.W.U.shape[1], (st.nnz_u, st.nnz_v)
         st, live = solver._shed_columns(spec, st, live)
         events["prune"] += (st.nnz_u, st.nnz_v) != nnz
         events["cut"] += st.W.U.shape[1] < width
         obj, nnz_u, nnz_v = public(st.W)
         assert (st.nnz_u, st.nnz_v) == (nnz_u, nnz_v)
-        grams_match(st, exact=True)
         if st.W.U.shape[1] == width:
             assert st.obj_scaled == obj
         else:
@@ -606,7 +601,6 @@ def test_carried_values_match_the_public_evaluators(model, rho, lam, monkeypatch
         obj, nnz_u, nnz_v = public(st.W)
         assert (st.nnz_u, st.nnz_v) == (nnz_u, nnz_v)
         assert st.obj_scaled == pytest.approx(obj, rel=1e-12, abs=1e-12 * gain)
-        grams_match(st, exact=False)
     kinds = ["restart", "reset", "backtrack", "prune", "cut", "move"]
     assert min(events[k] for k in kinds) > 0, events
 

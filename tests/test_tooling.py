@@ -232,6 +232,8 @@ KEPT_UNCALLED = {
         "lets tests build a Gaussian operator from a chosen tensor",
     "harness.read_trace_csv": "reads back the format that write_trace_csv defines",
     "penalty.g_scalar": "the documented, checked evaluator of g",
+    "penalty.psi_star": "the documented, checked evaluator of the conjugate "
+                        "that theta is built from",
 }
 
 
@@ -250,18 +252,30 @@ def test_every_public_name_is_used_by_the_system():
     """Each public module-level function and class of ``src/l20factor`` and
     each public method of its classes is named in ``src/``, ``demos/`` or
     ``perfbench/`` outside its own definition, or is in ``KEPT_UNCALLED``.
-    An import or an ``__all__`` entry is not a use. Methods are matched by
-    name, so a call of any method of that name counts."""
-    named = Counter()
+    Each private module-level function, class and constant is named in
+    ``src/`` outside its own definition. An import or an ``__all__`` entry
+    is not a use. Methods are matched by name, so a call of any method of
+    that name counts."""
+    named, in_src = Counter(), Counter()
     for part in ("src", "demos", "perfbench"):
         for path in sorted((ROOT / part).rglob("*.py")):
-            named += _named(ast.parse(path.read_text()))
-    public = {}
+            found = _named(ast.parse(path.read_text()))
+            named += found
+            if part == "src":
+                in_src += found
+    public, private = {}, {}
     for path in sorted((ROOT / "src" / "l20factor").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                private.update({f"{path.stem}.{t.id}": (t.id, node) for t in targets
+                                if isinstance(t, ast.Name) and t.id.startswith("_")
+                                and not t.id.startswith("__")})
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_"):
+            if node.name.startswith("_"):
+                private[f"{path.stem}.{node.name}"] = (node.name, node)
+            else:
                 public[f"{path.stem}.{node.name}"] = node
             if isinstance(node, ast.ClassDef):
                 public.update({f"{path.stem}.{node.name}.{sub.name}": sub
@@ -271,6 +285,8 @@ def test_every_public_name_is_used_by_the_system():
               if named[node.name] == _named(node)[node.name]}
     assert set(KEPT_UNCALLED) <= set(public)
     assert unused - set(KEPT_UNCALLED) == set()
+    assert {key for key, (name, node) in private.items()
+            if in_src[name] == _named(node)[name]} == set()
 
 
 # perfbench/bench.py's WORKLOADS configurations, each with an iteration
