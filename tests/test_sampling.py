@@ -303,17 +303,38 @@ def test_mask_curvature_is_the_top_eigenvalue_of_the_map_gram(op, kappa, side, s
     assert moved.curvature()[0] == pytest.approx(gram_top(moved), rel=1e-12, abs=1e-12)
 
 
-def test_mask_curvature_checks_blocks_past_the_first_pass():
-    """Rows 0-2 of Z observe two orthonormal rows of V, blocks with
-    eigenvalues (1, 1, 0) whose Gershgorin bounds (about 1.10) head the
-    order; row 3 observes one row of squared norm 1.01, whose block's top
-    eigenvalue, 1.01, is the curvature, and whose bound is 1.01, so a bound
-    a percent low would skip it. The first pass takes k = 3 blocks, rows
-    0-2, so only the second finds 1.01."""
-    R, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
-    V = np.vstack([R[0], R[1], np.sqrt(1.01) * R[2]])
-    op = UniformMaskOperator(4, 3, [0, 0, 1, 1, 2, 2, 3], [0, 1, 0, 1, 0, 1, 2])
-    assert op.restricted(V, "u").curvature()[0] == pytest.approx(1.01, rel=1e-12)
+def test_mask_curvature_checks_blocks_past_the_first_pass(monkeypatch):
+    """Rows 0-2 of Z observe the unit row w = (0.6, 0.8, 0) of V: blocks
+    w w^T with eigenvalue 1 and Gershgorin bound 0.8 * 1.4 = 1.12, which
+    head the order. Row 3 observes sqrt(1.01) e_3, whose block's eigenvalue
+    and bound are both 1.01, the curvature. The first pass takes k = 3
+    blocks, rows 0-2, and finds 1.0; row 3's bound reaches it, the Cholesky
+    of 1.0 I - G_3 fails, and only the second pass finds 1.01."""
+    V = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, np.sqrt(1.01)]])
+    op = UniformMaskOperator(4, 2, [0, 1, 2, 3], [0, 0, 0, 1])
+    passes, failed = [], []
+    eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+
+    def counted_eigvalsh(blocks, *args, **kwargs):
+        vals = eigvalsh(blocks, *args, **kwargs)
+        passes.append((len(blocks), float(vals[:, -1].max())))
+        return vals
+
+    def counted_cholesky(blocks):
+        try:
+            return cholesky(blocks)
+        except np.linalg.LinAlgError:
+            failed.append(len(blocks))
+            raise
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    top = op.restricted(V, "u").curvature()[0]
+    assert top == pytest.approx(1.01, rel=1e-12)
+    assert passes[0] == (3, pytest.approx(1.0, rel=1e-12))
+    assert failed == [1]
+    assert passes[1] == (1, pytest.approx(1.01, rel=1e-12))
+    assert len(passes) == 2
 
 
 def test_orthonormalize_fills_a_rank_deficient_factor():
