@@ -99,13 +99,14 @@ def _psi_star(params: PenaltyParams, sv):
 
 def theta(params: PenaltyParams, t):
     """|t| - psi_star(|t|): one-homogeneous near 0, saturating at 1."""
-    return _maybe_scalar(_theta(params, np.abs(np.asarray(t, dtype=float))), t)
+    tv = np.abs(np.asarray(t, dtype=float))
+    out = tv - np.asarray(psi_star(params, tv))
+    return _maybe_scalar(out, t)
 
 
 def _theta(params: PenaltyParams, tv):
     """``theta`` of a float array tv >= 0 that the caller has checked: the
-    kernel of ``theta``, the dc penalty and the dc gauge move's penalty
-    change."""
+    dc penalty's kernel and the dc gauge move's penalty change."""
     return tv - _psi_star(params, tv)
 
 

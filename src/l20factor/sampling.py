@@ -15,14 +15,16 @@ operator's map is its block B = G @ Q, p x (rows * k), built once, after
 which an apply or adjoint is one matrix-vector product; a map's
 ``regauged(Q T, T)`` fixes Q T instead, and a Gaussian one gets it as B's
 product with T, without a pass over G. A map's ``curvature()`` is the top
-eigenvalue of its Gram, the data part of the solver's block constant: the
-base and Gaussian maps give the bound ||A||^2 ||Q||_2^2, exact for ``full``;
-a mask's map gives the exact value, the largest over the free factor's rows
-of the top eigenvalue of the Gram of the fixed rows observed with that row,
-all rows at once from one product with the stored 0/1 pattern, and from
-the same product each column's largest Gershgorin row sum over those
-Grams, which the solver's per-column step constants read (the other maps
-give None there). The solver takes every substep through such a map.
+eigenvalue of its Gram, the data part of the solver's block constant,
+with per-column bounds c such that diag(c) majorizes the Gram, which the
+solver's per-column step constants read. The base and Gaussian maps give
+the bounds ||A||^2 ||Q||_2^2, exact for ``full``, and
+c_l = ||A||^2 sum_l' |Q^T Q|_{ll'}; a mask's map gives the exact value, the
+largest over the free factor's rows of the top eigenvalue of the Gram of
+the fixed rows observed with that row, all rows at once from one product
+with the stored 0/1 pattern, and from the same product each column's
+largest Gershgorin row sum over those Grams. The solver takes every
+substep through such a map.
 Restricted eigenvalue brackets
     alpha <= ||A(X)||^2 / ||X||_F^2 <= beta   for all rank-k X != 0
 are in closed form for ``full`` and ``mask``; a Gaussian one reads its maps'
@@ -247,9 +249,9 @@ class RestrictedMap:
     calls the operator's public apply and adjoint, so its values are bitwise
     those of the full operator. ``curvature()`` is the top eigenvalue of the
     map's Gram, the Lipschitz constant of the gradient of
-    Z -> 1/2 ||apply(Z) - r||^2, and per-column bounds or None; this base
-    form bounds the eigenvalue by ||A||^2 ||Q||_2^2, which is exact for
-    ``full``, and gives no per-column bounds.
+    Z -> 1/2 ||apply(Z) - r||^2, and per-column bounds c with diag(c) (x) I
+    majorizing the Gram; this base form gives the bounds of
+    B^T B <= ||A||^2 (Q^T Q (x) I), which are exact for ``full``.
     """
 
     def __init__(self, op: SamplingOperator, Q: Array, side: str):
@@ -263,17 +265,21 @@ class RestrictedMap:
         return self.op.apply(Z @ self.Q.T if self.side == "u" else self.Q @ Z.T)
 
     def adjoint(self, r: Array) -> Array:
-        return self._restrict(self.op.adjoint(r))
+        return self._restrict(self._scatter(r))
+
+    def _scatter(self, r: Array) -> Array:
+        """A*(r), the operator's adjoint."""
+        return self.op.adjoint(r)
 
     def _restrict(self, R: Array) -> Array:
         return R @ self.Q if self.side == "u" else R.T @ self.Q
 
     def flip(self, Z: Array, r: Array) -> tuple[Array, "RestrictedMap", Array]:
         """At the point whose free factor is Z: this map's adjoint of r, the
-        map that holds Z fixed, and that map's adjoint of r. The base form
-        takes both adjoints from one full adjoint."""
+        map that holds Z fixed, and that map's adjoint of r, both from one
+        ``_scatter``."""
         other = self.op.restricted(Z, _OTHER_SIDE[self.side])
-        R = self.op.adjoint(r)
+        R = self._scatter(r)
         return self._restrict(R), other, other._restrict(R)
 
     def regauged(self, Q: Array, T: Array) -> "RestrictedMap":
@@ -282,11 +288,13 @@ class RestrictedMap:
         block."""
         return self.op.restricted(Q, self.side)
 
-    def curvature(self) -> tuple[float, Array | None]:
-        """(||A||^2 ||Q||_2^2, None): the bound, from the top eigenvalue of
-        the k x k Gram, and no per-column bound."""
-        return self.op.operator_norm() ** 2 \
-            * float(np.linalg.eigvalsh(self.Q.T @ self.Q)[-1]), None
+    def curvature(self) -> tuple[float, Array]:
+        """(||A||^2 ||Q||_2^2, c), c_l = ||A||^2 sum_l' |Q^T Q|_{ll'}: the
+        top eigenvalue of the k x k Gram, and the absolute row sums that
+        majorize it as a diagonally dominant difference, both times ||A||^2."""
+        gram = self.Q.T @ self.Q
+        a2 = self.op.operator_norm() ** 2
+        return a2 * float(np.linalg.eigvalsh(gram)[-1]), a2 * np.abs(gram).sum(axis=1)
 
 
 class _MaskRestrictedMap(RestrictedMap):
@@ -294,11 +302,11 @@ class _MaskRestrictedMap(RestrictedMap):
     rows q_j of Q observed with it (j in Omega_i: the entries (i, j) on "u",
     (j, i) on "v"), so the map's Gram is block diagonal with blocks
     G_i = sum_{j in Omega_i} q_j q_j^T, and its top eigenvalue is the
-    largest of theirs. Its apply, adjoint and flip use the operator's work
+    largest of theirs. Its apply and ``_scatter`` use the operator's work
     array, and their values are bitwise those of the base map: an apply
-    forms the product there and passes it to the operator's apply; an
-    adjoint scatters there itself, so it makes no call of the operator's
-    adjoint."""
+    forms the product there and passes it to the operator's apply; a
+    scatter writes there itself, so an adjoint or a flip makes no call of
+    the operator's adjoint."""
 
     def apply(self, Z: Array) -> Array:
         prod = self.op._work
@@ -315,14 +323,6 @@ class _MaskRestrictedMap(RestrictedMap):
         scatter.fill(0.0)
         scatter[self.op.flat] = r
         return R
-
-    def adjoint(self, r: Array) -> Array:
-        return self._restrict(self._scatter(r))
-
-    def flip(self, Z: Array, r: Array) -> tuple[Array, RestrictedMap, Array]:
-        other = self.op.restricted(Z, _OTHER_SIDE[self.side])
-        R = self._scatter(r)
-        return self._restrict(R), other, other._restrict(R)
 
     def curvature(self) -> tuple[float, Array]:
         """(max_i lambda_max(G_i), to rounding; c), where c_l is the largest
@@ -379,7 +379,7 @@ class _GaussianRestrictedMap(RestrictedMap):
     """The Gaussian map through its block, built once: B = G @ V, (p, m, k),
     on "u" and B = G^T @ U, (p, n, k), on "v", kept as p x (rows * k). An
     apply or an adjoint is then one matrix-vector product. Its curvature is
-    the base bound, not the exact ||B||^2: under the exact value the
+    the base bounds, not the exact ||B||^2: under the exact value the
     40 x 40 Gaussian instance at lambda = 28 ||X0|| took 2643 iterations
     on seed 0 and fell to the zero pair on seeds 1-5, a problem outside
     the recovery regime (ROADMAP item 6)."""

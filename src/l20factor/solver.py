@@ -1,34 +1,35 @@
 """Accelerated proximal linearized alternating minimization over (U, V).
 
-One iteration extrapolates both factors with the Nesterov t-sequence,
-takes a prox-gradient step in U against the current V, then a prox-gradient
-step in V against the fresh U, and advances t. Each substep's step constant
-(``_step_constant``) is 1.1 times a data term plus a bound on the balance
-term, floored at 1e-8, and a backtracking majorization check (the balance
-term is quartic, so no global constant exists) doubles it until the check
-holds. The data term is ratio ||A||^2 ||Q||_2^2, Q the fixed factor, with
-the ratio the restricted map's ``curvature()`` over that bound (1 when the
-bound is 0), taken only when Q's (live width, nnz) changes. The base and
-Gaussian maps' curvature is the bound itself, so their ratio is 1; a mask
-map's is exact, so its data term is exact when taken and an estimate,
-which the check guards, until the next change. Another data term is one
-``curvature()`` override.
+One iteration extrapolates both factors with the Nesterov t-sequence, takes
+a prox-gradient step in U against the current V, then a prox-gradient step
+in V against the fresh U, and advances t. A substep's step constants
+(``_step_constant``), one per column as below, are capped by L, 1.1 times a
+data term plus a bound on the balance term, floored at 1e-8, and a
+backtracking majorization check (the balance term is quartic, so no global
+constant exists) doubles them until the check holds. The data term is ratio
+||A||^2 ||Q||_2^2, Q the fixed factor, with the ratio the restricted map's
+``curvature()`` over that bound (1 when the bound is 0), taken only when Q's
+(live width, nnz) changes. The base and Gaussian maps' curvature is the
+bound itself, so their ratio is 1; a mask map's is exact, so its data term
+is exact when taken and an estimate, which the check guards, until the next
+change. Another data term is one ``curvature()`` override.
 
-On a mask the step constant is a vector D, one per column: both penalties
-separate over columns, so a diagonal metric keeps the prox in closed form
-(the variable-metric PALM of Chouzenoux, Pesquet and Repetti, J. Global
-Optim. 66, 2016, and of Frankel, Garrigos and Peypouquet, JOTA 165, 2015),
-and a weak column is no longer held to the step its strong neighbours
-need. The mask map's ``curvature()`` also gives c_l, column l's largest
-Gershgorin row sum over the map's Gram blocks, so diag(c) majorizes the
-data term. Held on the same key is c_l over ||A||^2 sum_l' |Q^T Q|_{ll'},
-and D_l = min(L, 1.1 (that ratio ||A||^2 sum_l' |Q^T Q|_{ll'} + balance
-bound)), floored, with the row sums of the current Q^T Q and L the scalar
-constant above; a column whose Q column is zero meets no data and keeps L.
-The min of two majorizers need not be one, so the check, which reads
-(1/2) sum_l D_l ||Delta_l||^2, guards D and doubles it on failure, and the
-stopping residual takes D times each column of Delta. The base, full and
-Gaussian maps keep the scalar.
+The step constant is a vector D, one per column: both penalties separate
+over columns, so a diagonal metric keeps the prox in closed form (the
+variable-metric PALM of Chouzenoux, Pesquet and Repetti, J. Global Optim.
+66, 2016, and of Frankel, Garrigos and Peypouquet, JOTA 165, 2015), and a
+weak column is not held to the step its strong neighbours need. A map's
+``curvature()`` also gives per-column bounds c, with diag(c) majorizing
+the data term: on a mask, c_l is column l's largest Gershgorin row sum
+over the map's Gram blocks; on the base and Gaussian maps it is
+||A||^2 sum_l' |Q^T Q|_{ll'}, from B^T B <= ||A||^2 (Q^T Q (x) I). Held on
+the same key is c_l over ||A||^2 sum_l' |Q^T Q|_{ll'} (1 on the base and
+Gaussian maps), and D_l = min(L, 1.1 (that ratio ||A||^2 sum_l' |Q^T Q|_{ll'}
++ balance bound)), floored, with the row sums of the current Q^T Q and L
+the scalar constant above; a column whose Q column is zero meets no data
+and keeps L. The min of two majorizers need not be one, so the check,
+which reads (1/2) sum_l D_l ||Delta_l||^2, guards D and doubles it on
+failure, and the stopping residual takes D times each column of Delta.
 
 Momentum is dropped by two tests (O'Donoghue and Candes, adaptive restart),
 both in ``_take``, which builds the candidate state. The function test
@@ -167,9 +168,9 @@ class SolverState:
     ``linalg.l20_norm`` of W.U and W.V. ``umap`` is the operator restricted
     to W.V held fixed, as the stopping residual left it for the next
     U-substep, or None (at the start, after a prune or a cut); ``step``
-    then builds one. ``LU`` and ``LV`` are the accepted step constants, a
-    float or, on a mask, one per column. ``ratio_u`` and ``ratio_v`` are
-    the U- and V-substeps' data-term (key, ratio, column ratios) as
+    then builds one. ``LU`` and ``LV`` are the accepted step constants, one
+    per column (empty before the first step). ``ratio_u`` and ``ratio_v``
+    are the U- and V-substeps' data-term (key, ratio, column ratios) as
     ``_step_constant`` returns them, or None before the first step.
     ``backtracks`` counts the step's doublings.
     """
@@ -182,15 +183,15 @@ class SolverState:
     tk: float = 1.0
     tk_prev: float = 1.0
     iteration: int = 0
-    LU: float | Array = math.nan
-    LV: float | Array = math.nan
+    LU: Array = field(default_factory=lambda: np.empty(0))
+    LV: Array = field(default_factory=lambda: np.empty(0))
     restarted: bool = False
     backtracks: int = 0
     res_u: float = math.nan
     res_v: float = math.nan
     umap: RestrictedMap | None = None
-    ratio_u: tuple[tuple[int, int], float, Array | None] | None = None
-    ratio_v: tuple[tuple[int, int], float, Array | None] | None = None
+    ratio_u: tuple[tuple[int, int], float, Array] | None = None
+    ratio_v: tuple[tuple[int, int], float, Array] | None = None
 
 
 @dataclass
@@ -271,18 +272,21 @@ class SolveTrace:
 
 
 def _step_constant(spec, amap, at, held, nnz, iteration):
-    """(L, (Z^T Z, Q^T Q), (key, ratio, columns)) of the substep through
+    """(D, (Z^T Z, Q^T Q), (key, ratio, columns)) of the substep through
     ``amap`` from its active factor Z = ``at``, Q = ``amap.Q`` the fixed
-    one: its starting step constant, the Grams its balance terms reuse, and
+    one: its starting step constants, the Grams its balance terms reuse, and
     its data term's ratios, ``held`` when the key there is the fixed
     factor's (live width, ``nnz``) and taken anew otherwise. The dc model's
     -tau/2 identity term only lowers curvature, so the same constant applies.
 
-    When the map's ``curvature()`` also gives per-column bounds c (a mask),
-    ``columns`` holds c_l / (||A||^2 sum_l' |Q^T Q|_{ll'}) and L is the
-    vector D_l = min(L, 1.1 (columns_l ||A||^2 sum_l' |Q^T Q|_{ll'} +
-    balance bound)), floored; otherwise ``columns`` is None and L a float.
-    The min of two majorizers need not majorize, so the check guards D."""
+    With the map's ``curvature()`` = (top, c), ``ratio`` is top over
+    ||A||^2 ||Q||_2^2 (1 when that is 0), ``columns`` holds
+    c_l / (||A||^2 sum_l' |Q^T Q|_{ll'}) (0 on Q's zero columns), and the
+    step constants are D_l = min(L, 1.1 (columns_l ||A||^2
+    sum_l' |Q^T Q|_{ll'} + balance bound)), floored, L the scalar
+    1.1 (ratio ||A||^2 ||Q||_2^2 + balance bound), floored; a column whose
+    Q column is zero keeps L. The min of two majorizers need not majorize,
+    so the check guards D."""
     Q = amap.Q
     gz, gq = at.T @ at, Q.T @ Q
     # ||Z||_2^2 and ||Q||_2^2 are the top eigenvalues of the kappa x kappa
@@ -296,41 +300,28 @@ def _step_constant(spec, amap, at, held, nnz, iteration):
     nz2, nq2, nbal = eig[0, -1], eig[1, -1], max(-eig[2, 0], eig[2, -1])
     a2 = spec.op.operator_norm() ** 2
     key = (Q.shape[1], nnz)
+    sums = a2 * np.abs(gq).sum(axis=1)
     if held is None or held[0] != key:
         bound = a2 * float(nq2)
         top, columns = amap.curvature()
-        if columns is not None:
-            sums = a2 * np.abs(gq).sum(axis=1)
-            columns = np.divide(columns, sums, out=np.zeros_like(columns),
-                                where=sums > 0.0)
-        held = key, (top / bound if bound > 0.0 else 1.0), columns
+        held = key, (top / bound if bound > 0.0 else 1.0), np.divide(
+            columns, sums, out=np.zeros_like(columns), where=sums > 0.0)
     balance = spec.params.mu_tilde * (2 * nz2 + nbal)
     L = float(max(_MARGIN * (held[1] * a2 * nq2 + balance), _STEP_FLOOR))
-    if held[2] is None:
-        return L, (gz, gq), held
-    # A column whose Q column is zero meets no data, and keeps L.
-    sums = np.abs(gq).sum(axis=1)
-    D = _MARGIN * (held[2] * (a2 * sums) + balance)
+    D = _MARGIN * (held[2] * sums + balance)
     return np.where(sums > 0.0, D.clip(_STEP_FLOOR, L), L), (gz, gq), held
 
 
 class _Substep(NamedTuple):
     """A substep's accepted candidate Z+, the gradient at its linearization
-    point, its final step constant, the evaluation of the pair (Z+, Q) and
-    the number of doublings it took."""
+    point, its final step constants (one per column), the evaluation of the
+    pair (Z+, Q) and the number of doublings it took."""
 
     Z: Array
     grad: Array
-    L: float | Array
+    L: Array
     ev: _Evaluation
     backtracks: int
-
-
-def _metric(L, X) -> float:
-    """||X||^2 in the step's metric: L ||X||_F^2, or sum_l L_l ||X_l||^2."""
-    if np.ndim(L) == 0:
-        return L * float(np.sum(X * X))
-    return float((X * X).sum(axis=0) @ L)
 
 
 def _prox_substep(spec, amap, at, grams, L, iteration):
@@ -341,10 +332,10 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
     (Z^T Z, Q^T Q) there, as ``_step_constant`` formed them. All are arrays
     the solver has checked. The gradient half and the base value come from
     one evaluation of the pair (Z, Q) at ``at``; each candidate costs one
-    more, whose balance takes Q^T Q from ``grams``. L is a float or one
-    constant per column, and the check reads the model's quadratic term in
-    that metric. Returns a ``_Substep``; its evaluation's balance is
-    Z^T Z - Q^T Q.
+    more, whose balance takes Q^T Q from ``grams``. L holds one constant per
+    column, and the check reads the model's quadratic term in that metric,
+    sum_l L_l ||Delta_l||^2. Returns a ``_Substep``; its evaluation's
+    balance is Z^T Z - Q^T Q.
     """
     Q, gq = amap.Q, grams[1]
     ev = _evaluate(spec, at, Q, amap.apply(at), grams[0] - gq)
@@ -360,7 +351,8 @@ def _prox_substep(spec, amap, at, grams, L, iteration):
         cand = prox_matrix(Znew, L, spec.params, spec.model)
         ev = _evaluate(spec, cand, Q, amap.apply(cand), cand.T @ cand - gq)
         diff = cand - at
-        bound = base + float(np.sum(grad * diff)) + 0.5 * _metric(L, diff)
+        bound = base + float(np.sum(grad * diff)) \
+            + 0.5 * float((diff * diff).sum(axis=0) @ L)
         if ev.value <= bound + _ROUNDING * max(1.0, abs(base)):
             return _Substep(cand, grad, L, ev, doublings)
         L = L * _BACKTRACK_FACTOR

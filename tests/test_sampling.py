@@ -257,8 +257,9 @@ def test_mask_curvature_is_the_top_eigenvalue_of_the_map_gram(op, kappa, side, s
     overflow; on a fully observed mask it is ||Q||_2^2,
     which is also what the full operator's map gives. Its per-column bound
     is each column's largest absolute row sum over the form's diagonal
-    blocks, 0 on Q's zero columns, and diag(c) majorizes the form; the full
-    map gives none. A Q that is nonzero only on rows that no observed entry
+    blocks, 0 on Q's zero columns, and diag(c) majorizes the form. The full
+    and Gaussian maps' c_l is ||A||^2 sum_l' |Q^T Q|_{ll'}, and diag(c)
+    majorizes their forms too. A Q that is nonzero only on rows that no observed entry
     meets has all blocks zero, and gives (0, zeros). A mask map's
     ``regauged`` is a mask map, with the curvature of its own Gram."""
     rng = np.random.default_rng(seed)
@@ -295,7 +296,13 @@ def test_mask_curvature_is_the_top_eigenvalue_of_the_map_gram(op, kappa, side, s
     full = FullOperator(op.m, op.n).restricted(Q, side)
     assert type(full) is sampling.RestrictedMap
     assert full.curvature()[0] == pytest.approx(norm2, rel=1e-12, abs=1e-12)
-    assert full.curvature()[1] is None
+    for other in (full.op, GaussianOperator(op.m, op.n, 5, seed)):
+        top1, columns1 = other.restricted(Q, side).curvature()
+        assert_allclose(columns1, other.operator_norm() ** 2
+                        * np.abs(Q.T @ Q).sum(axis=1), rtol=1e-12, atol=0.0)
+        H1 = restricted_quadratic_form(other, Q, side)
+        excess = np.tile(columns1, H1.shape[0] // kappa)
+        assert np.linalg.eigvalsh(np.diag(excess) - H1)[0] >= -1e-12 * max(1.0, top1)
     T = rng.standard_normal((kappa, kappa)) + 3.0 * np.eye(kappa)
     moved = amap.regauged(Q @ T, T)
     assert type(moved) is type(amap) is sampling._MaskRestrictedMap
