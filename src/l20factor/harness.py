@@ -36,7 +36,7 @@ from .objective import MODELS, FactorPair, ModelSpec, balanced_factors
 from .penalty import PenaltyParams
 from .sampling import (FullOperator, GaussianOperator, SamplingOperator,
                        UniformMaskOperator, estimate_restricted_eigs)
-from .solver import SolveTrace, SolverConfig, TraceRecord, solve
+from .solver import _KEPT, SolveTrace, SolverConfig, TraceRecord, solve
 
 OPERATOR_KINDS = ("full", "mask", "gaussian")
 CSV_COLUMNS = ("iter", "obj_scaled", "obj_paper", "resU", "resV", "nnzU",
@@ -49,9 +49,12 @@ _DEFAULT_SCALE = {"l20": 55, "dc": 0.03}
 # that draws M, so the measurements stay independent of the signal.
 _OPERATOR_SEED_OFFSET = 1000003
 
-# Largest Gaussian operator memory at its peak (see _check_gaussian_size).
+# Largest memory a configuration may need at its peak (see _check_size).
 # Bigger ones fail fast, not by OOM.
-GAUSSIAN_MAX_BYTES = 2 * 2**30
+MAX_BYTES = 2 * 2**30
+
+# Mask entries that ``save_mask`` formats at a time.
+_MASK_CHUNK = 2**16
 
 # ``diagnose``'s sampling: growth-probe samples, Monte Carlo restricted
 # eigenvalue samples, and the seed of both.
@@ -64,26 +67,46 @@ class ConfigError(ValueError):
     """Invalid configuration or rule expression (CLI exit category: config)."""
 
 
-def _check_gaussian_size(p: int, m: int, n: int, kappa: int) -> None:
-    """Fail if the operator's peak memory is over the limit.
+def _check_size(kind: str, p: int, m: int, n: int, kappa: int) -> None:
+    """Fail if a configuration's peak memory is over ``MAX_BYTES``.
 
-    The peak is the p x m x n tensor plus the larger of two things that are
-    never alive together. ``operator_norm`` forms a Gram of min(p, m n)^2
-    doubles, and ``eigvalsh`` copies it. A solve at ``kappa`` holds at most
-    three restricted-map blocks of p x (rows * kappa) doubles: inside a
-    step the map that fixes V, the one that fixes U+ and the one that fixes
-    V+ (rows m, n and m); during a gauge move the maps of the state before
-    the step, of the state after it and the re-gauged one (rows m).
+    The peak is counted in doubles. Measured by ``ru_maxrss`` at 1200 x
+    1200, less the interpreter's own, a stage holds at most these dense
+    m x n arrays, with rho = p / (m n):
+    - a mask solve, 4 + 7 rho: M, X0 = A*(b) during the spectral start,
+      the pattern, the work array, a product, and the index and
+      measurement vectors;
+    - a full solve, 5.2, with b and the residuals m n long;
+    - diagnosing a mask instance, 3.2 at rho = 0.05 and 4.0 at 0.25;
+    - saving and loading, at most 1.2 + 4 rho.
+    So the bound is 6 m n doubles plus, per measurement, 8 on a mask and 1
+    on the other kinds. A solve at ``kappa`` adds the trace's ``_KEPT`` + 1
+    iterates, (m + n) kappa each, and on a mask the curvature's three
+    max(m, n) x kappa (kappa + 1) / 2 products. A Gaussian operator adds
+    its p x m x n tensor and the larger of two things that are never alive
+    together. ``operator_norm`` forms a Gram of min(p, m n)^2 doubles, and
+    ``eigvalsh`` copies it. A solve holds at most three restricted-map
+    blocks of p x (rows * kappa) doubles: inside a step the map that fixes
+    V, the one that fixes U+ and the one that fixes V+ (rows m, n and m);
+    during a gauge move or a rank drop the maps of the state before the
+    step, of the state after it and the re-gauged one (rows m). A stored
+    instance is checked at kappa = 0, as diagnose builds no solver state.
     """
     p, m, n, kappa = int(p), int(m), int(n), int(kappa)
-    need = 8 * (p * m * n + max(2 * min(p, m * n) ** 2,
-                                p * kappa * (2 * m + max(m, n))))
-    if need > GAUSSIAN_MAX_BYTES:
-        blocks = f" and kappa={kappa} blocks" if kappa else ""
-        raise ConfigError(
-            f"gaussian operator needs {need / 2**30:.1f} GiB for its {p}x{m}x{n} "
-            f"tensor, its norm's Gram{blocks}, over the "
-            f"{GAUSSIAN_MAX_BYTES / 2**30:g} GiB limit")
+    need = 6 * m * n + (8 if kind == "mask" else 1) * p \
+        + (_KEPT + 1) * (m + n) * kappa
+    what = f"its {m}x{n} arrays"
+    if kind == "mask":
+        need += 3 * max(m, n) * (kappa * (kappa + 1) // 2)
+    if kind == "gaussian":
+        need += p * m * n + max(2 * min(p, m * n) ** 2,
+                                p * kappa * (2 * m + max(m, n)))
+        what += f", its {p}x{m}x{n} tensor, its norm's Gram"
+    if kappa:
+        what += f" and kappa={kappa} " + ("blocks" if kind == "gaussian" else "iterates")
+    if 8 * need > MAX_BYTES:
+        raise ConfigError(f"{kind} operator needs {8 * need / 2**30:.1f} GiB for {what}, "
+                          f"over the {MAX_BYTES / 2**30:g} GiB limit")
 
 
 @dataclass
@@ -117,9 +140,9 @@ class ExperimentConfig:
             raise ConfigError("sample_ratio gives an empty measurement set")
         if self.operator_kind not in OPERATOR_KINDS:
             raise ConfigError(f"operator_kind must be one of {OPERATOR_KINDS}")
-        if self.operator_kind == "gaussian":
-            _check_gaussian_size(round(self.sample_ratio * self.m * self.n),
-                                 self.m, self.n, self.kappa)
+        _check_size(self.operator_kind, self.m * self.n if self.operator_kind == "full"
+                    else round(self.sample_ratio * self.m * self.n),
+                    self.m, self.n, self.kappa)
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if not self.a > 1:
@@ -355,11 +378,13 @@ def convergence_fit(trace: SolveTrace) -> tuple[float, float]:
     return fit_loglinear(xs, ys)
 
 
-def _atomic_bytes(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, write) -> None:
+    """``write(fh)`` fills a temp file beside ``path``, which then replaces
+    it; the content streams to disk, so no copy of it is held in memory."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -368,19 +393,11 @@ def _atomic_bytes(path: str, payload: bytes) -> None:
 
 
 def _atomic_text(path: str, text: str) -> None:
-    _atomic_bytes(path, text.encode())
+    _atomic_write(path, lambda fh: fh.write(text.encode()))
 
 
 def _atomic_json(path: str, obj) -> None:
     _atomic_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _atomic_array(path: str, save_fn) -> None:
-    import io
-
-    buf = io.BytesIO()
-    save_fn(buf)
-    _atomic_bytes(path, buf.getvalue())
 
 
 def _fmt(value) -> str:
@@ -417,11 +434,17 @@ def read_trace_csv(path: str) -> list[TraceRecord]:
 
 
 def save_mask(op: UniformMaskOperator, path: str) -> None:
-    """Write a mask as text: first line "m n", then one 0-based "i j" per entry."""
-    lines = [f"{op.m} {op.n}"]
-    # Python ints format about twice as fast as numpy scalars.
-    lines.extend(f"{i} {j}" for i, j in zip(op.rows.tolist(), op.cols.tolist()))
-    _atomic_text(path, "\n".join(lines) + "\n")
+    """Write a mask as text: first line "m n", then one 0-based "i j" per
+    entry, formatted ``_MASK_CHUNK`` entries at a time, so the text of only
+    one chunk is held in memory."""
+    def write(fh):
+        fh.write(f"{op.m} {op.n}\n".encode())
+        for at in range(0, op.p, _MASK_CHUNK):
+            # Python ints format about twice as fast as numpy scalars.
+            pairs = zip(op.rows[at:at + _MASK_CHUNK].tolist(),
+                        op.cols[at:at + _MASK_CHUNK].tolist())
+            fh.write("".join(f"{i} {j}\n" for i, j in pairs).encode())
+    _atomic_write(path, write)
 
 
 def load_mask(path: str) -> UniformMaskOperator:
@@ -460,8 +483,8 @@ def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
             **{key: getattr(cfg, key) for key in INSTANCE_FIELDS}}
     if isinstance(op, GaussianOperator):
         meta["operator_seed"] = op.seed
-    _atomic_array(os.path.join(out_dir, "M.npy"), lambda f: np.save(f, M))
-    _atomic_array(os.path.join(out_dir, "b.npy"), lambda f: np.save(f, b))
+    _atomic_write(os.path.join(out_dir, "M.npy"), lambda f: np.save(f, M))
+    _atomic_write(os.path.join(out_dir, "b.npy"), lambda f: np.save(f, b))
     if isinstance(op, UniformMaskOperator):
         save_mask(op, os.path.join(out_dir, "mask.txt"))
     _atomic_json(os.path.join(out_dir, "meta.json"), meta)
@@ -469,8 +492,9 @@ def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
 
 def load_instance(in_dir: str):
     """Returns (meta, M, op, b) from a directory written by save_instance;
-    meta needs this package's schema and ints in range. Its m, n and p, M
-    and b must fit the operator, and so must sample_ratio but for a full
+    meta needs this package's schema and ints in range, and its shapes must
+    pass ``_check_size``, checked before any array is read. Its m, n and p,
+    M and b must fit the operator, and so must sample_ratio but for a full
     instance, by ``gen_instance``'s rule p = round(sample_ratio m n)."""
     meta_path = os.path.join(in_dir, "meta.json")
     with open(meta_path) as fh:
@@ -483,23 +507,22 @@ def load_instance(in_dir: str):
         if key in meta and (type(meta[key]) is not int or meta[key] < least):
             raise ValueError(f"{meta_path}: {key} must be an integer >= {least}, "
                              f"got {meta[key]!r}")
+    kind = meta["operator_kind"]
+    if kind not in OPERATOR_KINDS:
+        raise ValueError(f"{meta_path}: unknown operator_kind {kind!r}")
+    if kind == "gaussian":
+        _require(meta_path, meta, ("operator_seed",))
+    _check_size(kind, meta["p"], meta["m"], meta["n"], kappa=0)
     M_path, b_path = os.path.join(in_dir, "M.npy"), os.path.join(in_dir, "b.npy")
     M = linalg.as_matrix(np.load(M_path), "M")
     b = linalg.as_vector(np.load(b_path), "b")
-    kind = meta["operator_kind"]
     if kind == "full":
         op: SamplingOperator = FullOperator(meta["m"], meta["n"])
     elif kind == "mask":
         op = load_mask(os.path.join(in_dir, "mask.txt"))
-    elif kind == "gaussian":
-        _require(meta_path, meta, ("operator_seed",))
-        # Diagnose loads instances too; it takes the norm but builds no
-        # solver blocks.
-        _check_gaussian_size(meta["p"], meta["m"], meta["n"], kappa=0)
+    else:
         op = GaussianOperator(meta["m"], meta["n"], meta["p"],
                               seed=meta["operator_seed"])
-    else:
-        raise ValueError(f"{meta_path}: unknown operator_kind {kind!r}")
     checks = [(meta_path, key, meta[key], getattr(op, key)) for key in ("m", "n", "p")]
     checks += [(M_path, "shape", M.shape, (op.m, op.n)), (b_path, "length", b.size, op.p)]
     for path, key, stored, expected in checks:
@@ -516,7 +539,7 @@ def load_instance(in_dir: str):
 def save_solution(out_dir: str, W: FactorPair, trace: SolveTrace,
                   summary: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_array(os.path.join(out_dir, "solution.npz"),
+    _atomic_write(os.path.join(out_dir, "solution.npz"),
                   lambda f: np.savez(f, U=W.U, V=W.V))
     write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
     _atomic_json(os.path.join(out_dir, "summary.json"), summary)
@@ -569,6 +592,7 @@ def _solve_and_summarize(cfg: ExperimentConfig, spec: ModelSpec, W0: FactorPair,
         "iterations": len(trace.records),
         "restarts": trace.restarts,
         "backtracks": trace.backtracks,
+        "rank_drops": trace.rank_drops,
         "reason": reason,
         "rel_error": relative_error(W, M),
         "nnz_u": linalg.l20_norm(W.U),

@@ -283,9 +283,9 @@ class RestrictedMap:
         return self._restrict(R), other, other._restrict(R)
 
     def regauged(self, Q: Array, T: Array) -> "RestrictedMap":
-        """The map that fixes Q = self.Q @ T, for a k x k matrix T. The base
-        form is the operator's new map over Q; a Gaussian map reuses its
-        block."""
+        """The map that fixes Q = self.Q @ T, for a k x k' matrix T (k' = k
+        for a gauge move, k - 1 for a rank drop). The base form is the
+        operator's new map over Q; a Gaussian map reuses its block."""
         return self.op.restricted(Q, self.side)
 
     def curvature(self) -> tuple[float, Array]:
@@ -403,8 +403,8 @@ class _GaussianRestrictedMap(RestrictedMap):
         return self.adjoint(r), other, other.adjoint(r)
 
     def regauged(self, Q: Array, T: Array) -> RestrictedMap:
-        """G @ (self.Q T) is (G @ self.Q) T: one p*rows x k by k x k product,
-        p*rows*k^2 flops, instead of a pass over G."""
+        """G @ (self.Q T) is (G @ self.Q) T: one p*rows x k by k x k'
+        product, p*rows*k*k' flops, instead of a pass over G."""
         k = T.shape[0]
         B = (self.B.reshape(-1, k) @ T).reshape(self.op.p, -1)
         return _GaussianRestrictedMap(self.op, Q, self.side, B)

@@ -209,6 +209,33 @@ def test_oversized_gaussian_exits_2(tmp_path):
         assert "error(config): gaussian operator needs" in res.stderr
 
 
+def test_oversized_mask_exits_2(tmp_path):
+    """A mask configuration over the memory limit is a config error (exit
+    2) before anything is generated or written; a stored instance edited to
+    that size is one before solve or diagnose reads an array."""
+    res = run_cli("gen", "--m", "200000", "--n", "200000", "--out-dir",
+                  str(tmp_path / "g"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error(config): mask operator needs")
+    assert "over the 2 GiB limit" in res.stderr
+    assert not (tmp_path / "g").exists()
+
+    inst = str(tmp_path / "inst")
+    assert run_cli(*gen_args(inst)[:-2], "--operator", "mask",
+                   "--sample-ratio", "0.5", "--out-dir", inst).returncode == 0
+    meta_path = os.path.join(inst, "meta.json")
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    meta.update(m=200000, n=200000, p=10**10)
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    for cmd in (("solve", "--instance", inst, "--out-dir", str(tmp_path / "s")),
+                ("diagnose", "--instance", inst, "--solution", str(tmp_path / "s"))):
+        res = run_cli(*cmd)
+        assert res.returncode == 2, res.stderr
+        assert "error(config): mask operator needs" in res.stderr
+
+
 def test_bad_rule_exits_2(tmp_path):
     """A rule outside the grammar, one whose value is complex, or a dc rho
     rule that is not positive is a config error (exit 2) and not a

@@ -477,15 +477,22 @@ def test_full_instance_ignores_sample_ratio(tmp_path):
     assert (meta["sample_ratio"], op.p) == (0.9, 120)
 
 
+def dense_words(m, n, p, kappa, per_measurement=1):
+    """The size guard's count of the dense arrays, the trace's iterates and
+    the measurement vectors, in doubles."""
+    return 6 * m * n + per_measurement * p + 65 * (m + n) * kappa
+
+
 def test_gaussian_size_guard(tmp_path, monkeypatch):
     """A Gaussian operator over the byte limit is a ConfigError, from a config
     or from a stored meta.json, before anything is allocated. Both count the
-    tensor plus the larger of the norm's Gram (with eigvalsh's copy of it)
-    and, for a config, the solver's three kappa-column blocks; a stored
-    instance, which diagnose also loads, builds no blocks."""
-    with pytest.raises(ConfigError, match=r"needs 22\.6 GiB for its 22500x300x300 "
-                                          r"tensor, its norm's Gram and kappa=15 "
-                                          r"blocks, over the 2 GiB limit"):
+    dense arrays, the tensor and the larger of the norm's Gram (with
+    eigvalsh's copy of it) and, for a config, the solver's three
+    kappa-column blocks; a stored instance, which diagnose also loads,
+    builds no blocks and no iterates."""
+    with pytest.raises(ConfigError, match=r"needs 22\.6 GiB for its 300x300 arrays, "
+                                          r"its 22500x300x300 tensor, its norm's Gram "
+                                          r"and kappa=15 blocks, over the 2 GiB limit"):
         ExperimentConfig(operator_kind="gaussian")
     ExperimentConfig(operator_kind="mask")
     shape = dict(m=15, n=12, kappa=3, operator_kind="gaussian", sample_ratio=0.2)
@@ -494,18 +501,20 @@ def test_gaussian_size_guard(tmp_path, monkeypatch):
     gram = 8 * 2 * p * p
     blocks = 8 * p * 3 * 15 * 3  # a gauge move's three maps that fix a V
     assert blocks > gram
-    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", tensor + blocks)
+    dense = 8 * dense_words(15, 12, p, 3)
+    monkeypatch.setattr(harness, "MAX_BYTES", dense + tensor + blocks)
     cfg = small_cfg(**shape)
-    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", tensor + blocks - 1)
+    monkeypatch.setattr(harness, "MAX_BYTES", dense + tensor + blocks - 1)
     with pytest.raises(ConfigError, match="36x15x12 tensor, its norm's Gram "
                                           "and kappa=3 blocks"):
         small_cfg(**shape)
 
     M, op, b = gen_instance(cfg)
     save_instance(str(tmp_path), cfg, M, op, b)
-    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", tensor + gram)
+    dense = 8 * dense_words(15, 12, p, 0)
+    monkeypatch.setattr(harness, "MAX_BYTES", dense + tensor + gram)
     load_instance(str(tmp_path))
-    monkeypatch.setattr(harness, "GAUSSIAN_MAX_BYTES", tensor + gram - 1)
+    monkeypatch.setattr(harness, "MAX_BYTES", dense + tensor + gram - 1)
     with pytest.raises(ConfigError, match="36x15x12 tensor, its norm's Gram, over"):
         load_instance(str(tmp_path))
     monkeypatch.undo()
@@ -514,6 +523,41 @@ def test_gaussian_size_guard(tmp_path, monkeypatch):
     meta["p"] = 2_000_000
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ConfigError, match="2000000x15x12 tensor"):
+        load_instance(str(tmp_path))
+
+
+@pytest.mark.parametrize("kind", ["mask", "full"])
+def test_mask_and_full_size_guard(tmp_path, monkeypatch, kind):
+    """The same limit holds for a mask or a full operator, none of which is
+    ever allocated here: a config over it is a ConfigError, and so is a
+    stored meta.json over it, before load_instance reads any array (the
+    arrays are deleted first). A mask counts 8 doubles per measurement,
+    and its curvature three max(m, n) x kappa (kappa + 1) / 2 products."""
+    with pytest.raises(ConfigError, match=rf"{kind} operator needs \d+\.\d GiB "
+                                          r"for its 200000x200000 arrays and "
+                                          r"kappa=15 iterates, over the 2 GiB limit"):
+        ExperimentConfig(m=200000, n=200000, operator_kind=kind)
+    shape = dict(m=15, n=12, kappa=3, operator_kind=kind, sample_ratio=0.2)
+    p = 36 if kind == "mask" else 180
+    need = 8 * (dense_words(15, 12, p, 3, 8 if kind == "mask" else 1)
+                + (3 * 15 * 6 if kind == "mask" else 0))
+    monkeypatch.setattr(harness, "MAX_BYTES", need)
+    cfg = small_cfg(**shape)
+    monkeypatch.setattr(harness, "MAX_BYTES", need - 1)
+    with pytest.raises(ConfigError, match=f"{kind} operator needs"):
+        small_cfg(**shape)
+    monkeypatch.undo()
+
+    save_instance(str(tmp_path), cfg, *gen_instance(cfg))
+    for name in ("M.npy", "b.npy", "mask.txt"):
+        if (tmp_path / name).exists():
+            (tmp_path / name).unlink()
+    meta_path = tmp_path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta.update(m=200000, n=200000, p=40000000000 if kind == "full" else 10**10)
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match=f"{kind} operator needs .* for its "
+                                          "200000x200000 arrays, over"):
         load_instance(str(tmp_path))
 
 

@@ -288,23 +288,24 @@ def test_every_public_name_is_used_by_the_system():
 
 
 # perfbench/bench.py's WORKLOADS configurations, each with an iteration
-# ceiling and its (restarts, backtracks) totals. With per-column step
-# constants and the dc gauge move they take 52, 95 and 141 iterations; with
-# per-column constants on the masks only, 52, 95 and 147; with one scalar
-# step constant and no dc move, 53 and 156 on the masks; under the spectral
+# ceiling and its (restarts, backtracks, rank drops) totals. With rank drops
+# they take 52, 83 and 141 iterations; without them, 52, 95 and 141, and
+# mask-dc-300 restarts once. With per-column constants on the masks only,
+# 52, 95 and 147; with one scalar step constant and no dc move, 53 and 156
+# on the masks; under the spectral
 # bound ||A||^2 ||V||^2 the masks took 104 and 231, with the function-value
 # restart alone 299, 273 and 232, and without the gauge move the l20 ones
 # took 540 and 2254.
 BENCH_WORKLOADS = {
     "mask-l20-300": (dict(m=300, n=300, r=5, kappa=15, sample_ratio=0.25,
                           operator_kind="mask", model="l20", mu_tilde=1e-3,
-                          epsilon=1e-10), 80, (0, 0)),
+                          epsilon=1e-10), 80, (0, 0, 0)),
     "mask-dc-300": (dict(m=300, n=300, r=5, kappa=15, sample_ratio=0.25,
                          operator_kind="mask", model="dc", mu_tilde=1e-2,
-                         epsilon=1e-10), 120, (1, 0)),
+                         epsilon=1e-10), 90, (0, 0, 10)),
     "gauss-l20-40": (dict(m=40, n=40, r=2, kappa=6, sample_ratio=0.4,
                           operator_kind="gaussian", model="l20", mu_tilde=1e-3,
-                          lambda_rule="28 * specnorm(X0)", epsilon=1e-10), 160, (0, 0)),
+                          lambda_rule="28 * specnorm(X0)", epsilon=1e-10), 160, (0, 0, 0)),
 }
 
 _SOLVE_WORKLOADS = """
@@ -321,7 +322,7 @@ for name, cfg in json.loads(sys.argv[1]).items():
     calls[0] = 0
     s = harness.run_experiment(harness.ExperimentConfig(**cfg))["summary"]
     keys = ("reason", "rel_error", "nnz_u", "nnz_v", "iterations", "restarts",
-            "backtracks")
+            "backtracks", "rank_drops")
     out[name] = {k: s[k] for k in keys}
     out[name]["prox_calls"] = calls[0]
 print(json.dumps(out))
@@ -330,9 +331,9 @@ print(json.dumps(out))
 
 def test_benchmark_workloads_pass_their_gate_within_the_iteration_ceiling():
     """Each workload passes its gate within its ceiling, with exactly the
-    restarts and backtracks pinned here, as summary.json reports them. The
-    prox calls confirm those totals: every iteration makes 2 candidates, a
-    restart 2 more and a backtrack 1 more."""
+    restarts, backtracks and rank drops pinned here, as summary.json reports
+    them. The prox calls confirm the first two totals: every iteration makes
+    2 candidates, a restart 2 more and a backtrack 1 more."""
     configs = {name: cfg for name, (cfg, _, _) in BENCH_WORKLOADS.items()}
     res = _run(["-c", _SOLVE_WORKLOADS, json.dumps(configs)], OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -344,6 +345,7 @@ def test_benchmark_workloads_pass_their_gate_within_the_iteration_ceiling():
         assert run["rel_error"] <= 1e-8, (name, run)
         assert run["nnz_u"] == run["nnz_v"] == cfg["r"], (name, run)
         assert run["iterations"] <= ceiling, (name, run)
-        assert (run["restarts"], run["backtracks"]) == counts, (name, run)
+        assert (run["restarts"], run["backtracks"], run["rank_drops"]) == counts, \
+            (name, run)
         assert run["prox_calls"] == 2 * (run["iterations"] + run["restarts"]) \
             + run["backtracks"], (name, run)
