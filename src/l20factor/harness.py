@@ -82,7 +82,7 @@ def _check_size(kind: str, p: int, m: int, n: int, kappa: int) -> None:
     So the bound is 6 m n doubles plus, per measurement, 8 on a mask and 1
     on the other kinds. A solve at ``kappa`` adds the trace's ``_KEPT`` + 1
     iterates, (m + n) kappa each, and on a mask the curvature's three
-    max(m, n) x kappa (kappa + 1) / 2 products. A Gaussian operator adds
+    arrays of max(m, n) kappa x kappa Gram blocks. A Gaussian operator adds
     its p x m x n tensor and the larger of two things that are never alive
     together. ``operator_norm`` forms a Gram of min(p, m n)^2 doubles, and
     ``eigvalsh`` copies it. A solve holds at most three restricted-map
@@ -97,7 +97,7 @@ def _check_size(kind: str, p: int, m: int, n: int, kappa: int) -> None:
         + (_KEPT + 1) * (m + n) * kappa
     what = f"its {m}x{n} arrays"
     if kind == "mask":
-        need += 3 * max(m, n) * (kappa * (kappa + 1) // 2)
+        need += 3 * max(m, n) * kappa * kappa
     if kind == "gaussian":
         need += p * m * n + max(2 * min(p, m * n) ** 2,
                                 p * kappa * (2 * m + max(m, n)))
@@ -145,14 +145,16 @@ class ExperimentConfig:
                     self.m, self.n, self.kappa)
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
-        if not self.a > 1:
-            raise ConfigError(f"a must exceed 1, got {self.a}")
-        if self.mu_tilde < 0:
-            raise ConfigError(f"mu_tilde must be nonnegative, got {self.mu_tilde}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.a) and self.a > 1):
+            raise ConfigError(f"a must exceed 1 and be finite, got {self.a}")
+        if not (math.isfinite(self.mu_tilde) and self.mu_tilde >= 0):
+            raise ConfigError(f"mu_tilde must be finite and nonnegative, got {self.mu_tilde}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 # Field -> type: the config-file keys, the CLI flag dests and the coercions.

@@ -14,17 +14,16 @@ forms the product and calls the operator's own apply and adjoint. A Gaussian
 operator's map is its block B = G @ Q, p x (rows * k), built once, after
 which an apply or adjoint is one matrix-vector product; a map's
 ``regauged(Q T, T)`` fixes Q T instead, and a Gaussian one gets it as B's
-product with T, without a pass over G. A map's ``curvature()`` is the top
-eigenvalue of its Gram, the data part of the solver's block constant,
-with per-column bounds c such that diag(c) majorizes the Gram, which the
-solver's per-column step constants read. The base and Gaussian maps give
-the bounds ||A||^2 ||Q||_2^2, exact for ``full``, and
-c_l = ||A||^2 sum_l' |Q^T Q|_{ll'}; a mask's map gives the exact value, the
-largest over the free factor's rows of the top eigenvalue of the Gram of
-the fixed rows observed with that row, all rows at once from one product
-with the stored 0/1 pattern, and from the same product each column's
-largest Gershgorin row sum over those Grams. The solver takes every
-substep through such a map.
+product with T, without a pass over G. A map's ``gram()`` is its Gram as
+k x k blocks over Q's nonzero columns: the base map's one block
+||A||^2 Q^T Q, shared by every row of the free factor, exact for ``full``
+and a majorizer on a Gaussian map; a mask's exact blocks, one per row,
+the Gram of the fixed rows observed with that row, all from one product
+with the stored 0/1 pattern. One ``curvature()`` reads from the blocks
+their top eigenvalue, the data part of the solver's block constant, and
+each column's largest Gershgorin row sum, the per-column bounds c with
+diag(c) majorizing the Gram that the solver's step constants read. The
+solver takes every substep through such a map.
 Restricted eigenvalue brackets
     alpha <= ||A(X)||^2 / ||X||_F^2 <= beta   for all rank-k X != 0
 are in closed form for ``full`` and ``mask``; a Gaussian one reads its maps'
@@ -113,7 +112,7 @@ class UniformMaskOperator(SamplingOperator):
     The row-major flat index rows * n + cols is kept, so apply is one
     ``np.take`` and adjoint one scatter into a flat zero vector. A*A is the
     orthogonal projection onto the observed support, so the operator norm is
-    exactly 1. The restricted maps' curvature reads the same support as an
+    exactly 1. The restricted maps' Gram reads the same support as an
     m x n 0/1 array, built on first use.
 
     The restricted maps form their m x n products and scatters in one work
@@ -170,7 +169,7 @@ class UniformMaskOperator(SamplingOperator):
     @cached_property
     def _pattern(self) -> Array:
         """The observed support as an m x n array of 0.0 and 1.0 (floats, so
-        the curvature's product with it is one BLAS call)."""
+        the Gram's product with it is one BLAS call)."""
         P = np.zeros(self.m * self.n)
         P[self.flat] = 1.0
         return P.reshape(self.m, self.n)
@@ -247,11 +246,8 @@ class RestrictedMap:
     and Z is n x k. ``adjoint(r)`` is A*(r) Q on "u" and A*(r)^T Q on "v",
     the gradient of <r, apply(Z)> in Z. This base form builds the product and
     calls the operator's public apply and adjoint, so its values are bitwise
-    those of the full operator. ``curvature()`` is the top eigenvalue of the
-    map's Gram, the Lipschitz constant of the gradient of
-    Z -> 1/2 ||apply(Z) - r||^2, and per-column bounds c with diag(c) (x) I
-    majorizing the Gram; this base form gives the bounds of
-    B^T B <= ||A||^2 (Q^T Q (x) I), which are exact for ``full``.
+    those of the full operator. A subclass supplies its own ``gram()``;
+    ``curvature()``, which reads only the blocks, serves every map.
     """
 
     def __init__(self, op: SamplingOperator, Q: Array, side: str):
@@ -288,25 +284,60 @@ class RestrictedMap:
         operator's new map over Q; a Gaussian map reuses its block."""
         return self.op.restricted(Q, self.side)
 
+    @cached_property
+    def live(self) -> Array:
+        """Q's nonzero columns, the k columns that ``gram()`` spans; the
+        others add only zero rows and columns to the Gram."""
+        return np.any(self.Q != 0.0, axis=0)
+
+    def gram(self) -> Array:
+        """The map's Gram as (rows, k, k) blocks over Q's ``live`` columns,
+        block i acting on row i of Z, or one (1, k, k) block that every row
+        shares: this base form's ||A||^2 Q^T Q, as B^T B <=
+        ||A||^2 (Q^T Q (x) I), with equality for ``full``."""
+        Q = self.Q[:, self.live]
+        return (self.op.operator_norm() ** 2 * (Q.T @ Q))[None]
+
     def curvature(self) -> tuple[float, Array]:
-        """(||A||^2 ||Q||_2^2, c), c_l = ||A||^2 sum_l' |Q^T Q|_{ll'}: the
-        top eigenvalue of the k x k Gram, and the absolute row sums that
-        majorize it as a diagonally dominant difference, both times ||A||^2."""
-        gram = self.Q.T @ self.Q
-        a2 = self.op.operator_norm() ** 2
-        return a2 * float(np.linalg.eigvalsh(gram)[-1]), a2 * np.abs(gram).sum(axis=1)
+        """(the top eigenvalue of ``gram()``'s blocks, to rounding; c): the
+        Lipschitz constant of the gradient of Z -> 1/2 ||apply(Z) - r||^2,
+        and c_l the largest absolute row sum of row l over the blocks, so
+        that diag(c) (x) I majorizes the Gram (a diagonally dominant
+        difference), 0 on Q's zero columns. A block's top eigenvalue is at
+        most its Gershgorin bound, its largest absolute row sum. The k
+        blocks with the largest bounds go to a batched eigvalsh first; of
+        the others, only those whose bound reaches the largest eigenvalue
+        found can exceed it. One batched Cholesky factorization of
+        best I - G_i over those succeeds only when all their eigenvalues are
+        below the best found; when it fails, their eigenvalues are computed
+        (so blocks that are all zero give 0)."""
+        columns = np.zeros(self.Q.shape[1])
+        G = self.gram()
+        k = G.shape[1]
+        if k == 0:
+            return 0.0, columns
+        rows = np.abs(G).sum(axis=2)
+        columns[self.live] = rows.max(axis=0)
+        bound = rows.max(axis=1)
+        order = np.argsort(bound)[::-1]
+        best = float(np.linalg.eigvalsh(G[order[:k]])[:, -1].max())
+        rest = order[k:][bound[order[k:]] >= best]
+        try:
+            np.linalg.cholesky(best * np.eye(k) - G[rest])
+        except np.linalg.LinAlgError:
+            best = max(best, float(np.linalg.eigvalsh(G[rest])[:, -1].max()))
+        return best, columns
 
 
 class _MaskRestrictedMap(RestrictedMap):
-    """A mask's map, with the exact curvature. Row i of Z meets only the
-    rows q_j of Q observed with it (j in Omega_i: the entries (i, j) on "u",
-    (j, i) on "v"), so the map's Gram is block diagonal with blocks
-    G_i = sum_{j in Omega_i} q_j q_j^T, and its top eigenvalue is the
-    largest of theirs. Its apply and ``_scatter`` use the operator's work
-    array, and their values are bitwise those of the base map: an apply
-    forms the product there and passes it to the operator's apply; a
-    scatter writes there itself, so an adjoint or a flip makes no call of
-    the operator's adjoint."""
+    """A mask's map, with the exact Gram. Row i of Z meets only the rows
+    q_j of Q observed with it (j in Omega_i: the entries (i, j) on "u",
+    (j, i) on "v"), so the map's Gram is block diagonal with the blocks
+    G_i = sum_{j in Omega_i} q_j q_j^T that ``gram()`` returns. Its apply
+    and ``_scatter`` use the operator's work array, and their values are
+    bitwise those of the base map: an apply forms the product there and
+    passes it to the operator's apply; a scatter writes there itself, so
+    an adjoint or a flip makes no call of the operator's adjoint."""
 
     def apply(self, Z: Array) -> Array:
         prod = self.op._work
@@ -324,65 +355,30 @@ class _MaskRestrictedMap(RestrictedMap):
         scatter[self.op.flat] = r
         return R
 
-    def curvature(self) -> tuple[float, Array]:
-        """(max_i lambda_max(G_i), to rounding; c), where c_l is the largest
-        absolute row sum of row l over the blocks G_i, so that diag(c)
-        majorizes every block (a diagonally dominant difference). Q's zero
-        columns add only zero rows and columns to each G_i, so they are
-        dropped, and their c_l is 0. Column c of pattern @ (Q[:, a] * Q[:, b]),
-        over the pairs a >= b, is G_i[a_c, b_c] for every i at once. Each
-        block's top eigenvalue is at most its Gershgorin bound, its largest
-        absolute row sum. The k blocks with the largest bounds go to a
-        batched eigvalsh first; of the others, only those whose bound reaches
-        the largest eigenvalue found can exceed it. One batched Cholesky
-        factorization of best I - G_i over those succeeds only when all
-        their eigenvalues are below the best found; when it fails, their
-        eigenvalues are computed (so blocks that are all zero give 0).
-        """
-        live = np.any(self.Q != 0.0, axis=0)
-        columns = np.zeros(self.Q.shape[1])
-        Q = self.Q[:, live]
+    def gram(self) -> Array:
+        """The blocks G_i over Q's ``live`` columns, one per row of Z, all
+        from one product with the stored pattern: column c of
+        pattern @ (Q[:, a] * Q[:, b]), over the pairs a >= b, is
+        G_i[a_c, b_c] for every i at once."""
+        Q = self.Q[:, self.live]
         k = Q.shape[1]
-        if k == 0:
-            return 0.0, columns
-        P = self.op._pattern
         a, b = np.tril_indices(k)
-        G = (P if self.side == "u" else P.T) @ (Q[:, a] * Q[:, b])
-        # touches[c, l] is 1.0 when pair c is in row l, so rows[i, l] is row
-        # l's absolute sum in G_i.
-        touches = ((a[:, None] == np.arange(k)) | (b[:, None] == np.arange(k))) * 1.0
-        rows = np.abs(G) @ touches
-        columns[live] = rows.max(axis=0)
-        bound = rows.max(axis=1)
-
-        def top(rows):
-            blocks = np.zeros((rows.size, k, k))
-            blocks[:, a, b] = G[rows]
-            return float(np.linalg.eigvalsh(blocks, UPLO="L")[:, -1].max())
-
-        order = np.argsort(bound)[::-1]
-        best = top(order[:k])
-        rest = order[k:][bound[order[k:]] >= best]
-        if rest.size == 0:
-            return best, columns
-        shifted = np.zeros((rest.size, k, k))
-        shifted[:, a, b] = -G[rest]
-        shifted[:, np.arange(k), np.arange(k)] += best
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            return max(best, top(rest)), columns
-        return best, columns
+        P = self.op._pattern
+        pairs = (P if self.side == "u" else P.T) @ (Q[:, a] * Q[:, b])
+        G = np.empty((len(pairs), k, k))
+        G[:, a, b] = G[:, b, a] = pairs
+        return G
 
 
 class _GaussianRestrictedMap(RestrictedMap):
     """The Gaussian map through its block, built once: B = G @ V, (p, m, k),
     on "u" and B = G^T @ U, (p, n, k), on "v", kept as p x (rows * k). An
-    apply or an adjoint is then one matrix-vector product. Its curvature is
-    the base bounds, not the exact ||B||^2: under the exact value the
-    40 x 40 Gaussian instance at lambda = 28 ||X0|| took 2643 iterations
-    on seed 0 and fell to the zero pair on seeds 1-5, a problem outside
-    the recovery regime (ROADMAP item 6)."""
+    apply or an adjoint is then one matrix-vector product. Its Gram is the
+    base form's majorizer, not the exact B^T B: with ||B||^2 as the
+    curvature, the 40 x 40 Gaussian instance at lambda = 28 ||X0|| converges
+    on seed 0 in 54 iterations, but seeds 1-5 end at the zero pair
+    (nnz 0, rel_error 1.0), which has the lower objective there: a problem
+    outside the recovery regime (ROADMAP item 6)."""
 
     def __init__(self, op: GaussianOperator, Q: Array, side: str,
                  B: Array | None = None):

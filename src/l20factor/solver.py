@@ -10,9 +10,9 @@ constant exists) doubles them until the check holds. The data term is ratio
 ||A||^2 ||Q||_2^2, Q the fixed factor, with the ratio the restricted map's
 ``curvature()`` over that bound (1 when the bound is 0), taken only when Q's
 (live width, nnz) changes. The base and Gaussian maps' curvature is the
-bound itself, so their ratio is 1; a mask map's is exact, so its data term
-is exact when taken and an estimate, which the check guards, until the next
-change. Another data term is one ``curvature()`` override.
+bound itself, so their ratio is 1 to rounding; a mask map's is exact, so
+its data term is exact when taken and an estimate, which the check guards,
+until the next change. Another data term is one ``gram()`` override.
 
 The step constant is a vector D, one per column: both penalties separate
 over columns, so a diagonal metric keeps the prox in closed form (the
@@ -20,14 +20,14 @@ variable-metric PALM of Chouzenoux, Pesquet and Repetti, J. Global Optim.
 66, 2016, and of Frankel, Garrigos and Peypouquet, JOTA 165, 2015), and a
 weak column is not held to the step its strong neighbours need. A map's
 ``curvature()`` also gives per-column bounds c, with diag(c) majorizing
-the data term: on a mask, c_l is column l's largest Gershgorin row sum
-over the map's Gram blocks; on the base and Gaussian maps it is
+the data term: c_l is column l's largest Gershgorin row sum over the map's
+Gram blocks, which on the base and Gaussian maps is
 ||A||^2 sum_l' |Q^T Q|_{ll'}, from B^T B <= ||A||^2 (Q^T Q (x) I). Held on
-the same key is c_l over ||A||^2 sum_l' |Q^T Q|_{ll'} (1 on the base and
-Gaussian maps), and D_l = min(L, 1.1 (that ratio ||A||^2 sum_l' |Q^T Q|_{ll'}
-+ balance bound)), floored, with the row sums of the current Q^T Q and L
-the scalar constant above; a column whose Q column is zero meets no data
-and keeps L. The min of two majorizers need not be one, so the check,
+the same key is c_l over ||A||^2 sum_l' |Q^T Q|_{ll'} (1 to rounding on
+the base and Gaussian maps), and D_l = min(L, 1.1 (that ratio
+||A||^2 sum_l' |Q^T Q|_{ll'} + balance bound)), floored, with the row sums
+of the current Q^T Q and L the scalar constant above; a column whose Q
+column is zero meets no data and keeps L. The min of two majorizers need not be one, so the check,
 which reads (1/2) sum_l D_l ||Delta_l||^2, guards D and doubles it on
 failure, and the stopping residual takes D times each column of Delta.
 
@@ -168,8 +168,8 @@ class SolverConfig:
     max_iters: int = 100000
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

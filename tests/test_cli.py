@@ -170,6 +170,23 @@ def test_bad_shape_config_exits_2(tmp_path):
     assert not (tmp_path / "g").exists()
 
 
+def test_non_finite_epsilon_and_negative_seed_exit_2(tmp_path):
+    """``solve --epsilon inf`` would stop at once as converged, and
+    ``gen --seed -1`` would fail inside numpy's generator; both are config
+    errors (exit 2) that name the field, and neither writes its directory."""
+    inst = str(tmp_path / "inst")
+    assert run_cli("gen", "--m", "20", "--n", "20", "--r", "2", "--kappa", "2",
+                   "--out-dir", inst).returncode == 0
+    res = run_cli("solve", "--instance", inst, "--epsilon", "inf",
+                  "--out-dir", str(tmp_path / "sol"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error(config): epsilon must be finite and positive")
+    res = run_cli("gen", "--seed", "-1", "--out-dir", str(tmp_path / "g"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error(config): seed must be nonnegative")
+    assert not (tmp_path / "sol").exists() and not (tmp_path / "g").exists()
+
+
 def test_gen_takes_instance_fields_only(tmp_path, capsys):
     """meta.json keeps the instance fields only, so gen offers no other:
     a solver flag, or a solver key in its config file, exits 2 and writes

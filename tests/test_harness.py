@@ -95,6 +95,17 @@ def test_config_validation():
         ExperimentConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a", np.inf), ("a", np.nan), ("mu_tilde", np.inf), ("mu_tilde", np.nan),
+    ("epsilon", np.inf), ("epsilon", np.nan), ("seed", -1)])
+def test_config_rejects_non_finite_and_negative_fields_by_name(field, value):
+    """A non-finite a, mu_tilde or epsilon, or a negative seed, is a
+    ConfigError that names its field, raised where the config is built:
+    before any instance is drawn or any penalty parameter is formed."""
+    with pytest.raises(ConfigError, match=rf"^{field} must .*, got {value}$"):
+        ExperimentConfig(**{field: value})
+
+
 # ------------------------------------------------------------- eval_rule
 
 
@@ -532,7 +543,7 @@ def test_mask_and_full_size_guard(tmp_path, monkeypatch, kind):
     ever allocated here: a config over it is a ConfigError, and so is a
     stored meta.json over it, before load_instance reads any array (the
     arrays are deleted first). A mask counts 8 doubles per measurement,
-    and its curvature three max(m, n) x kappa (kappa + 1) / 2 products."""
+    and its curvature three arrays of max(m, n) kappa x kappa blocks."""
     with pytest.raises(ConfigError, match=rf"{kind} operator needs \d+\.\d GiB "
                                           r"for its 200000x200000 arrays and "
                                           r"kappa=15 iterates, over the 2 GiB limit"):
@@ -540,7 +551,7 @@ def test_mask_and_full_size_guard(tmp_path, monkeypatch, kind):
     shape = dict(m=15, n=12, kappa=3, operator_kind=kind, sample_ratio=0.2)
     p = 36 if kind == "mask" else 180
     need = 8 * (dense_words(15, 12, p, 3, 8 if kind == "mask" else 1)
-                + (3 * 15 * 6 if kind == "mask" else 0))
+                + (3 * 15 * 9 if kind == "mask" else 0))
     monkeypatch.setattr(harness, "MAX_BYTES", need)
     cfg = small_cfg(**shape)
     monkeypatch.setattr(harness, "MAX_BYTES", need - 1)

@@ -248,66 +248,90 @@ def test_mask_closed_form_is_exact(op, seed):
 @example(op=UniformMaskOperator(3, 4, *np.unravel_index(np.arange(12), (3, 4))),
          kappa=3, side="u", seed=0)
 @example(op=UniformMaskOperator(4, 3, [2], [1]), kappa=2, side="v", seed=0)
+@example(op=UniformMaskOperator(3, 2, [0, 1, 2], [0, 1, 1]), kappa=1, side="u",
+         seed=0)
 @example(op=UniformMaskOperator.from_ratio(60, 50, 0.3, np.random.default_rng(5)),
          kappa=4, side="v", seed=1)
-def test_mask_curvature_is_the_top_eigenvalue_of_the_map_gram(op, kappa, side, seed):
-    """A mask map's curvature is the top eigenvalue of the map's quadratic
-    form, built column by column in tests/oracles.py, also when Q has zero
-    columns, and scales with Q's square at scales whose squares under- or
-    overflow; on a fully observed mask it is ||Q||_2^2,
-    which is also what the full operator's map gives. Its per-column bound
-    is each column's largest absolute row sum over the form's diagonal
-    blocks, 0 on Q's zero columns, and diag(c) majorizes the form. The full
-    and Gaussian maps' c_l is ||A||^2 sum_l' |Q^T Q|_{ll'}, and diag(c)
-    majorizes their forms too. A Q that is nonzero only on rows that no observed entry
-    meets has all blocks zero, and gives (0, zeros). A mask map's
-    ``regauged`` is a mask map, with the curvature of its own Gram."""
+def test_curvature_is_the_top_eigenvalue_of_the_map_gram(op, kappa, side, seed):
+    """One ``curvature()`` serves the mask, full and Gaussian maps, each
+    checked against its quadratic form, built column by column in
+    tests/oracles.py. ``gram()``'s blocks over Q's nonzero columns, laid on
+    the diagonal, are the form on the mask and full maps (one shared block
+    ||A||^2 Q^T Q on the full one) and majorize it on the Gaussian map. The
+    curvature follows from the blocks: their top eigenvalue, which is the
+    form's on the exact maps and ||Q||_2^2 on a fully observed mask or the
+    full map, and per-column bounds c, each column's largest absolute row
+    sum over the blocks, so that diag(c) majorizes the form; c_l is 0 on
+    Q's zero columns, and ||A||^2 sum_l' |Q^T Q|_{ll'} on the full and
+    Gaussian maps. Both scale with Q's square at scales whose squares
+    under- or overflow. An all-zero Q gives (0.0, zeros) on every map, and
+    so does a mask Q that is nonzero only on rows that no observed entry
+    meets. A mask map's ``regauged`` is a mask map, with the curvature of
+    its own Gram."""
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((op.n if side == "u" else op.m, kappa))
     Q[:, rng.random(kappa) < 0.3] = 0.0
-
-    def gram_top(amap):
-        H = restricted_quadratic_form(op, amap.Q, amap.side)
-        return float(np.linalg.eigvalsh(H)[-1])
-
-    amap = op.restricted(Q, side)
+    live = np.any(Q != 0.0, axis=0)
     norm2 = float(np.linalg.norm(Q, 2) ** 2)
-    top, columns = amap.curvature()
-    assert top == pytest.approx(gram_top(amap), rel=1e-12, abs=1e-12)
-    H = restricted_quadratic_form(op, Q, side)
-    blocks = [H[i:i + kappa, i:i + kappa] for i in range(0, H.shape[0], kappa)]
-    sums = np.max([np.abs(B).sum(axis=1) for B in blocks], axis=0)
-    assert_allclose(columns, sums, rtol=1e-12, atol=1e-12 * max(1.0, sums.max()))
-    assert np.all(columns[~np.any(Q != 0.0, axis=0)] == 0.0)
-    excess = np.repeat(columns[None], len(blocks), axis=0).ravel()
-    assert np.linalg.eigvalsh(np.diag(excess) - H)[0] >= -1e-12 * max(1.0, top)
-    for c in (1e-150, 1e150):
-        scaled = op.restricted(c * Q, side).curvature()
-        assert scaled[0] / (c * c) == pytest.approx(top, rel=1e-12, abs=1e-12)
-        assert_allclose(scaled[1] / (c * c), columns, rtol=1e-12, atol=1e-12)
-    if op.p == op.m * op.n:
-        assert top == pytest.approx(norm2, rel=1e-12, abs=1e-12)
+    zeros = np.zeros(kappa)
+    for other in (op, FullOperator(op.m, op.n), GaussianOperator(op.m, op.n, 5, seed)):
+        amap = other.restricted(Q, side)
+        assert type(amap) is {"mask": sampling._MaskRestrictedMap,
+                              "full": sampling.RestrictedMap,
+                              "gaussian": sampling._GaussianRestrictedMap}[other.kind]
+        H = restricted_quadratic_form(other, Q, side)
+        rows = H.shape[0] // kappa
+        G = amap.gram()
+        top, columns = amap.curvature()
+        assert G.shape[0] in (1, rows) and G.shape[1:] == (live.sum(),) * 2
+        if other.kind != "mask":
+            a2 = other.operator_norm() ** 2
+            assert_allclose(G[0], a2 * Q[:, live].T @ Q[:, live], rtol=1e-12, atol=0.0)
+            assert_allclose(columns, a2 * np.abs(Q.T @ Q).sum(axis=1), rtol=1e-12, atol=0.0)
+        blocks = np.zeros((rows, kappa, kappa))
+        blocks[:, live[:, None] & live] = np.broadcast_to(
+            G, (rows,) + G.shape[1:]).reshape(rows, -1)
+        laid = np.einsum("ij,iab->iajb", np.eye(rows), blocks).reshape(H.shape)
+        scale = max(1.0, float(np.abs(H).max()))
+        form_top = float(np.linalg.eigvalsh(H)[-1])
+        assert top == pytest.approx(float(np.linalg.eigvalsh(blocks)[:, -1].max()),
+                                    rel=1e-12, abs=1e-12)
+        assert_allclose(columns, np.abs(blocks).sum(axis=2).max(axis=0), rtol=1e-12,
+                        atol=1e-12 * scale)
+        assert np.all(columns[~live] == 0.0)
+        excess = np.tile(columns, rows)
+        assert np.linalg.eigvalsh(np.diag(excess) - H)[0] >= -1e-12 * max(1.0, top)
+        if other.kind == "gaussian":
+            assert np.linalg.eigvalsh(laid - H)[0] >= -1e-12 * max(1.0, top)
+            assert top >= form_top - 1e-12 * max(1.0, top)
+        else:
+            assert_allclose(laid, H, rtol=1e-12, atol=1e-12 * scale)
+            assert top == pytest.approx(form_top, rel=1e-12, abs=1e-12)
+            diagonal = [H[i:i + kappa, i:i + kappa] for i in range(0, H.shape[0], kappa)]
+            sums = np.max([np.abs(B).sum(axis=1) for B in diagonal], axis=0)
+            assert_allclose(columns, sums, rtol=1e-12, atol=1e-12 * max(1.0, sums.max()))
+        if other.kind != "gaussian" and other.p == other.m * other.n:
+            assert top == pytest.approx(norm2, rel=1e-12, abs=1e-12)
+        for c in (1e-150, 1e150):
+            scaled = other.restricted(c * Q, side).curvature()
+            assert scaled[0] / (c * c) == pytest.approx(top, rel=1e-12, abs=1e-12)
+            assert_allclose(scaled[1] / (c * c), columns, rtol=1e-12, atol=1e-12)
+        top0, columns0 = other.restricted(np.zeros_like(Q), side).curvature()
+        assert top0 == 0.0 and np.array_equal(columns0, zeros)
     unseen = ~op._pattern.any(axis=0 if side == "u" else 1)
     if unseen.any():
         blind = np.zeros_like(Q)
         blind[unseen] = 1.0
         top0, columns0 = op.restricted(blind, side).curvature()
-        assert top0 == 0.0 and np.array_equal(columns0, np.zeros(kappa))
-    full = FullOperator(op.m, op.n).restricted(Q, side)
-    assert type(full) is sampling.RestrictedMap
-    assert full.curvature()[0] == pytest.approx(norm2, rel=1e-12, abs=1e-12)
-    for other in (full.op, GaussianOperator(op.m, op.n, 5, seed)):
-        top1, columns1 = other.restricted(Q, side).curvature()
-        assert_allclose(columns1, other.operator_norm() ** 2
-                        * np.abs(Q.T @ Q).sum(axis=1), rtol=1e-12, atol=0.0)
-        H1 = restricted_quadratic_form(other, Q, side)
-        excess = np.tile(columns1, H1.shape[0] // kappa)
-        assert np.linalg.eigvalsh(np.diag(excess) - H1)[0] >= -1e-12 * max(1.0, top1)
+        assert top0 == 0.0 and np.array_equal(columns0, zeros)
+    amap = op.restricted(Q, side)
     T = rng.standard_normal((kappa, kappa)) + 3.0 * np.eye(kappa)
     moved = amap.regauged(Q @ T, T)
     assert type(moved) is type(amap) is sampling._MaskRestrictedMap
     assert moved.side == side
-    assert moved.curvature()[0] == pytest.approx(gram_top(moved), rel=1e-12, abs=1e-12)
+    H = restricted_quadratic_form(op, moved.Q, side)
+    assert moved.curvature()[0] == pytest.approx(float(np.linalg.eigvalsh(H)[-1]),
+                                                 rel=1e-12, abs=1e-12)
 
 
 def test_mask_curvature_checks_blocks_past_the_first_pass(monkeypatch):

@@ -42,8 +42,9 @@ def spectral_start(spec, kappa):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="epsilon"):
-        SolverConfig(epsilon=0.0)
+    for epsilon in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            SolverConfig(epsilon=epsilon)
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=0)
 
@@ -365,12 +366,13 @@ def test_data_ratio_is_taken_only_when_the_support_changes(monkeypatch):
     one on side "v" when only that key is stale. The ratio is the exact
     curvature over ||A||^2 ||Q||_2^2, below 1 on this half-observed mask,
     and the column ratios are the map's per-column bounds over the row sums
-    of |Q^T Q|. Full and Gaussian ratios are exactly 1, and so are their
-    column ratios on Q's nonzero columns (0 on its zero columns), and their
-    step constants are one per column too. A substep makes one eigvalsh
-    call for its three norms and, when its key is stale, the curvature's: a
-    mask or a Gaussian step makes 2 with both keys held and 4 with both
-    stale."""
+    of |Q^T Q|. Full and Gaussian ratios are 1 to rounding (their Gram
+    block is ||A||^2 Q^T Q, scaled before its eigvalsh and row sums), and so
+    are their column ratios on Q's nonzero columns (exactly 0 on its zero
+    columns), and their step constants are one per column too. A substep
+    makes one eigvalsh call for its three norms and, when its key is stale,
+    the curvature's: a mask or a Gaussian step makes 2 with both keys held
+    and 4 with both stale."""
     mask = warm_state("l20", None, 1e-5,
                       lambda **kw: mask_instance(ratio=0.5, **kw))
     gauss = warm_state("l20", None, 100.0, gaussian_instance)
@@ -378,12 +380,12 @@ def test_data_ratio_is_taken_only_when_the_support_changes(monkeypatch):
     width = st.W.U.shape[1]
     assert st.ratio_u[0] == st.ratio_v[0] == (width, width)
     sides = []
-    curvature = sampling._MaskRestrictedMap.curvature
+    curvature = sampling.RestrictedMap.curvature
 
     def counted(amap):
         sides.append(amap.side)
         return curvature(amap)
-    monkeypatch.setattr(sampling._MaskRestrictedMap, "curvature", counted)
+    monkeypatch.setattr(sampling.RestrictedMap, "curvature", counted)
     cases = ((st, []), (replace(st, ratio_u=None, ratio_v=None), ["u", "v"]),
              (replace(st, ratio_v=((width, width - 1), 1.0)), ["v"]))
     steps = []
@@ -411,8 +413,9 @@ def test_data_ratio_is_taken_only_when_the_support_changes(monkeypatch):
         fresh = step(spec, replace(st, ratio_u=None, ratio_v=None))
         for Q, (_, ratio, columns) in ((st.W.V, fresh.ratio_u),
                                        (fresh.W.U, fresh.ratio_v)):
-            assert ratio == 1.0
-            assert np.array_equal(columns, np.any(Q != 0.0, axis=0) * 1.0)
+            assert ratio == pytest.approx(1.0, rel=1e-12)
+            # atol=0: exactly 0 on Q's zero columns.
+            assert_allclose(columns, np.any(Q != 0.0, axis=0) * 1.0, rtol=1e-12, atol=0.0)
         assert fresh.LU.shape == fresh.LV.shape == (st.W.U.shape[1],)
 
 

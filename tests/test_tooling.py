@@ -288,43 +288,49 @@ def test_every_public_name_is_used_by_the_system():
 
 
 # perfbench/bench.py's WORKLOADS configurations, each with an iteration
-# ceiling and its (restarts, backtracks, rank drops) totals. With rank drops
-# they take 52, 83 and 141 iterations; without them, 52, 95 and 141, and
-# mask-dc-300 restarts once. With per-column constants on the masks only,
-# 52, 95 and 147; with one scalar step constant and no dc move, 53 and 156
-# on the masks; under the spectral
+# ceiling and its (restarts, backtracks, rank drops, curvature refreshes)
+# totals. With rank drops they take 52, 83 and 141 iterations; without
+# them, 52, 95 and 141, and mask-dc-300 restarts once. With per-column
+# constants on the masks only, 52, 95 and 147; with one scalar step
+# constant and no dc move, 53 and 156 on the masks; under the spectral
 # bound ||A||^2 ||V||^2 the masks took 104 and 231, with the function-value
 # restart alone 299, 273 and 232, and without the gauge move the l20 ones
 # took 540 and 2254.
 BENCH_WORKLOADS = {
     "mask-l20-300": (dict(m=300, n=300, r=5, kappa=15, sample_ratio=0.25,
                           operator_kind="mask", model="l20", mu_tilde=1e-3,
-                          epsilon=1e-10), 80, (0, 0, 0)),
+                          epsilon=1e-10), 80, (0, 0, 0, 6)),
     "mask-dc-300": (dict(m=300, n=300, r=5, kappa=15, sample_ratio=0.25,
                          operator_kind="mask", model="dc", mu_tilde=1e-2,
-                         epsilon=1e-10), 90, (0, 0, 10)),
+                         epsilon=1e-10), 90, (0, 0, 10, 22)),
     "gauss-l20-40": (dict(m=40, n=40, r=2, kappa=6, sample_ratio=0.4,
                           operator_kind="gaussian", model="l20", mu_tilde=1e-3,
-                          lambda_rule="28 * specnorm(X0)", epsilon=1e-10), 160, (0, 0, 0)),
+                          lambda_rule="28 * specnorm(X0)", epsilon=1e-10), 160,
+                     (0, 0, 0, 6)),
 }
 
 _SOLVE_WORKLOADS = """
 import json, sys
-from l20factor import harness, solver
-prox, calls = solver.prox_matrix, [0]
+from l20factor import harness, sampling, solver
+prox, curvature, calls = solver.prox_matrix, sampling.RestrictedMap.curvature, [0, 0]
 
 def counted(*args):
     calls[0] += 1
     return prox(*args)
+
+def refreshed(amap):
+    calls[1] += 1
+    return curvature(amap)
 solver.prox_matrix = counted
+sampling.RestrictedMap.curvature = refreshed
 out = {}
 for name, cfg in json.loads(sys.argv[1]).items():
-    calls[0] = 0
+    calls[:] = 0, 0
     s = harness.run_experiment(harness.ExperimentConfig(**cfg))["summary"]
     keys = ("reason", "rel_error", "nnz_u", "nnz_v", "iterations", "restarts",
             "backtracks", "rank_drops")
     out[name] = {k: s[k] for k in keys}
-    out[name]["prox_calls"] = calls[0]
+    out[name]["prox_calls"], out[name]["curvatures"] = calls
 print(json.dumps(out))
 """
 
@@ -332,8 +338,11 @@ print(json.dumps(out))
 def test_benchmark_workloads_pass_their_gate_within_the_iteration_ceiling():
     """Each workload passes its gate within its ceiling, with exactly the
     restarts, backtracks and rank drops pinned here, as summary.json reports
-    them. The prox calls confirm the first two totals: every iteration makes
-    2 candidates, a restart 2 more and a backtrack 1 more."""
+    them, and exactly the pinned calls of ``RestrictedMap.curvature``, the
+    one routine every map's curvature goes through: the solver refreshes a
+    data term only when its key changes, whatever a map's Gram costs. The
+    prox calls confirm the first two totals: every iteration makes 2
+    candidates, a restart 2 more and a backtrack 1 more."""
     configs = {name: cfg for name, (cfg, _, _) in BENCH_WORKLOADS.items()}
     res = _run(["-c", _SOLVE_WORKLOADS, json.dumps(configs)], OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -345,7 +354,7 @@ def test_benchmark_workloads_pass_their_gate_within_the_iteration_ceiling():
         assert run["rel_error"] <= 1e-8, (name, run)
         assert run["nnz_u"] == run["nnz_v"] == cfg["r"], (name, run)
         assert run["iterations"] <= ceiling, (name, run)
-        assert (run["restarts"], run["backtracks"], run["rank_drops"]) == counts, \
-            (name, run)
+        assert (run["restarts"], run["backtracks"], run["rank_drops"],
+                run["curvatures"]) == counts, (name, run)
         assert run["prox_calls"] == 2 * (run["iterations"] + run["restarts"]) \
             + run["backtracks"], (name, run)
