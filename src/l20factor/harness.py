@@ -3,8 +3,10 @@
 Everything the command line does lives here as plain functions so tests can
 drive it directly. File formats:
 
-* instance directory: meta.json, M.npy, b.npy, and mask.txt for mask
-  operators (the Gaussian operator is regenerated from its seed in meta).
+* instance directory: meta.json, M.npy, b.npy, and for a mask operator
+  mask.npy, its row-major flat index in measurement order (the Gaussian
+  operator is regenerated from its seed in meta). Each array's .npy header
+  is checked against meta.json before its data is read.
 * solution directory: solution.npz (U, V), trace.csv, summary.json.
 * trace.csv: the ``TraceRecord`` fields in order, headed by ``CSV_COLUMNS``.
   Floats use %.17g so re-parsing is exact.
@@ -53,9 +55,6 @@ _OPERATOR_SEED_OFFSET = 1000003
 # Bigger ones fail fast, not by OOM.
 MAX_BYTES = 2 * 2**30
 
-# Mask entries that ``save_mask`` formats at a time.
-_MASK_CHUNK = 2**16
-
 # ``diagnose``'s sampling: growth-probe samples, Monte Carlo restricted
 # eigenvalue samples, and the seed of both.
 _PROBE_SAMPLES = 100
@@ -78,7 +77,9 @@ def _check_size(kind: str, p: int, m: int, n: int, kappa: int) -> None:
       measurement vectors;
     - a full solve, 5.2, with b and the residuals m n long;
     - diagnosing a mask instance, 3.2 at rho = 0.05 and 4.0 at 0.25;
-    - saving and loading, at most 1.2 + 4 rho.
+    - saving, with the draw before it, 2.6 at rho = 0.05 and 2.8 at 0.25,
+      and 2.6 for a full instance; loading 2.0, 2.5 and 3.0, up to 1 of
+      it the clean file pages of the array being copied (``_load_array``).
     So the bound is 6 m n doubles plus, per measurement, 8 on a mask and 1
     on the other kinds. A solve at ``kappa`` adds the trace's ``_KEPT`` + 1
     iterates, (m + n) kappa each, and on a mask the curvature's three
@@ -435,32 +436,6 @@ def read_trace_csv(path: str) -> list[TraceRecord]:
     return records
 
 
-def save_mask(op: UniformMaskOperator, path: str) -> None:
-    """Write a mask as text: first line "m n", then one 0-based "i j" per
-    entry, formatted ``_MASK_CHUNK`` entries at a time, so the text of only
-    one chunk is held in memory."""
-    def write(fh):
-        fh.write(f"{op.m} {op.n}\n".encode())
-        for at in range(0, op.p, _MASK_CHUNK):
-            # Python ints format about twice as fast as numpy scalars.
-            pairs = zip(op.rows[at:at + _MASK_CHUNK].tolist(),
-                        op.cols[at:at + _MASK_CHUNK].tolist())
-            fh.write("".join(f"{i} {j}\n" for i, j in pairs).encode())
-    _atomic_write(path, write)
-
-
-def load_mask(path: str) -> UniformMaskOperator:
-    """Read a mask written by ``save_mask``; a malformed file is a ValueError
-    naming it (bad token, ragged line, index out of range, duplicate entry)."""
-    try:
-        vals = np.loadtxt(path, dtype=np.int64, ndmin=2)
-        if vals.shape[0] < 2 or vals.shape[1] != 2:
-            raise ValueError('expected a line "m n", then one "i j" line per entry')
-        return UniformMaskOperator(vals[0, 0], vals[0, 1], vals[1:, 0], vals[1:, 1])
-    except ValueError as err:
-        raise ValueError(f"malformed mask file {path}: {err}") from err
-
-
 def _require(path: str, mapping, keys) -> None:
     for key in keys:
         if key not in mapping:
@@ -470,7 +445,7 @@ def _require(path: str, mapping, keys) -> None:
 # meta.json's integer keys and their least values (numpy seeds from 0).
 _META_INTS = {"m": 1, "n": 1, "p": 1, "r": 1, "kappa": 1, "seed": 0,
               "operator_seed": 0}
-_INSTANCE_SCHEMA = "l20factor-instance-v1"
+_INSTANCE_SCHEMA = "l20factor-instance-v2"
 
 
 def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
@@ -488,15 +463,37 @@ def save_instance(out_dir: str, cfg: ExperimentConfig, M, op: SamplingOperator,
     _atomic_write(os.path.join(out_dir, "M.npy"), lambda f: np.save(f, M))
     _atomic_write(os.path.join(out_dir, "b.npy"), lambda f: np.save(f, b))
     if isinstance(op, UniformMaskOperator):
-        save_mask(op, os.path.join(out_dir, "mask.txt"))
+        _atomic_write(os.path.join(out_dir, "mask.npy"), lambda f: np.save(f, op.flat))
     _atomic_json(os.path.join(out_dir, "meta.json"), meta)
+
+
+def _load_array(path: str, shape: tuple, integer: bool = False) -> np.ndarray:
+    """A copy of the .npy array at ``path``, read only once its header gives
+    ``shape`` and an integer dtype, or a real one unless ``integer``; a
+    malformed file is a ValueError naming it. The header is read through a
+    memory map, so a forged shape allocates nothing. ``open_memmap`` is
+    what ``np.load(path, mmap_mode="r")`` calls on a .npy file, and unlike
+    ``np.load`` it opens no zip or pickle."""
+    try:
+        arr = np.lib.format.open_memmap(path, mode="r")
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+    key, stored, expected = ("length", arr.size, shape[0]) if arr.ndim == len(shape) == 1 \
+        else ("shape", arr.shape, shape)
+    if stored != expected:
+        raise ValueError(f"{path}: {key} is {stored}, the operator's is {expected}")
+    if arr.dtype.kind not in ("iu" if integer else "iuf"):
+        raise ValueError(f"{path}: dtype {arr.dtype} is not "
+                         f"{'an integer' if integer else 'a real'} type")
+    return np.array(arr)
 
 
 def load_instance(in_dir: str):
     """Returns (meta, M, op, b) from a directory written by save_instance;
     meta needs this package's schema and ints in range, and its shapes must
-    pass ``_check_size``, checked before any array is read. Its m, n and p,
-    M and b must fit the operator, and so must sample_ratio but for a full
+    pass ``_check_size``, checked before any array is read. meta's m, n and
+    p give the operator, and each array's header must fit it before its
+    data is read (``_load_array``); so must sample_ratio but for a full
     instance, by ``gen_instance``'s rule p = round(sample_ratio m n)."""
     meta_path = os.path.join(in_dir, "meta.json")
     with open(meta_path) as fh:
@@ -514,27 +511,28 @@ def load_instance(in_dir: str):
         raise ValueError(f"{meta_path}: unknown operator_kind {kind!r}")
     if kind == "gaussian":
         _require(meta_path, meta, ("operator_seed",))
-    _check_size(kind, meta["p"], meta["m"], meta["n"], kappa=0)
-    M_path, b_path = os.path.join(in_dir, "M.npy"), os.path.join(in_dir, "b.npy")
-    M = linalg.as_matrix(np.load(M_path), "M")
-    b = linalg.as_vector(np.load(b_path), "b")
+    m, n, p = meta["m"], meta["n"], meta["p"]
+    _check_size(kind, p, m, n, kappa=0)
+    if kind == "full" and p != m * n:
+        raise ValueError(f"{meta_path}: p is {p}, the operator's is {m * n}")
+    M = linalg.as_matrix(_load_array(os.path.join(in_dir, "M.npy"), (m, n)), "M")
+    b = linalg.as_vector(_load_array(os.path.join(in_dir, "b.npy"), (p,)), "b")
     if kind == "full":
-        op: SamplingOperator = FullOperator(meta["m"], meta["n"])
+        op: SamplingOperator = FullOperator(m, n)
     elif kind == "mask":
-        op = load_mask(os.path.join(in_dir, "mask.txt"))
+        mask_path = os.path.join(in_dir, "mask.npy")
+        flat = _load_array(mask_path, (p,), integer=True)
+        try:
+            op = UniformMaskOperator(m, n, *np.divmod(flat, n))
+        except ValueError as err:
+            raise ValueError(f"{mask_path}: {err}") from err
     else:
-        op = GaussianOperator(meta["m"], meta["n"], meta["p"],
-                              seed=meta["operator_seed"])
-    checks = [(meta_path, key, meta[key], getattr(op, key)) for key in ("m", "n", "p")]
-    checks += [(M_path, "shape", M.shape, (op.m, op.n)), (b_path, "length", b.size, op.p)]
-    for path, key, stored, expected in checks:
-        if stored != expected:
-            raise ValueError(f"{path}: {key} is {stored}, the operator's is {expected}")
+        op = GaussianOperator(m, n, p, seed=meta["operator_seed"])
     ratio = meta["sample_ratio"]
     if kind != "full" and not (type(ratio) in (int, float) and 0 < ratio <= 1
-                               and round(ratio * op.m * op.n) == op.p):
+                               and round(ratio * m * n) == p):
         raise ValueError(f"{meta_path}: sample_ratio {ratio!r} does not give "
-                         f"p = {op.p} as round(sample_ratio * m * n)")
+                         f"p = {p} as round(sample_ratio * m * n)")
     return meta, M, op, b
 
 

@@ -339,20 +339,30 @@ def _edit_json(path, edit):
         json.dump(obj, fh)
 
 
-def _edit_lines(path, edit):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    edit(lines)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _edit_mask(path, edit):
+    flat = np.load(path)
+    np.save(path, edit(flat))
 
 
-def _split_pair(lines):
-    """Put the first entry's row index on the header line: the tokens are
-    unchanged, but the lines no longer hold pairs."""
-    i, j = lines[1].split()
-    lines[1:2] = [f"{lines[0]} {i}", j]
-    del lines[0]
+def _set(flat, at, value):
+    flat[at] = value
+    return flat
+
+
+def _cut(path, end):
+    """Keep only the file's bytes [:end]."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:end])
+
+
+def _forge_header(path, shape, descr):
+    """A .npy header giving ``shape`` and ``descr``, then 16 bytes of data."""
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": descr, "fortran_order": False, "shape": shape})
+        fh.write(bytes(16))
 
 
 def _drop_v(path):
@@ -379,19 +389,34 @@ MALFORMED = {
         r"meta\.json: m must be an integer >= 1, got '20'"),
     "meta-foreign-schema": ("mask", "meta.json", lambda p: _edit_json(
         p, lambda d: d.update(schema="something-else")),
-        r"meta\.json: schema must be 'l20factor-instance-v1', got 'something-else'"),
+        r"meta\.json: schema must be 'l20factor-instance-v2', got 'something-else'"),
     "meta-unknown-operator_kind": ("mask", "meta.json", lambda p: _edit_json(
         p, lambda d: d.update(operator_kind="sparse")),
         r"meta\.json: unknown operator_kind 'sparse'"),
     "meta-sample_ratio-off-p": ("mask", "meta.json", lambda p: _edit_json(
         p, lambda d: d.update(sample_ratio=0.9)),
         r"meta\.json: sample_ratio 0\.9 does not give p = 200 "),
-    "meta-m-off-the-mask": ("mask", "meta.json", lambda p: _edit_json(
-        p, lambda d: d.update(m=25)), r"meta\.json: m is 25, the operator's is 20"),
+    "meta-m-off-M": ("mask", "meta.json", lambda p: _edit_json(
+        p, lambda d: d.update(m=25)),
+        r"M\.npy: shape is \(20, 20\), the operator's is \(25, 20\)"),
     "M-wrong-shape": ("mask", "M.npy", lambda p: np.save(p, np.ones((20, 21))),
                       r"M\.npy: shape is \(20, 21\), the operator's is \(20, 20\)"),
+    "M-forged-header": ("mask", "M.npy", lambda p: _forge_header(p, (200000, 200000), "<f8"),
+                        r"M\.npy: mmap length is greater than file size"),
+    "M-truncated-header": ("mask", "M.npy", lambda p: _cut(p, 20),
+                           r"M\.npy: EOF: reading array header"),
+    "M-truncated-data": ("mask", "M.npy", lambda p: _cut(p, -8),
+                         r"M\.npy: mmap length is greater than file size"),
+    "M-complex": ("mask", "M.npy", lambda p: np.save(p, np.load(p).astype(complex)),
+                  r"M\.npy: dtype complex128 is not a real type"),
     "b-wrong-length": ("mask", "b.npy", lambda p: np.save(p, np.ones(7)),
                        r"b\.npy: length is 7, the operator's is 200"),
+    "b-forged-header": ("mask", "b.npy", lambda p: _forge_header(p, (10**10,), "<f8"),
+                        r"b\.npy: mmap length is greater than file size"),
+    "b-truncated-header": ("mask", "b.npy", lambda p: _cut(p, 20),
+                           r"b\.npy: EOF: reading array header"),
+    "b-strings": ("mask", "b.npy", lambda p: np.save(p, np.load(p).astype(str)),
+                  r"b\.npy: dtype <U\d+ is not a real type"),
     "summary-without-mu_tilde": ("sol", "summary.json", lambda p: _edit_json(
         p, lambda d: d.pop("mu_tilde")), r"summary\.json: missing key 'mu_tilde'"),
     "solution-without-V": ("sol", "solution.npz", _drop_v,
@@ -404,14 +429,18 @@ MALFORMED = {
         p, U=np.ones((30, 3)), V=np.ones((30, 3))),
         r"solution\.npz: factor shapes \(30, 3\), \(30, 3\) do not match the "
         r"20x20 operator"),
-    "mask-non-integer": ("mask", "mask.txt", lambda p: _edit_lines(
-        p, lambda t: t.append("1 x")), r"mask\.txt: could not convert string 'x'"),
-    "mask-out-of-range": ("mask", "mask.txt", lambda p: _edit_lines(
-        p, lambda t: t.append("20 0")), r"mask\.txt: row index out of range"),
-    "mask-duplicate": ("mask", "mask.txt", lambda p: _edit_lines(
-        p, lambda t: t.append(t[1])), r"mask\.txt: mask contains duplicate entries"),
-    "mask-ragged": ("mask", "mask.txt", lambda p: _edit_lines(p, _split_pair),
-                    r"mask\.txt: the number of columns changed"),
+    "mask-non-integer": ("mask", "mask.npy", lambda p: _edit_mask(
+        p, lambda f: f.astype(float)), r"mask\.npy: dtype float64 is not an integer type"),
+    "mask-out-of-range": ("mask", "mask.npy", lambda p: _edit_mask(
+        p, lambda f: _set(f, -1, 400)), r"mask\.npy: row index out of range"),
+    "mask-duplicate": ("mask", "mask.npy", lambda p: _edit_mask(
+        p, lambda f: _set(f, -1, f[0])), r"mask\.npy: mask contains duplicate entries"),
+    "mask-wrong-length": ("mask", "mask.npy", lambda p: _edit_mask(p, lambda f: f[:-1]),
+                          r"mask\.npy: length is 199, the operator's is 200"),
+    "mask-forged-header": ("mask", "mask.npy", lambda p: _forge_header(p, (10**10,), "<i8"),
+                           r"mask\.npy: mmap length is greater than file size"),
+    "mask-truncated-header": ("mask", "mask.npy", lambda p: _cut(p, 20),
+                              r"mask\.npy: EOF: reading array header"),
 }
 
 

@@ -15,11 +15,10 @@ from l20factor.harness import (CONFIG_FIELDS, INSTANCE_FIELDS, ConfigError,
                                ExperimentConfig, build_config,
                                build_model_spec, convergence_fit, diagnose,
                                eval_rule, fit_loglinear, gen_instance,
-                               load_instance, load_mask, load_solution,
+                               load_instance, load_solution,
                                parse_config_file, read_trace_csv,
                                relative_error, run_experiment, run_fig3,
-                               save_instance, save_mask, save_solution,
-                               write_trace_csv)
+                               save_instance, save_solution, write_trace_csv)
 from l20factor.objective import FactorPair
 from l20factor.sampling import (FullOperator, GaussianOperator, SamplingOperator,
                                 UniformMaskOperator)
@@ -386,7 +385,7 @@ def test_instance_roundtrip_all_kinds(tmp_path):
         out = tmp_path / kind
         save_instance(str(out), cfg, M, op, b)
         meta, M2, op2, b2 = load_instance(str(out))
-        assert meta["schema"] == "l20factor-instance-v1"
+        assert meta["schema"] == "l20factor-instance-v2"
         assert meta["operator_kind"] == kind
         seed_key = {"operator_seed"} if kind == "gaussian" else set()
         assert set(meta) == {"schema", "p", *INSTANCE_FIELDS} | seed_key
@@ -397,7 +396,7 @@ def test_instance_roundtrip_all_kinds(tmp_path):
             assert np.array_equal(op.rows, op2.rows)
             assert np.array_equal(op.cols, op2.cols)
         else:
-            assert not (out / "mask.txt").exists()
+            assert not (out / "mask.npy").exists()
 
 
 def test_instance_data_checked_where_it_enters(tmp_path):
@@ -449,7 +448,9 @@ def test_load_instance_requires_integer_meta_fields(tmp_path, key, value):
 # meta.json edits that load_instance refuses: (kind, key, value, message).
 BAD_META_DESCRIPTIONS = [
     ("mask", "schema", "something-else",
-     r"schema must be 'l20factor-instance-v1', got 'something-else'"),
+     r"schema must be 'l20factor-instance-v2', got 'something-else'"),
+    ("mask", "schema", "l20factor-instance-v1",
+     r"schema must be 'l20factor-instance-v2', got 'l20factor-instance-v1'"),
     ("mask", "sample_ratio", 0.9, r"sample_ratio 0\.9 does not give p = 60 "),
     ("mask", "sample_ratio", "0.5", r"sample_ratio '0\.5' does not give p = 60 "),
     ("gaussian", "sample_ratio", 0.4, r"sample_ratio 0\.4 does not give p = 60 "),
@@ -560,7 +561,7 @@ def test_mask_and_full_size_guard(tmp_path, monkeypatch, kind):
     monkeypatch.undo()
 
     save_instance(str(tmp_path), cfg, *gen_instance(cfg))
-    for name in ("M.npy", "b.npy", "mask.txt"):
+    for name in ("M.npy", "b.npy", "mask.npy"):
         if (tmp_path / name).exists():
             (tmp_path / name).unlink()
     meta_path = tmp_path / "meta.json"
@@ -1057,23 +1058,19 @@ def test_diagnose_computes_gaussian_norm_once(tmp_path, monkeypatch):
     assert report["restricted_eigs"]["beta_upper"] == pytest.approx(norm2, rel=1e-12)
 
 
-def test_mask_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(10)
-    op = UniformMaskOperator.from_ratio(7, 5, 0.4, rng)
-    path = tmp_path / "mask.txt"
-    save_mask(op, str(path))
-    text = path.read_text().splitlines()
-    assert text[0] == "7 5"
-    assert len(text) == 1 + op.p
-    assert path.read_bytes() == ("7 5\n" + "".join(
-        f"{int(i)} {int(j)}\n" for i, j in zip(op.rows, op.cols))).encode()
-    back = load_mask(str(path))
-    assert np.array_equal(back.rows, op.rows)
-    assert np.array_equal(back.cols, op.cols)
-
-
-def test_load_mask_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("3 3 1\n")
-    with pytest.raises(ValueError, match="malformed"):
-        load_mask(str(path))
+def test_mask_instance_stores_the_flat_index(tmp_path):
+    """A mask instance stores its operator as mask.npy, the row-major flat
+    index ``op.flat`` in measurement order, bitwise, beside M.npy, b.npy
+    and meta.json; ``load_instance`` rebuilds the same operator from it and
+    meta.json's shape."""
+    cfg = small_cfg(m=7, n=5, r=1, kappa=2, seed=10)
+    M, op, b = gen_instance(cfg)
+    assert not np.all(np.diff(op.flat) > 0)
+    save_instance(str(tmp_path), cfg, M, op, b)
+    assert sorted(os.listdir(tmp_path)) == ["M.npy", "b.npy", "mask.npy", "meta.json"]
+    stored = np.load(tmp_path / "mask.npy")
+    assert stored.dtype == op.flat.dtype and stored.tobytes() == op.flat.tobytes()
+    _, _, back, b2 = load_instance(str(tmp_path))
+    for key in ("rows", "cols", "flat"):
+        assert np.array_equal(getattr(back, key), getattr(op, key))
+    assert np.array_equal(back.apply(M), b) and np.array_equal(b2, b)

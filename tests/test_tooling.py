@@ -5,10 +5,12 @@ rename in the library breaks it; its self-test is run here so that such a
 rename fails this suite too. A plain ``import l20factor`` must not load
 scipy, which only ``linalg.svd``'s fallback imports, lazily. The README's
 library and command-line quickstarts are run as written, so an API or flag
-change that breaks them fails here. With no linter installed, three import
-rules are checked on the syntax tree: no library module imports a name it
-never uses, the package's ``__all__`` is exactly what its ``__init__.py``
-imports, and the test oracles import nothing from the library they check.
+change that breaks them fails here, and so does a command-line comment
+whose list of written files has drifted from the files written. With no
+linter installed, three import rules are checked on the syntax tree: no
+library module imports a name it never uses, the package's ``__all__`` is
+exactly what its ``__init__.py`` imports, and the test oracles import
+nothing from the library they check.
 The solver's inner loop (``step``, ``_take``, ``_step_constant`` and
 ``_prox_substep``) is checked on the syntax tree as well: it names no
 checked function that has an unchecked kernel, on every branch. That loop
@@ -71,18 +73,39 @@ def test_readme_quickstart_runs():
     assert "passed=True" in res.stdout
 
 
+def _stamps(root):
+    return {path: (path.stat().st_ino, path.stat().st_mtime_ns)
+            for path in root.rglob("*") if path.is_file()}
+
+
 def test_readme_cli_quickstart_runs(tmp_path):
     """Each ``l20factor`` line of the README's sh blocks, continuation lines
-    joined, runs in order in one directory and exits 0."""
+    joined, runs in order in one directory and exits 0. The comment line
+    above each gen, solve and diagnose command ends with the parenthesised
+    list of files it writes, and that list is exactly the files the command
+    creates or replaces."""
     readme = (ROOT / "README.md").read_text()
     blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.DOTALL)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
-    commands = [shlex.split(line)[1:] for line in lines if line.startswith("l20factor ")]
-    assert {argv[0] for argv in commands} == {"gen", "solve", "diagnose", "experiment"}
-    for argv in commands:
+    comment, commands = None, []
+    for line in lines:
+        if line.startswith("#"):
+            comment = line
+        elif line.startswith("l20factor "):
+            commands.append((shlex.split(line)[1:], comment))
+            comment = None
+    assert {argv[0] for argv, _ in commands} == {"gen", "solve", "diagnose", "experiment"}
+    for argv, comment in commands:
+        before = _stamps(tmp_path)
         res = _run(["-m", "l20factor.cli", *argv], cwd=tmp_path, OPENBLAS_NUM_THREADS="1",
                    OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         assert res.returncode == 0, (argv, res.stderr)
+        if argv[0] != "experiment":
+            listed = re.search(r"\(([^()]*)\)$", comment or "")
+            assert listed, (argv, comment)
+            written = {path.name for path, stamp in _stamps(tmp_path).items()
+                       if before.get(path) != stamp}
+            assert set(listed.group(1).split(", ")) == written, (argv, comment)
 
 
 def _imports(tree):
@@ -232,6 +255,7 @@ KEPT_UNCALLED = {
         "lets tests build a Gaussian operator from a chosen tensor",
     "harness.read_trace_csv": "reads back the format that write_trace_csv defines",
     "penalty.g_scalar": "the documented, checked evaluator of g",
+    "penalty.psi_star": "the documented, checked evaluator of psi*",
 }
 
 
